@@ -154,13 +154,20 @@ def length_map(
     nodes: int = GH_NODES,
     with_derivative: bool = False,
 ) -> LengthMapResult:
-    """V(q | sigma_w^2) = sigma_w^2 * E phi(sqrt(q) z)^2, optionally with dV/dq."""
+    """V(q | sigma_w^2) = sigma_w^2 * E phi(sqrt(q) z)^2, optionally with dV/dq.
+
+    A result that is not finite (overflow) raises DivergenceError.
+    """
     if q < 0:
         raise ValueError(f"q must be nonnegative, got {q}")
     if sigma_w2 <= 0:
         raise ValueError("sigma_w2 must be positive")
     value = _length_value(q, sigma_w2, act, nodes)
     deriv = _length_deriv(q, sigma_w2, act, nodes) if with_derivative else None
+    if not math.isfinite(value) or (deriv is not None and not math.isfinite(deriv)):
+        raise DivergenceError(
+            f"length map overflowed at q = {q:g} (next value {value:g})", last_value=value
+        )
     return LengthMapResult(q_next=value, dv_dq=deriv)
 
 

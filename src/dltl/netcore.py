@@ -9,7 +9,8 @@ with the two weight conventions used throughout the package:
 
 Everything downstream (moment profiles, Jacobian spectra, empirical tangent
 kernels, landscape paths) is built on these passes, so they stay deliberately
-small: vectors in, lists of per-layer arrays out, no autograd.
+small: vectors or column batches in, lists of per-layer arrays out, no
+autograd.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "haar_orthogonal",
     "init_weights",
     "forward",
+    "backprop",
     "backward",
     "jacobian",
     "save_weights",
@@ -266,6 +268,29 @@ def forward(config: NetConfig, weights: list[np.ndarray], x: np.ndarray) -> Forw
     return trace
 
 
+def backprop(
+    config: NetConfig,
+    weights: list[np.ndarray],
+    trace: ForwardTrace,
+    seed_grad: np.ndarray,
+) -> list[np.ndarray]:
+    """Preactivation gradients g_1..g_{L+1} from a seed dL/dh_{L+1}.
+
+    Works on a single-input trace with a seed vector, and on a column batch
+    with one seed per column (shape (n_{L+1}, B)); column j of every g_l
+    is then the gradient of example j alone. g[l-1] is dL/dh_l.
+    """
+    g = np.asarray(seed_grad, dtype=float)
+    if g.shape != trace.h[-1].shape:
+        raise ValueError("seed_grad shape does not match the output")
+    act = config.activation
+    gs = [g]
+    for l in range(config.n_layers - 1, 0, -1):
+        g_prev = config.layer_scale(l) * act.deriv(trace.h[l - 1]) * (weights[l].T @ gs[0])
+        gs.insert(0, g_prev)
+    return gs
+
+
 def backward(
     config: NetConfig,
     weights: list[np.ndarray],
@@ -284,23 +309,12 @@ def backward(
         raise ValueError("pass exactly one of seed_grad or output_index")
     if trace.h[-1].ndim != 1:
         raise ValueError("backward expects a single-input trace")
-    if seed_grad is not None:
-        g = np.asarray(seed_grad, dtype=float)
-        if g.shape != trace.h[-1].shape:
-            raise ValueError("seed_grad shape does not match the output")
-    else:
-        g = np.zeros_like(trace.h[-1])
-        g[output_index] = 1.0
-
-    act = config.activation
-    gs = [g]
-    grads: list[np.ndarray] = [np.empty(0)] * config.n_layers
-    for l in range(config.n_layers - 1, -1, -1):
-        x_prev = trace.x0 if l == 0 else trace.x[l - 1]
-        grads[l] = config.layer_scale(l) * np.outer(gs[0], x_prev)
-        if l > 0:
-            g_prev = config.layer_scale(l) * act.deriv(trace.h[l - 1]) * (weights[l].T @ gs[0])
-            gs.insert(0, g_prev)
+    if seed_grad is None:
+        seed_grad = np.zeros_like(trace.h[-1])
+        seed_grad[output_index] = 1.0
+    gs = backprop(config, weights, trace, seed_grad)
+    inputs = [trace.x0, *trace.x]
+    grads = [config.layer_scale(l) * np.outer(gs[l], inputs[l]) for l in range(config.n_layers)]
     return BackwardTrace(g=gs, grads=grads)
 
 

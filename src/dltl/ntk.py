@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .meanfield import GH_NODES, gauss_ev2, length_map
-from .netcore import Activation, NetConfig, backward, forward
+from .netcore import Activation, NetConfig, backprop, forward
 
 __all__ = [
     "KernelGram",
@@ -317,23 +317,35 @@ def limiting_ntk(
 # -- empirical kernel ----------------------------------------------------------
 
 
-def _gradient_features(config: NetConfig, weights: list[np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Per-example, per-output parameter gradients, flattened.
+def _tangent_gram(
+    config: NetConfig, weights: list[np.ndarray], x_a: np.ndarray, x_b: np.ndarray | None = None
+) -> np.ndarray:
+    """Inner products of per-example, per-output parameter gradients.
 
-    Rows are ordered example major, output component minor, matching the
-    kron layout of the multi-output limit kernel.
+    Rows index x_a and columns x_b (x_a again when None), each example
+    major and output component minor, matching the kron layout of the
+    multi-output limit kernel. The gradient of output a at example i on
+    W_l is c_l outer(g_{l+1}, x_l), so the gram is assembled layer by layer,
+
+        Theta = sum_l c_l^2 (G_{l+1}^T G'_{l+1}) * (X_l^T X'_l),
+
+    from one batched forward and backward pass over the columns repeated
+    once per output. The (m k) x P gradient matrix is never formed.
     """
-    x = _as_columns(x, config.widths[0])
-    m = x.shape[1]
     k = config.widths[-1]
-    n_params = sum(w.size for w in weights)
-    feats = np.empty((m * k, n_params))
-    for i in range(m):
-        trace = forward(config, weights, x[:, i])
-        for a in range(k):
-            bt = backward(config, weights, trace, output_index=a)
-            feats[i * k + a] = np.concatenate([g.ravel() for g in bt.grads])
-    return feats
+
+    def layer_factors(x):
+        x = np.repeat(_as_columns(x, config.widths[0]), k, axis=1)
+        trace = forward(config, weights, x)
+        seeds = np.tile(np.eye(k), x.shape[1] // k)
+        return [trace.x0, *trace.x], backprop(config, weights, trace, seeds)
+
+    xs_a, gs_a = layer_factors(x_a)
+    xs_b, gs_b = (xs_a, gs_a) if x_b is None else layer_factors(x_b)
+    gram = np.zeros((xs_a[0].shape[1], xs_b[0].shape[1]))
+    for l in range(config.n_layers):
+        gram += config.layer_scale(l) ** 2 * (gs_a[l].T @ gs_b[l]) * (xs_a[l].T @ xs_b[l])
+    return gram
 
 
 def empirical_ntk(
@@ -347,8 +359,7 @@ def empirical_ntk(
     Scalar-output nets give an m x m gram; k outputs give the full
     (m k) x (m k) block gram in the example-major layout.
     """
-    feats = _gradient_features(config, weights, x)
-    return KernelGram(feats @ feats.T, tag="empirical_ntk", t=t_tag)
+    return KernelGram(_tangent_gram(config, weights, x), tag="empirical_ntk", t=t_tag)
 
 
 # -- exact linearized training -------------------------------------------------
@@ -480,9 +491,7 @@ def linearized_train(
     f0_query = forward(config, sol.weights, x_query).output.T.ravel()
     b_t = sol.solve_factor(t)
     if sol.kernel == "empirical":
-        q_feats = _gradient_features(config, sol.weights, x_query)
-        t_feats = _gradient_features(config, sol.weights, sol.x_train)
-        theta_cross = q_feats @ t_feats.T
+        theta_cross = _tangent_gram(config, sol.weights, x_query, sol.x_train)
         f_lin = f0_query + theta_cross @ b_t @ (sol.y - sol.f0_train)
         return LinearizedPrediction(t=t, f_lin=f_lin)
 
@@ -619,8 +628,12 @@ def du_convergence_monitor(
         raise ValueError("expected a (d, m) column dataset")
     y = np.asarray(y, dtype=float).ravel()
     d, m = x.shape
+    if m == 0:
+        raise ValueError("the dataset has no examples")
     if y.size != m:
         raise ValueError("one label per column")
+    if n < 1:
+        raise ValueError(f"hidden width n must be at least 1, got {n}")
     norms = np.linalg.norm(x, axis=0)
     if np.any(norms > 1 + 1e-12):
         raise ValueError("inputs must lie in the unit ball")

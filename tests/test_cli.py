@@ -580,3 +580,28 @@ class TestThreadCap:
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "4"
+
+
+class TestDomainHolesExitOne:
+    """Inputs that once crashed with a traceback or printed inf rows: each
+    must now exit 1 with a one-line message. Run in a fresh interpreter so
+    an uncaught exception would show on stderr as a traceback."""
+
+    def _run(self, *argv):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-m", "dltl.cli", *argv], env=env,
+                              capture_output=True, text=True)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["du-monitor", "--train-size", "0"], "no examples"),
+        (["du-monitor", "--n", "0"], "hidden width n must be at least 1"),
+        (["lengthmap", "--act", "relu", "--sigma-w2", "1e200"], "length map overflowed"),
+    ])
+    def test_exits_one_with_message(self, argv, message):
+        proc = self._run(*argv)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and message in lines[0]
+        assert proc.stdout == ""

@@ -125,6 +125,12 @@ class TestLengthMap:
         with pytest.raises(ValueError):
             length_map(1.0, 0.0, TANH)
 
+    def test_overflow_raises_divergence(self):
+        with pytest.raises(DivergenceError):
+            length_map(5e199, 1e200, RELU)
+        with pytest.raises(DivergenceError):
+            length_map(1e300, 1e300, LINEAR, with_derivative=True)
+
 
 class TestCorrelationMaps:
     def test_corr_map_linear(self):
