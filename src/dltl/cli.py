@@ -325,9 +325,10 @@ def _run_lindyn(cfg: ExperimentConfig) -> Emission:
     width = cfg.params["width"] if cfg.params["width"] is not None else len(svals)
     u0 = cfg.params["u0"]
     eta = cfg.params["eta"]
-    if eta is None:
+    if eta is None and svals:
         # near-optimal rate for the slowest mode; uf only enters the arrival
-        # time, not the rate, so any valid target works here
+        # time, not the rate, so any valid target works here; an empty list
+        # is left for simulate_deep_linear_gd to reject
         s_max = max(svals)
         eta = lindyn.opt_schedule(u0, 0.99 * s_max, s_max, depth).eta_opt
     run = lindyn.simulate_deep_linear_gd(

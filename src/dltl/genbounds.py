@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .meanfield import GH_NODES, gauss_hermite
 from .netcore import NetConfig, forward
@@ -560,7 +559,10 @@ def _logistic_bits(z: np.ndarray) -> np.ndarray:
 
 
 def _logistic_bits_deriv(z: np.ndarray) -> np.ndarray:
-    return -expit(-z) / math.log(2.0)
+    # -expit(-z) / log 2 by scipy's expit formula, without loading scipy;
+    # exp(z) overflows to inf for large z, where the derivative is rightly -0
+    with np.errstate(over="ignore"):
+        return -1.0 / (1.0 + np.exp(z)) / math.log(2.0)
 
 
 class _StochasticLogisticObjective:

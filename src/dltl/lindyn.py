@@ -209,7 +209,10 @@ def opt_schedule(u0: float, uf: float, s: float, L: int) -> OptSchedule:
     + (1/s) ln(uf (u0-s)/(u0 (uf-s)))), which loses its L-dependence as L
     grows."""
     _check_mode_args(u0, uf, s, L)
-    eta_opt = 1.0 / ((L + 1) * s ** (2.0 * L / (L + 1)))
+    try:
+        eta_opt = 1.0 / ((L + 1) * s ** (2.0 * L / (L + 1)))
+    except OverflowError:
+        raise ValueError(f"target s = {s} is too large: s^(2L/(L+1)) overflows") from None
     t_opt = s ** ((L - 1.0) / (L + 1.0)) * (1.0 / u0 - 1.0 / uf + _log_ratio(u0, uf, s) / s)
     return OptSchedule(eta_opt=eta_opt, t_opt=t_opt)
 
@@ -249,15 +252,21 @@ def simulate_deep_linear_gd(
         raise ValueError("target_svals must be a nonempty 1-D sequence")
     if svals.size > width:
         raise ValueError(f"{svals.size} targets do not fit width {width}")
+    with np.errstate(over="ignore"):
+        sum_sq = float(np.sum(svals**2))
+    if not math.isfinite(sum_sq):
+        raise ValueError("target_svals must be finite, with a finite sum of squares")
     if eta <= 0:
         raise ValueError(f"learning rate must be positive, got {eta}")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     targets = np.zeros(width)
     targets[: svals.size] = svals
     u_init = np.broadcast_to(np.asarray(u0, dtype=float), (width,)).copy()
     if np.any(u_init < 0):
         raise ValueError("initial mode products must be nonnegative")
     if tol_loss is None:
-        tol_loss = 1e-4 * float(np.sum(svals**2))
+        tol_loss = 1e-4 * sum_sq
 
     rng = np.random.default_rng(seed)
     rots = [np.eye(width)]

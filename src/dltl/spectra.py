@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _integrate
 
 from .netcore import NetConfig, init_weights, jacobian
 
@@ -93,6 +92,9 @@ class Density1D:
         (the Poisson peak when probing G just off the support)."""
         total = sum(mass * f(pos) for pos, mass in self.atoms)
         if self.kind == "marchenko_pastur":
+            # loaded on use: scipy takes longer to import than all of dltl
+            from scipy import integrate
+
             # substitute t = 4 sin^2(theta): rho dt becomes (4/pi) cos^2 dtheta,
             # which removes both endpoint singularities
             points = None
@@ -102,8 +104,8 @@ class Density1D:
                 # a Poisson probe at eps = 1e-4 is sharper than quad's target
                 # tolerance; the returned value is still good to ~1e-9, which
                 # the inversion tests pin down against closed forms
-                warnings.simplefilter("ignore", _integrate.IntegrationWarning)
-                total += _integrate.quad(
+                warnings.simplefilter("ignore", integrate.IntegrationWarning)
+                total += integrate.quad(
                     lambda th: f(4.0 * math.sin(th) ** 2) * (4.0 / math.pi) * math.cos(th) ** 2,
                     0.0,
                     math.pi / 2,
@@ -324,6 +326,8 @@ def product_wishart_spectrum(L: int, points: int = 200_001) -> ParamSpectrum:
     """
     if L < 1:
         raise ValueError(f"depth must be >= 1, got {L}")
+    if points < 2:
+        raise ValueError(f"the spectrum curve needs at least 2 points, got {points}")
     phi = np.linspace(1e-8, math.pi / (L + 1) - 1e-8, points)
     s1, sL, sL1 = np.sin(phi), np.sin(L * phi), np.sin((L + 1) * phi)
     lam = sL1 ** (L + 1) / (s1 * sL**L)
@@ -410,6 +414,8 @@ def empirical_spectrum(
     them from a genuine forward pass, on x_for_masks when given, otherwise
     on a per-replicate standard-normal input from a dedicated substream.
     """
+    if replicates < 1:
+        raise ValueError(f"replicates must be at least 1, got {replicates}")
     eigs = []
     for r in range(replicates):
         weights = init_weights(config, seed + r)
@@ -432,6 +438,13 @@ def empirical_spectrum(
     )
 
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over x, starting at 0; the operations
+    run in the order of scipy's cumulative_trapezoid(y, x, initial=0.0), so
+    the result is bit-identical to it."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
 def wasserstein1_to_density(values: np.ndarray, density: Density1D) -> float:
     """1-Wasserstein distance between samples and a density, by matching the
     sorted samples against the density's inverse CDF at (i - 1/2) / N."""
@@ -445,7 +458,7 @@ def wasserstein1_to_density(values: np.ndarray, density: Density1D) -> float:
         quantiles = np.interp(p, cdf, xs)
     elif density.kind == "grid":
         x, rho = density.grid_x, density.grid_rho
-        cdf = _integrate.cumulative_trapezoid(rho, x, initial=0.0)
+        cdf = _cumulative_trapezoid(rho, x)
         if cdf[-1] <= 0:
             raise ValueError("grid density carries no mass")
         cdf /= cdf[-1]

@@ -597,6 +597,12 @@ class TestDomainHolesExitOne:
         (["du-monitor", "--train-size", "0"], "no examples"),
         (["du-monitor", "--n", "0"], "hidden width n must be at least 1"),
         (["lengthmap", "--act", "relu", "--sigma-w2", "1e200"], "length map overflowed"),
+        (["spectrum", "--analytic", "--points", "0"], "at least 2 points"),
+        (["spectrum", "--analytic", "--points", "1"], "at least 2 points"),
+        (["spectrum", "--empirical", "--replicates", "0"], "replicates must be at least 1"),
+        (["lindyn", "--svals", ",,"], "target_svals must be a nonempty 1-D sequence"),
+        (["lindyn", "--svals", "1e300"], "too large"),
+        (["lindyn", "--svals", "1", "--max-steps", "-1"], "max_steps must be >= 0"),
     ])
     def test_exits_one_with_message(self, argv, message):
         proc = self._run(*argv)

@@ -3,6 +3,7 @@ profiles, spectral margin bounds, PAC-Bayes bounds, the stochastic-scorer
 optimizer, code-length priors, and margin statistics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -403,6 +404,26 @@ class TestDziugaiteRoy:
         with pytest.raises(ValueError, match="dimension"):
             gb.dziugaite_roy_optimize(post, (x[:, :2], y), b=100.0, c=0.1,
                                       delta=0.05, steps=1)
+
+
+class TestLogisticBitsDeriv:
+    """The numpy form of -expit(-z) / log 2 against scipy's expit as the
+    oracle. Both round exp, the sum and two quotients, each to about 2 ulp
+    of the true value, and numpy's SIMD exp may differ from the C library's
+    by 1 ulp, so the two can sit up to 4 ulp apart (3 seen on AVX-512)."""
+
+    ULPS = 4
+
+    def test_matches_scipy_expit(self):
+        from scipy.special import expit
+
+        z = np.concatenate([np.linspace(-1e3, 1e3, 400_001), [-1e308, 1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gb._logistic_bits_deriv(z)
+        want = -expit(-z) / math.log(2.0)
+        assert np.all(np.abs(got - want) <= self.ULPS * np.spacing(np.abs(want)))
+        assert got[-2] == -1.0 / math.log(2.0) and got[-1] == 0.0
 
 
 class TestCodeLengths:

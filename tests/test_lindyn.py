@@ -206,6 +206,10 @@ class TestOptSchedule:
         times = [lindyn.opt_schedule(0.01, 0.99, 1.0, L).t_opt for L in (2, 8, 32)]
         np.testing.assert_allclose(times, times[0], rtol=1e-12)
 
+    def test_overflowing_target_is_domain_error(self):
+        with pytest.raises(ValueError, match="too large"):
+            lindyn.opt_schedule(0.1, 0.99e300, 1e300, 8)
+
 
 class TestDeepLinearGD:
     def test_balanced_init_and_mode_sum(self):
@@ -284,3 +288,13 @@ class TestDeepLinearGD:
             lindyn.simulate_deep_linear_gd(2, 2, (1.0,), -0.1)
         with pytest.raises(ValueError, match="nonnegative"):
             lindyn.simulate_deep_linear_gd(2, 2, (1.0,), 0.1, u0=-0.5)
+
+    @pytest.mark.parametrize("svals", [(1.0, math.nan), (math.inf,), (1e300,)])
+    def test_rejects_nonfinite_targets(self, svals):
+        """No silent inf loss with exit 0, and no 200k-step run on a nan."""
+        with pytest.raises(ValueError, match="finite"):
+            lindyn.simulate_deep_linear_gd(2, 2, svals, 0.1)
+
+    def test_rejects_negative_step_cap(self):
+        with pytest.raises(ValueError, match="max_steps"):
+            lindyn.simulate_deep_linear_gd(2, 2, (1.0,), 0.1, max_steps=-1)

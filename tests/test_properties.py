@@ -1,12 +1,16 @@
 """Property-based checks of the batched gradient path: batched backprop
 against single-input backward column by column, and the layer-wise
-empirical tangent gram against an explicit gradient-feature gram."""
+empirical tangent gram against an explicit gradient-feature gram. Also a
+fuzz of the CLI's count and list flags: every value exits 0, 1 or 2."""
+
+import contextlib
+import io
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dltl import ntk
+from dltl import cli, ntk
 from dltl.netcore import NetConfig, backprop, backward, forward, init_weights
 
 REL_TOL = 1e-12
@@ -86,3 +90,23 @@ def test_cross_gram_matches_feature_gram(data, net):
     x_b = _columns(data.draw, config.widths[0], data.draw(st.integers(1, 6)))
     cross = ntk._tangent_gram(config, weights, x_a, x_b)
     _assert_rel_close(cross, _feature_rows(config, weights, x_a) @ _feature_rows(config, weights, x_b).T)
+
+
+svals_texts = st.lists(
+    st.one_of(st.floats().map(repr), st.just(""), st.sampled_from(["x", "1e400", "-0"])),
+    max_size=4,
+).map(",".join)
+
+
+@settings(max_examples=80, deadline=None)
+@given(argv=st.one_of(
+    st.integers(-3, 300).map(lambda p: ["spectrum", "--analytic", "--depth", "2", "--points", str(p)]),
+    st.integers(-3, 3).map(lambda r: ["spectrum", "--empirical", "--width", "3", "--replicates", str(r)]),
+    svals_texts.map(lambda t: ["lindyn", "--depth", "2", "--max-steps", "30", f"--svals={t}"]),
+))
+def test_cli_count_and_list_flags_exit_cleanly(argv):
+    """Nothing escapes cli.main: an exception other than the domain and
+    usage errors it maps to exit 1 and 2 fails the test with its traceback."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)

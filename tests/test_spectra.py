@@ -14,6 +14,7 @@ import dltl
 from dltl.netcore import NetConfig
 from dltl.spectra import (
     Density1D,
+    _cumulative_trapezoid,
     EmpiricalSpectrum,
     d_squared_relu,
     dirac,
@@ -67,6 +68,21 @@ class TestMarchenkoPastur:
 
     def test_support(self):
         assert marchenko_pastur().support == (0.0, 4.0)
+
+    def test_mass_in_fresh_interpreter(self):
+        """Importing spectra loads no scipy; the quadrature loads it on use."""
+        script = (
+            "import sys\n"
+            "from dltl import spectra\n"
+            "assert 'scipy' not in sys.modules\n"
+            "print(spectra.marchenko_pastur().mass())\n"
+            "assert 'scipy.integrate' in sys.modules\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dltl.__file__)))
+        proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestAtomDensities:
@@ -179,6 +195,11 @@ class TestProductWishart:
         with pytest.raises(ValueError):
             product_wishart_lambda_max(0)
 
+    @pytest.mark.parametrize("points", [-1, 0, 1])
+    def test_rejects_fewer_than_two_points(self, points):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            product_wishart_spectrum(1, points=points)
+
 
 class TestInvertStieltjes:
     def test_recovers_marchenko_pastur(self):
@@ -232,6 +253,12 @@ class TestEmpirical:
         assert emp.n == 32 and emp.depth == 1 and emp.replicates == 2 and emp.seed == 9
         assert emp.eigenvalues.size == 32 * 2
 
+    @pytest.mark.parametrize("replicates", [-1, 0])
+    def test_rejects_no_replicates(self, replicates):
+        config = NetConfig(widths=(4,) * 3, activation="linear")
+        with pytest.raises(ValueError, match="replicates must be at least 1"):
+            empirical_spectrum(config, replicates=replicates)
+
 
 class TestWasserstein:
     def test_zero_for_quantile_samples(self):
@@ -253,6 +280,16 @@ class TestWasserstein:
         flat = grid_density(xs, np.ones_like(xs))
         samples = (np.arange(200) + 0.5) / 200
         assert wasserstein1_to_density(samples, flat) < 1e-3
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 10_001])
+    def test_grid_cdf_is_scipys_cumulative_trapezoid(self, n):
+        from scipy.integrate import cumulative_trapezoid
+
+        rng = np.random.default_rng(n)
+        x = np.sort(rng.uniform(0.0, 3.0, n))
+        rho = rng.uniform(0.0, 1.0, n)
+        assert np.array_equal(_cumulative_trapezoid(rho, x),
+                              cumulative_trapezoid(rho, x, initial=0.0))
 
 
 class TestTrapezoidLookup:
