@@ -44,6 +44,9 @@ class UsageError(Exception):
     """Malformed invocation that argparse alone cannot catch; exits 2."""
 
 
+MAX_RANGE_POINTS = 100_000  # grid points a lo:hi:step range may expand to
+
+
 _COMMON_KEYS = {"subcommand", "seed", "out", "fmt", "handler"}
 
 
@@ -103,10 +106,14 @@ def parse_range(text: str) -> list[float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise UsageError(f"non-numeric range {text!r}") from exc
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise UsageError(f"range {text!r} needs finite lo, hi and step")
     if step <= 0 or hi < lo:
         raise UsageError(f"range {text!r} needs step > 0 and hi >= lo")
-    count = int(math.floor((hi - lo) / step + 1e-9))
-    return [lo + k * step for k in range(count + 1)]
+    steps = (hi - lo) / step + 1e-9
+    if not steps < MAX_RANGE_POINTS:
+        raise UsageError(f"range {text!r} has more than {MAX_RANGE_POINTS} points")
+    return [lo + k * step for k in range(int(math.floor(steps)) + 1)]
 
 
 def parse_float_list(text: str) -> list[float]:

@@ -64,19 +64,6 @@ MC_POSTERIOR_SAMPLES = 256
 _NORM_CHAIN_TOL = 1e-9
 
 
-def _jsonable(value):
-    """Recursively convert report payloads to plain JSON-friendly types."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
-
-
 @dataclass(frozen=True)
 class MarginStats:
     """Per-example margins y_i f(x_i) with the hard and ramp risks at gamma."""
@@ -190,9 +177,9 @@ class BoundReport:
     def as_dict(self) -> dict:
         return {
             "family": self.family,
-            "bound": _jsonable(self.bound),
-            "inputs": _jsonable(self.inputs),
-            "details": _jsonable(self.details),
+            "bound": self.bound,
+            "inputs": self.inputs,
+            "details": self.details,
         }
 
 

@@ -10,10 +10,12 @@ continuous-time limit of GD reads
 
 with t counted in GD steps. The module evaluates the closed-form arrival
 times (exact for L = 1, the u^2-exponent approximation for deep nets), always
-next to an RK4 integration of the exact exponent so the approximation gap is
-measured rather than trusted; the mode Hessian eigenvalues and the resulting
-optimal learning rate; and a discrete full-matrix GD simulation built from
-genuine weight matrices, against which all of the above is checked.
+next to a numerical integration of the exact exponent (RK4 in ln u, which is
+composite Simpson since the integrand does not depend on t) so the
+approximation gap is measured rather than trusted; the mode Hessian
+eigenvalues and the resulting optimal learning rate; and a discrete
+full-matrix GD simulation built from genuine weight matrices, against which
+all of the above is checked.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ def _log_ratio(u0: float, uf: float, s: float) -> float:
 
 @dataclass(frozen=True)
 class ModeTimeResult:
-    """Closed-form arrival time next to the RK4 value for the exact ODE."""
+    """Closed-form arrival time next to the numerically integrated value for
+    the exact ODE (t_rk4: RK4 in ln u, that is composite Simpson)."""
 
     t_formula: float
     t_rk4: float
@@ -78,7 +81,8 @@ def mode_time(u0: float, uf: float, s: float, eta: float, L: int) -> ModeTimeRes
     L = 1: the ODE is integrable, t = (1/(2 s eta)) ln(uf (u0-s) / (u0 (uf-s))).
     L >= 2: the u^{2L/(L+1)} ~ u^2 approximation,
     t = (1/((L+1) s eta)) (1/u0 - 1/uf + (1/s) ln(uf (u0-s) / (u0 (uf-s)))).
-    Both come with the RK4 arrival time for the exact exponent.
+    Both come with the arrival time for the exact exponent, integrated
+    numerically in ln u (t_rk4).
     """
     if eta <= 0:
         raise ValueError(f"learning rate must be positive, got {eta}")
@@ -95,22 +99,25 @@ def mode_time(u0: float, uf: float, s: float, eta: float, L: int) -> ModeTimeRes
 
 def _arrival_time_rk4(u0: float, uf: float, s: float, eta: float, L: int, steps: int = 4096) -> float:
     """Integrate dt/dv for v = ln u; the integrand u^{(1-L)/(1+L)} / ((L+1) eta (s-u))
-    stays smooth in v all the way down to small u0."""
+    stays smooth in v all the way down to small u0.
+
+    The integrand does not depend on t, so each RK4 step is a Simpson panel
+    and k4 of one step is k1 of the next: the integrand is evaluated once on
+    the steps + 1 nodes and the steps midpoints. The nodes accumulate h one
+    step at a time and the panels are added in step order (cumsum, not the
+    pairwise sum), so the rounding is that of RK4 stepping.
+    """
     ex = (1.0 - L) / (1.0 + L)
 
-    def g(v: float) -> float:
-        u = math.exp(v)
+    def g(v: np.ndarray) -> np.ndarray:
+        u = np.exp(v)
         return u**ex / (eta * (L + 1) * (s - u))
 
-    v, h = math.log(u0), (math.log(uf) - math.log(u0)) / steps
-    t = 0.0
-    for _ in range(steps):
-        k1 = g(v)
-        k2 = g(v + 0.5 * h)
-        k4 = g(v + h)
-        t += (h / 6.0) * (k1 + 4.0 * k2 + k4)
-        v += h
-    return t
+    h = (math.log(uf) - math.log(u0)) / steps
+    v = np.cumsum(np.concatenate(([math.log(u0)], np.full(steps, h))))
+    k = g(v)
+    panels = (h / 6.0) * (k[:-1] + 4.0 * g(v[:-1] + 0.5 * h) + k[1:])
+    return float(np.cumsum(panels)[-1])
 
 
 def integrate_mode_ode(u0: float, s: float, eta: float, L: int, t_grid: np.ndarray, substeps: int = 16) -> np.ndarray:
@@ -244,8 +251,9 @@ def simulate_deep_linear_gd(
     (R_0 = R_{L+1} = I) and balanced diagonals D_l = diag(u0)^{1/(L+1)}, so
     the matrix iteration realizes the decoupled mode dynamics through actual
     dense matrices rather than by fiat. Targets beyond len(target_svals) are
-    zero. Runs until loss <= tol_loss (default 1e-4 sum s^2); a loss above
-    10x its initial value aborts with the offending learning rate.
+    zero. Runs until loss <= tol_loss (default 1e-4 sum s^2); a loss that is
+    not finite or above 10x its initial value aborts with the offending
+    learning rate.
     """
     svals = np.asarray(target_svals, dtype=float)
     if svals.ndim != 1 or svals.size == 0:
@@ -256,8 +264,12 @@ def simulate_deep_linear_gd(
         sum_sq = float(np.sum(svals**2))
     if not math.isfinite(sum_sq):
         raise ValueError("target_svals must be finite, with a finite sum of squares")
-    if eta <= 0:
-        raise ValueError(f"learning rate must be positive, got {eta}")
+    if L < 0:
+        raise ValueError(f"depth L must be >= 0, got {L}")
+    if not (eta > 0 and math.isfinite(eta)):
+        raise ValueError(f"learning rate must be positive and finite, got {eta}")
+    if tol_loss is not None and not (tol_loss >= 0 and math.isfinite(tol_loss)):
+        raise ValueError(f"tol_loss must be finite and >= 0, got {tol_loss}")
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     targets = np.zeros(width)
@@ -273,43 +285,44 @@ def simulate_deep_linear_gd(
     rots += [haar_orthogonal(width, rng) for _ in range(L)]
     rots.append(np.eye(width))
     d_init = np.diag(u_init ** (1.0 / (L + 1)))
-    weights = [rots[l + 1] @ d_init @ rots[l].T for l in range(L + 1)]
+    weights = np.stack([rots[l + 1] @ d_init @ rots[l].T for l in range(L + 1)])
     s_mat = np.diag(targets)
-
-    def product_chain():
-        prefix = [np.eye(width)]
-        for w in weights:
-            prefix.append(w @ prefix[-1])
-        suffix = [np.eye(width)]
-        for w in reversed(weights):
-            suffix.append(suffix[-1] @ w)
-        suffix.reverse()
-        return prefix, suffix
+    # prefix[l] = W_{l-1} ... W_0 and suffix[l] = W_L ... W_{l+1}, the
+    # factors on either side of W_l; the identity ends never change
+    prefix = np.empty_like(weights)
+    suffix = np.empty_like(weights)
+    prefix[0] = suffix[L] = np.eye(width)
 
     losses, u_hist = [], []
     steps_to_tol = -1
-    for k in range(max_steps + 1):
-        prefix, suffix = product_chain()
-        p = prefix[-1]
-        resid = s_mat - p
-        loss = 0.5 * float(np.sum(resid**2))
-        losses.append(loss)
-        u_hist.append(np.diag(p).copy())
-        if loss <= tol_loss:
-            steps_to_tol = k
-            break
-        if k == 0:
-            loss0 = loss
-        elif loss > 10.0 * loss0:
-            raise RuntimeError(f"GD diverged at step {k} with eta = {eta}")
-        if k == max_steps:
-            break
-        # dL/dW_l = -A^T (S - P) B^T for P = A W_l B
-        new_weights = []
-        for l in range(L + 1):
-            grad = -suffix[l + 1].T @ resid @ prefix[l].T
-            new_weights.append(weights[l] - eta * grad)
-        weights = new_weights
+    # overflow shows as a loss that is not finite, which aborts the run
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(max_steps + 1):
+            if L:
+                prefix[1] = weights[0]
+                suffix[L - 1] = weights[L]
+            for l in range(2, L + 1):
+                np.matmul(weights[l - 1], prefix[l - 1], out=prefix[l])
+                np.matmul(suffix[L - l + 1], weights[L - l + 1], out=suffix[L - l])
+            p = weights[L] @ prefix[L]
+            resid = s_mat - p
+            loss = 0.5 * float((resid**2).sum())
+            losses.append(loss)
+            u_hist.append(p.diagonal().copy())
+            if not math.isfinite(loss):
+                raise RuntimeError(f"GD diverged at step {k} with eta = {eta}: the loss is {loss}")
+            if loss <= tol_loss:
+                steps_to_tol = k
+                break
+            if k == 0:
+                loss0 = loss
+            elif loss > 10.0 * loss0:
+                raise RuntimeError(f"GD diverged at step {k} with eta = {eta}")
+            if k == max_steps:
+                break
+            # dL/dW_l = -A^T (S - P) B^T for P = A W_l B, all layers at once
+            grads = np.matmul(np.matmul(-suffix.transpose(0, 2, 1), resid), prefix.transpose(0, 2, 1))
+            weights -= eta * grads
     if steps_to_tol < 0:
         raise RuntimeError(f"loss {losses[-1]:g} still above tol {tol_loss:g} after {max_steps} steps")
     return GDSimulation(

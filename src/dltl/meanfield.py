@@ -20,6 +20,7 @@ everything else goes through Gauss-Hermite quadrature with 64 nodes per axis
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -122,11 +123,25 @@ def _phi_second(act: Activation, z: np.ndarray) -> np.ndarray:
     return np.zeros_like(np.asarray(z, dtype=float))
 
 
-def _length_value(q: float, sigma_w2: float, act: Activation, nodes: int) -> float:
+def _length_value(sigma_w2: float, act: Activation, nodes: int) -> Callable[[float], float]:
+    """q -> V(q | sigma_w^2), for evaluation at many q.
+
+    The quadrature rule is looked up once and its scaled nodes share one
+    buffer across calls; each value takes gauss_ev's operations in its order.
+    """
     if act.homogeneous:
+        m2 = _second_moment_unit(act)
         # phi(sqrt(q) z) = sqrt(q) phi(z), so the map is exactly linear in q
-        return sigma_w2 * q * _second_moment_unit(act)
-    return sigma_w2 * gauss_ev(lambda z: act(z) ** 2, q, nodes=nodes)
+        return lambda q: sigma_w2 * q * m2
+    t, w = gauss_hermite(nodes)
+    z = np.empty_like(t)
+    root_pi = math.sqrt(math.pi)
+
+    def value(q: float) -> float:
+        np.multiply(math.sqrt(2.0 * q), t, out=z)
+        return sigma_w2 * (float(w @ act(z) ** 2) / root_pi)
+
+    return value
 
 
 def _length_deriv(q: float, sigma_w2: float, act: Activation, nodes: int) -> float:
@@ -162,7 +177,7 @@ def length_map(
         raise ValueError(f"q must be nonnegative, got {q}")
     if sigma_w2 <= 0:
         raise ValueError("sigma_w2 must be positive")
-    value = _length_value(q, sigma_w2, act, nodes)
+    value = _length_value(sigma_w2, act, nodes)(q)
     deriv = _length_deriv(q, sigma_w2, act, nodes) if with_derivative else None
     if not math.isfinite(value) or (deriv is not None and not math.isfinite(deriv)):
         raise DivergenceError(
@@ -274,14 +289,17 @@ def length_fixed_point(
     """
     if q0 < 0:
         raise ValueError(f"q0 must be nonnegative, got {q0}")
+    if sigma_w2 <= 0:
+        raise ValueError("sigma_w2 must be positive")
     if act.homogeneous:
         kappa = sigma_w2 * _second_moment_unit(act)
         if abs(kappa - 1.0) <= MARGINAL_TOL:
             return FixedPointResult(q_inf=float(q0), iterations=0, marginal=True)
+    length_value = _length_value(sigma_w2, act, GH_NODES)
     q = float(q0)
     polish_at = min(512, max_iter)
     for k in range(1, max_iter + 1):
-        q_next = _length_value(q, sigma_w2, act, GH_NODES)
+        q_next = length_value(q)
         if not math.isfinite(q_next) or q_next > 1e12:
             raise DivergenceError(
                 f"length map diverged after {k} iterations (last iterate {q_next:g})",
@@ -291,7 +309,7 @@ def length_fixed_point(
             return FixedPointResult(q_inf=q_next, iterations=k, marginal=False)
         q = q_next
         if k == polish_at:
-            polished = _newton_polish(q, sigma_w2, act, tol)
+            polished = _newton_polish(q, length_value, sigma_w2, act, tol)
             if polished is not None:
                 q_star, extra = polished
                 return FixedPointResult(q_inf=q_star, iterations=k + extra, marginal=False)
@@ -302,9 +320,15 @@ def length_fixed_point(
 
 
 def _newton_polish(
-    q: float, sigma_w2: float, act: Activation, tol: float, max_steps: int = 200
+    q: float,
+    length_value: Callable[[float], float],
+    sigma_w2: float,
+    act: Activation,
+    tol: float,
+    max_steps: int = 200,
 ) -> tuple[float, int] | None:
-    """Newton on g(q) = V(q) - q from a plain-iteration iterate.
+    """Newton on g(q) = V(q) - q from a plain-iteration iterate, with
+    length_value = _length_value(sigma_w2, act, GH_NODES).
 
     Returns (fixed point, steps) or None when Newton cannot be trusted
     (derivative vanished, iterate escaped, or the landing point fails the
@@ -312,7 +336,7 @@ def _newton_polish(
     """
     q_hi = 10.0 * max(q, 1.0)
     for j in range(1, max_steps + 1):
-        g = _length_value(q, sigma_w2, act, GH_NODES) - q
+        g = length_value(q) - q
         gp = _length_deriv(q, sigma_w2, act, GH_NODES) - 1.0
         if gp == 0.0:
             return None
@@ -322,7 +346,7 @@ def _newton_polish(
         if q_new > q_hi:
             return None
         if abs(q_new - q) <= tol:
-            resid = abs(_length_value(q_new, sigma_w2, act, GH_NODES) - q_new)
+            resid = abs(length_value(q_new) - q_new)
             if resid <= 10.0 * tol * (1.0 + abs(q_new)):
                 return q_new, j
             return None
@@ -351,6 +375,8 @@ def phase_classify(
     needs to exist: q_inf is reported as 0, q0 or inf according to the map's
     slope. Otherwise the fixed point is iterated and divergence propagates.
     """
+    if not (tol >= 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if act.homogeneous:
         kappa = sigma_w2 * _second_moment_unit(act)
         marginal = abs(kappa - 1.0) <= MARGINAL_TOL

@@ -303,6 +303,13 @@ def limiting_ntk(
     passing outputs=k returns the scalar gram kron identity, indexed with
     the example major and the output component minor.
     """
+    return _limit_grams(x, config, nodes, last_layer_only, outputs)[0]
+
+
+def _limit_grams(
+    x: np.ndarray, config: NetConfig, nodes: int, last_layer_only: bool, outputs: int | None
+) -> tuple[KernelGram, np.ndarray]:
+    """limiting_ntk's gram, and the q_{L+1} gram computed along with it."""
     if config.parameterization != "ntk":
         raise ValueError("the limit kernel is defined for the ntk parameterization")
     theta, nngp = _square_kernels(x, config, nodes)
@@ -311,7 +318,7 @@ def limiting_ntk(
         if outputs < 1:
             raise ValueError("outputs must be a positive count")
         gram = np.kron(gram, np.eye(outputs))
-    return KernelGram(gram, tag="limiting_ntk")
+    return KernelGram(gram, tag="limiting_ntk"), nngp
 
 
 # -- empirical kernel ----------------------------------------------------------
@@ -372,6 +379,8 @@ class LinearizedSolution:
     gram is the train-set kernel (empirical or limiting), eigvals/eigvecs its
     eigendecomposition, f0_train the initial outputs, y the labels, eta the
     learning rate, and m the train size appearing in exp(-eta Theta t / m).
+    nngp_train is the train-set q_{L+1} gram of a limit-kernel solution
+    (None for the empirical kernel).
     """
 
     gram: KernelGram
@@ -386,6 +395,7 @@ class LinearizedSolution:
     x_train: np.ndarray = field(repr=False)
     kernel: str = "limiting"
     nodes: int = GH_NODES
+    nngp_train: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         recon = (self.eigvecs * self.eigvals) @ self.eigvecs.T
@@ -442,14 +452,10 @@ def linearize(
     if y.size != m * k:
         raise ValueError(f"need {m * k} label entries, got {y.size}")
     if kernel == "empirical":
-        gram = empirical_ntk(config, weights, x_train, t_tag=0.0)
+        gram, nngp_train = empirical_ntk(config, weights, x_train, t_tag=0.0), None
     else:
-        gram = limiting_ntk(
-            x_train,
-            config,
-            nodes=nodes,
-            last_layer_only=(kernel == "last_layer"),
-            outputs=k if k > 1 else None,
+        gram, nngp_train = _limit_grams(
+            x_train, config, nodes, kernel == "last_layer", k if k > 1 else None
         )
     eigvals, eigvecs = np.linalg.eigh(gram.matrix)
     if eigvals[0] <= SINGULAR_TOL:
@@ -470,6 +476,7 @@ def linearize(
         x_train=x_train.copy(),
         kernel=kernel,
         nodes=nodes,
+        nngp_train=nngp_train,
     )
 
 
@@ -505,14 +512,13 @@ def linearized_train(
 
     f_lin = f0_query + theta_cross @ b_t @ (sol.y - sol.f0_train)
     gp_mean = theta_cross @ b_t @ sol.y
-    _, nngp_train = _square_kernels(sol.x_train, config, sol.nodes)
     _, nngp_query = _square_kernels(x_query, config, sol.nodes)
     cross_term = theta_cross @ b_t @ nngp_cross.T
     gp_cov = (
         nngp_query
         - cross_term
         - cross_term.T
-        + theta_cross @ b_t @ nngp_train @ b_t @ theta_cross.T
+        + theta_cross @ b_t @ sol.nngp_train @ b_t @ theta_cross.T
     )
     return LinearizedPrediction(t=t, f_lin=f_lin, gp_mean=gp_mean, gp_cov=gp_cov)
 

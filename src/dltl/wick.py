@@ -132,22 +132,7 @@ class ContractionSpec:
 
     def cluster_components(self) -> list[tuple[int, ...]]:
         """Connected components of the factor graph drawn by contractions."""
-        parent = list(range(self.m))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for i, j in self.contractions:
-            ra, rb = find(i - 1), find(j - 1)
-            if ra != rb:
-                parent[ra] = rb
-        groups: dict[int, list[int]] = {}
-        for v in range(self.m):
-            groups.setdefault(find(v), []).append(v + 1)
-        return [tuple(g) for g in sorted(groups.values())]
+        return _components(self.m, self.contractions)
 
 
 def conjecture_exponent(spec: ContractionSpec) -> float:
@@ -209,48 +194,9 @@ class DiagramCount:
         )
 
 
-def double_line_loops(
-    edges_by_type: tuple[tuple[tuple[int, int], ...], ...], m: int, depth: int
-) -> int:
-    """Loop count of the double-line expansion of one diagram.
-
-    Every factor spawns `depth` index levels; a type-0 edge identifies the
-    level-1 indices of its endpoints, a type-L edge the level-L indices, and
-    a middle type l the indices at levels l and l + 1. Each level vertex
-    ends with degree two, so loops are the connected components.
-    """
-    parent = list(range(depth * m))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    def vid(level_row: int, factor: int) -> int:
-        return level_row * m + (factor - 1)
-
-    for t, edges in enumerate(edges_by_type):
-        for p, q in edges:
-            if t == 0:
-                union(vid(0, p), vid(0, q))
-            elif t == depth:
-                union(vid(depth - 1, p), vid(depth - 1, q))
-            else:
-                union(vid(t - 1, p), vid(t - 1, q))
-                union(vid(t, p), vid(t, q))
-    return len({find(v) for v in range(depth * m)})
-
-
-def feynman_components(
-    edges_by_type: tuple[tuple[tuple[int, int], ...], ...], m: int
-) -> list[tuple[int, ...]]:
-    """Connected components of the factor graph drawn by all matchings."""
+def _components(m: int, edges) -> list[tuple[int, ...]]:
+    """Connected components of the graph on vertices 1..m drawn by edges,
+    each sorted, in the order of their smallest vertex."""
     parent = list(range(m))
 
     def find(a: int) -> int:
@@ -259,15 +205,41 @@ def feynman_components(
             a = parent[a]
         return a
 
-    for edges in edges_by_type:
-        for p, q in edges:
-            ra, rb = find(p - 1), find(q - 1)
-            if ra != rb:
-                parent[ra] = rb
+    for p, q in edges:
+        ra, rb = find(p - 1), find(q - 1)
+        if ra != rb:
+            parent[ra] = rb
     groups: dict[int, list[int]] = {}
     for v in range(m):
         groups.setdefault(find(v), []).append(v + 1)
     return [tuple(g) for g in sorted(groups.values())]
+
+
+def _level_loops(m: int, below, above) -> int:
+    """Loops at one index level, which only its two weight types join."""
+    return len(_components(m, [*below, *above]))
+
+
+def double_line_loops(
+    edges_by_type: tuple[tuple[tuple[int, int], ...], ...], m: int, depth: int
+) -> int:
+    """Loop count of the double-line expansion of one diagram.
+
+    Every factor spawns `depth` index levels; a type-0 edge identifies the
+    level-1 indices of its endpoints, a type-L edge the level-L indices, and
+    a middle type l the indices at levels l and l + 1. Each level vertex
+    ends with degree two, so loops are the connected components. No edge
+    joins two levels, so the count is a sum over levels r = 1..L of the
+    components drawn by types r - 1 and r.
+    """
+    return sum(_level_loops(m, edges_by_type[r], edges_by_type[r + 1]) for r in range(depth))
+
+
+def feynman_components(
+    edges_by_type: tuple[tuple[tuple[int, int], ...], ...], m: int
+) -> list[tuple[int, ...]]:
+    """Connected components of the factor graph drawn by all matchings."""
+    return _components(m, [e for edges in edges_by_type for e in edges])
 
 
 def render_monomial(monomial: tuple) -> str:
@@ -318,6 +290,16 @@ def exact_correlation(spec: ContractionSpec, L: int) -> DiagramCount:
     if spec.m % 2 == 1:
         return DiagramCount(spec=spec, depth=L, diagrams=(), terms=())
 
+    # one level's loop count is symmetric in its two matchings, and the
+    # same pairs recur across levels and contraction assignments
+    level_cache: dict[tuple, int] = {}
+
+    def level_loops(a: tuple, b: tuple) -> int:
+        key = (a, b) if a <= b else (b, a)
+        if key not in level_cache:
+            level_cache[key] = _level_loops(spec.m, a, b)
+        return level_cache[key]
+
     edges = spec.contractions
     for assignment in itertools.product(range(L + 1), repeat=len(edges)):
         seen: set[tuple[int, int]] = set()
@@ -333,7 +315,9 @@ def exact_correlation(spec: ContractionSpec, L: int) -> DiagramCount:
         forced: list[list[tuple[int, int]]] = [[] for _ in range(L + 1)]
         for (i, j), t in zip(edges, assignment):
             forced[t].append((min(i, j), max(i, j)))
-        residual_pairings: list[list[tuple[tuple[int, int], ...]]] = []
+        # per type, every full matching: the forced edges plus one pairing
+        # of the factors they leave free
+        matchings: list[list[tuple[tuple[int, int], ...]]] = []
         count = 1
         for t in range(L + 1):
             taken = {v for e in forced[t] for v in e}
@@ -341,21 +325,24 @@ def exact_correlation(spec: ContractionSpec, L: int) -> DiagramCount:
             if len(rest) % 2 == 1:
                 count = 0
                 break
-            pairings = _pairings_of(rest)
-            residual_pairings.append(pairings)
-            count *= len(pairings)
+            matchings.append([tuple(sorted(forced[t] + list(p))) for p in _pairings_of(rest)])
+            count *= len(matchings[t])
         if count == 0:
             continue
         if count > MAX_DIAGRAMS:
             raise ValueError(f"diagram enumeration exceeds {MAX_DIAGRAMS} diagrams")
-        for combo in itertools.product(*residual_pairings):
-            full = tuple(
-                tuple(sorted(forced[t] + list(combo[t]))) for t in range(L + 1)
-            )
-            loops = double_line_loops(full, spec.m, L)
-            monomial = _monomial_key(full[0], labels, scalar)
-            diagrams.append(DiagramInfo(edges_by_type=full, loops=loops, monomial=monomial))
-            key = (L * spec.m // 2 - loops, monomial)
+        # loops[c_0, ..., c_L] = sum_r level_r[c_r, c_{r+1}], laid out in
+        # the order itertools.product walks the matchings
+        loops = np.zeros([len(ms) for ms in matchings], dtype=np.int64)
+        for r in range(L):
+            level = np.array([[level_loops(a, b) for b in matchings[r + 1]] for a in matchings[r]])
+            loops += level.reshape((1,) * r + level.shape + (1,) * (L - 1 - r))
+        first = [(e, _monomial_key(e, labels, scalar)) for e in matchings[0]]
+        for ((e0, monomial), *rest), n_loops in zip(
+            itertools.product(first, *matchings[1:]), loops.ravel().tolist()
+        ):
+            diagrams.append(DiagramInfo(edges_by_type=(e0, *rest), loops=n_loops, monomial=monomial))
+            key = (L * spec.m // 2 - n_loops, monomial)
             poly[key] = poly.get(key, 0) + 1
 
     terms = tuple(

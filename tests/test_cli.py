@@ -104,6 +104,11 @@ class TestParsers:
             parse_range("2:1:0.5")
         with pytest.raises(cli.UsageError, match="step > 0"):
             parse_range("1:2:0")
+        for text in ("0.5:inf:0.5", "nan:2:0.5", "0:1:nan", "-inf:0:1"):
+            with pytest.raises(cli.UsageError, match="finite"):
+                parse_range(text)
+        with pytest.raises(cli.UsageError, match="more than"):
+            parse_range("0:1e300:1e-300")
 
     def test_lists(self):
         assert parse_float_list("1.5,2,3.25") == [1.5, 2.0, 3.25]
@@ -603,6 +608,11 @@ class TestDomainHolesExitOne:
         (["lindyn", "--svals", ",,"], "target_svals must be a nonempty 1-D sequence"),
         (["lindyn", "--svals", "1e300"], "too large"),
         (["lindyn", "--svals", "1", "--max-steps", "-1"], "max_steps must be >= 0"),
+        (["lindyn", "--eta", "nan"], "learning rate must be positive and finite"),
+        (["lindyn", "--eta", "inf"], "learning rate must be positive and finite"),
+        (["lindyn", "--tol-loss", "nan"], "tol_loss must be finite"),
+        (["phase", "--act", "tanh", "--sigma-w2", "0.5:2:0.5", "--tol", "nan"], "tol must be finite"),
+        (["phase", "--act", "relu", "--sigma-w2", "0.5:2:0.5", "--tol", "-1"], "tol must be finite"),
     ])
     def test_exits_one_with_message(self, argv, message):
         proc = self._run(*argv)

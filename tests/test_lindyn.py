@@ -298,3 +298,20 @@ class TestDeepLinearGD:
     def test_rejects_negative_step_cap(self):
         with pytest.raises(ValueError, match="max_steps"):
             lindyn.simulate_deep_linear_gd(2, 2, (1.0,), 0.1, max_steps=-1)
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf])
+    def test_rejects_nonfinite_rate(self, eta):
+        with pytest.raises(ValueError, match="learning rate must be positive and finite"):
+            lindyn.simulate_deep_linear_gd(2, 2, (1.0,), eta)
+
+    @pytest.mark.parametrize("tol_loss", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_stop_loss(self, tol_loss):
+        with pytest.raises(ValueError, match="tol_loss"):
+            lindyn.simulate_deep_linear_gd(2, 2, (1.0,), 0.1, tol_loss=tol_loss)
+
+    def test_nonfinite_loss_aborts_at_once(self):
+        """An initial product too large to square gives an inf loss, which
+        the 10x test cannot catch; it must abort at step 0, not run out
+        the step budget on inf and nan losses."""
+        with pytest.raises(RuntimeError, match="diverged at step 0"):
+            lindyn.simulate_deep_linear_gd(2, 1, (1.0,), 0.1, u0=1e300, max_steps=50)

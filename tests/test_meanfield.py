@@ -226,6 +226,10 @@ class TestFixedPoints:
             length_fixed_point(2.0, LINEAR, q0=1.0)
         assert err.value.last_value > 1.0
 
+    def test_rejects_nonpositive_sigma(self):
+        with pytest.raises(ValueError, match="sigma_w2 must be positive"):
+            length_fixed_point(-1.0, TANH)
+
     def test_residual_at_fixed_point(self):
         res = length_fixed_point(2.5, TANH)
         nxt = length_map(res.q_inf, 2.5, TANH).q_next
@@ -245,6 +249,14 @@ class TestPhase:
         assert p.phase == "edge" and p.marginal and p.q_inf == 0.3
         p = phase_classify(3.0, RELU)
         assert p.phase == "chaotic" and np.isinf(p.q_inf)
+
+    @pytest.mark.parametrize("act", [TANH, RELU])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_tolerance(self, act, tol):
+        """A nan tolerance once labelled every point an edge, a negative one
+        the marginal relu point ordered."""
+        with pytest.raises(ValueError, match="tol must be finite"):
+            phase_classify(2.0, act, tol=tol)
 
     def test_edge_of_chaos_relu(self):
         assert edge_of_chaos(RELU) == pytest.approx(2.0, abs=1e-9)
