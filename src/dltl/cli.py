@@ -8,9 +8,9 @@ Shared conventions:
   '.' decimal points; --format json pretty-prints one document with sorted
   keys; --out writes to a file, stdout otherwise;
 - exit codes: 0 on success, 1 on domain errors (invalid values, singular
-  kernels, diverging iterations, unreadable files), 2 on usage errors
-  (unknown flags or subcommands, malformed ranges, missing flag
-  combinations); running with no arguments prints usage and exits 2;
+  kernels, diverging iterations, arithmetic overflow, unreadable files), 2
+  on usage errors (unknown flags or subcommands, malformed ranges, missing
+  flag combinations); running with no arguments prints usage and exits 2;
 - datasets are CSV files with header ``y,x1,...,xd``, one example per row;
   weight files are the JSON documents written by netcore.save_weights;
 - the environment variable DLTL_THREADS caps numeric parallelism (it is
@@ -220,9 +220,9 @@ def _emit(emission: Emission, cfg: ExperimentConfig) -> None:
         _write_text(path, text)
 
 
-def _load_net(path: str) -> tuple[NetConfig, list[np.ndarray]]:
-    config, weights = load_weights(path)
-    return config, weights
+def _records(header: tuple, rows) -> list[dict]:
+    """The table as JSON records, one per row, keyed by the header."""
+    return [dict(zip(header, row)) for row in rows]
 
 
 def _unflatten(theta: np.ndarray, shapes: list[tuple[int, int]]) -> list[np.ndarray]:
@@ -237,29 +237,13 @@ def _unflatten(theta: np.ndarray, shapes: list[tuple[int, int]]) -> list[np.ndar
 
 def _run_phase(cfg: ExperimentConfig) -> Emission:
     act = Activation.parse(cfg.params["act"])
-    grid = parse_range(cfg.params["sigma_w2"])
-    points = []
-    for sigma_w2 in grid:
+    header = ("sigma_w2", "q_inf", "chi1", "phase", "marginal")
+    rows = []
+    for sigma_w2 in parse_range(cfg.params["sigma_w2"]):
         p = meanfield.phase_classify(sigma_w2, act, q0=cfg.params["q0"], tol=cfg.params["tol"])
-        points.append(p)
-    rows = tuple(
-        (p.sigma_w2, p.q_inf, p.chi1, p.phase, p.marginal) for p in points
-    )
-    doc = {
-        "activation": str(act),
-        "q0": cfg.params["q0"],
-        "points": [
-            {
-                "sigma_w2": p.sigma_w2,
-                "q_inf": p.q_inf,
-                "chi1": p.chi1,
-                "phase": p.phase,
-                "marginal": p.marginal,
-            }
-            for p in points
-        ],
-    }
-    return Emission(("sigma_w2", "q_inf", "chi1", "phase", "marginal"), rows, doc)
+        rows.append((p.sigma_w2, p.q_inf, p.chi1, p.phase, p.marginal))
+    doc = {"activation": str(act), "q0": cfg.params["q0"], "points": _records(header, rows)}
+    return Emission(header, tuple(rows), doc)
 
 
 def _run_lengthmap(cfg: ExperimentConfig) -> Emission:
@@ -274,12 +258,9 @@ def _run_lengthmap(cfg: ExperimentConfig) -> Emission:
     for layer in range(1, depth + 1):
         q = meanfield.length_map(q, sigma_w2, act, nodes=nodes).q_next
         rows.append((layer, q, meanfield.chi1(sigma_w2, q, act, nodes)))
-    doc = {
-        "activation": str(act),
-        "sigma_w2": sigma_w2,
-        "layers": [{"layer": l, "q": q, "chi1": c} for l, q, c in rows],
-    }
-    return Emission(("layer", "q", "chi1"), tuple(rows), doc)
+    header = ("layer", "q", "chi1")
+    doc = {"activation": str(act), "sigma_w2": sigma_w2, "layers": _records(header, rows)}
+    return Emission(header, tuple(rows), doc)
 
 
 def _run_spectrum(cfg: ExperimentConfig) -> Emission:
@@ -364,8 +345,8 @@ def _run_lindyn(cfg: ExperimentConfig) -> Emission:
 
 
 def _run_path(cfg: ExperimentConfig) -> Emission:
-    config_a, weights_a = _load_net(cfg.params["weights_a"])
-    config_b, weights_b = _load_net(cfg.params["weights_b"])
+    config_a, weights_a = load_weights(cfg.params["weights_a"])
+    config_b, weights_b = load_weights(cfg.params["weights_b"])
     same = (
         config_a.widths == config_b.widths
         and str(config_a.activation) == str(config_b.activation)
@@ -416,7 +397,7 @@ def _kernel_config(cfg: ExperimentConfig) -> tuple[NetConfig, list[np.ndarray] |
     if (weights_path is None) == (widths is None):
         raise UsageError("pass exactly one of --weights and --widths")
     if weights_path is not None:
-        return _load_net(weights_path)
+        return load_weights(weights_path)
     config = NetConfig(
         widths=tuple(parse_int_list(widths)),
         activation=cfg.params["act"],
@@ -459,7 +440,7 @@ def _run_ntk_kernel(cfg: ExperimentConfig) -> Emission:
 
 
 def _run_ntk_train(cfg: ExperimentConfig) -> Emission:
-    config, weights = _load_net(cfg.params["weights"])
+    config, weights = load_weights(cfg.params["weights"])
     x, y = read_dataset(cfg.params["data"])
     times = parse_float_list(cfg.params["times"])
     if any(t < 0 for t in times):
@@ -527,39 +508,18 @@ def _run_du_monitor(cfg: ExperimentConfig) -> Emission:
         seed=cfg.seed,
     )
     envelope = traj.loss[0] * np.exp(-traj.lambda0 * traj.t)
-    rows = tuple(
-        zip(
-            traj.t.tolist(),
-            traj.loss.tolist(),
-            envelope.tolist(),
-            traj.lambda_min_h.tolist(),
-            traj.max_displacement.tolist(),
-            traj.h_drift.tolist(),
-        )
-    )
+    header = ("t", "loss", "envelope", "lambda_min_h", "max_displacement", "h_drift")
+    columns = (traj.t, traj.loss, envelope, traj.lambda_min_h, traj.max_displacement, traj.h_drift)
+    rows = tuple(zip(*(c.tolist() for c in columns)))
     doc = {
         "n": cfg.params["n"],
         "eta": cfg.params["eta"],
         "lambda0": traj.lambda0,
         "r_prime": traj.r_prime,
         "seed": cfg.seed,
-        "records": [
-            {
-                "t": r[0],
-                "loss": r[1],
-                "envelope": r[2],
-                "lambda_min_h": r[3],
-                "max_displacement": r[4],
-                "h_drift": r[5],
-            }
-            for r in rows
-        ],
+        "records": _records(header, rows),
     }
-    return Emission(
-        ("t", "loss", "envelope", "lambda_min_h", "max_displacement", "h_drift"),
-        rows,
-        doc,
-    )
+    return Emission(header, rows, doc)
 
 
 def _run_align(cfg: ExperimentConfig) -> Emission:
@@ -571,7 +531,7 @@ def _run_align(cfg: ExperimentConfig) -> Emission:
         seed=cfg.seed,
     )
     if cfg.params["u0_weights"] is not None:
-        config, weights = _load_net(cfg.params["u0_weights"])
+        config, weights = load_weights(cfg.params["u0_weights"])
         u0 = forward(config, weights, x.T).output.ravel()
     else:
         u0 = np.zeros_like(y)
@@ -607,6 +567,7 @@ def _read_contraction_spec(path: str) -> tuple[wick.ContractionSpec, int]:
 def _run_wick(cfg: ExperimentConfig) -> Emission:
     spec, depth = _read_contraction_spec(cfg.params["spec"])
     count = wick.exact_correlation(spec, depth)
+    header = ("power_of_inv_n", "coefficient", "monomial")
     rows = tuple(
         (term.power_of_inv_n, term.coefficient, wick.render_monomial(term.monomial))
         for term in count.terms
@@ -614,14 +575,7 @@ def _run_wick(cfg: ExperimentConfig) -> Emission:
     doc = {
         "m": spec.m,
         "depth": depth,
-        "terms": [
-            {
-                "power_of_inv_n": term.power_of_inv_n,
-                "coefficient": term.coefficient,
-                "monomial": wick.render_monomial(term.monomial),
-            }
-            for term in count.terms
-        ],
+        "terms": _records(header, rows),
         "leading_exponent": count.leading_exponent,
         "conjectured_exponent": wick.conjecture_exponent(spec),
         "diagram_count": len(count.diagrams),
@@ -657,13 +611,11 @@ def _run_wick(cfg: ExperimentConfig) -> Emission:
                 ("width", "mc_mean", "mc_se", "mc_variance", "exact"), mc_rows
             )
             extra = ((cfg.params["mc_out"], mc_csv),)
-    return Emission(
-        ("power_of_inv_n", "coefficient", "monomial"), rows, doc, extra_files=extra
-    )
+    return Emission(header, rows, doc, extra_files=extra)
 
 
 def _run_bounds(cfg: ExperimentConfig) -> Emission:
-    config, weights = _load_net(cfg.params["weights"])
+    config, weights = load_weights(cfg.params["weights"])
     x, y = read_dataset(cfg.params["data"])
     gamma = cfg.params["gamma"]
     delta = cfg.params["delta"]
@@ -929,7 +881,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (ValueError, KeyError, OSError, RuntimeError, OverflowError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

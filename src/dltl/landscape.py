@@ -240,8 +240,10 @@ def constant_loss_path(
     B-uppers realization of a target output whose loss is below epsilon.
     """
     _check_reconstruct_shapes(config)
-    if epsilon < 1e-8:
+    if not epsilon >= 1e-8:
         raise ValueError(f"epsilon must be at least 1e-8, got {epsilon}")
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be at least 2, got {grid_points}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     loss_fn = _resolve_loss(loss)

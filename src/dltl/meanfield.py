@@ -99,13 +99,10 @@ def gauss_ev2(f, g, c: float, q11: float, q22: float, nodes: int = GH_NODES) -> 
 
 
 def _second_moment_unit(act: Activation) -> float:
-    """E phi(z)^2 for z ~ N(0,1); closed form for homogeneous kinds."""
-    if act.kind == "linear":
-        return 1.0
-    if act.kind == "relu":
-        return 0.5
-    if act.kind == "leaky_relu":
-        return 0.5 * (1.0 + act.alpha**2)
+    """E phi(z)^2 for z ~ N(0,1). For the piecewise-linear kinds, with
+    slopes (1, a), this is (1 + a^2)/2 in closed form, and so is E phi'(z)^2."""
+    if act.slopes is not None:
+        return 0.5 * (1.0 + act.slopes[1] ** 2)
     return gauss_ev(lambda z: act(z) ** 2, 1.0)
 
 
@@ -152,11 +149,7 @@ def _length_deriv(q: float, sigma_w2: float, act: Activation, nodes: int) -> flo
     the q-independent slope sigma_w^2 * E phi'(z)^2.
     """
     if act.homogeneous:
-        return sigma_w2 * {
-            "linear": 1.0,
-            "relu": 0.5,
-            "leaky_relu": 0.5 * (1.0 + (act.alpha or 0.0) ** 2),
-        }[act.kind]
+        return sigma_w2 * _second_moment_unit(act)
     return sigma_w2 * gauss_ev(
         lambda z: act.deriv(z) ** 2 + act(z) * _phi_second(act, z), q, nodes=nodes
     )
@@ -173,8 +166,8 @@ def length_map(
 
     A result that is not finite (overflow) raises DivergenceError.
     """
-    if q < 0:
-        raise ValueError(f"q must be nonnegative, got {q}")
+    if not 0.0 <= q < math.inf:
+        raise ValueError(f"q must be finite and nonnegative, got {q}")
     if sigma_w2 <= 0:
         raise ValueError("sigma_w2 must be positive")
     value = _length_value(sigma_w2, act, nodes)(q)
@@ -199,7 +192,7 @@ def corr_map(
     correlation c."""
     if sigma_w2 <= 0:
         raise ValueError("sigma_w2 must be positive")
-    if act.kind in ("linear", "relu", "leaky_relu"):
+    if act.slopes is not None:
         if abs(c) > 1.0 + 1e-12:
             raise ValueError(f"correlation must lie in [-1, 1], got {c}")
         if q11 < 0 or q22 < 0:
@@ -212,7 +205,7 @@ def corr_map(
         # (1-a)|z|)/2 and E u|v| = 0, so only the uv and |u||v| terms
         # survive; E|u||v| = (2/pi)(sqrt(1-c^2) + c asin c) on unit
         # marginals. Tensor quadrature would smear the kink instead.
-        a = 0.0 if act.kind == "relu" else act.alpha
+        a = act.slopes[1]
         abs_term = (2.0 / math.pi) * (math.sqrt(1.0 - c * c) + c * math.asin(c))
         pair = 0.25 * ((1.0 + a) ** 2 * c + (1.0 - a) ** 2 * abs_term)
         return sigma_w2 * scale * pair
@@ -232,14 +225,14 @@ def chi_map(
         raise ValueError("sigma_w2 must be positive")
     if act.kind == "linear":
         return sigma_w2
-    if act.kind in ("relu", "leaky_relu"):
+    if act.slopes is not None:
         if abs(c) > 1.0 + 1e-12:
             raise ValueError(f"correlation must lie in [-1, 1], got {c}")
         c = min(1.0, max(-1.0, c))
         # phi' is a two-level step, so the expectation reduces to orthant
         # probabilities: P(++) = P(--) = (pi - theta)/(2 pi), theta = acos c
         theta = math.acos(c)
-        a = 0.0 if act.kind == "relu" else act.alpha
+        a = act.slopes[1]
         same = (math.pi - theta) / (2.0 * math.pi)
         mixed = theta / (2.0 * math.pi)
         return sigma_w2 * ((1.0 + a * a) * same + 2.0 * a * mixed)
@@ -250,14 +243,10 @@ def chi1(sigma_w2: float, q: float, act: Activation, nodes: int = GH_NODES) -> f
     """chi_1 = sigma_w^2 * E (phi'(sqrt(q) z))^2 at variance q."""
     if sigma_w2 <= 0:
         raise ValueError("sigma_w2 must be positive")
-    if q < 0:
-        raise ValueError(f"q must be nonnegative, got {q}")
-    if act.kind == "linear":
-        return sigma_w2
-    if act.kind == "relu":
-        return 0.5 * sigma_w2
-    if act.kind == "leaky_relu":
-        return 0.5 * sigma_w2 * (1.0 + act.alpha**2)
+    if not 0.0 <= q < math.inf:
+        raise ValueError(f"q must be finite and nonnegative, got {q}")
+    if act.homogeneous:
+        return sigma_w2 * _second_moment_unit(act)
     return sigma_w2 * gauss_ev(lambda z: act.deriv(z) ** 2, q, nodes=nodes)
 
 
@@ -287,8 +276,8 @@ def length_fixed_point(
     Divergence (overflow or no convergence within max_iter) raises
     DivergenceError carrying the last iterate.
     """
-    if q0 < 0:
-        raise ValueError(f"q0 must be nonnegative, got {q0}")
+    if not 0.0 <= q0 < math.inf:
+        raise ValueError(f"q0 must be finite and nonnegative, got {q0}")
     if sigma_w2 <= 0:
         raise ValueError("sigma_w2 must be positive")
     if act.homogeneous:

@@ -58,6 +58,11 @@ class Activation:
             raise ValueError(f"{kind} takes no slope parameter")
         self.kind = kind
         self.alpha = alpha
+        # (positive, negative) half-line slopes of the piecewise-linear
+        # kinds, None for tanh; the maps' closed forms all read this pair
+        self.slopes: tuple[float, float] | None = {
+            "linear": (1.0, 1.0), "relu": (1.0, 0.0), "leaky_relu": (1.0, alpha)
+        }.get(kind)
 
     @classmethod
     def parse(cls, text: str) -> "Activation":
@@ -124,7 +129,7 @@ class Activation:
     @property
     def homogeneous(self) -> bool:
         """True when phi(c z) = c phi(z) for c > 0 (linear, relu, leaky)."""
-        return self.kind in ("linear", "relu", "leaky_relu")
+        return self.slopes is not None
 
 
 INIT_SCHEMES = ("gaussian", "glorot", "he", "orthogonal")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .meanfield import GH_NODES, gauss_ev2, length_map
+from .meanfield import GH_NODES, chi_map, corr_map, length_map
 from .netcore import Activation, NetConfig, backprop, forward
 
 __all__ = [
@@ -135,24 +135,15 @@ class KernelRecursionState:
 # -- two-dimensional gaussian moments -----------------------------------------
 #
 # The recursion needs E phi(u) phi(v) and E phi'(u) phi'(v) for a centered
-# gaussian pair. Smooth activations go through the tensor Gauss-Hermite rule;
-# for the piecewise-linear kinds that rule stalls near 1e-3 (the integrand
-# kinks along two lines through the origin), so those are integrated in polar
-# coordinates instead: the radial factor is a gamma integral, and on each
-# angular arc where both factors are single pieces the integrand is a smooth
-# trig expression handled by Gauss-Legendre exactly.
+# gaussian pair. Smooth activations take meanfield's correlation maps, which
+# use the tensor Gauss-Hermite rule; for the piecewise-linear kinds that rule
+# stalls near 1e-3 (the integrand kinks along two lines through the origin),
+# so those are integrated in polar coordinates instead: the radial factor is
+# a gamma integral, and on each angular arc where both factors are single
+# pieces the integrand is a smooth trig expression handled by Gauss-Legendre
+# exactly.
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-
-
-def _piecewise_slopes(act: Activation) -> tuple[float, float] | None:
-    if act.kind == "linear":
-        return (1.0, 1.0)
-    if act.kind == "relu":
-        return (1.0, 0.0)
-    if act.kind == "leaky_relu":
-        return (1.0, float(act.alpha))
-    return None
 
 
 def _half_plane_arc(center1: float, center2: float) -> tuple[float, float]:
@@ -199,13 +190,10 @@ def _pair_moments(
     c: float, q11: float, q22: float, sigma_w2: float, act: Activation, nodes: int
 ) -> tuple[float, float]:
     """(sigma_w^2 E phi phi, sigma_w^2 E phi' phi') for one gaussian pair."""
-    slopes = _piecewise_slopes(act)
-    if slopes is not None:
-        m_phi, m_deriv = _polar_pair_moments(c, q11, q22, slopes)
+    if act.slopes is not None:
+        m_phi, m_deriv = _polar_pair_moments(c, q11, q22, act.slopes)
         return sigma_w2 * m_phi, sigma_w2 * m_deriv
-    m_phi = gauss_ev2(act, act, c, q11, q22, nodes=nodes)
-    m_deriv = gauss_ev2(act.deriv, act.deriv, c, q11, q22, nodes=nodes)
-    return sigma_w2 * m_phi, sigma_w2 * m_deriv
+    return corr_map(c, q11, q22, sigma_w2, act, nodes), chi_map(c, q11, q22, sigma_w2, act, nodes)
 
 
 def nngp_recursion(
@@ -254,38 +242,31 @@ def _as_columns(x: np.ndarray, n0: int) -> np.ndarray:
 
 
 def _pair_kernels(
-    x_left: np.ndarray, x_right: np.ndarray, config: NetConfig, nodes: int
+    x_a: np.ndarray, x_b: np.ndarray | None, config: NetConfig, nodes: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(Theta_0, q_{L+1}) cross matrices between two column datasets."""
-    xl = _as_columns(x_left, config.widths[0])
-    xr = _as_columns(x_right, config.widths[0])
-    theta = np.empty((xl.shape[1], xr.shape[1]))
+    """(Theta_0, q_{L+1}) between the columns of x_a and those of x_b.
+
+    x_b = None gives the grams of x_a, computed on i <= j and mirrored.
+    """
+    xa = _as_columns(x_a, config.widths[0])
+    xb = xa if x_b is None else _as_columns(x_b, config.widths[0])
+    theta = np.empty((xa.shape[1], xb.shape[1]))
     nngp = np.empty_like(theta)
-    for i in range(xl.shape[1]):
-        for j in range(xr.shape[1]):
-            state = nngp_recursion(xl[:, i], xr[:, j], config, nodes=nodes)
+    for i in range(xa.shape[1]):
+        for j in range(i if x_b is None else 0, xb.shape[1]):
+            state = nngp_recursion(xa[:, i], xb[:, j], config, nodes=nodes)
             theta[i, j] = state.ntk_value()
             nngp[i, j] = state.nngp_value()
-    return theta, nngp
-
-
-def _square_kernels(x: np.ndarray, config: NetConfig, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Theta_0, q_{L+1}) grams on one dataset, computed on i <= j only."""
-    x = _as_columns(x, config.widths[0])
-    m = x.shape[1]
-    theta = np.empty((m, m))
-    nngp = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            state = nngp_recursion(x[:, i], x[:, j], config, nodes=nodes)
-            theta[i, j] = theta[j, i] = state.ntk_value()
-            nngp[i, j] = nngp[j, i] = state.nngp_value()
+    if x_b is None:
+        lower = np.tril_indices_from(theta, -1)
+        theta[lower] = theta.T[lower]
+        nngp[lower] = nngp.T[lower]
     return theta, nngp
 
 
 def nngp_gram(x: np.ndarray, config: NetConfig, nodes: int = GH_NODES) -> KernelGram:
     """q_{L+1} evaluated on a column dataset."""
-    _, nngp = _square_kernels(x, config, nodes)
+    _, nngp = _pair_kernels(x, None, config, nodes)
     return KernelGram(nngp, tag="nngp")
 
 
@@ -312,7 +293,7 @@ def _limit_grams(
     """limiting_ntk's gram, and the q_{L+1} gram computed along with it."""
     if config.parameterization != "ntk":
         raise ValueError("the limit kernel is defined for the ntk parameterization")
-    theta, nngp = _square_kernels(x, config, nodes)
+    theta, nngp = _pair_kernels(x, None, config, nodes)
     gram = nngp if last_layer_only else theta
     if outputs is not None:
         if outputs < 1:
@@ -512,7 +493,7 @@ def linearized_train(
 
     f_lin = f0_query + theta_cross @ b_t @ (sol.y - sol.f0_train)
     gp_mean = theta_cross @ b_t @ sol.y
-    _, nngp_query = _square_kernels(x_query, config, sol.nodes)
+    _, nngp_query = _pair_kernels(x_query, None, config, sol.nodes)
     cross_term = theta_cross @ b_t @ nngp_cross.T
     gp_cov = (
         nngp_query
@@ -552,7 +533,7 @@ def bayes_posterior(
         )
     inv = (eigvecs / eigvals) @ eigvecs.T
     _, q_cross = _pair_kernels(x_query, x_train, config, nodes)
-    _, q_query = _square_kernels(x_query, config, nodes)
+    _, q_query = _pair_kernels(x_query, None, config, nodes)
     mean = q_cross @ inv @ y
     cov = q_query - q_cross @ inv @ q_cross.T
     return mean, cov
@@ -582,6 +563,8 @@ def h_infinity_gram(
         theta = np.arccos(np.clip(cosines, -1.0, 1.0))
         h = grams * (math.pi - theta) / (2 * math.pi)
     elif method == "mc":
+        if mc_samples < 1:
+            raise ValueError(f"mc_samples must be at least 1, got {mc_samples}")
         rng = np.random.default_rng(seed)
         w = rng.standard_normal((mc_samples, x.shape[0]))
         masks = (w @ x > 0).astype(float)
@@ -645,11 +628,13 @@ def du_convergence_monitor(
         raise ValueError("inputs must lie in the unit ball")
     if np.any(np.abs(y) >= 1):
         raise ValueError("labels must lie strictly inside (-1, 1)")
-    if eta <= 0 or T <= 0:
-        raise ValueError("eta and T must be positive")
+    if not (0 < eta < math.inf and 0 < T < math.inf):
+        raise ValueError(f"eta and T must be positive and finite, got {eta} and {T}")
 
     h_inf = h_infinity_gram(x, method="angle")
     lambda0 = h_inf.lambda_min()
+    if not lambda0 > 0:
+        raise ValueError(f"H_infinity has lambda_0 = {lambda0:.3e}; inputs must be finite and pairwise non-parallel")
 
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((n, d))
@@ -747,8 +732,8 @@ def alignment(
         raise ValueError("projection energies do not add up to the residual norm")
     if t_grid is None:
         lam_max = float(eigvals[-1])
-        if lam_max <= 0:
-            raise ValueError("kernel has no positive eigenvalue, nothing decays")
+        if not 0 < lam_max < math.inf:
+            raise ValueError(f"kernel needs a positive finite top eigenvalue, got {lam_max}")
         positive = eigvals[eigvals > 1e-12 * lam_max]
         lam_min = float(positive[0])
         t_grid = np.logspace(

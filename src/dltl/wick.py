@@ -43,7 +43,6 @@ __all__ = [
     "conjecture_exponent",
     "exact_correlation",
     "double_line_loops",
-    "feynman_components",
     "render_monomial",
     "mc_scaling_check",
 ]
@@ -215,9 +214,33 @@ def _components(m: int, edges) -> list[tuple[int, ...]]:
     return [tuple(g) for g in sorted(groups.values())]
 
 
-def _level_loops(m: int, below, above) -> int:
-    """Loops at one index level, which only its two weight types join."""
-    return len(_components(m, [*below, *above]))
+def _involutions(m: int, matchings) -> np.ndarray:
+    """Each perfect matching of 1..m as a row mapping every vertex of 0..m-1
+    to its partner, in the smallest integer type that holds m, which keeps
+    the level tables of _level_loops (rows x rows x m) small in memory."""
+    rows = np.empty((len(matchings), m), dtype=np.min_scalar_type(m))
+    for row, edges in zip(rows, matchings):
+        for p, q in edges:
+            row[p - 1], row[q - 1] = q - 1, p - 1
+    return rows
+
+
+def _level_loops(below: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """Loops at one index level, which only its two weight types join, for
+    every row a of below against every row b of above.
+
+    The union of two perfect matchings is a set of disjoint even cycles,
+    and the permutation a o b splits each of them into two cycles, so the
+    loop count is half the cycle count of a o b. Pointer doubling finds the
+    smallest vertex on every cycle, and each cycle is counted there.
+    """
+    step = below[:, above]  # step[i, j, v] = a_i(b_j(v))
+    m = step.shape[-1]
+    low = np.broadcast_to(np.arange(m, dtype=step.dtype), step.shape)
+    for _ in range((m - 1).bit_length()):
+        low = np.minimum(low, np.take_along_axis(low, step, axis=-1))
+        step = np.take_along_axis(step, step, axis=-1)
+    return np.count_nonzero(low == np.arange(m), axis=-1) // 2
 
 
 def double_line_loops(
@@ -232,14 +255,12 @@ def double_line_loops(
     joins two levels, so the count is a sum over levels r = 1..L of the
     components drawn by types r - 1 and r.
     """
-    return sum(_level_loops(m, edges_by_type[r], edges_by_type[r + 1]) for r in range(depth))
-
-
-def feynman_components(
-    edges_by_type: tuple[tuple[tuple[int, int], ...], ...], m: int
-) -> list[tuple[int, ...]]:
-    """Connected components of the factor graph drawn by all matchings."""
-    return _components(m, [e for edges in edges_by_type for e in edges])
+    for edges in edges_by_type:
+        if sorted(v for e in edges for v in e) != list(range(1, m + 1)):
+            raise ValueError(f"{edges} is not a perfect matching of 1..{m}")
+    rows = _involutions(m, edges_by_type[: depth + 1])
+    # level r pairs type r - 1 with type r: the diagonal of the table
+    return int(np.trace(_level_loops(rows[:-1], rows[1:])))
 
 
 def render_monomial(monomial: tuple) -> str:
@@ -290,16 +311,6 @@ def exact_correlation(spec: ContractionSpec, L: int) -> DiagramCount:
     if spec.m % 2 == 1:
         return DiagramCount(spec=spec, depth=L, diagrams=(), terms=())
 
-    # one level's loop count is symmetric in its two matchings, and the
-    # same pairs recur across levels and contraction assignments
-    level_cache: dict[tuple, int] = {}
-
-    def level_loops(a: tuple, b: tuple) -> int:
-        key = (a, b) if a <= b else (b, a)
-        if key not in level_cache:
-            level_cache[key] = _level_loops(spec.m, a, b)
-        return level_cache[key]
-
     edges = spec.contractions
     for assignment in itertools.product(range(L + 1), repeat=len(edges)):
         seen: set[tuple[int, int]] = set()
@@ -334,8 +345,9 @@ def exact_correlation(spec: ContractionSpec, L: int) -> DiagramCount:
         # loops[c_0, ..., c_L] = sum_r level_r[c_r, c_{r+1}], laid out in
         # the order itertools.product walks the matchings
         loops = np.zeros([len(ms) for ms in matchings], dtype=np.int64)
+        rows = [_involutions(spec.m, ms) for ms in matchings]
         for r in range(L):
-            level = np.array([[level_loops(a, b) for b in matchings[r + 1]] for a in matchings[r]])
+            level = _level_loops(rows[r], rows[r + 1])
             loops += level.reshape((1,) * r + level.shape + (1,) * (L - 1 - r))
         first = [(e, _monomial_key(e, labels, scalar)) for e in matchings[0]]
         for ((e0, monomial), *rest), n_loops in zip(

@@ -536,6 +536,52 @@ class TestBounds:
         assert code == 1
 
 
+class TestFuzzFoundHoles:
+    """Inputs on which the CLI fuzz once raised out of main (OverflowError,
+    ZeroDivisionError, IndexError) or ran on a nan horizon: each now exits 1
+    with a one-line message."""
+
+    def _exits_one(self, capsys, argv, message):
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and message in err[0]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["du-monitor", "--t-max", "inf"], "must be positive and finite"),
+        (["du-monitor", "--eta", "inf"], "must be positive and finite"),
+        (["du-monitor", "--eta", "nan"], "must be positive and finite"),
+        (["du-monitor", "--dim", "0"], "pairwise non-parallel"),
+        (["du-monitor", "--dim", "1", "--train-size", "3"], "pairwise non-parallel"),
+    ])
+    def test_du_monitor(self, capsys, argv, message):
+        self._exits_one(capsys, argv, message)
+
+    def test_align_without_mc_samples(self, capsys, dataset):
+        argv = ["align", "--data", dataset[0], "--method", "mc", "--mc-samples", "0"]
+        self._exits_one(capsys, argv, "mc_samples must be at least 1")
+
+    def test_align_on_overflowing_inputs(self, capsys, tmp_path):
+        data = tmp_path / "big.csv"
+        _write_dataset(data, np.array([[1e300]]), np.array([0.5]))
+        self._exits_one(capsys, ["align", "--data", str(data)], "positive finite top eigenvalue")
+
+    def test_path_needs_two_grid_points(self, capsys, tmp_path):
+        wa, wb, data = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "d.csv"
+        _save_net(wa, (6, 8, 4, 1), seed=11)
+        _save_net(wb, (6, 8, 4, 1), seed=12)
+        _write_dataset(data, np.random.default_rng(13).standard_normal((5, 6)), np.zeros(5))
+        argv = ["path", "--weights-a", str(wa), "--weights-b", str(wb), "--data", str(data)]
+        self._exits_one(capsys, argv + ["--grid-points", "0"], "grid_points must be at least 2")
+        self._exits_one(capsys, argv + ["--epsilon", "nan"], "epsilon must be at least 1e-8")
+
+    def test_bounds_kl_overflow(self, capsys, signed_dataset, tmp_path):
+        net = tmp_path / "net.json"
+        _save_net(net, (4, 6, 1), activation="relu", seed=30)
+        argv = ["bounds", "--weights", str(net), "--data", signed_dataset[0], "--family", "pacbayes",
+                "--sigma", "1e-300", "--replicates", "2"]
+        self._exits_one(capsys, argv, "math range error")
+
+
 class TestDeterminism:
     def _run_twice(self, argv, out_a, out_b):
         assert main(argv + ["--out", str(out_a)]) == 0
@@ -613,6 +659,11 @@ class TestDomainHolesExitOne:
         (["lindyn", "--tol-loss", "nan"], "tol_loss must be finite"),
         (["phase", "--act", "tanh", "--sigma-w2", "0.5:2:0.5", "--tol", "nan"], "tol must be finite"),
         (["phase", "--act", "relu", "--sigma-w2", "0.5:2:0.5", "--tol", "-1"], "tol must be finite"),
+        (["phase", "--act", "relu", "--sigma-w2", "1:3:1", "--q0", "nan"], "must be finite and nonnegative"),
+        (["phase", "--act", "relu", "--sigma-w2", "1:3:1", "--q0", "inf"], "must be finite and nonnegative"),
+        (["phase", "--act", "tanh", "--sigma-w2", "0.5:2:0.5", "--q0", "inf"], "q0 must be finite"),
+        (["lengthmap", "--act", "tanh", "--sigma-w2", "1.5", "--q0", "inf"], "must be finite and nonnegative"),
+        (["lengthmap", "--act", "relu", "--sigma-w2", "1.5", "--q0", "nan"], "must be finite and nonnegative"),
     ])
     def test_exits_one_with_message(self, argv, message):
         proc = self._run(*argv)

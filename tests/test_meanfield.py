@@ -274,6 +274,23 @@ class TestPhase:
         assert chi1(sw2, 1.0, RELU) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("act", [TANH, RELU, LINEAR, LEAKY])
+@pytest.mark.parametrize("q", [math.nan, math.inf, -1.0])
+def test_lengths_must_be_finite_and_nonnegative(act, q):
+    """A nan or inf q0 once came back as q_inf, or as a chi1 of 0, with no
+    error."""
+    calls = [
+        lambda: length_map(q, 1.5, act),
+        lambda: chi1(1.5, q, act),
+        lambda: length_fixed_point(1.5, act, q0=q),
+        lambda: phase_classify(1.5, act, q0=q),
+        lambda: edge_of_chaos(act, lo=0.5, hi=4.0, q0=q),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+            call()
+
+
 class TestSimulatedMoments:
     def test_linear_matches_length_map(self):
         # v_l = 1/n_l makes q_l = 1 at every layer for linear nets

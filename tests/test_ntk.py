@@ -281,7 +281,7 @@ class TestBayesPosterior:
         mean, cov = ntk.bayes_posterior(None, x, y, xq, config)
         q_train = ntk.nngp_gram(x, config).matrix
         _, q_cross = ntk._pair_kernels(xq, x, config, ntk.GH_NODES)
-        _, q_query = ntk._square_kernels(xq, config, ntk.GH_NODES)
+        _, q_query = ntk._pair_kernels(xq, None, config, ntk.GH_NODES)
         np.testing.assert_allclose(mean, q_cross @ np.linalg.solve(q_train, y), atol=1e-10)
         np.testing.assert_allclose(
             cov, q_query - q_cross @ np.linalg.solve(q_train, q_cross.T), atol=1e-10

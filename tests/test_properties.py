@@ -2,19 +2,27 @@
 against single-input backward column by column, and the layer-wise
 empirical tangent gram against an explicit gradient-feature gram. The
 whole-array loops of lindyn, wick and meanfield against the scalar loops
-they replaced, kept here as references. Also a fuzz of the CLI's count,
-list, range and tolerance flags: every value exits 0, 1 or 2."""
+they replaced, kept here as references; the NNGP recursion's pair moments
+against meanfield's correlation maps. Also a fuzz of the CLI's count, list,
+range and tolerance flags and of every subcommand that reads input files:
+every value exits 0, 1 or 2."""
 
 import contextlib
+import csv
 import io
+import json
 import math
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dltl import cli, lindyn, meanfield, ntk, wick
-from dltl.netcore import Activation, NetConfig, backprop, backward, forward, haar_orthogonal, init_weights
+from dltl.netcore import (
+    Activation, NetConfig, backprop, backward, forward, haar_orthogonal, init_weights, save_weights,
+)
 
 REL_TOL = 1e-12
 
@@ -274,6 +282,36 @@ def test_tanh_fixed_point_matches_iterated_length_map(sigma_w2, q0):
     assert (got.q_inf, got.iterations, got.marginal) == (q_next, k, False)
 
 
+# -- pair moments: the NNGP recursion's rule against meanfield's maps ------------
+
+
+correlations = st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0))
+variances = st.floats(1e-3, 1e3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    act=st.one_of(st.sampled_from(["linear", "relu"]), st.floats(0.05, 0.95).map(lambda a: f"leaky_relu:{a!r}")),
+    c=correlations, q11=variances, q22=variances, sigma_w2=st.floats(0.1, 4.0),
+)
+def test_polar_pair_moments_match_closed_forms(act, c, q11, q22, sigma_w2):
+    """The polar rule of ntk and the arc-cosine closed forms of meanfield
+    compute the same two moments for the piecewise-linear kinds."""
+    act = Activation.parse(act)
+    m_phi, m_deriv = ntk._pair_moments(c, q11, q22, sigma_w2, act, meanfield.GH_NODES)
+    scale = sigma_w2 * math.sqrt(q11 * q22)
+    assert abs(m_phi - meanfield.corr_map(c, q11, q22, sigma_w2, act)) <= 1e-12 * scale
+    assert abs(m_deriv - meanfield.chi_map(c, q11, q22, sigma_w2, act)) <= 1e-12 * sigma_w2
+
+
+@settings(max_examples=30, deadline=None)
+@given(c=correlations, q11=variances, q22=variances, sigma_w2=st.floats(0.1, 4.0))
+def test_smooth_pair_moments_are_the_correlation_maps(c, q11, q22, sigma_w2):
+    act = Activation("tanh")
+    got = ntk._pair_moments(c, q11, q22, sigma_w2, act, meanfield.GH_NODES)
+    assert got == (meanfield.corr_map(c, q11, q22, sigma_w2, act), meanfield.chi_map(c, q11, q22, sigma_w2, act))
+
+
 # -- CLI fuzz -------------------------------------------------------------------
 
 
@@ -323,3 +361,171 @@ def test_cli_range_and_tolerance_flags_exit_cleanly(argv):
     assert code in (0, 1, 2)
     if argv[0] == "phase" and any(x in argv[-1] for x in ("inf", "nan")) and "--sigma-w2=" in argv[-1]:
         assert code == 2 and "usage error" in err.getvalue()
+
+
+# -- CLI fuzz over the subcommands that read input files -------------------------
+
+
+def mostly(valid, invalid):
+    """A valid value three times in four, otherwise an invalid one."""
+    return st.integers(0, 3).flatmap(lambda k: valid if k else invalid)
+
+
+def floats_in(lo, hi):
+    return mostly(st.floats(lo, hi).map(repr), float_texts)
+
+
+def ints_in(lo, hi):
+    return mostly(st.integers(lo, hi), st.sampled_from([-1, 0])).map(str)
+
+
+activation_texts = mostly(
+    st.sampled_from(["linear", "relu", "tanh", "leaky_relu:0.2"]),
+    st.sampled_from(["leaky_relu:2", "leaky_relu:nan", "sigmoid"]),
+)
+
+
+@st.composite
+def datasets(draw, d, max_rows=5, signed=False):
+    """("data", x, y): up to max_rows rows of d features, labels in (-1, 1)
+    or signed, and now and then one poisoned entry."""
+    m = draw(st.integers(1, max_rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x, y = rng.standard_normal((m, d)), rng.uniform(-0.9, 0.9, m)
+    if signed:
+        y = np.where(y > 0, 1.0, -1.0)
+    poison = draw(mostly(st.none(), st.sampled_from([0.0, 1e300, math.inf, math.nan])))
+    if poison is not None:
+        x[draw(st.integers(0, m - 1)), draw(st.integers(0, d - 1))] = poison
+    return ("data", x, y)
+
+
+@st.composite
+def weight_files(draw, n0, acts=("linear", "relu", "tanh", "leaky_relu:0.2"), decreasing=False):
+    """("net", config, seed) for a small net on n0 inputs, one output
+    three times in four."""
+    hidden = draw(st.lists(st.integers(2, 6), max_size=2))
+    if decreasing:
+        hidden = sorted(set(hidden), reverse=True)
+    config = NetConfig(
+        widths=(n0, *hidden, draw(mostly(st.just(1), st.just(2)))),
+        activation=draw(st.sampled_from(acts)),
+        parameterization=draw(st.sampled_from(["ntk", "standard"])),
+        sigma_w2=draw(st.floats(0.5, 2.5)),
+    )
+    return ("net", config, draw(st.integers(0, 2**32 - 1)))
+
+
+@st.composite
+def wick_specs(draw):
+    m = draw(mostly(st.sampled_from([2, 4]), st.sampled_from([-1, 0, 3, 9])))
+    factor = mostly(st.integers(1, max(m, 1)), st.integers(0, max(m, 0) + 1))
+    scalar = draw(st.booleans())
+    n_inputs = draw(mostly(st.just(m), st.integers(0, 5)))
+    doc = {
+        "m": m,
+        "depth": draw(mostly(st.integers(1, 2), st.integers(-1, 3))),
+        "contractions": draw(st.lists(st.lists(factor, min_size=2, max_size=2), max_size=2)),
+        "inputs": [[draw(st.floats(-2, 2))] if scalar else [1.0, draw(st.floats(-2, 2))]
+                   for _ in range(n_inputs)],
+    }
+    return ("spec", doc)
+
+
+def _write_inputs(root, files):
+    """Write each drawn file under root; name -> path."""
+    paths = {}
+    for name, entry in files.items():
+        path = paths[name] = os.path.join(root, name)
+        if entry[0] == "data":
+            _, x, y = entry
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(["y"] + [f"x{i}" for i in range(1, x.shape[1] + 1)])
+                writer.writerows([repr(float(yi))] + [repr(float(v)) for v in xi] for xi, yi in zip(x, y))
+        elif entry[0] == "net":
+            save_weights(path, entry[1], init_weights(entry[1], seed=entry[2]))
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(entry[1], fh)
+    return paths
+
+
+@st.composite
+def file_subcommands(draw):
+    """(argv, files) for one of the eight subcommands that read input files
+    or build a net from flags; argv names each file as {name}."""
+    sub = draw(st.sampled_from(["lengthmap", "path", "ntk-kernel", "ntk-train", "du-monitor", "align", "wick", "bounds"]))
+    d = draw(st.integers(1, 3))
+    other_d = mostly(st.just(d), st.just(d + 1))
+    if sub == "lengthmap":
+        return ["lengthmap", "--act", draw(activation_texts), f"--sigma-w2={draw(floats_in(0.1, 4.0))}",
+                f"--q0={draw(floats_in(0.0, 10.0))}", "--depth", draw(ints_in(1, 40)),
+                "--nodes", draw(ints_in(4, 80))], {}
+    if sub == "path":
+        files = {"data": draw(datasets(d, max_rows=d)),
+                 "a": draw(weight_files(d, ("linear", "leaky_relu:0.2", "relu"), decreasing=True))}
+        files["b"] = draw(mostly(
+            st.integers(0, 2**32 - 1).map(lambda s: ("net", files["a"][1], s)),
+            weight_files(d, decreasing=True),
+        ))
+        return ["path", "--weights-a", "{a}", "--weights-b", "{b}", "--data", "{data}",
+                "--loss", draw(st.sampled_from(["square", "logistic"])),
+                f"--epsilon={draw(floats_in(1e-6, 1.0))}", "--grid-points", draw(ints_in(2, 12))], files
+    if sub == "ntk-kernel":
+        files = {"data": draw(datasets(d)), "net": draw(weight_files(draw(other_d)))}
+        source = draw(mostly(st.sampled_from([["--weights", "{net}"], ["--widths", f"{d},4,1"]]),
+                             st.sampled_from([["--widths", "0,4,1"], ["--widths", "x"], []])))
+        return ["ntk-kernel", "--data", "{data}", "--kind", draw(st.sampled_from(["limiting", "empirical", "nngp"])),
+                *source, "--act", draw(activation_texts), f"--sigma-w2={draw(floats_in(0.5, 2.5))}",
+                "--nodes", draw(ints_in(4, 24))], files
+    if sub == "ntk-train":
+        files = {"data": draw(datasets(d)), "net": draw(weight_files(draw(other_d))),
+                 "query": draw(datasets(draw(other_d)))}
+        times = ",".join(draw(st.lists(mostly(st.sampled_from(["0", "0.5", "3", "inf"]),
+                                              st.sampled_from(["-1", "nan", "x"])), max_size=3)))
+        return ["ntk-train", "--weights", "{net}", "--data", "{data}",
+                *draw(st.sampled_from([[], ["--query", "{query}"]])), f"--eta={draw(floats_in(0.1, 2.0))}",
+                f"--times={times}", "--kernel", draw(st.sampled_from(["limiting", "empirical", "last-layer"])),
+                "--nodes", draw(ints_in(4, 24))], files
+    rates = mostly(st.floats(0.05, 1.0).map(repr), st.sampled_from(["0", "-1", "nan", "inf"]))
+    if sub == "du-monitor":
+        files = {"data": draw(datasets(d, signed=draw(mostly(st.just(False), st.just(True)))))}
+        source = draw(st.sampled_from([["--data", "{data}"], ["--dim", draw(ints_in(1, 4)),
+                                                               "--train-size", draw(ints_in(1, 5))]]))
+        horizon = draw(mostly(st.floats(0.1, 3.0).map(repr), st.sampled_from(["0", "-1", "nan", "inf"])))
+        return ["du-monitor", *source, "--n", draw(ints_in(1, 16)), f"--eta={draw(rates)}",
+                f"--t-max={horizon}"], files
+    if sub == "align":
+        files = {"data": draw(datasets(d)), "u0": draw(weight_files(draw(other_d)))}
+        return ["align", "--data", "{data}", "--points", draw(ints_in(2, 40)),
+                "--method", draw(st.sampled_from(["angle", "mc"])), "--mc-samples", draw(ints_in(1, 300)),
+                *draw(st.sampled_from([[], ["--u0-weights", "{u0}"]]))], files
+    if sub == "wick":
+        mc = draw(st.sampled_from([[], ["--mc", "--mc-out", "{mc}"], ["--mc"]]))
+        widths = ",".join(draw(st.lists(ints_in(1, 6), min_size=draw(mostly(st.just(3), st.just(2))), max_size=4)))
+        return ["wick", "--spec", "{spec}", *mc, f"--widths={widths}", "--replicates", draw(ints_in(2, 8))], \
+            {"spec": draw(wick_specs())}
+    files = {"data": draw(datasets(d, max_rows=8, signed=draw(mostly(st.just(True), st.just(False))))),
+             "net": draw(weight_files(draw(other_d)))}
+    return ["bounds", "--weights", "{net}", "--data", "{data}",
+            "--family", draw(st.sampled_from(["bartlett", "neyshabur", "pacbayes", "all"])),
+            f"--gamma={draw(floats_in(0.1, 2.0))}", f"--delta={draw(floats_in(0.01, 0.5))}",
+            f"--sigma={draw(floats_in(0.01, 0.5))}",
+            *draw(st.sampled_from([[], [f"--b-norm={draw(floats_in(0.1, 5.0))}"]])),
+            "--replicates", draw(ints_in(1, 6))], files
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=file_subcommands(), fmt=st.sampled_from(["csv", "json"]))
+def test_cli_file_subcommands_exit_cleanly(case, fmt):
+    """As above, over generated datasets, weight files and contraction
+    specs: every call exits 0, 1 or 2 and raises nothing."""
+    argv, files = case
+    with tempfile.TemporaryDirectory() as root:
+        paths = _write_inputs(root, files)
+        paths["mc"] = os.path.join(root, "mc")
+        argv = [tok.format(**paths) for tok in argv] + ["--format", fmt, "--out", os.path.join(root, "out")]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+    assert code in (0, 1, 2)

@@ -80,6 +80,10 @@ class TestDoubleLineLoops:
         edges = (((1, 2),), ((1, 2),), ((1, 2),))
         assert wick.double_line_loops(edges, 2, 2) == 2
 
+    def test_rejects_partial_matchings(self):
+        with pytest.raises(ValueError, match="perfect matching"):
+            wick.double_line_loops((((1, 2),), ((1, 2),)), 4, 1)
+
 
 class TestExactCorrelation:
     def test_fourth_moment_polynomial(self):
