@@ -168,8 +168,8 @@ def length_map(
     """
     if not 0.0 <= q < math.inf:
         raise ValueError(f"q must be finite and nonnegative, got {q}")
-    if sigma_w2 <= 0:
-        raise ValueError("sigma_w2 must be positive")
+    if not 0.0 < sigma_w2 < math.inf:
+        raise ValueError(f"sigma_w2 must be positive and finite, got {sigma_w2}")
     value = _length_value(sigma_w2, act, nodes)(q)
     deriv = _length_deriv(q, sigma_w2, act, nodes) if with_derivative else None
     if not math.isfinite(value) or (deriv is not None and not math.isfinite(deriv)):
@@ -190,8 +190,8 @@ def corr_map(
     """C(c, q11, q22 | sigma_w^2) = sigma_w^2 * E phi(u) phi(v), the next
     layer's covariance for inputs with current variances q11, q22 and
     correlation c."""
-    if sigma_w2 <= 0:
-        raise ValueError("sigma_w2 must be positive")
+    if not 0.0 < sigma_w2 < math.inf:
+        raise ValueError(f"sigma_w2 must be positive and finite, got {sigma_w2}")
     if act.slopes is not None:
         if abs(c) > 1.0 + 1e-12:
             raise ValueError(f"correlation must lie in [-1, 1], got {c}")
@@ -221,8 +221,8 @@ def chi_map(
     nodes: int = GH_NODES,
 ) -> float:
     """sigma_w^2 * E phi'(u) phi'(v), the derivative-correlation multiplier."""
-    if sigma_w2 <= 0:
-        raise ValueError("sigma_w2 must be positive")
+    if not 0.0 < sigma_w2 < math.inf:
+        raise ValueError(f"sigma_w2 must be positive and finite, got {sigma_w2}")
     if act.kind == "linear":
         return sigma_w2
     if act.slopes is not None:
@@ -241,8 +241,8 @@ def chi_map(
 
 def chi1(sigma_w2: float, q: float, act: Activation, nodes: int = GH_NODES) -> float:
     """chi_1 = sigma_w^2 * E (phi'(sqrt(q) z))^2 at variance q."""
-    if sigma_w2 <= 0:
-        raise ValueError("sigma_w2 must be positive")
+    if not 0.0 < sigma_w2 < math.inf:
+        raise ValueError(f"sigma_w2 must be positive and finite, got {sigma_w2}")
     if not 0.0 <= q < math.inf:
         raise ValueError(f"q must be finite and nonnegative, got {q}")
     if act.homogeneous:
@@ -278,8 +278,8 @@ def length_fixed_point(
     """
     if not 0.0 <= q0 < math.inf:
         raise ValueError(f"q0 must be finite and nonnegative, got {q0}")
-    if sigma_w2 <= 0:
-        raise ValueError("sigma_w2 must be positive")
+    if not 0.0 < sigma_w2 < math.inf:
+        raise ValueError(f"sigma_w2 must be positive and finite, got {sigma_w2}")
     if act.homogeneous:
         kappa = sigma_w2 * _second_moment_unit(act)
         if abs(kappa - 1.0) <= MARGINAL_TOL:

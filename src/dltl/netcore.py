@@ -16,6 +16,7 @@ autograd.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,8 +166,8 @@ class NetConfig:
             raise ValueError(f"unknown parameterization {self.parameterization!r}")
         if self.init not in INIT_SCHEMES:
             raise ValueError(f"unknown init scheme {self.init!r}")
-        if self.sigma_w2 <= 0:
-            raise ValueError("sigma_w2 must be positive")
+        if not 0.0 < self.sigma_w2 < math.inf:
+            raise ValueError(f"sigma_w2 must be positive and finite, got {self.sigma_w2}")
         if self.init == "orthogonal" and self.parameterization == "ntk":
             raise ValueError("orthogonal init is defined for the standard parameterization only")
 

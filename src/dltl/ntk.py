@@ -55,6 +55,9 @@ SYMMETRY_TOL = 1e-10
 EIG_FLOOR = -1e-8
 # Grams are considered invertible when the smallest eigenvalue clears this.
 SINGULAR_TOL = 1e-10
+# du_convergence_monitor allocates its records up front and runs one eigvalsh
+# per step; T / eta above this many steps is rejected (lindyn's default cap).
+DU_MAX_STEPS = 200_000
 
 
 @dataclass(frozen=True)
@@ -122,14 +125,23 @@ class KernelRecursionState:
 
     def ntk_value(self) -> float:
         """Theta_0(x, x') assembled from the recursion."""
-        total = 0.0
-        for l in range(self.q11.size):
-            total += self.q12[l] * float(np.prod(self.chi[l:]))
-        return total
+        return _theta(self.q12, self.chi)
 
     def nngp_value(self) -> float:
         """q_{L+1}(x, x'), the NNGP covariance of the outputs."""
         return float(self.q12[-1])
+
+
+def _theta(q12, chi) -> float:
+    """sum_l q_l(x, x') prod_{l'>=l} chi_l'(x, x'), multiplied left to right.
+
+    math.prod starts from 1 and multiplies in order, which is what np.prod
+    does on these short sequences, at a fraction of the call cost.
+    """
+    total = 0.0
+    for l in range(len(q12)):
+        total += q12[l] * math.prod(chi[l:])
+    return total
 
 
 # -- two-dimensional gaussian moments -----------------------------------------
@@ -142,8 +154,16 @@ class KernelRecursionState:
 # a gamma integral, and on each angular arc where both factors are single
 # pieces the integrand is a smooth trig expression handled by Gauss-Legendre
 # exactly.
+#
+# The rule runs once per pair and layer, so its cost is numpy call overhead:
+# the non-empty arcs (at most four) are evaluated as one (k, 32) array, and
+# each arc's weighted sum is taken by np.matmul on a (1, 32) @ (32, 1) stack,
+# the same dot product as _GL_WEIGHTS @ row (a single gemv, rows @ weights,
+# rounds some sums differently in the last bit). The arcs' contributions are
+# then accumulated one by one in their fixed quadrant order.
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_GL_WEIGHT_COLUMN = _GL_WEIGHTS[:, None]
 
 
 def _half_plane_arc(center1: float, center2: float) -> tuple[float, float]:
@@ -170,19 +190,22 @@ def _polar_pair_moments(c: float, q11: float, q22: float, slopes: tuple[float, f
     # u > 0 on the arc centered at 0; v > 0 on the arc centered at pi/2 - d.
     centers_u = {1.0: 0.0, -1.0: math.pi}
     centers_v = {1.0: math.pi / 2 - d, -1.0: 3 * math.pi / 2 - d}
-    m_phi = 0.0
     m_deriv = 0.0
+    weights, halves, mids = [], [], []
     for su, slope_u in ((1.0, slopes[0]), (-1.0, slopes[1])):
         for sv, slope_v in ((1.0, slopes[0]), (-1.0, slopes[1])):
             lo, hi = _half_plane_arc(centers_u[su], centers_v[sv])
             if hi <= lo:
                 continue
             m_deriv += slope_u * slope_v * (hi - lo) / (2 * math.pi)
-            half = 0.5 * (hi - lo)
-            mid = 0.5 * (hi + lo)
-            a = mid + half * _GL_NODES
-            arc = half * float(_GL_WEIGHTS @ (np.cos(a) * np.sin(a + d)))
-            m_phi += slope_u * slope_v * arc / math.pi
+            weights.append(slope_u * slope_v)
+            halves.append(0.5 * (hi - lo))
+            mids.append(0.5 * (hi + lo))
+    a = np.array(mids)[:, None] + np.array(halves)[:, None] * _GL_NODES
+    sums = np.matmul((np.cos(a) * np.sin(a + d))[:, None, :], _GL_WEIGHT_COLUMN).ravel().tolist()
+    m_phi = 0.0
+    for weight, half, s in zip(weights, halves, sums):
+        m_phi += weight * (half * s) / math.pi
     return math.sqrt(q11 * q22) * m_phi, m_deriv
 
 
@@ -213,23 +236,41 @@ def nngp_recursion(
     n0 = config.widths[0]
     if x.size != n0:
         raise ValueError(f"inputs have dimension {x.size}, config expects {n0}")
-    sw2 = config.sigma_w2
-    act = config.activation
-    scale = sw2 / n0
-    q11 = [scale * float(x @ x)]
-    q12 = [scale * float(x @ xp)]
-    q22 = [scale * float(xp @ xp)]
-    chi = []
-    for _ in range(config.depth):
-        denom = math.sqrt(q11[-1] * q22[-1])
-        c = q12[-1] / denom if denom > 0 else 0.0
-        c = min(1.0, max(-1.0, c))
-        q_cross, chi_l = _pair_moments(c, q11[-1], q22[-1], sw2, act, nodes)
-        chi.append(chi_l)
-        q12.append(q_cross)
-        q11.append(length_map(q11[-1], sw2, act, nodes=nodes).q_next)
-        q22.append(length_map(q22[-1], sw2, act, nodes=nodes).q_next)
+    q11 = _diagonal(x, config, nodes)
+    q22 = _diagonal(xp, config, nodes)
+    q12, chi = _cross(config.sigma_w2 / n0 * float(x @ xp), q11, q22, config, nodes)
     return KernelRecursionState(q11=np.array(q11), q12=np.array(q12), q22=np.array(q22), chi=np.array(chi))
+
+
+def _diagonal(x: np.ndarray, config: NetConfig, nodes: int) -> list[float]:
+    """q_1..q_{L+1}(x, x) for one contiguous input vector."""
+    sw2 = config.sigma_w2
+    q = [sw2 / config.widths[0] * float(x @ x)]
+    for _ in range(config.depth):
+        q.append(length_map(q[-1], sw2, config.activation, nodes=nodes).q_next)
+    return q
+
+
+def _cross(
+    q12_first: float, q11: list[float], q22: list[float], config: NetConfig, nodes: int
+) -> tuple[list[float], list[float]]:
+    """q_1..q_{L+1}(x, x') and chi_1..chi_L(x, x') from q_1(x, x') and the
+    two inputs' diagonal sequences, checking every layer's cross covariance
+    against the Cauchy-Schwarz bound."""
+    sw2, act, depth = config.sigma_w2, config.activation, config.depth
+    q12, chi = [q12_first], []
+    for l in range(depth + 1):
+        denom = math.sqrt(q11[l] * q22[l])
+        if abs(q12[l]) > denom + 1e-10:
+            raise ValueError("cross covariance exceeds the Cauchy-Schwarz bound")
+        if l == depth:
+            break
+        c = q12[l] / denom if denom > 0 else 0.0
+        c = min(1.0, max(-1.0, c))
+        q_cross, chi_l = _pair_moments(c, q11[l], q22[l], sw2, act, nodes)
+        q12.append(q_cross)
+        chi.append(chi_l)
+    return q12, chi
 
 
 def _as_columns(x: np.ndarray, n0: int) -> np.ndarray:
@@ -247,16 +288,24 @@ def _pair_kernels(
     """(Theta_0, q_{L+1}) between the columns of x_a and those of x_b.
 
     x_b = None gives the grams of x_a, computed on i <= j and mirrored.
+    Every entry equals nngp_recursion on the same pair, bit for bit; each
+    column's diagonal sequence is computed once. Columns are copied to
+    contiguous rows first, because a dot product over a strided view can
+    round differently from nngp_recursion's dot over raveled inputs.
     """
-    xa = _as_columns(x_a, config.widths[0])
-    xb = xa if x_b is None else _as_columns(x_b, config.widths[0])
-    theta = np.empty((xa.shape[1], xb.shape[1]))
+    n0 = config.widths[0]
+    rows_a = np.ascontiguousarray(_as_columns(x_a, n0).T)
+    rows_b = rows_a if x_b is None else np.ascontiguousarray(_as_columns(x_b, n0).T)
+    diag_a = [_diagonal(r, config, nodes) for r in rows_a]
+    diag_b = diag_a if x_b is None else [_diagonal(r, config, nodes) for r in rows_b]
+    scale = config.sigma_w2 / n0
+    theta = np.empty((len(rows_a), len(rows_b)))
     nngp = np.empty_like(theta)
-    for i in range(xa.shape[1]):
-        for j in range(i if x_b is None else 0, xb.shape[1]):
-            state = nngp_recursion(xa[:, i], xb[:, j], config, nodes=nodes)
-            theta[i, j] = state.ntk_value()
-            nngp[i, j] = state.nngp_value()
+    for i in range(len(rows_a)):
+        for j in range(i if x_b is None else 0, len(rows_b)):
+            q12, chi = _cross(scale * float(rows_a[i] @ rows_b[j]), diag_a[i], diag_b[j], config, nodes)
+            theta[i, j] = _theta(q12, chi)
+            nngp[i, j] = q12[-1]
     if x_b is None:
         lower = np.tril_indices_from(theta, -1)
         theta[lower] = theta.T[lower]
@@ -609,8 +658,8 @@ def du_convergence_monitor(
     minimizing (1/2) ||f(X) - y||^2. The monitor records the loss, the
     smallest eigenvalue of H(t) (strict-> indicators, matching the
     gradient), the largest per-neuron displacement, and the gram drift,
-    stepping until t = steps * eta reaches T. Divergence is recorded, not
-    raised.
+    stepping until t = steps * eta reaches T, at most DU_MAX_STEPS steps.
+    Divergence is recorded, not raised.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -630,6 +679,8 @@ def du_convergence_monitor(
         raise ValueError("labels must lie strictly inside (-1, 1)")
     if not (0 < eta < math.inf and 0 < T < math.inf):
         raise ValueError(f"eta and T must be positive and finite, got {eta} and {T}")
+    if not T / eta <= DU_MAX_STEPS:
+        raise ValueError(f"T / eta = {T / eta:g} steps exceeds the cap of {DU_MAX_STEPS}")
 
     h_inf = h_infinity_gram(x, method="angle")
     lambda0 = h_inf.lambda_min()

@@ -664,6 +664,11 @@ class TestDomainHolesExitOne:
         (["phase", "--act", "tanh", "--sigma-w2", "0.5:2:0.5", "--q0", "inf"], "q0 must be finite"),
         (["lengthmap", "--act", "tanh", "--sigma-w2", "1.5", "--q0", "inf"], "must be finite and nonnegative"),
         (["lengthmap", "--act", "relu", "--sigma-w2", "1.5", "--q0", "nan"], "must be finite and nonnegative"),
+        (["lengthmap", "--act", "relu", "--sigma-w2", "nan"], "sigma_w2 must be positive and finite"),
+        (["spectrum", "--empirical", "--width", "4", "--replicates", "2", "--sigma-w2", "nan"],
+         "sigma_w2 must be positive and finite"),
+        (["du-monitor", "--eta", "1e-5"], "exceeds the cap of 200000"),
+        (["du-monitor", "--eta", "1e-300", "--t-max", "1e300"], "exceeds the cap of 200000"),
     ])
     def test_exits_one_with_message(self, argv, message):
         proc = self._run(*argv)
@@ -671,4 +676,13 @@ class TestDomainHolesExitOne:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and message in lines[0]
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("sigma_w2", ["inf", "nan"])
+    def test_ntk_kernel_nonfinite_sigma(self, dataset, sigma_w2):
+        """Once reported as "q must be finite" from inside the recursion."""
+        proc = self._run("ntk-kernel", "--data", dataset[0], "--widths", "3,16,16,1", "--sigma-w2", sigma_w2)
+        assert proc.returncode == 1
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and "sigma_w2 must be positive and finite" in lines[0]
         assert proc.stdout == ""

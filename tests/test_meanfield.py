@@ -258,6 +258,13 @@ class TestPhase:
         with pytest.raises(ValueError, match="tol must be finite"):
             phase_classify(2.0, act, tol=tol)
 
+    @pytest.mark.parametrize("act", [TANH, RELU, LINEAR, LEAKY])
+    @pytest.mark.parametrize("sigma_w2", [math.nan, math.inf])
+    def test_rejects_nonfinite_sigma(self, act, sigma_w2):
+        """A nan sigma_w2 once labelled the relu point an edge."""
+        with pytest.raises(ValueError, match="sigma_w2 must be positive and finite"):
+            phase_classify(sigma_w2, act)
+
     def test_edge_of_chaos_relu(self):
         assert edge_of_chaos(RELU) == pytest.approx(2.0, abs=1e-9)
 
@@ -272,6 +279,14 @@ class TestPhase:
     def test_edge_of_chaos_chi_is_one(self):
         sw2 = edge_of_chaos(RELU)
         assert chi1(sw2, 1.0, RELU) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("q0", [0.1, 1.0, 5.0])
+    def test_edge_of_chaos_tanh_is_one(self, q0):
+        """Without biases the tanh edge is sigma_w^2 = 1 / phi'(0)^2 = 1,
+        where q* -> 0. The bisection lands about 6.5e-8 above it, because
+        chi_1 - 1 grows like (sigma_w^2 - 1)^2 / 3 there and its sign is
+        rounding noise that close to the root."""
+        assert abs(edge_of_chaos(TANH, q0=q0) - 1.0) <= 1e-6
 
 
 @pytest.mark.parametrize("act", [TANH, RELU, LINEAR, LEAKY])

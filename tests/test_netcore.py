@@ -83,6 +83,11 @@ class TestNetConfig:
         with pytest.raises(ValueError):
             NetConfig(widths=(3, 4, 1), activation="relu", sigma_w2=0.0)
 
+    @pytest.mark.parametrize("sigma_w2", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_sigma(self, sigma_w2):
+        with pytest.raises(ValueError, match="sigma_w2 must be positive and finite"):
+            NetConfig(widths=(3, 4, 1), activation="relu", sigma_w2=sigma_w2)
+
     def test_orthogonal_ntk_forbidden(self):
         with pytest.raises(ValueError):
             NetConfig(

@@ -380,6 +380,14 @@ class TestDuMonitor:
         with pytest.raises(ValueError, match="one label per column"):
             ntk.du_convergence_monitor(x, y[:-1], n=16, eta=0.1, T=1.0)
 
+    @pytest.mark.parametrize("eta, T", [(1e-9, 20.0), (1e-300, 1e300)])
+    def test_step_count_is_capped(self, eta, T):
+        """ceil(T / eta) steps once ran unchecked; 1e-9 asked for four
+        arrays of 2e10 floats, and an overflowing T / eta for infinitely many."""
+        x, y = self._inputs()
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            ntk.du_convergence_monitor(x, y, n=16, eta=eta, T=T)
+
 
 class TestAlignment:
     def _gram(self, m=5, seed=24):

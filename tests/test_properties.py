@@ -3,9 +3,10 @@ against single-input backward column by column, and the layer-wise
 empirical tangent gram against an explicit gradient-feature gram. The
 whole-array loops of lindyn, wick and meanfield against the scalar loops
 they replaced, kept here as references; the NNGP recursion's pair moments
-against meanfield's correlation maps. Also a fuzz of the CLI's count, list,
-range and tolerance flags and of every subcommand that reads input files:
-every value exits 0, 1 or 2."""
+against meanfield's correlation maps, and the pair-kernel grams against the
+per-pair recursion. Also a fuzz of the CLI's count, list, range and
+tolerance flags and of every subcommand that reads input files: every value
+exits 0, 1 or 2."""
 
 import contextlib
 import csv
@@ -16,6 +17,7 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -310,6 +312,94 @@ def test_smooth_pair_moments_are_the_correlation_maps(c, q11, q22, sigma_w2):
     act = Activation("tanh")
     got = ntk._pair_moments(c, q11, q22, sigma_w2, act, meanfield.GH_NODES)
     assert got == (meanfield.corr_map(c, q11, q22, sigma_w2, act), meanfield.chi_map(c, q11, q22, sigma_w2, act))
+
+
+# -- pair kernels: the gram path against the per-pair recursion, bit for bit -----
+
+
+def _reference_polar_moments(c, q11, q22, slopes):
+    """The polar rule arc by arc, one Gauss-Legendre dot product per arc."""
+    c = min(1.0, max(-1.0, c))
+    d = math.asin(c)
+    centers_u = {1.0: 0.0, -1.0: math.pi}
+    centers_v = {1.0: math.pi / 2 - d, -1.0: 3 * math.pi / 2 - d}
+    m_phi = m_deriv = 0.0
+    for su, slope_u in ((1.0, slopes[0]), (-1.0, slopes[1])):
+        for sv, slope_v in ((1.0, slopes[0]), (-1.0, slopes[1])):
+            lo, hi = ntk._half_plane_arc(centers_u[su], centers_v[sv])
+            if hi <= lo:
+                continue
+            m_deriv += slope_u * slope_v * (hi - lo) / (2 * math.pi)
+            half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+            a = mid + half * ntk._GL_NODES
+            arc = half * float(ntk._GL_WEIGHTS @ (np.cos(a) * np.sin(a + d)))
+            m_phi += slope_u * slope_v * arc / math.pi
+    return math.sqrt(q11 * q22) * m_phi, m_deriv
+
+
+def _reference_pair(x, xp, config):
+    """(Theta_0, q_{L+1}) for one pair of contiguous inputs: both diagonals
+    advanced alongside the cross term, Theta_0 assembled with np.prod."""
+    sw2, act = config.sigma_w2, config.activation
+    scale = sw2 / config.widths[0]
+    q11, q12, q22, chi = [scale * float(x @ x)], [scale * float(x @ xp)], [scale * float(xp @ xp)], []
+    for _ in range(config.depth):
+        denom = math.sqrt(q11[-1] * q22[-1])
+        c = min(1.0, max(-1.0, q12[-1] / denom if denom > 0 else 0.0))
+        if act.slopes is not None:
+            m_phi, m_deriv = _reference_polar_moments(c, q11[-1], q22[-1], act.slopes)
+            q12.append(sw2 * m_phi)
+            chi.append(sw2 * m_deriv)
+        else:
+            q12.append(meanfield.corr_map(c, q11[-1], q22[-1], sw2, act))
+            chi.append(meanfield.chi_map(c, q11[-1], q22[-1], sw2, act))
+        q11.append(meanfield.length_map(q11[-1], sw2, act).q_next)
+        q22.append(meanfield.length_map(q22[-1], sw2, act).q_next)
+    theta = 0.0
+    for l in range(len(q12)):
+        theta += q12[l] * float(np.prod(np.array(chi[l:])))
+    return theta, q12[-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    act=activations,
+    depth=st.integers(1, 3),
+    n0=st.integers(1, 48),
+    sigma_w2=st.floats(0.5, 2.5),
+    cross=st.booleans(),
+)
+def test_pair_kernels_equal_nngp_recursion(data, act, depth, n0, sigma_w2, cross):
+    """Every gram entry is nngp_recursion's value on the same pair, and
+    the reference loop's, with ==; x_b = None compares the computed half,
+    i <= j. Inputs span up to 48 dimensions so a dot product with another
+    summation order would show."""
+    config = NetConfig(widths=(n0, *[8] * depth, 1), activation=act, parameterization="ntk", sigma_w2=sigma_w2)
+    x_a = _columns(data.draw, n0, data.draw(st.integers(1, 6)))
+    if data.draw(st.booleans()):
+        x_a[:, -1] = x_a[:, 0]  # an exactly collinear pair: c = 1
+    x_b = _columns(data.draw, n0, data.draw(st.integers(1, 6))) if cross else None
+    theta, nngp = ntk._pair_kernels(x_a, x_b, config, meanfield.GH_NODES)
+    rows = x_a if x_b is None else x_b
+    for i in range(x_a.shape[1]):
+        for j in range(i if x_b is None else 0, rows.shape[1]):
+            state = ntk.nngp_recursion(x_a[:, i], rows[:, j], config)
+            want = _reference_pair(np.ascontiguousarray(x_a[:, i]), np.ascontiguousarray(rows[:, j]), config)
+            assert theta[i, j] == state.ntk_value() == want[0]
+            assert nngp[i, j] == state.nngp_value() == want[1]
+
+
+def test_pair_kernels_check_cauchy_schwarz(monkeypatch):
+    """The gram path checks every layer's cross covariance, as the
+    recursion state does."""
+    config = NetConfig(widths=(3, 8, 8, 1), activation="relu", parameterization="ntk", sigma_w2=2.0)
+    x = np.random.default_rng(3).standard_normal((3, 4))
+    monkeypatch.setattr(ntk, "_pair_moments", lambda c, q11, q22, *args: (2.0 * math.sqrt(q11 * q22) + 1.0, 1.0))
+    with pytest.raises(ValueError, match="Cauchy-Schwarz"):
+        ntk._pair_kernels(x, None, config, meanfield.GH_NODES)
+    with pytest.raises(ValueError, match="Cauchy-Schwarz"):
+        ntk._pair_kernels(x, x[:, :2], config, meanfield.GH_NODES)
 
 
 # -- CLI fuzz -------------------------------------------------------------------
