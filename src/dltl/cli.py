@@ -131,7 +131,8 @@ def parse_int_list(text: str) -> list[int]:
 
 
 def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """CSV with header ``y,x1,...,xd``; returns x of shape (m, d) and y."""
+    """CSV with header ``y,x1,...,xd``; returns x of shape (m, d) and y.
+    Each row's squared norm x.x must be finite."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -156,7 +157,15 @@ def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
     if not rows:
         raise ValueError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=float)
-    return data[:, 1:], data[:, 0]
+    x = data[:, 1:]
+    # every consumer starts from x.x (kernels, norms, losses): a row with an
+    # inf or nan entry, or one whose squared norm overflows, stops here
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.sum(x * x, axis=1)
+    bad = np.flatnonzero(~np.isfinite(sq))
+    if bad.size:
+        raise ValueError(f"{path}: data row {bad[0] + 1}: squared norm {sq[bad[0]]:g} is not finite")
+    return x, data[:, 0]
 
 
 def _cell(value) -> str:

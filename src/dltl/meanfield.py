@@ -23,6 +23,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,11 +100,9 @@ def gauss_ev2(f, g, c: float, q11: float, q22: float, nodes: int = GH_NODES) -> 
 
 
 def _second_moment_unit(act: Activation) -> float:
-    """E phi(z)^2 for z ~ N(0,1). For the piecewise-linear kinds, with
-    slopes (1, a), this is (1 + a^2)/2 in closed form, and so is E phi'(z)^2."""
-    if act.slopes is not None:
-        return 0.5 * (1.0 + act.slopes[1] ** 2)
-    return gauss_ev(lambda z: act(z) ** 2, 1.0)
+    """E phi(z)^2 for z ~ N(0,1), for a piecewise-linear kind with slopes
+    (1, a): (1 + a^2)/2 in closed form, and so is E phi'(z)^2."""
+    return 0.5 * (1.0 + act.slopes[1] ** 2)
 
 
 @dataclass(frozen=True)
@@ -112,47 +111,60 @@ class LengthMapResult:
     dv_dq: float | None = None
 
 
-def _phi_second(act: Activation, z: np.ndarray) -> np.ndarray:
-    """phi''(z) almost everywhere (0 for the piecewise-linear kinds)."""
-    if act.kind == "tanh":
-        t = np.tanh(z)
-        return -2.0 * t * (1.0 - t * t)
-    return np.zeros_like(np.asarray(z, dtype=float))
+class _LengthMoments(NamedTuple):
+    value: Callable[[float], float]   # q -> V(q | sigma_w^2)
+    slope: Callable[[float], float]   # q -> dV/dq
+    chi1: Callable[[float], float]    # q -> chi_1 at variance q
 
 
-def _length_value(sigma_w2: float, act: Activation, nodes: int) -> Callable[[float], float]:
-    """q -> V(q | sigma_w^2), for evaluation at many q.
+def _length_moments(sigma_w2: float, act: Activation, nodes: int) -> _LengthMoments:
+    """The three one-dimensional moments of the length map at sigma_w^2, for
+    evaluation at many q.
 
-    The quadrature rule is looked up once and its scaled nodes share one
-    buffer across calls; each value takes gauss_ev's operations in its order.
+    The homogeneous kinds have closed forms. For tanh, the quadrature rule
+    is looked up once and the scaled nodes share one buffer across calls.
+    Each value is bit for bit the gauss_ev expression of its integrand, with
+    u = sqrt(q) z, t = tanh(u) and d = phi'(u) = 1 - t*t:
+
+        V     = sigma_w^2 * E t**2
+        dV/dq = sigma_w^2 * E[d**2 + t * (-2.0 * t * d)]  (phi'^2 + phi phi'')
+        chi_1 = sigma_w^2 * E d**2
+
+    V is evaluated in place (x*x is numpy's square and a 1-D np.dot is the
+    ddot of w @ x); tanh is computed once per value. The expectations are
+    not batched over q: a stacked gemv sums in another order.
     """
     if act.homogeneous:
         m2 = _second_moment_unit(act)
-        # phi(sqrt(q) z) = sqrt(q) phi(z), so the map is exactly linear in q
-        return lambda q: sigma_w2 * q * m2
+        kappa = sigma_w2 * m2
+        # phi(sqrt(q) z) = sqrt(q) phi(z), so the map is exactly linear in q;
+        # for the piecewise-linear kinds phi phi'' vanishes almost everywhere
+        # (phi(0) = 0 kills the relu kink's point mass), so dV/dq = chi_1
+        return _LengthMoments(lambda q: sigma_w2 * q * m2, lambda q: kappa, lambda q: kappa)
     t, w = gauss_hermite(nodes)
     z = np.empty_like(t)
     root_pi = math.sqrt(math.pi)
+    sqrt, multiply, tanh, dot = math.sqrt, np.multiply, np.tanh, np.dot
 
     def value(q: float) -> float:
-        np.multiply(math.sqrt(2.0 * q), t, out=z)
-        return sigma_w2 * (float(w @ act(z) ** 2) / root_pi)
+        multiply(sqrt(2.0 * q), t, out=z)
+        tanh(z, out=z)
+        multiply(z, z, out=z)
+        return sigma_w2 * (float(dot(w, z)) / root_pi)
 
-    return value
+    def slope(q: float) -> float:
+        multiply(sqrt(2.0 * q), t, out=z)
+        tanh(z, out=z)
+        d = 1.0 - z * z
+        return sigma_w2 * (float(dot(w, d**2 + z * (-2.0 * z * d))) / root_pi)
 
+    def chi(q: float) -> float:
+        multiply(sqrt(2.0 * q), t, out=z)
+        tanh(z, out=z)
+        d = 1.0 - z * z
+        return sigma_w2 * (float(dot(w, d * d)) / root_pi)
 
-def _length_deriv(q: float, sigma_w2: float, act: Activation, nodes: int) -> float:
-    """dV/dq = sigma_w^2 * E[phi'(u)^2 + phi(u) phi''(u)] at u = sqrt(q) z.
-
-    For the piecewise-linear kinds the phi*phi'' term vanishes almost
-    everywhere (and phi(0) = 0 kills the relu kink's point mass), leaving
-    the q-independent slope sigma_w^2 * E phi'(z)^2.
-    """
-    if act.homogeneous:
-        return sigma_w2 * _second_moment_unit(act)
-    return sigma_w2 * gauss_ev(
-        lambda z: act.deriv(z) ** 2 + act(z) * _phi_second(act, z), q, nodes=nodes
-    )
+    return _LengthMoments(value, slope, chi)
 
 
 def length_map(
@@ -170,8 +182,9 @@ def length_map(
         raise ValueError(f"q must be finite and nonnegative, got {q}")
     if not 0.0 < sigma_w2 < math.inf:
         raise ValueError(f"sigma_w2 must be positive and finite, got {sigma_w2}")
-    value = _length_value(sigma_w2, act, nodes)(q)
-    deriv = _length_deriv(q, sigma_w2, act, nodes) if with_derivative else None
+    moments = _length_moments(sigma_w2, act, nodes)
+    value = moments.value(q)
+    deriv = moments.slope(q) if with_derivative else None
     if not math.isfinite(value) or (deriv is not None and not math.isfinite(deriv)):
         raise DivergenceError(
             f"length map overflowed at q = {q:g} (next value {value:g})", last_value=value
@@ -245,9 +258,7 @@ def chi1(sigma_w2: float, q: float, act: Activation, nodes: int = GH_NODES) -> f
         raise ValueError(f"sigma_w2 must be positive and finite, got {sigma_w2}")
     if not 0.0 <= q < math.inf:
         raise ValueError(f"q must be finite and nonnegative, got {q}")
-    if act.homogeneous:
-        return sigma_w2 * _second_moment_unit(act)
-    return sigma_w2 * gauss_ev(lambda z: act.deriv(z) ** 2, q, nodes=nodes)
+    return _length_moments(sigma_w2, act, nodes).chi1(q)
 
 
 @dataclass(frozen=True)
@@ -284,12 +295,13 @@ def length_fixed_point(
         kappa = sigma_w2 * _second_moment_unit(act)
         if abs(kappa - 1.0) <= MARGINAL_TOL:
             return FixedPointResult(q_inf=float(q0), iterations=0, marginal=True)
-    length_value = _length_value(sigma_w2, act, GH_NODES)
+    moments = _length_moments(sigma_w2, act, GH_NODES)
+    length_value, isfinite = moments.value, math.isfinite
     q = float(q0)
     polish_at = min(512, max_iter)
     for k in range(1, max_iter + 1):
         q_next = length_value(q)
-        if not math.isfinite(q_next) or q_next > 1e12:
+        if not isfinite(q_next) or q_next > 1e12:
             raise DivergenceError(
                 f"length map diverged after {k} iterations (last iterate {q_next:g})",
                 last_value=q_next,
@@ -298,7 +310,7 @@ def length_fixed_point(
             return FixedPointResult(q_inf=q_next, iterations=k, marginal=False)
         q = q_next
         if k == polish_at:
-            polished = _newton_polish(q, length_value, sigma_w2, act, tol)
+            polished = _newton_polish(q, moments, tol)
             if polished is not None:
                 q_star, extra = polished
                 return FixedPointResult(q_inf=q_star, iterations=k + extra, marginal=False)
@@ -309,24 +321,20 @@ def length_fixed_point(
 
 
 def _newton_polish(
-    q: float,
-    length_value: Callable[[float], float],
-    sigma_w2: float,
-    act: Activation,
-    tol: float,
-    max_steps: int = 200,
+    q: float, moments: _LengthMoments, tol: float, max_steps: int = 200
 ) -> tuple[float, int] | None:
-    """Newton on g(q) = V(q) - q from a plain-iteration iterate, with
-    length_value = _length_value(sigma_w2, act, GH_NODES).
+    """Newton on g(q) = V(q) - q from a plain-iteration iterate, with V and
+    its derivative from moments (_length_moments at the iterated sigma_w^2).
 
     Returns (fixed point, steps) or None when Newton cannot be trusted
     (derivative vanished, iterate escaped, or the landing point fails the
     fixed-point residual check).
     """
+    length_value, slope = moments.value, moments.slope
     q_hi = 10.0 * max(q, 1.0)
     for j in range(1, max_steps + 1):
         g = length_value(q) - q
-        gp = _length_deriv(q, sigma_w2, act, GH_NODES) - 1.0
+        gp = slope(q) - 1.0
         if gp == 0.0:
             return None
         q_new = q - g / gp

@@ -79,6 +79,8 @@ class KernelGram:
         k = self.matrix
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise ValueError(f"kernel gram must be square, got shape {k.shape}")
+        if not np.isfinite(k).all():
+            raise ValueError("kernel gram has non-finite entries")
         asym = float(np.max(np.abs(k - k.T), initial=0.0))
         if asym > SYMMETRY_TOL:
             raise ValueError(f"kernel gram asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
@@ -245,7 +247,8 @@ def nngp_recursion(
 def _diagonal(x: np.ndarray, config: NetConfig, nodes: int) -> list[float]:
     """q_1..q_{L+1}(x, x) for one contiguous input vector."""
     sw2 = config.sigma_w2
-    q = [sw2 / config.widths[0] * float(x @ x)]
+    with np.errstate(over="ignore"):  # an overflow fails length_map's check
+        q = [sw2 / config.widths[0] * float(x @ x)]
     for _ in range(config.depth):
         q.append(length_map(q[-1], sw2, config.activation, nodes=nodes).q_next)
     return q
@@ -603,24 +606,26 @@ def h_infinity_gram(
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("expected a (d, m) column dataset")
-    grams = x.T @ x
-    if method == "angle":
-        norms = np.sqrt(np.diag(grams))
-        outer = np.outer(norms, norms)
-        with np.errstate(invalid="ignore", divide="ignore"):
+    # an overflowing or non-finite input reaches KernelGram's checks as a
+    # non-finite gram, without numpy's warnings on the way
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        grams = x.T @ x
+        if method == "angle":
+            norms = np.sqrt(np.diag(grams))
+            outer = np.outer(norms, norms)
             cosines = np.where(outer > 0, grams / np.where(outer > 0, outer, 1.0), 0.0)
-        theta = np.arccos(np.clip(cosines, -1.0, 1.0))
-        h = grams * (math.pi - theta) / (2 * math.pi)
-    elif method == "mc":
-        if mc_samples < 1:
-            raise ValueError(f"mc_samples must be at least 1, got {mc_samples}")
-        rng = np.random.default_rng(seed)
-        w = rng.standard_normal((mc_samples, x.shape[0]))
-        masks = (w @ x > 0).astype(float)
-        h = grams * (masks.T @ masks) / mc_samples
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    h = 0.5 * (h + h.T)
+            theta = np.arccos(np.clip(cosines, -1.0, 1.0))
+            h = grams * (math.pi - theta) / (2 * math.pi)
+        elif method == "mc":
+            if mc_samples < 1:
+                raise ValueError(f"mc_samples must be at least 1, got {mc_samples}")
+            rng = np.random.default_rng(seed)
+            w = rng.standard_normal((mc_samples, x.shape[0]))
+            masks = (w @ x > 0).astype(float)
+            h = grams * (masks.T @ masks) / mc_samples
+        else:
+            raise ValueError(f"unknown method {method!r}")
+        h = 0.5 * (h + h.T)
     return KernelGram(h, tag="h_infinity")
 
 
@@ -672,7 +677,8 @@ def du_convergence_monitor(
         raise ValueError("one label per column")
     if n < 1:
         raise ValueError(f"hidden width n must be at least 1, got {n}")
-    norms = np.linalg.norm(x, axis=0)
+    with np.errstate(over="ignore"):  # an overflowing norm fails the ball check
+        norms = np.linalg.norm(x, axis=0)
     if np.any(norms > 1 + 1e-12):
         raise ValueError("inputs must lie in the unit ball")
     if np.any(np.abs(y) >= 1):

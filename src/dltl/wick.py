@@ -482,6 +482,8 @@ def mc_scaling_check(
     """Estimate the correlation on finite nets and fit its width scaling."""
     if len(widths) < 3:
         raise ValueError("need at least three widths to fit a slope")
+    if len(set(widths)) < 2:
+        raise ValueError("need at least two distinct widths to fit a slope")
     if L < 1:
         raise ValueError("depth must be at least 1")
     if replicates < 2:

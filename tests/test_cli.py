@@ -563,7 +563,7 @@ class TestFuzzFoundHoles:
     def test_align_on_overflowing_inputs(self, capsys, tmp_path):
         data = tmp_path / "big.csv"
         _write_dataset(data, np.array([[1e300]]), np.array([0.5]))
-        self._exits_one(capsys, ["align", "--data", str(data)], "positive finite top eigenvalue")
+        self._exits_one(capsys, ["align", "--data", str(data)], "data row 1: squared norm inf is not finite")
 
     def test_path_needs_two_grid_points(self, capsys, tmp_path):
         wa, wb, data = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "d.csv"
@@ -685,4 +685,23 @@ class TestDomainHolesExitOne:
         assert proc.returncode == 1
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and "sigma_w2 must be positive and finite" in lines[0]
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["align"],
+        ["align", "--method", "mc", "--mc-samples", "50"],
+        ["ntk-kernel", "--widths", "2,4,1", "--act", "tanh"],
+        ["ntk-kernel", "--kind", "nngp", "--widths", "2,4,1", "--act", "relu"],
+        ["du-monitor", "--t-max", "1"],
+    ])
+    def test_overflowing_row_is_rejected_where_it_enters(self, tmp_path, argv):
+        """A row whose squared norm overflows once printed numpy's two-line
+        RuntimeWarning before the error, and an error that blamed the
+        kernel instead of the row."""
+        data = tmp_path / "big.csv"
+        _write_dataset(data, np.array([[0.5, 1e300], [1.0, 0.3]]), np.array([0.1, 0.2]))
+        proc = self._run(*argv, "--data", str(data))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [f"error: {data}: data row 1: squared norm inf is not finite"]
         assert proc.stdout == ""

@@ -335,6 +335,30 @@ class TestHInfinityGram:
             ntk.h_infinity_gram(np.ones(3))
 
 
+class TestOverflowingInputs:
+    """An input whose squared norm overflows is rejected by each path's own
+    check, without numpy's RuntimeWarning on the way."""
+
+    x = np.array([[0.5, 1.0], [1e300, 0.3]])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call, message", [
+        (lambda x: ntk.h_infinity_gram(x), "non-finite entries"),
+        (lambda x: ntk.h_infinity_gram(x, method="mc", mc_samples=50), "non-finite entries"),
+        (lambda x: ntk.nngp_gram(x, _relu_config((2, 4, 1))), "q must be finite"),
+        (lambda x: ntk.limiting_ntk(x, NetConfig(widths=(2, 4, 1), activation="tanh",
+                                                parameterization="ntk")), "q must be finite"),
+        (lambda x: ntk.du_convergence_monitor(x, np.array([0.1, 0.2]), n=4, eta=0.1, T=1.0), "unit ball"),
+    ])
+    def test_rejected_without_a_warning(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(self.x)
+
+    def test_gram_rejects_non_finite_entries(self):
+        with pytest.raises(ValueError, match="non-finite entries"):
+            ntk.KernelGram(np.array([[np.inf, 0.0], [0.0, 1.0]]), tag="nngp")
+
+
 class TestDuMonitor:
     def _inputs(self, m=4, d=6, seed=5):
         rng = np.random.default_rng(seed)

@@ -2,11 +2,12 @@
 against single-input backward column by column, and the layer-wise
 empirical tangent gram against an explicit gradient-feature gram. The
 whole-array loops of lindyn, wick and meanfield against the scalar loops
-they replaced, kept here as references; the NNGP recursion's pair moments
-against meanfield's correlation maps, and the pair-kernel grams against the
-per-pair recursion. Also a fuzz of the CLI's count, list, range and
-tolerance flags and of every subcommand that reads input files: every value
-exits 0, 1 or 2."""
+they replaced, kept here as references; the tanh length-map moments, fixed
+point and edge of chaos against gauss_ev reference loops; the NNGP
+recursion's pair moments against meanfield's correlation maps, and the
+pair-kernel grams against the per-pair recursion. Also a fuzz of the CLI's
+count, list, range and tolerance flags and of every subcommand that reads
+input files: every value exits 0, 1 or 2, and a rejected one warns nothing."""
 
 import contextlib
 import csv
@@ -15,10 +16,11 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dltl import cli, lindyn, meanfield, ntk, wick
@@ -284,6 +286,142 @@ def test_tanh_fixed_point_matches_iterated_length_map(sigma_w2, q0):
     assert (got.q_inf, got.iterations, got.marginal) == (q_next, k, False)
 
 
+# -- tanh length-map moments: the hoisted evaluator against gauss_ev -------------
+
+
+TANH = Activation("tanh")
+
+
+def _tanh_second(z):
+    t = np.tanh(z)
+    return -2.0 * t * (1.0 - t * t)
+
+
+def _gauss_length_moments(sigma_w2, nodes=meanfield.GH_NODES):
+    """(V, dV/dq, chi_1) of tanh as functions of q, each one gauss_ev call
+    on the textbook integrand: phi^2, phi'^2 + phi phi'' and phi'^2."""
+    def value(q):
+        return sigma_w2 * meanfield.gauss_ev(lambda z: TANH(z) ** 2, q, nodes=nodes)
+
+    def slope(q):
+        return sigma_w2 * meanfield.gauss_ev(lambda z: TANH.deriv(z) ** 2 + TANH(z) * _tanh_second(z), q, nodes=nodes)
+
+    def chi(q):
+        return sigma_w2 * meanfield.gauss_ev(lambda z: TANH.deriv(z) ** 2, q, nodes=nodes)
+
+    return value, slope, chi
+
+
+def _reference_fixed_point(sigma_w2, q0, tol=1e-10, max_iter=10_000):
+    """Plain iteration of the gauss_ev length map with the Newton polish on
+    V(q) - q at step 512; (q_inf, iterations), or "diverged"."""
+    value, slope, _ = _gauss_length_moments(sigma_w2)
+
+    def polish(q):
+        q_hi = 10.0 * max(q, 1.0)
+        for j in range(1, 201):
+            gp = slope(q) - 1.0
+            if gp == 0.0:
+                return None
+            q_new = q - (value(q) - q) / gp
+            if q_new < 0.0:
+                q_new = 0.5 * q
+            if q_new > q_hi:
+                return None
+            if abs(q_new - q) <= tol:
+                ok = abs(value(q_new) - q_new) <= 10.0 * tol * (1.0 + abs(q_new))
+                return (q_new, j) if ok else None
+            q = q_new
+        return None
+
+    q = q0
+    for k in range(1, max_iter + 1):
+        q_next = value(q)
+        if not math.isfinite(q_next) or q_next > 1e12:
+            return "diverged"
+        if abs(q_next - q) <= tol:
+            return q_next, k
+        q = q_next
+        if k == 512 and (polished := polish(q)) is not None:
+            return polished[0], k + polished[1]
+    return "diverged"
+
+
+def _fixed_point_outcome(sigma_w2, q0):
+    try:
+        fp = meanfield.length_fixed_point(sigma_w2, TANH, q0=q0)
+    except meanfield.DivergenceError:
+        return "diverged"
+    return fp.q_inf, fp.iterations
+
+
+def _reference_edge(lo, hi, q0, tol=1e-10):
+    """edge_of_chaos(tanh) bisection on the reference fixed point."""
+    def f(sigma_w2):
+        q_inf = _reference_fixed_point(sigma_w2, q0)[0]
+        return _gauss_length_moments(sigma_w2)[2](q_inf) - 1.0
+
+    f_lo = f(lo)
+    if abs(f_lo) <= tol:
+        return lo
+    f_hi = f(hi)
+    if abs(f_hi) <= tol:
+        return hi
+    if f_lo * f_hi > 0:
+        return "no sign change"
+    for _ in range(200):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if f_lo * f_mid < 0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    q=st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+    sigma_w2=st.floats(0.0, 10.0, exclude_min=True),
+    nodes=st.sampled_from([16, 64, 256]),
+)
+def test_tanh_length_moments_equal_gauss_ev(q, sigma_w2, nodes):
+    """The hoisted V, dV/dq and chi_1 are the gauss_ev expressions bit for bit."""
+    value, slope, chi = _gauss_length_moments(sigma_w2, nodes)
+    moments = meanfield._length_moments(sigma_w2, TANH, nodes)
+    assert (moments.value(q), moments.slope(q), moments.chi1(q)) == (value(q), slope(q), chi(q))
+    got = meanfield.length_map(q, sigma_w2, TANH, nodes=nodes, with_derivative=True)
+    assert (got.q_next, got.dv_dq) == (value(q), slope(q))
+    assert meanfield.chi1(sigma_w2, q, TANH, nodes=nodes) == chi(q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sigma_w2=st.one_of(st.floats(0.0, 10.0, exclude_min=True), st.floats(0.9, 1.2)),
+    q0=st.floats(0.0, 5.0),
+)
+@example(sigma_w2=1.0, q0=1.0)      # critical: the polish fires at step 512
+@example(sigma_w2=1.0001, q0=1.0)
+def test_tanh_fixed_point_equals_gauss_ev_reference(sigma_w2, q0):
+    """length_fixed_point against the gauss_ev loop, Newton polish included,
+    so sigma_w^2 near 1 is covered too."""
+    assert _fixed_point_outcome(sigma_w2, q0) == _reference_fixed_point(sigma_w2, q0)
+
+
+@settings(max_examples=8, deadline=None)
+@given(lo=st.floats(0.5, 1.0), hi=st.floats(1.0, 4.0, exclude_min=True), q0=st.floats(0.1, 5.0))
+def test_tanh_edge_of_chaos_equals_gauss_ev_reference(lo, hi, q0):
+    try:
+        got = meanfield.edge_of_chaos(TANH, lo=lo, hi=hi, q0=q0)
+    except ValueError:
+        got = "no sign change"
+    assert got == _reference_edge(lo, hi, q0)
+
+
 # -- pair moments: the NNGP recursion's rule against meanfield's maps ------------
 
 
@@ -411,6 +549,21 @@ svals_texts = st.lists(
 ).map(",".join)
 
 
+def _run_cli(argv):
+    """cli.main(argv) with stdout and stderr captured: (exit code, stderr,
+    the RuntimeWarnings raised during the call). A call that exits 1 or 2
+    must print its one-line message and nothing else, so the three fuzzes
+    below also assert that such a call raised no RuntimeWarning."""
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    runtime = [f"{w.filename}:{w.lineno}: {w.message}" for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert code in (0, 1, 2)
+    assert code == 0 or not runtime, runtime
+    return code, err.getvalue()
+
+
 @settings(max_examples=80, deadline=None)
 @given(argv=st.one_of(
     st.integers(-3, 300).map(lambda p: ["spectrum", "--analytic", "--depth", "2", "--points", str(p)]),
@@ -419,10 +572,9 @@ svals_texts = st.lists(
 ))
 def test_cli_count_and_list_flags_exit_cleanly(argv):
     """Nothing escapes cli.main: an exception other than the domain and
-    usage errors it maps to exit 1 and 2 fails the test with its traceback."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(argv)
-    assert code in (0, 1, 2)
+    usage errors it maps to exit 1 and 2 fails the test with its traceback,
+    and a rejected call warns nothing."""
+    _run_cli(argv)
 
 
 float_texts = st.one_of(
@@ -446,11 +598,9 @@ range_texts = st.tuples(float_texts, float_texts, float_texts).map(":".join)
 def test_cli_range_and_tolerance_flags_exit_cleanly(argv):
     """As above, over phase's grid and tolerance and lindyn's rate and stop
     loss; a non-finite grid end or step is a usage error."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
-        code = cli.main(argv)
-    assert code in (0, 1, 2)
+    code, err = _run_cli(argv)
     if argv[0] == "phase" and any(x in argv[-1] for x in ("inf", "nan")) and "--sigma-w2=" in argv[-1]:
-        assert code == 2 and "usage error" in err.getvalue()
+        assert code == 2 and "usage error" in err
 
 
 # -- CLI fuzz over the subcommands that read input files -------------------------
@@ -610,12 +760,11 @@ def file_subcommands(draw):
 @given(case=file_subcommands(), fmt=st.sampled_from(["csv", "json"]))
 def test_cli_file_subcommands_exit_cleanly(case, fmt):
     """As above, over generated datasets, weight files and contraction
-    specs: every call exits 0, 1 or 2 and raises nothing."""
+    specs: every call exits 0, 1 or 2, raises nothing, and warns nothing
+    when it exits 1 or 2."""
     argv, files = case
     with tempfile.TemporaryDirectory() as root:
         paths = _write_inputs(root, files)
         paths["mc"] = os.path.join(root, "mc")
         argv = [tok.format(**paths) for tok in argv] + ["--format", fmt, "--out", os.path.join(root, "out")]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(argv)
-    assert code in (0, 1, 2)
+        _run_cli(argv)

@@ -193,6 +193,8 @@ class TestMonteCarloScaling:
         spec = _scalar_spec(4)
         with pytest.raises(ValueError, match="three widths"):
             wick.mc_scaling_check(spec, 1, widths=[8, 16])
+        with pytest.raises(ValueError, match="two distinct widths"):
+            wick.mc_scaling_check(spec, 1, widths=[4, 4, 4])
         with pytest.raises(ValueError, match="replicates"):
             wick.mc_scaling_check(spec, 1, widths=[8, 16, 32], replicates=1)
         with pytest.raises(ValueError, match="self-contractions"):
