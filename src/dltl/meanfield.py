@@ -121,7 +121,8 @@ def _length_moments(sigma_w2: float, act: Activation, nodes: int) -> _LengthMome
     """The three one-dimensional moments of the length map at sigma_w^2, for
     evaluation at many q.
 
-    The homogeneous kinds have closed forms. For tanh, the quadrature rule
+    The homogeneous kinds have closed forms, which length_map and chi1
+    evaluate without building this. For tanh, the quadrature rule
     is looked up once and the scaled nodes share one buffer across calls.
     Each value is bit for bit the gauss_ev expression of its integrand, with
     u = sqrt(q) z, t = tanh(u) and d = phi'(u) = 1 - t*t:
@@ -182,9 +183,15 @@ def length_map(
         raise ValueError(f"q must be finite and nonnegative, got {q}")
     if not 0.0 < sigma_w2 < math.inf:
         raise ValueError(f"sigma_w2 must be positive and finite, got {sigma_w2}")
-    moments = _length_moments(sigma_w2, act, nodes)
-    value = moments.value(q)
-    deriv = moments.slope(q) if with_derivative else None
+    if act.homogeneous:
+        # V is exactly linear in q, with slope chi_1
+        m2 = _second_moment_unit(act)
+        value = sigma_w2 * q * m2
+        deriv = sigma_w2 * m2 if with_derivative else None
+    else:
+        moments = _length_moments(sigma_w2, act, nodes)
+        value = moments.value(q)
+        deriv = moments.slope(q) if with_derivative else None
     if not math.isfinite(value) or (deriv is not None and not math.isfinite(deriv)):
         raise DivergenceError(
             f"length map overflowed at q = {q:g} (next value {value:g})", last_value=value
@@ -258,6 +265,8 @@ def chi1(sigma_w2: float, q: float, act: Activation, nodes: int = GH_NODES) -> f
         raise ValueError(f"sigma_w2 must be positive and finite, got {sigma_w2}")
     if not 0.0 <= q < math.inf:
         raise ValueError(f"q must be finite and nonnegative, got {q}")
+    if act.homogeneous:
+        return sigma_w2 * _second_moment_unit(act)
     return _length_moments(sigma_w2, act, nodes).chi1(q)
 
 

@@ -565,6 +565,11 @@ class TestFuzzFoundHoles:
         _write_dataset(data, np.array([[1e300]]), np.array([0.5]))
         self._exits_one(capsys, ["align", "--data", str(data)], "data row 1: squared norm inf is not finite")
 
+    def test_align_on_zero_inputs(self, capsys, tmp_path):
+        data = tmp_path / "zero.csv"
+        _write_dataset(data, np.zeros((2, 2)), np.array([0.5, 0.2]))
+        self._exits_one(capsys, ["align", "--data", str(data)], "positive finite top eigenvalue")
+
     def test_path_needs_two_grid_points(self, capsys, tmp_path):
         wa, wb, data = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "d.csv"
         _save_net(wa, (6, 8, 4, 1), seed=11)

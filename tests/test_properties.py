@@ -556,7 +556,7 @@ def _run_cli(argv):
     below also assert that such a call raised no RuntimeWarning."""
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
-        warnings.simplefilter("always")
+        warnings.simplefilter("always", RuntimeWarning)
         code = cli.main(argv)
     runtime = [f"{w.filename}:{w.lineno}: {w.message}" for w in caught if issubclass(w.category, RuntimeWarning)]
     assert code in (0, 1, 2)
