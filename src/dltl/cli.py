@@ -132,7 +132,7 @@ def parse_int_list(text: str) -> list[int]:
 
 def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
     """CSV with header ``y,x1,...,xd``; returns x of shape (m, d) and y.
-    Each row's squared norm x.x must be finite."""
+    Each row's squared norm x.x and squared label y^2 must be finite."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -157,15 +157,17 @@ def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
     if not rows:
         raise ValueError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=float)
-    x = data[:, 1:]
-    # every consumer starts from x.x (kernels, norms, losses): a row with an
-    # inf or nan entry, or one whose squared norm overflows, stops here
+    x, y = data[:, 1:], data[:, 0]
+    # every consumer starts from x.x (kernels, norms) or y.y (losses,
+    # residuals): a row with an inf or nan entry, or one whose squared norm
+    # or squared label overflows, stops here
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = np.sum(x * x, axis=1)
-    bad = np.flatnonzero(~np.isfinite(sq))
-    if bad.size:
-        raise ValueError(f"{path}: data row {bad[0] + 1}: squared norm {sq[bad[0]]:g} is not finite")
-    return x, data[:, 0]
+        checks = (("squared norm", np.sum(x * x, axis=1)), ("squared label", y * y))
+    for what, values in checks:
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValueError(f"{path}: data row {bad[0] + 1}: {what} {values[bad[0]]:g} is not finite")
+    return x, y
 
 
 def _cell(value) -> str:

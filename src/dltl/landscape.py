@@ -270,7 +270,7 @@ def constant_loss_path(
     loss_b = loss_fn(out_b, y)
 
     target_level = 0.5 * min(epsilon, loss_a if loss_a > 0 else epsilon, loss_b if loss_b > 0 else epsilon)
-    if loss_fn is square_loss or loss is square_loss:
+    if loss_fn is square_loss:
         h_tilde = y.astype(float)
     else:
         h_tilde = np.sign(y).astype(float)
@@ -284,11 +284,11 @@ def constant_loss_path(
     ts = np.linspace(0.0, 1.0, grid_points)
     segments = []
 
-    def first_layer_leg(ws, out, name):
+    def first_layer_leg(ws, out):
         w0_hat = reconstruct_first_layer(config, ws, x, out)
         return [[(1.0 - t) * ws[0] + t * w0_hat] + [w.copy() for w in ws[1:]] for t in ts]
 
-    def output_leg(uppers, out_from, name):
+    def output_leg(uppers, out_from):
         stacks = []
         for t in ts:
             h_t = (1.0 - t) * out_from + t * h_tilde
@@ -298,7 +298,7 @@ def constant_loss_path(
 
     # A side: first layer onto reconstructed form, uppers over to B, output to target
     segments.append(
-        _segment(config, x, y, loss_fn, "first_layer_a", first_layer_leg(wa, out_a, "a"), loss_a)
+        _segment(config, x, y, loss_fn, "first_layer_a", first_layer_leg(wa, out_a), loss_a)
     )
     upper_stacks = _upper_waypoints(wa[1:], wb[1:], grid_points, rng)
     carried = [
@@ -307,12 +307,12 @@ def constant_loss_path(
     ]
     segments.append(_segment(config, x, y, loss_fn, "upper_a", carried, loss_a))
     segments.append(
-        _segment(config, x, y, loss_fn, "output_a", output_leg(wb[1:], out_a, "a"), loss_a)
+        _segment(config, x, y, loss_fn, "output_a", output_leg(wb[1:], out_a), loss_a)
     )
     # B side, built from B and reversed into path order
     segments.append(
         _segment(
-            config, x, y, loss_fn, "output_b", output_leg(wb[1:], out_b, "b"), loss_b, reverse=True
+            config, x, y, loss_fn, "output_b", output_leg(wb[1:], out_b), loss_b, reverse=True
         )
     )
     segments.append(
@@ -322,7 +322,7 @@ def constant_loss_path(
             y,
             loss_fn,
             "first_layer_b",
-            first_layer_leg(wb, out_b, "b"),
+            first_layer_leg(wb, out_b),
             loss_b,
             reverse=True,
         )

@@ -13,14 +13,15 @@ hold against all of it.
 Conventions: G_X(z) = E tr (z - X)^{-1} (normalized trace), M(z) = z G(z) - 1,
 S(z) = (1 + z) / (z M^{-1}(z)), R(zeta) = G^{-1}(zeta) - 1/zeta. Functional
 inverses are taken by bisection on real segments to the right of the support,
-after a monotonicity sweep; the paper-style formal-series manipulations are
+where G and M decrease whenever the density is nonnegative (and, for M, its
+support lies in [0, inf)); the paper-style formal-series manipulations are
 deliberately replaced by explicit domains.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,12 +52,22 @@ __all__ = [
 # evaluated even when np.trapezoid exists.
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
+# Marchenko-Pastur integrals in t = 4 sin^2(theta), where rho dt becomes
+# (4/pi) cos^2(theta) dtheta with no endpoint singularity: a 64-node
+# Gauss-Legendre rule on [0, pi/2], whose half-width pi/4 cancels the 4/pi.
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
+_MP_THETA = (math.pi / 4.0) * (_GL_X + 1.0)
+_MP_NODES = 4.0 * np.sin(_MP_THETA) ** 2
+_MP_WEIGHTS = _GL_W * np.cos(_MP_THETA) ** 2
+
 
 @dataclass(frozen=True)
 class Density1D:
     """A spectral density: point masses plus an optional continuous part.
 
-    kind is one of "marchenko_pastur" (closed form on [0, 4]), "dirac",
+    kind is one of "marchenko_pastur" (closed form on [0, 4], integrated on a
+    fixed 64-node Gauss-Legendre rule in theta, t = 4 sin^2(theta), with a
+    closed-form Stieltjes transform), "dirac",
     "d_squared" (the relu mask spectrum, half mass at 0 and at 1), "grid"
     (samples (grid_x, grid_rho) on an ascending grid, integrated by
     trapezoid), or "quadrature" (nodes quad_x with precomputed weights
@@ -86,42 +97,28 @@ class Density1D:
             hi = max(hi, float(self.quad_x.max()))
         return lo, hi
 
-    def integrate(self, f, sharp_at: float | None = None) -> float:
-        """Integral of f against the density (atoms included). sharp_at marks
-        a location where f varies on a scale the adaptive rule would miss
-        (the Poisson peak when probing G just off the support)."""
+    def integrate(self, f) -> float | complex:
+        """Integral of f against the density (atoms included); f takes an
+        array of nodes and may be complex-valued."""
         total = sum(mass * f(pos) for pos, mass in self.atoms)
         if self.kind == "marchenko_pastur":
-            # loaded on use: scipy takes longer to import than all of dltl
-            from scipy import integrate
-
-            # substitute t = 4 sin^2(theta): rho dt becomes (4/pi) cos^2 dtheta,
-            # which removes both endpoint singularities
-            points = None
-            if sharp_at is not None and 0.0 < sharp_at < 4.0:
-                points = [math.asin(math.sqrt(sharp_at / 4.0))]
-            with warnings.catch_warnings():
-                # a Poisson probe at eps = 1e-4 is sharper than quad's target
-                # tolerance; the returned value is still good to ~1e-9, which
-                # the inversion tests pin down against closed forms
-                warnings.simplefilter("ignore", integrate.IntegrationWarning)
-                total += integrate.quad(
-                    lambda th: f(4.0 * math.sin(th) ** 2) * (4.0 / math.pi) * math.cos(th) ** 2,
-                    0.0,
-                    math.pi / 2,
-                    limit=400,
-                    points=points,
-                )[0]
+            total += np.sum(_MP_WEIGHTS * f(_MP_NODES))
         elif self.kind == "grid":
             total += _trapz(f(self.grid_x) * self.grid_rho, self.grid_x)
         elif self.kind == "quadrature":
-            total += float(np.sum(self.quad_w * f(self.quad_x)))
+            total += np.sum(self.quad_w * f(self.quad_x))
         return total
 
-    def integrate_complex(self, f, sharp_at: float | None = None) -> complex:
-        re = self.integrate(lambda t: np.real(f(t)), sharp_at=sharp_at)
-        im = self.integrate(lambda t: np.imag(f(t)), sharp_at=sharp_at)
-        return complex(re, im)
+    def stieltjes(self, z) -> float | complex:
+        """G(z) = integral of rho(t) / (z - t), for z off the support."""
+        if self.kind != "marchenko_pastur":
+            return self.integrate(lambda t: 1.0 / (z - t))
+        # 2 / (z + sqrt(z) sqrt(z - 4)) on principal branches: no cancellation
+        # at large |z|, real outside [0, 4] on the axis, Im G < 0 above it
+        w = complex(z)
+        g = 2.0 / (w + cmath.sqrt(w) * cmath.sqrt(w - 4.0))
+        g += sum(mass / (w - pos) for pos, mass in self.atoms)
+        return g if np.iscomplexobj(z) else g.real
 
     def mass(self) -> float:
         return self.integrate(lambda t: np.ones_like(np.asarray(t, dtype=float)))
@@ -173,14 +170,19 @@ class StieltjesTransforms:
     """G, M, S for one density, with explicitly-domained inversions.
 
     G and M accept complex arguments off the support and real arguments
-    outside it. M^{-1} (and through it S) works on the real segment to the
-    right of the support, where M decreases monotonically from its edge
-    value to 0; monotonicity is verified on a coarse sweep before bisecting.
+    outside it. G^{-1} and M^{-1} (and through it S) work on the real segment
+    to the right of the support. There G' = -int rho / (w - t)^2 < 0 when
+    rho >= 0, and M' = -int t rho / (w - t)^2 < 0 when the support also lies
+    in [0, inf): both conditions are checked once, on the density's masses
+    and weights, and an inversion without its condition raises.
     """
 
     def __init__(self, density: Density1D):
         self.density = density
         self._lo, self._hi = density.support
+        weights = [np.array([m for _, m in density.atoms]), density.grid_rho, density.quad_w]
+        nonnegative = all(np.all(w >= 0) for w in weights if w is not None)
+        self._decreasing = {"G": nonnegative, "M": nonnegative and self._lo >= 0}
 
     def _check_off_support(self, z) -> None:
         if np.iscomplexobj(z) and abs(np.imag(z)) > 0:
@@ -189,22 +191,16 @@ class StieltjesTransforms:
         if self._lo - 1e-12 <= x <= self._hi + 1e-12:
             raise ValueError(f"z = {z} lies on the spectral support [{self._lo}, {self._hi}]")
 
-    def _G_raw(self, z):
-        if np.iscomplexobj(z):
-            sharp = float(np.real(z)) if abs(np.imag(z)) < 0.1 else None
-            return self.density.integrate_complex(lambda t: 1.0 / (z - t), sharp_at=sharp)
-        return self.density.integrate(lambda t: 1.0 / (z - t))
-
     def G(self, z) -> complex | float:
         self._check_off_support(z)
-        return self._G_raw(z)
+        return self.density.stieltjes(z)
 
     def M(self, z) -> complex | float:
         return z * self.G(z) - 1.0
 
     def M_inverse(self, y: float) -> float:
         """Solve M(w) = y for real w above the support."""
-        return self._invert_decreasing(lambda w: w * self._G_raw(w) - 1.0, y, name="M")
+        return self._invert_decreasing(lambda w: w * self.density.stieltjes(w) - 1.0, y, name="M")
 
     def S(self, z: float) -> float:
         """S(z) = (1 + z) / (z M^{-1}(z)) on the real segment where M inverts."""
@@ -213,9 +209,11 @@ class StieltjesTransforms:
         return (1.0 + z) / (z * self.M_inverse(z))
 
     def G_inverse(self, y: float) -> float:
-        return self._invert_decreasing(self._G_raw, y, name="G")
+        return self._invert_decreasing(self.density.stieltjes, y, name="G")
 
     def _invert_decreasing(self, func, y: float, name: str) -> float:
+        if not self._decreasing[name]:
+            raise ValueError(f"{name} is not monotone on ({self._hi:g}, inf)")
         scale = max(1.0, abs(self._hi))
         if y <= 0:
             raise ValueError(f"{name}^(-1) needs a positive value, got {y}")
@@ -234,18 +232,14 @@ class StieltjesTransforms:
             if y - f_lo <= 1e-6 * (1.0 + abs(y)):
                 return lo
             raise ValueError(f"{name} = {y} is out of range (edge value {f_lo:g})")
-        hi = self._hi + scale
+        step = scale
         for _ in range(200):
+            hi = self._hi + step
             if func(hi) < y:
                 break
-            hi *= 2.0
+            step *= 2.0
         else:
             raise ValueError(f"{name}^(-1): could not bracket {y}")
-        # monotone sweep at 1e-3 of the bracket before trusting bisection
-        sweep = np.linspace(lo, hi, 1001)
-        vals = np.array([func(w) for w in sweep])
-        if np.any(np.diff(vals) > 1e-12 * (1.0 + np.abs(vals[:-1]))):
-            raise ValueError(f"{name} is not monotone on [{lo:g}, {hi:g}]")
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if func(mid) > y:
@@ -288,8 +282,7 @@ class ParamSpectrum:
 
     @property
     def lambda_max(self) -> float:
-        L = self.depth
-        return float((L + 1) ** (L + 1) / L**L)
+        return product_wishart_lambda_max(self.depth)
 
     def _dlam_dphi(self) -> np.ndarray:
         L = self.depth

@@ -710,3 +710,22 @@ class TestDomainHolesExitOne:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines() == [f"error: {data}: data row 1: squared norm inf is not finite"]
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("label, square", [("nan", "nan"), ("inf", "inf"), ("1e300", "inf")])
+    @pytest.mark.parametrize("argv", [
+        ["align"],
+        ["du-monitor", "--t-max", "0.4"],
+        ["ntk-train", "--weights", "{net}"],
+    ])
+    def test_nonfinite_label_is_rejected_where_it_enters(self, tmp_path, argv, label, square):
+        """A nan label once ran on into rows of nan with exit 0, and a 1e300
+        label overflowed align's residual energy with exit 0."""
+        data = tmp_path / "y.csv"
+        _write_dataset(data, np.array([[0.5, 0.1], [0.1, 0.3]]), np.array([float(label), 0.2]))
+        net = tmp_path / "net.json"
+        _save_net(net, (2, 8, 1), activation="relu", parameterization="ntk", sigma_w2=2.0)
+        proc = self._run(*[tok.format(net=net) for tok in argv], "--data", str(data))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [f"error: {data}: data row 1: squared label {square} is not finite"]
+        assert proc.stdout == ""

@@ -628,7 +628,7 @@ activation_texts = mostly(
 @st.composite
 def datasets(draw, d, max_rows=5, signed=False):
     """("data", x, y): up to max_rows rows of d features, labels in (-1, 1)
-    or signed, and now and then one poisoned entry."""
+    or signed, and now and then one poisoned entry, a feature or a label."""
     m = draw(st.integers(1, max_rows))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x, y = rng.standard_normal((m, d)), rng.uniform(-0.9, 0.9, m)
@@ -636,7 +636,11 @@ def datasets(draw, d, max_rows=5, signed=False):
         y = np.where(y > 0, 1.0, -1.0)
     poison = draw(mostly(st.none(), st.sampled_from([0.0, 1e300, math.inf, math.nan])))
     if poison is not None:
-        x[draw(st.integers(0, m - 1)), draw(st.integers(0, d - 1))] = poison
+        row, col = draw(st.integers(0, m - 1)), draw(st.integers(-1, d - 1))
+        if col < 0:
+            y[row] = poison
+        else:
+            x[row, col] = poison
     return ("data", x, y)
 
 
@@ -761,10 +765,16 @@ def file_subcommands(draw):
 def test_cli_file_subcommands_exit_cleanly(case, fmt):
     """As above, over generated datasets, weight files and contraction
     specs: every call exits 0, 1 or 2, raises nothing, and warns nothing
-    when it exits 1 or 2."""
+    when it exits 1 or 2. A call that reads a data file holding an inf or
+    nan feature or label never exits 0."""
     argv, files = case
+    poisoned = any(
+        "{" + name + "}" in argv and not (np.isfinite(entry[1]).all() and np.isfinite(entry[2]).all())
+        for name, entry in files.items() if entry[0] == "data"
+    )
     with tempfile.TemporaryDirectory() as root:
         paths = _write_inputs(root, files)
         paths["mc"] = os.path.join(root, "mc")
         argv = [tok.format(**paths) for tok in argv] + ["--format", fmt, "--out", os.path.join(root, "out")]
-        _run_cli(argv)
+        code, _ = _run_cli(argv)
+    assert code != 0 or not poisoned

@@ -69,20 +69,12 @@ class TestMarchenkoPastur:
     def test_support(self):
         assert marchenko_pastur().support == (0.0, 4.0)
 
-    def test_mass_in_fresh_interpreter(self):
-        """Importing spectra loads no scipy; the quadrature loads it on use."""
-        script = (
-            "import sys\n"
-            "from dltl import spectra\n"
-            "assert 'scipy' not in sys.modules\n"
-            "print(spectra.marchenko_pastur().mass())\n"
-            "assert 'scipy.integrate' in sys.modules\n"
-        )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(dltl.__file__)))
-        proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert float(proc.stdout) == pytest.approx(1.0, abs=1e-10)
+    def test_moments_are_catalan_numbers(self):
+        # E t^k = C_k = binom(2k, k) / (k + 1) for the square-Wishart law
+        mp = marchenko_pastur()
+        for k in range(13):
+            catalan = math.comb(2 * k, k) // (k + 1)
+            np.testing.assert_allclose(mp.integrate(lambda t: t**k), catalan, rtol=1e-12)
 
 
 class TestAtomDensities:
@@ -98,7 +90,31 @@ class TestAtomDensities:
         assert {pos for pos, _ in d.atoms} == {0.0, 1.0}
 
 
+def _quad_G(z):
+    """G of the square-Wishart law by adaptive quadrature in t = 4 sin^2(theta),
+    with a breakpoint at the Poisson peak of a near-axis probe."""
+    from scipy import integrate
+
+    z = complex(z)
+    peak = math.asin(math.sqrt(min(max(z.real, 0.0), 4.0) / 4.0))
+    points = [peak] if 0.0 < peak < math.pi / 2 else None
+    parts = [
+        integrate.quad(
+            lambda th: part(1.0 / (z - 4.0 * math.sin(th) ** 2)) * (4.0 / math.pi) * math.cos(th) ** 2,
+            0.0, math.pi / 2, points=points, limit=200, epsabs=1e-13, epsrel=1e-13,
+        )[0]
+        for part in (np.real, np.imag)
+    ]
+    return complex(*parts)
+
+
 class TestStieltjes:
+    @pytest.mark.parametrize("z", [4.5, 5.0, 8.0, 20.0, -0.5, -3.0, 0.5 + 0.01j, 2.0 + 0.01j, 3.9 + 0.01j])
+    def test_closed_form_matches_quadrature(self, z):
+        g = marchenko_pastur().stieltjes(z)
+        assert isinstance(g, complex) == isinstance(z, complex)
+        assert abs(g - _quad_G(z)) <= 1e-12
+
     def test_G_matches_closed_form(self):
         tk = stieltjes_toolkit(marchenko_pastur())
         for z in (4.5, 5.0, 8.0, 20.0):
@@ -130,11 +146,46 @@ class TestStieltjes:
         tk = stieltjes_toolkit(marchenko_pastur())
         np.testing.assert_allclose(tk.S(1.0), 0.5, atol=1e-5)
 
+    def test_S_edge_value_is_exact(self):
+        # the closed-form G keeps M(4 + delta) = 1 - O(sqrt(delta)) exact
+        tk = stieltjes_toolkit(marchenko_pastur())
+        assert abs(tk.S(1.0) - 0.5) <= 1e-12
+
     def test_dirac_transforms(self):
         tk = stieltjes_toolkit(dirac(3.0))
         np.testing.assert_allclose(tk.G(5.0), 1.0 / 2.0, atol=1e-12)
         # S(z) = 1/a for a point mass at a, any z in (0, 1)
         np.testing.assert_allclose(tk.S(0.4), 1.0 / 3.0, atol=1e-9)
+
+
+class TestMonotoneCondition:
+    """G decreases right of the support when the density is nonnegative, and
+    M does when its support also lies in [0, inf); an inversion without its
+    condition raises."""
+
+    def test_negative_atom_mass_rejected(self):
+        tk = stieltjes_toolkit(Density1D(kind="dirac", atoms=((1.0, 1.5), (2.0, -0.5))))
+        with pytest.raises(ValueError, match="G is not monotone"):
+            tk.G_inverse(0.3)
+        with pytest.raises(ValueError, match="M is not monotone"):
+            tk.M_inverse(0.3)
+
+    def test_negative_support_rejects_only_M(self):
+        # G(w) = 1 / (w + 1) decreases, M(w) = -1 / (w + 1) does not
+        tk = stieltjes_toolkit(dirac(-1.0))
+        np.testing.assert_allclose(tk.G_inverse(0.3), 1.0 / 0.3 - 1.0, atol=1e-12)
+        np.testing.assert_allclose(tk.G_inverse(2.0), -0.5, atol=1e-12)
+        with pytest.raises(ValueError, match="M is not monotone"):
+            tk.M_inverse(0.3)
+
+    def test_grid_with_negative_dip_rejected(self):
+        x = np.linspace(0.0, 1.0, 101)
+        rho = np.ones_like(x)
+        rho[50] = -0.1
+        tk = stieltjes_toolkit(grid_density(x, rho))
+        for invert in (tk.G_inverse, tk.M_inverse):
+            with pytest.raises(ValueError, match="is not monotone"):
+                invert(0.5)
 
 
 class TestRTransform:
