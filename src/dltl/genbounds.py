@@ -442,18 +442,24 @@ def gaussian_kl(posterior: GaussianPosterior) -> float:
 
     The exp(-lam*) factor multiplies both the variance sum and the mean
     shift, and the - sum(lam) - d part makes KL vanish exactly when the
-    posterior equals the prior.
+    posterior equals the prior. A posterior variance exp(lam) or a mean
+    shift whose square overflows gives a KL that is not finite, which raises
+    ValueError; a prior precision exp(-lam*) that overflows raises
+    OverflowError.
     """
     shift = posterior.mean - posterior.prior_mean
     lam = posterior.log_var
     lam_star = posterior.prior_log_var
     d = posterior.dim
-    kl = 0.5 * (
-        math.exp(-lam_star) * (float(np.sum(np.exp(lam))) + float(shift @ shift))
-        + d * lam_star
-        - float(np.sum(lam))
-        - d
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        kl = 0.5 * (
+            math.exp(-lam_star) * (float(np.sum(np.exp(lam))) + float(shift @ shift))
+            + d * lam_star
+            - float(np.sum(lam))
+            - d
+        )
+    if not math.isfinite(kl):
+        raise ValueError(f"KL divergence {kl} is not finite: a posterior variance or the mean shift overflows")
     # KL >= 0 analytically; tiny negatives are roundoff from cancellation
     return max(kl, 0.0)
 
@@ -662,8 +668,9 @@ def dziugaite_roy_optimize(
         try:
             loss = surrogate.value(mu, lam)
             _, _, penalty = penalty_parts(mu, lam, lam_star)
-        except OverflowError:
-            # exp(-lam*) can leave float range during line search probes
+        except (OverflowError, ValueError):
+            # exp(lam) or exp(-lam*) can leave float range during line search
+            # probes, where gaussian_kl raises
             return math.inf
         return loss + penalty
 

@@ -127,15 +127,16 @@ class KernelRecursionState:
 
     def ntk_value(self) -> float:
         """Theta_0(x, x') assembled from the recursion."""
-        return _theta(self.q12, self.chi)
+        return float(_theta(self.q12, self.chi))
 
     def nngp_value(self) -> float:
         """q_{L+1}(x, x'), the NNGP covariance of the outputs."""
         return float(self.q12[-1])
 
 
-def _theta(q12, chi) -> float:
-    """sum_l q_l(x, x') prod_{l'>=l} chi_l'(x, x'), multiplied left to right.
+def _theta(q12, chi):
+    """sum_l q_l(x, x') prod_{l'>=l} chi_l'(x, x'), multiplied left to right;
+    elementwise when q12 and chi hold arrays of pairs.
 
     math.prod starts from 1 and multiplies in order, which is what np.prod
     does on these short sequences, at a fraction of the call cost.
@@ -150,75 +151,71 @@ def _theta(q12, chi) -> float:
 #
 # The recursion needs E phi(u) phi(v) and E phi'(u) phi'(v) for a centered
 # gaussian pair. Smooth activations take meanfield's correlation maps, which
-# use the tensor Gauss-Hermite rule; for the piecewise-linear kinds that rule
-# stalls near 1e-3 (the integrand kinks along two lines through the origin),
-# so those are integrated in polar coordinates instead: the radial factor is
-# a gamma integral, and on each angular arc where both factors are single
-# pieces the integrand is a smooth trig expression handled by Gauss-Legendre
-# exactly.
+# use the tensor Gauss-Hermite rule, pair by pair; for the piecewise-linear
+# kinds that rule stalls near 1e-3 (the integrand kinks along two lines
+# through the origin), so those are integrated in polar coordinates instead:
+# the radial factor is a gamma integral, and on each angular arc where both
+# factors are single pieces the integrand is a smooth trig expression handled
+# by Gauss-Legendre exactly.
 #
-# The rule runs once per pair and layer, so its cost is numpy call overhead:
-# the non-empty arcs (at most four) are evaluated as one (k, 32) array, and
-# each arc's weighted sum is taken by np.matmul on a (1, 32) @ (32, 1) stack,
-# the same dot product as _GL_WEIGHTS @ row (a single gemv, rows @ weights,
-# rounds some sums differently in the last bit). The arcs' contributions are
-# then accumulated one by one in their fixed quadrant order.
+# The polar rule runs on whole arrays: the four sign-quadrant arcs of every
+# pair form one (pairs, 4, 32) array of nodes. Each arc's weighted sum is
+# taken by np.matmul on a (1, 32) @ (32, 1) stack, one dot product per arc (a
+# gemv, rows @ weights, rounds some sums differently in the last bit), and
+# the arcs are accumulated one by one in their fixed quadrant order, an empty
+# arc adding 0.0, so a pair's value does not depend on the pairs beside it.
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _GL_WEIGHT_COLUMN = _GL_WEIGHTS[:, None]
+# Arc centers of u > 0 or u < 0, and of v > 0 or v < 0 before the shift by
+# -d, for the sign quadrants (+, +), (+, -), (-, +), (-, -) in this order.
+_ARC_U = np.array([0.0, 0.0, math.pi, math.pi])
+_ARC_V = np.array([math.pi / 2, 3 * math.pi / 2, math.pi / 2, 3 * math.pi / 2])
+# Pairs go through the recursion in chunks whose node arrays and layer-1 row
+# copies stay near this many bytes each.
+_CHUNK_BYTES = 256 * 1024
 
 
-def _half_plane_arc(center1: float, center2: float) -> tuple[float, float]:
-    """Intersection of two half-circle arcs given by their center angles.
-
-    Each half-plane {w : w . e(c) > 0} cuts the unit circle in the arc
-    (c - pi/2, c + pi/2); two such arcs always intersect in a single arc.
-    """
-    d = math.remainder(center2 - center1, 2 * math.pi)
-    lo = max(-math.pi / 2, d - math.pi / 2)
-    hi = min(math.pi / 2, d + math.pi / 2)
-    return center1 + lo, center1 + hi
-
-
-def _polar_pair_moments(c: float, q11: float, q22: float, slopes: tuple[float, float]) -> tuple[float, float]:
-    """(E phi(u) phi(v), E phi'(u) phi'(v)) for piecewise-linear phi.
+def _polar_moments(c: np.ndarray, q11: np.ndarray, q22: np.ndarray, slopes: tuple[float, float]):
+    """(E phi(u) phi(v), E phi'(u) phi'(v)) for piecewise-linear phi, on 1-D arrays.
 
     With u = sqrt(q11) r cos(a), v = sqrt(q22) r sin(a + d) where
     sin(d) = c, the radial integral is exact and each sign quadrant
-    contributes its slopes times an arc integral of cos(a) sin(a + d).
+    contributes its slopes times an arc integral of cos(a) sin(a + d), over
+    the intersection of two half-circle arcs of half-width pi/2.
     """
-    c = min(1.0, max(-1.0, c))
-    d = math.asin(c)
-    # u > 0 on the arc centered at 0; v > 0 on the arc centered at pi/2 - d.
-    centers_u = {1.0: 0.0, -1.0: math.pi}
-    centers_v = {1.0: math.pi / 2 - d, -1.0: 3 * math.pi / 2 - d}
-    m_deriv = 0.0
-    weights, halves, mids = [], [], []
-    for su, slope_u in ((1.0, slopes[0]), (-1.0, slopes[1])):
-        for sv, slope_v in ((1.0, slopes[0]), (-1.0, slopes[1])):
-            lo, hi = _half_plane_arc(centers_u[su], centers_v[sv])
-            if hi <= lo:
-                continue
-            m_deriv += slope_u * slope_v * (hi - lo) / (2 * math.pi)
-            weights.append(slope_u * slope_v)
-            halves.append(0.5 * (hi - lo))
-            mids.append(0.5 * (hi + lo))
-    a = np.array(mids)[:, None] + np.array(halves)[:, None] * _GL_NODES
-    sums = np.matmul((np.cos(a) * np.sin(a + d))[:, None, :], _GL_WEIGHT_COLUMN).ravel().tolist()
-    m_phi = 0.0
-    for weight, half, s in zip(weights, halves, sums):
-        m_phi += weight * (half * s) / math.pi
-    return math.sqrt(q11 * q22) * m_phi, m_deriv
+    # libm's asin per element: np.arcsin's vector loop need not round alike
+    d = np.array([math.asin(v) for v in c.tolist()])[:, None]
+    # the v arc's center relative to the u arc's lies in [-pi, 2 pi]; into
+    # [-pi, pi] as math.remainder puts it, where x - 2 pi is exact (Sterbenz)
+    delta = (_ARC_V - d) - _ARC_U
+    delta = np.where(delta > math.pi, delta - 2 * math.pi, delta)
+    lo = _ARC_U + np.maximum(-math.pi / 2, delta - math.pi / 2)
+    hi = _ARC_U + np.minimum(math.pi / 2, delta + math.pi / 2)
+    weight = np.outer(slopes, slopes).ravel()
+    half = 0.5 * (hi - lo)
+    a = (0.5 * (hi + lo))[..., None] + half[..., None] * _GL_NODES
+    sums = np.matmul((np.cos(a) * np.sin(a + d[..., None]))[..., None, :], _GL_WEIGHT_COLUMN)[..., 0, 0]
+    m_phi = m_deriv = 0.0
+    for k in range(len(weight)):
+        arc = hi[:, k] > lo[:, k]
+        m_phi = m_phi + np.where(arc, weight[k] * (half[:, k] * sums[:, k]) / math.pi, 0.0)
+        m_deriv = m_deriv + np.where(arc, weight[k] * (hi[:, k] - lo[:, k]) / (2 * math.pi), 0.0)
+    return np.sqrt(q11 * q22) * m_phi, m_deriv
 
 
-def _pair_moments(
-    c: float, q11: float, q22: float, sigma_w2: float, act: Activation, nodes: int
-) -> tuple[float, float]:
-    """(sigma_w^2 E phi phi, sigma_w^2 E phi' phi') for one gaussian pair."""
+def _pair_moments(c, q11, q22, sigma_w2: float, act: Activation, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma_w^2 E phi phi, sigma_w^2 E phi' phi') for gaussian pairs,
+    elementwise over same-shape c, q11 and q22."""
+    shape = np.shape(c)
+    c, q11, q22 = (np.asarray(v, dtype=float).ravel() for v in (c, q11, q22))
     if act.slopes is not None:
-        m_phi, m_deriv = _polar_pair_moments(c, q11, q22, act.slopes)
-        return sigma_w2 * m_phi, sigma_w2 * m_deriv
-    return corr_map(c, q11, q22, sigma_w2, act, nodes), chi_map(c, q11, q22, sigma_w2, act, nodes)
+        m_phi, m_deriv = (sigma_w2 * m for m in _polar_moments(c, q11, q22, act.slopes))
+    else:
+        pairs = list(zip(c.tolist(), q11.tolist(), q22.tolist()))
+        m_phi = np.array([corr_map(*p, sigma_w2, act, nodes) for p in pairs], dtype=float)
+        m_deriv = np.array([chi_map(*p, sigma_w2, act, nodes) for p in pairs], dtype=float)
+    return m_phi.reshape(shape), m_deriv.reshape(shape)
 
 
 def nngp_recursion(
@@ -229,7 +226,8 @@ def nngp_recursion(
     q_1 = (sigma_w^2 / n_0) x^T x', then
     q_{l+1} = sigma_w^2 E phi(u) phi(v) and chi_l = sigma_w^2 E phi'(u) phi'(v)
     with (u, v) ~ N(0, Sigma_l). Diagonal entries advance through
-    meanfield.length_map so q_l(x, x) matches its iterates exactly.
+    meanfield.length_map so q_l(x, x) matches its iterates exactly. The
+    grams run the same recursion on arrays of pairs.
     """
     x = np.asarray(x, dtype=float).ravel()
     xp = np.asarray(x_prime, dtype=float).ravel()
@@ -238,41 +236,38 @@ def nngp_recursion(
     n0 = config.widths[0]
     if x.size != n0:
         raise ValueError(f"inputs have dimension {x.size}, config expects {n0}")
-    q11 = _diagonal(x, config, nodes)
-    q22 = _diagonal(xp, config, nodes)
-    q12, chi = _cross(config.sigma_w2 / n0 * float(x @ xp), q11, q22, config, nodes)
-    return KernelRecursionState(q11=np.array(q11), q12=np.array(q12), q22=np.array(q22), chi=np.array(chi))
+    q11, q22 = _diagonals(x[None], config, nodes), _diagonals(xp[None], config, nodes)
+    q12, chi = _recursion(x[None], xp[None], q11, q22, config, nodes)
+    return KernelRecursionState(q11=q11[:, 0], q12=q12[:, 0], q22=q22[:, 0], chi=chi[:, 0])
 
 
-def _diagonal(x: np.ndarray, config: NetConfig, nodes: int) -> list[float]:
-    """q_1..q_{L+1}(x, x) for one contiguous input vector."""
-    sw2 = config.sigma_w2
-    with np.errstate(over="ignore"):  # an overflow fails length_map's check
-        q = [sw2 / config.widths[0] * float(x @ x)]
-    for _ in range(config.depth):
-        q.append(length_map(q[-1], sw2, config.activation, nodes=nodes).q_next)
+def _diagonals(rows: np.ndarray, config: NetConfig, nodes: int) -> np.ndarray:
+    """q_1..q_{L+1}(x, x) for each contiguous row x, one column per row."""
+    q = np.empty((config.depth + 1, len(rows)))
+    for k, x in enumerate(rows):
+        with np.errstate(over="ignore"):  # an overflow fails length_map's check
+            q[0, k] = config.sigma_w2 / config.widths[0] * float(x @ x)
+        for l in range(config.depth):
+            q[l + 1, k] = length_map(float(q[l, k]), config.sigma_w2, config.activation, nodes=nodes).q_next
     return q
 
 
-def _cross(
-    q12_first: float, q11: list[float], q22: list[float], config: NetConfig, nodes: int
-) -> tuple[list[float], list[float]]:
-    """q_1..q_{L+1}(x, x') and chi_1..chi_L(x, x') from q_1(x, x') and the
-    two inputs' diagonal sequences, checking every layer's cross covariance
-    against the Cauchy-Schwarz bound."""
-    sw2, act, depth = config.sigma_w2, config.activation, config.depth
-    q12, chi = [q12_first], []
+def _recursion(rows_a, rows_b, q11, q22, config: NetConfig, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """q_1..q_{L+1}(x, x') and chi_1..chi_L(x, x'), a column per row pair
+    (rows_a[p], rows_b[p]), from the pairs' diagonal sequences q11 and q22,
+    checking every layer's cross covariance against the Cauchy-Schwarz bound."""
+    depth, (pairs, n0) = config.depth, rows_a.shape
+    q12, chi = np.empty((depth + 1, pairs)), np.empty((depth, pairs))
+    # one BLAS dot per pair, as 1-D x @ x' is; a gemm or einsum rounds otherwise
+    q12[0] = config.sigma_w2 / n0 * np.matmul(rows_a[:, None, :], rows_b[:, :, None])[:, 0, 0]
     for l in range(depth + 1):
-        denom = math.sqrt(q11[l] * q22[l])
-        if abs(q12[l]) > denom + 1e-10:
+        denom = np.sqrt(q11[l] * q22[l])
+        if np.any(np.abs(q12[l]) > denom + 1e-10):
             raise ValueError("cross covariance exceeds the Cauchy-Schwarz bound")
         if l == depth:
             break
-        c = q12[l] / denom if denom > 0 else 0.0
-        c = min(1.0, max(-1.0, c))
-        q_cross, chi_l = _pair_moments(c, q11[l], q22[l], sw2, act, nodes)
-        q12.append(q_cross)
-        chi.append(chi_l)
+        c = np.clip(np.where(denom > 0, q12[l] / np.where(denom > 0, denom, 1.0), 0.0), -1.0, 1.0)
+        q12[l + 1], chi[l] = _pair_moments(c, q11[l], q22[l], config.sigma_w2, config.activation, nodes)
     return q12, chi
 
 
@@ -291,24 +286,27 @@ def _pair_kernels(
     """(Theta_0, q_{L+1}) between the columns of x_a and those of x_b.
 
     x_b = None gives the grams of x_a, computed on i <= j and mirrored.
-    Every entry equals nngp_recursion on the same pair, bit for bit; each
-    column's diagonal sequence is computed once. Columns are copied to
-    contiguous rows first, because a dot product over a strided view can
-    round differently from nngp_recursion's dot over raveled inputs.
+    All pairs run through one recursion, whole arrays per layer, in chunks
+    of _CHUNK_BYTES; every entry equals nngp_recursion on the same pair,
+    bit for bit. Columns are copied to contiguous rows first, because a dot
+    product over a strided view can round differently from
+    nngp_recursion's dot over raveled inputs.
     """
     n0 = config.widths[0]
     rows_a = np.ascontiguousarray(_as_columns(x_a, n0).T)
     rows_b = rows_a if x_b is None else np.ascontiguousarray(_as_columns(x_b, n0).T)
-    diag_a = [_diagonal(r, config, nodes) for r in rows_a]
-    diag_b = diag_a if x_b is None else [_diagonal(r, config, nodes) for r in rows_b]
-    scale = config.sigma_w2 / n0
-    theta = np.empty((len(rows_a), len(rows_b)))
+    diag_a = _diagonals(rows_a, config, nodes)
+    diag_b = diag_a if x_b is None else _diagonals(rows_b, config, nodes)
+    shape = (len(rows_a), len(rows_b))
+    pair_i, pair_j = np.triu_indices(shape[0]) if x_b is None else np.indices(shape).reshape(2, -1)
+    theta = np.empty(shape)
     nngp = np.empty_like(theta)
-    for i in range(len(rows_a)):
-        for j in range(i if x_b is None else 0, len(rows_b)):
-            q12, chi = _cross(scale * float(rows_a[i] @ rows_b[j]), diag_a[i], diag_b[j], config, nodes)
-            theta[i, j] = _theta(q12, chi)
-            nngp[i, j] = q12[-1]
+    step = max(1, _CHUNK_BYTES // (8 * max(n0, _ARC_U.size * _GL_NODES.size)))
+    for start in range(0, pair_i.size, step):
+        i, j = pair_i[start : start + step], pair_j[start : start + step]
+        q12, chi = _recursion(rows_a[i], rows_b[j], diag_a[:, i], diag_b[:, j], config, nodes)
+        theta[i, j] = _theta(q12, chi)
+        nngp[i, j] = q12[-1]
     if x_b is None:
         lower = np.tril_indices_from(theta, -1)
         theta[lower] = theta.T[lower]
@@ -413,7 +411,9 @@ class LinearizedSolution:
     eigendecomposition, f0_train the initial outputs, y the labels, eta the
     learning rate, and m the train size appearing in exp(-eta Theta t / m).
     nngp_train is the train-set q_{L+1} gram of a limit-kernel solution
-    (None for the empirical kernel).
+    (None for the empirical kernel). weights holds read-only views of the
+    arrays passed to linearize, not copies: writing into those arrays
+    afterwards changes the solution's f_0.
     """
 
     gram: KernelGram
@@ -505,7 +505,7 @@ def linearize(
         eta=eta,
         m=m,
         config=config,
-        weights=[w.copy() for w in weights],
+        weights=[np.broadcast_to(w, np.shape(w)) for w in weights],  # read-only views
         x_train=x_train.copy(),
         kernel=kernel,
         nodes=nodes,

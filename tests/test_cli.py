@@ -683,6 +683,23 @@ class TestDomainHolesExitOne:
         assert len(lines) == 1 and message in lines[0]
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("sigma", ["1e200", "1e308"])
+    def test_pacbayes_kl_out_of_float_range(self, tmp_path, sigma):
+        """A posterior scale whose variance leaves float range once printed
+        numpy's overflow warnings and then blamed a nan bound; the KL now
+        names itself."""
+        data, net = tmp_path / "d.csv", tmp_path / "net.json"
+        _write_dataset(data, np.array([[0.5], [1.0], [-0.3]]), np.array([1.0, -1.0, 1.0]))
+        _save_net(net, (1, 1), activation="linear")
+        proc = self._run("bounds", "--weights", str(net), "--data", str(data), "--family", "pacbayes",
+                         f"--sigma={sigma}", "--replicates", "10")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            "error: KL divergence nan is not finite: a posterior variance or the mean shift overflows"
+        ]
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("sigma_w2", ["inf", "nan"])
     def test_ntk_kernel_nonfinite_sigma(self, dataset, sigma_w2):
         """Once reported as "q must be finite" from inside the recursion."""

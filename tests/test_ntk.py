@@ -241,6 +241,18 @@ class TestLinearizedTraining:
         _, cov = ntk.bayes_posterior(None, x, y, xq, config)
         assert float(np.max(np.abs(pred.gp_cov - cov))) > 1e-3
 
+    def test_keeps_read_only_views_of_the_weights(self):
+        """The solution shares the caller's weight memory instead of copying
+        it, and cannot write into it; the caller's arrays stay writeable."""
+        for kernel in ("limiting", "empirical", "last_layer"):
+            _, weights, _, _, sol = self._setup(kernel=kernel)
+            for kept, given in zip(sol.weights, weights, strict=True):
+                assert np.shares_memory(kept, given)
+                assert not kept.flags.writeable
+                assert given.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    kept[0, 0] = 1.0
+
     def test_multi_output_interpolation(self):
         config = _relu_config((3, 8, 2))
         weights = init_weights(config, seed=15)

@@ -455,6 +455,18 @@ def test_smooth_pair_moments_are_the_correlation_maps(c, q11, q22, sigma_w2):
 # -- pair kernels: the gram path against the per-pair recursion, bit for bit -----
 
 
+def _half_plane_arc(center1, center2):
+    """Intersection of two half-circle arcs given by their center angles.
+
+    Each half-plane {w : w . e(c) > 0} cuts the unit circle in the arc
+    (c - pi/2, c + pi/2); two such arcs always intersect in a single arc.
+    """
+    d = math.remainder(center2 - center1, 2 * math.pi)
+    lo = max(-math.pi / 2, d - math.pi / 2)
+    hi = min(math.pi / 2, d + math.pi / 2)
+    return center1 + lo, center1 + hi
+
+
 def _reference_polar_moments(c, q11, q22, slopes):
     """The polar rule arc by arc, one Gauss-Legendre dot product per arc."""
     c = min(1.0, max(-1.0, c))
@@ -464,7 +476,7 @@ def _reference_polar_moments(c, q11, q22, slopes):
     m_phi = m_deriv = 0.0
     for su, slope_u in ((1.0, slopes[0]), (-1.0, slopes[1])):
         for sv, slope_v in ((1.0, slopes[0]), (-1.0, slopes[1])):
-            lo, hi = ntk._half_plane_arc(centers_u[su], centers_v[sv])
+            lo, hi = _half_plane_arc(centers_u[su], centers_v[sv])
             if hi <= lo:
                 continue
             m_deriv += slope_u * slope_v * (hi - lo) / (2 * math.pi)
@@ -533,11 +545,41 @@ def test_pair_kernels_check_cauchy_schwarz(monkeypatch):
     recursion state does."""
     config = NetConfig(widths=(3, 8, 8, 1), activation="relu", parameterization="ntk", sigma_w2=2.0)
     x = np.random.default_rng(3).standard_normal((3, 4))
-    monkeypatch.setattr(ntk, "_pair_moments", lambda c, q11, q22, *args: (2.0 * math.sqrt(q11 * q22) + 1.0, 1.0))
+    monkeypatch.setattr(ntk, "_pair_moments", lambda c, q11, q22, *args: (2.0 * np.sqrt(q11 * q22) + 1.0, 1.0))
     with pytest.raises(ValueError, match="Cauchy-Schwarz"):
         ntk._pair_kernels(x, None, config, meanfield.GH_NODES)
     with pytest.raises(ValueError, match="Cauchy-Schwarz"):
         ntk._pair_kernels(x, x[:, :2], config, meanfield.GH_NODES)
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    data=st.data(),
+    act=activations,
+    n0=st.sampled_from([3, 48, 5000]),
+    m=st.integers(40, 48),
+)
+def test_pair_kernels_equal_reference_across_chunks(data, act, n0, m):
+    """The gram path runs its pairs in chunks of a fixed byte budget; grams
+    with more pairs than one chunk holds, square and cross, with an exactly
+    collinear pair, still equal the reference loop entry by entry."""
+    config = NetConfig(widths=(n0, 8, 8, 1), activation=act, parameterization="ntk", sigma_w2=1.5)
+    x_a = _columns(data.draw, n0, m)
+    x_a[:, -1] = x_a[:, 0]  # c = 1
+    x_b = _columns(data.draw, n0, 7)
+    x_b[:, 3] = x_a[:, 5]
+    chunk_pairs = ntk._CHUNK_BYTES // (8 * max(n0, 4 * 32))
+    assert m * (m + 1) // 2 > chunk_pairs and 7 * m > chunk_pairs
+    for left, right, pairs in (
+        (x_a, None, [(i, j) for i in range(m) for j in range(i, m)]),
+        (x_b, x_a, [(i, j) for i in range(7) for j in range(m)]),
+    ):
+        theta, nngp = ntk._pair_kernels(left, right, config, meanfield.GH_NODES)
+        cols = x_a if right is None else right
+        for i, j in pairs:
+            want = _reference_pair(np.ascontiguousarray(left[:, i]), np.ascontiguousarray(cols[:, j]), config)
+            assert theta[i, j] == want[0]
+            assert nngp[i, j] == want[1]
 
 
 # -- CLI fuzz -------------------------------------------------------------------
