@@ -655,13 +655,18 @@ def _run_bounds(cfg: ExperimentConfig) -> Emission:
         sigma = cfg.params["sigma"]
         if sigma <= 0:
             raise ValueError(f"posterior scale sigma = {sigma} must be positive")
+        log_var = 2.0 * math.log(sigma)
+        try:
+            math.exp(-log_var)  # the prior precision 1/sigma^2 that gaussian_kl scales by
+        except OverflowError:
+            raise ValueError(f"posterior scale --sigma {sigma!r} is too small: 1/sigma^2 overflows") from None
         theta = np.concatenate([w.ravel() for w in weights])
         shapes = [w.shape for w in weights]
         posterior = genbounds.GaussianPosterior(
             mean=theta,
-            log_var=np.full(theta.size, 2.0 * math.log(sigma)),
+            log_var=np.full(theta.size, log_var),
             prior_mean=np.zeros(theta.size),
-            prior_log_var=2.0 * math.log(sigma),
+            prior_log_var=log_var,
         )
 
         def zero_one_risk(sample: np.ndarray) -> float:

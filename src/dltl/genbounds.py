@@ -79,10 +79,6 @@ class MarginStats:
         if not 0.0 <= self.ramp_risk <= 1.0:
             raise ValueError(f"ramp risk {self.ramp_risk} outside [0, 1]")
 
-    @property
-    def n_examples(self) -> int:
-        return self.margins.size
-
 
 @dataclass(frozen=True)
 class NormProfile:

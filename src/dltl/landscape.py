@@ -122,13 +122,27 @@ def reconstruct_first_layer(
     (guaranteed shapes n_l > n_{l+1}), and an invertible activation.
     """
     _check_reconstruct_shapes(config)
-    x = np.asarray(x, dtype=float)
-    h = np.asarray(h_target, dtype=float)
-    act = config.activation
-    for l in range(config.n_layers - 1, 0, -1):
-        w_eff = config.layer_scale(l) * weights[l]
-        h = act.inverse(right_inverse(w_eff, name=f"W_{l}") @ h)
-    return (h @ left_inverse(x, name="X")) / config.layer_scale(0)
+    x_left = left_inverse(np.asarray(x, dtype=float), name="X")
+    return _first_layer_solver(config, weights, x_left)(h_target)
+
+
+def _first_layer_solver(config: NetConfig, weights, x_left: np.ndarray):
+    """h -> W_0 of reconstruct_first_layer for fixed upper weights
+    weights[1:] and x_left = left_inverse(X). The right inverses of the
+    scaled upper weights are computed, and rank-checked, once per solver."""
+    act, c0 = config.activation, config.layer_scale(0)
+    pullbacks = [
+        right_inverse(config.layer_scale(l) * weights[l], name=f"W_{l}")
+        for l in range(config.n_layers - 1, 0, -1)
+    ]
+
+    def solve(h_target) -> np.ndarray:
+        h = np.asarray(h_target, dtype=float)
+        for pullback in pullbacks:
+            h = act.inverse(pullback @ h)
+        return (h @ x_left) / c0
+
+    return solve
 
 
 @dataclass(frozen=True)
@@ -253,14 +267,8 @@ def constant_loss_path(
         a.shape == b.shape and np.array_equal(a, b) for a, b in zip(weights_a, weights_b)
     ):
         l0 = loss_fn(forward(config, weights_a, x).h[-1], y)
-        seg = PathSegment(
-            name="point",
-            t=np.array([0.0]),
-            losses=np.array([l0]),
-            weights=(tuple(np.array(w) for w in weights_a),),
-            start_loss=l0,
-        )
-        return PathTrace(segments=(seg,), meeting_loss=l0)
+        point = _segment(config, x, y, loss_fn, "point", [weights_a], l0)
+        return PathTrace(segments=(point,), meeting_loss=l0)
 
     wa, repair_a = _repair_full_rank(config, weights_a, x, y, loss_fn, rng)
     wb, repair_b = _repair_full_rank(config, weights_b, x, y, loss_fn, rng)
@@ -282,51 +290,30 @@ def constant_loss_path(
             raise RuntimeError("could not drive the loss below epsilon by scaling outputs")
 
     ts = np.linspace(0.0, 1.0, grid_points)
-    segments = []
+    # X and each distinct upper stack are factorized once; _segment copies
+    # every weight it keeps, so the stacks below may share arrays
+    x_left = left_inverse(x, name="X")
+    solve_a, solve_b = (_first_layer_solver(config, ws, x_left) for ws in (wa, wb))
 
-    def first_layer_leg(ws, out):
-        w0_hat = reconstruct_first_layer(config, ws, x, out)
-        return [[(1.0 - t) * ws[0] + t * w0_hat] + [w.copy() for w in ws[1:]] for t in ts]
+    def first_layer_leg(ws, solve, out):
+        w0_hat = solve(out)
+        return [[(1.0 - t) * ws[0] + t * w0_hat] + ws[1:] for t in ts]
 
-    def output_leg(uppers, out_from):
-        stacks = []
-        for t in ts:
-            h_t = (1.0 - t) * out_from + t * h_tilde
-            w0 = reconstruct_first_layer(config, [None] + uppers, x, h_t)
-            stacks.append([w0] + [w.copy() for w in uppers])
-        return stacks
+    def output_leg(out_from):
+        return [[solve_b((1.0 - t) * out_from + t * h_tilde)] + wb[1:] for t in ts]
 
-    # A side: first layer onto reconstructed form, uppers over to B, output to target
-    segments.append(
-        _segment(config, x, y, loss_fn, "first_layer_a", first_layer_leg(wa, out_a), loss_a)
-    )
     upper_stacks = _upper_waypoints(wa[1:], wb[1:], grid_points, rng)
-    carried = [
-        [reconstruct_first_layer(config, [None] + uppers, x, out_a)] + list(uppers)
-        for uppers in upper_stacks
-    ]
-    segments.append(_segment(config, x, y, loss_fn, "upper_a", carried, loss_a))
-    segments.append(
-        _segment(config, x, y, loss_fn, "output_a", output_leg(wb[1:], out_a), loss_a)
+    carried = [[_first_layer_solver(config, [None] + ups, x_left)(out_a)] + ups for ups in upper_stacks]
+    # A side: first layer onto reconstructed form, uppers over to B, output to
+    # target; then the B side, built from B and reversed into path order
+    legs = (
+        ("first_layer_a", first_layer_leg(wa, solve_a, out_a), loss_a, False),
+        ("upper_a", carried, loss_a, False),
+        ("output_a", output_leg(out_a), loss_a, False),
+        ("output_b", output_leg(out_b), loss_b, True),
+        ("first_layer_b", first_layer_leg(wb, solve_b, out_b), loss_b, True),
     )
-    # B side, built from B and reversed into path order
-    segments.append(
-        _segment(
-            config, x, y, loss_fn, "output_b", output_leg(wb[1:], out_b), loss_b, reverse=True
-        )
-    )
-    segments.append(
-        _segment(
-            config,
-            x,
-            y,
-            loss_fn,
-            "first_layer_b",
-            first_layer_leg(wb, out_b),
-            loss_b,
-            reverse=True,
-        )
-    )
+    segments = [_segment(config, x, y, loss_fn, *leg) for leg in legs]
 
     meeting_loss = float(segments[2].losses[-1])
     trace = PathTrace(

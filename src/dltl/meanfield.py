@@ -290,6 +290,11 @@ def length_fixed_point(
     kappa = 1 (e.g. relu at sigma_w^2 = 2) leaves every q fixed; that case
     returns q0 with marginal=True rather than inventing a unique answer.
 
+    For tanh at sigma_w^2 < 1, tanh(u)^2 < u^2 gives V(q) < sigma_w^2 q < q,
+    so q* = 0 exactly; it is returned with iterations = 0, as no map is
+    evaluated. sigma_w^2 = 1 is iterated, so that edge_of_chaos, whose default
+    bracket starts at lo = 1, bisects instead of returning lo outright.
+
     Plain iteration stalls harmonically where the map's slope at the fixed
     point is 1 (tanh at sigma_w^2 = 1); once plain steps have had a fair run,
     a Newton polish on V(q) - q with the analytic derivative finishes the job.
@@ -304,6 +309,8 @@ def length_fixed_point(
         kappa = sigma_w2 * _second_moment_unit(act)
         if abs(kappa - 1.0) <= MARGINAL_TOL:
             return FixedPointResult(q_inf=float(q0), iterations=0, marginal=True)
+    elif sigma_w2 < 1.0:
+        return FixedPointResult(q_inf=0.0, iterations=0, marginal=False)
     moments = _length_moments(sigma_w2, act, GH_NODES)
     length_value, isfinite = moments.value, math.isfinite
     q = float(q0)
@@ -379,7 +386,7 @@ def phase_classify(
 
     For homogeneous activations chi_1 does not depend on q, so no fixed point
     needs to exist: q_inf is reported as 0, q0 or inf according to the map's
-    slope. Otherwise the fixed point is iterated and divergence propagates.
+    slope. Otherwise chi_1 is read at length_fixed_point's q_inf.
     """
     if not (tol >= 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")

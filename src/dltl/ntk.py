@@ -436,13 +436,9 @@ class LinearizedSolution:
         if err > 1e-8:
             raise ValueError(f"eigendecomposition misses the gram by {err:.3e}")
 
-    def exp_factor(self, t: float) -> np.ndarray:
-        """E_t = exp(-eta Theta t / m) on the train set."""
-        decay = np.exp(-self.eta * self.eigvals * t / self.m)
-        return (self.eigvecs * decay) @ self.eigvecs.T
-
     def solve_factor(self, t: float) -> np.ndarray:
-        """B_t = Theta^{-1} (I - E_t), evaluated spectrally."""
+        """B_t = Theta^{-1} (I - E_t), E_t = exp(-eta Theta t / m), evaluated
+        spectrally."""
         lam = self.eigvals
         coeff = -np.expm1(-self.eta * lam * t / self.m) / lam
         return (self.eigvecs * coeff) @ self.eigvecs.T

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -306,7 +307,7 @@ def exact_correlation(spec: ContractionSpec, L: int) -> DiagramCount:
     labels = spec.input_labels()
     scalar = spec.scalar_inputs
     diagrams: list[DiagramInfo] = []
-    poly: dict[tuple[int, tuple], int] = {}
+    poly: Counter[tuple[int, tuple]] = Counter()
 
     if spec.m % 2 == 1:
         return DiagramCount(spec=spec, depth=L, diagrams=(), terms=())
@@ -354,12 +355,14 @@ def exact_correlation(spec: ContractionSpec, L: int) -> DiagramCount:
             itertools.product(first, *matchings[1:]), loops.ravel().tolist()
         ):
             diagrams.append(DiagramInfo(edges_by_type=(e0, *rest), loops=n_loops, monomial=monomial))
-            key = (L * spec.m // 2 - n_loops, monomial)
-            poly[key] = poly.get(key, 0) + 1
+        # a type-0 matching fixes the monomial: tally its row's loop counts
+        for (_, monomial), row in zip(first, loops.reshape(len(first), -1)):
+            for n_loops, c in enumerate(np.bincount(row).tolist()):
+                poly[L * spec.m // 2 - n_loops, monomial] += c
 
     terms = tuple(
         DiagramTerm(power_of_inv_n=p, coefficient=c, monomial=mono)
-        for (p, mono), c in sorted(poly.items())
+        for (p, mono), c in sorted(poly.items()) if c
     )
     return DiagramCount(spec=spec, depth=L, diagrams=tuple(diagrams), terms=terms)
 

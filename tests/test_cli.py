@@ -584,7 +584,7 @@ class TestFuzzFoundHoles:
         _save_net(net, (4, 6, 1), activation="relu", seed=30)
         argv = ["bounds", "--weights", str(net), "--data", signed_dataset[0], "--family", "pacbayes",
                 "--sigma", "1e-300", "--replicates", "2"]
-        self._exits_one(capsys, argv, "math range error")
+        self._exits_one(capsys, argv, "posterior scale --sigma 1e-300 is too small: 1/sigma^2 overflows")
 
 
 class TestDeterminism:
@@ -698,6 +698,19 @@ class TestDomainHolesExitOne:
         assert proc.stderr.splitlines() == [
             "error: KL divergence nan is not finite: a posterior variance or the mean shift overflows"
         ]
+        assert proc.stdout == ""
+
+    def test_pacbayes_prior_precision_out_of_float_range(self, tmp_path):
+        """A posterior scale whose prior precision 1/sigma^2 leaves float
+        range once exited with "math range error"; the CLI now names the flag."""
+        data, net = tmp_path / "d.csv", tmp_path / "net.json"
+        _write_dataset(data, np.array([[0.5], [1.0], [-0.3]]), np.array([1.0, -1.0, 1.0]))
+        _save_net(net, (1, 1), activation="linear")
+        proc = self._run("bounds", "--weights", str(net), "--data", str(data), "--family", "pacbayes",
+                         "--sigma=1e-200", "--replicates", "10")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert proc.stderr.splitlines() == ["error: posterior scale --sigma 1e-200 is too small: 1/sigma^2 overflows"]
         assert proc.stdout == ""
 
     @pytest.mark.parametrize("sigma_w2", ["inf", "nan"])

@@ -2,8 +2,10 @@
 against single-input backward column by column, and the layer-wise
 empirical tangent gram against an explicit gradient-feature gram. The
 whole-array loops of lindyn, wick and meanfield against the scalar loops
-they replaced, kept here as references; the tanh length-map moments, fixed
-point and edge of chaos against gauss_ev reference loops; the NNGP
+they replaced, kept here as references; the Wick polynomial against the
+tally of its diagrams; landscape's per-leg first-layer solver against
+reconstruct_first_layer; the tanh length-map moments, fixed point and edge
+of chaos against gauss_ev reference loops; the NNGP
 recursion's pair moments against meanfield's correlation maps, and the
 pair-kernel grams against the per-pair recursion. Also a fuzz of the CLI's
 count, list, range and tolerance flags and of every subcommand that reads
@@ -17,13 +19,14 @@ import math
 import os
 import tempfile
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dltl import cli, lindyn, meanfield, ntk, wick
+from dltl import cli, landscape, lindyn, meanfield, ntk, wick
 from dltl.netcore import (
     Activation, NetConfig, backprop, backward, forward, haar_orthogonal, init_weights, save_weights,
 )
@@ -253,6 +256,38 @@ def diagram_specs(draw):
     return wick.ContractionSpec(m=m, contractions=tuple(contractions), inputs=(1.0,) * m), L
 
 
+@st.composite
+def labelled_diagram_specs(draw):
+    """diagram_specs with inputs drawn from a pool of three, so that the
+    diagrams of one spec carry different monomials; vectors at L = 1."""
+    spec, L = draw(diagram_specs())
+    dim = draw(st.sampled_from([1, 3])) if L == 1 else 1
+    pool = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((3, dim))
+    picks = draw(st.lists(st.integers(0, 2), min_size=spec.m, max_size=spec.m))
+    inputs = tuple(pool[i] for i in picks)
+    return wick.ContractionSpec(m=spec.m, contractions=spec.contractions, inputs=inputs), L
+
+
+_VEC_A, _VEC_B = np.array([0.3, -1.0, 0.5]), np.array([1.1, 0.2, -0.4])
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec_depth=labelled_diagram_specs())
+@example(spec_depth=(wick.ContractionSpec(m=8, inputs=(1.2,) * 8), 1))
+@example(spec_depth=(wick.ContractionSpec(m=6, contractions=((1, 2), (3, 4)), inputs=(0.7,) * 6), 2))
+@example(spec_depth=(wick.ContractionSpec(m=6, contractions=((1, 2),), inputs=(_VEC_A, _VEC_B) * 3), 1))
+@example(spec_depth=(wick.ContractionSpec(m=4, inputs=(_VEC_A, _VEC_B, _VEC_A, _VEC_A)), 1))
+def test_diagram_terms_tally_the_diagrams(spec_depth):
+    """The polynomial, counted per type-0 matching, is the per-diagram tally
+    of (L m / 2 - loops, monomial), with int coefficients."""
+    spec, L = spec_depth
+    count = wick.exact_correlation(spec, L)
+    tally = Counter((L * spec.m // 2 - d.loops, d.monomial) for d in count.diagrams)
+    want = tuple(wick.DiagramTerm(p, c, mono) for (p, mono), c in sorted(tally.items()))
+    assert count.terms == want
+    assert all(type(t.coefficient) is int for t in count.terms)
+
+
 @settings(max_examples=40, deadline=None)
 @given(spec_depth=diagram_specs())
 def test_diagram_loops_match_level_union_find(spec_depth):
@@ -264,6 +299,39 @@ def test_diagram_loops_match_level_union_find(spec_depth):
         assert wick.double_line_loops(info.edges_by_type, spec.m, L) == want
 
 
+# -- first-layer reconstruction: one solver per leg against the public call ----
+
+
+@st.composite
+def reconstructible_nets(draw):
+    """Invertible activation, strictly decreasing widths above the first
+    layer, X of full column rank (m <= n_0) and a few target outputs."""
+    uppers = sorted(draw(st.lists(st.integers(1, 8), min_size=1, max_size=4, unique=True)), reverse=True)
+    n0 = draw(st.integers(1, 6))
+    act = draw(st.one_of(st.just("linear"), st.floats(0.05, 0.95).map(lambda a: f"leaky_relu:{a!r}")))
+    config = NetConfig(
+        widths=(n0, *uppers),
+        activation=act,
+        parameterization=draw(st.sampled_from(["ntk", "standard"])),
+        sigma_w2=draw(st.floats(0.5, 2.5)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, n0))
+    targets = rng.standard_normal((draw(st.integers(1, 6)), uppers[-1], m))
+    return config, init_weights(config, seed=int(rng.integers(2**32))), rng.standard_normal((n0, m)), targets
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=reconstructible_nets())
+def test_first_layer_solver_equals_reconstruction(case):
+    """A solver built once for fixed upper weights and X returns, for every
+    target, the W_0 of reconstruct_first_layer bit for bit."""
+    config, weights, x, targets = case
+    solve = landscape._first_layer_solver(config, weights, landscape.left_inverse(x))
+    for h in targets:
+        assert np.array_equal(solve(h), landscape.reconstruct_first_layer(config, weights, x, h))
+
+
 # -- length-map fixed point: hoisted iteration against the public map -----------
 
 
@@ -273,6 +341,9 @@ def test_diagram_loops_match_level_union_find(spec_depth):
     q0=st.floats(0.0, 3.0),
 )
 def test_tanh_fixed_point_matches_iterated_length_map(sigma_w2, q0):
+    """Above the edge, the hoisted iteration is the plain iteration of the
+    public map. Below it, V(q) < sigma_w^2 q < q makes q* = 0 exact and no
+    step is taken; the plain iteration is the oracle that it lands there."""
     act, tol = Activation("tanh"), 1e-10
     q, k = q0, 0
     while True:
@@ -283,7 +354,11 @@ def test_tanh_fixed_point_matches_iterated_length_map(sigma_w2, q0):
         q = q_next
     assert k < 512  # the Newton polish never fires on this range
     got = meanfield.length_fixed_point(sigma_w2, act, q0=q0, tol=tol)
-    assert (got.q_inf, got.iterations, got.marginal) == (q_next, k, False)
+    if sigma_w2 < 1.0:
+        assert abs(q_next) <= 1e-8
+        assert (got.q_inf, got.iterations, got.marginal) == (0.0, 0, False)
+    else:
+        assert (got.q_inf, got.iterations, got.marginal) == (q_next, k, False)
 
 
 # -- tanh length-map moments: the hoisted evaluator against gauss_ev -------------
@@ -314,7 +389,11 @@ def _gauss_length_moments(sigma_w2, nodes=meanfield.GH_NODES):
 
 def _reference_fixed_point(sigma_w2, q0, tol=1e-10, max_iter=10_000):
     """Plain iteration of the gauss_ev length map with the Newton polish on
-    V(q) - q at step 512; (q_inf, iterations), or "diverged"."""
+    V(q) - q at step 512; (q_inf, iterations), or "diverged". Below
+    sigma_w^2 = 1, tanh^2 u < u^2 gives V(q) < q for q > 0, so q* = 0
+    exactly, reached in no steps."""
+    if sigma_w2 < 1.0:
+        return 0.0, 0
     value, slope, _ = _gauss_length_moments(sigma_w2)
 
     def polish(q):
@@ -406,6 +485,7 @@ def test_tanh_length_moments_equal_gauss_ev(q, sigma_w2, nodes):
 )
 @example(sigma_w2=1.0, q0=1.0)      # critical: the polish fires at step 512
 @example(sigma_w2=1.0001, q0=1.0)
+@example(sigma_w2=0.5, q0=0.0)
 def test_tanh_fixed_point_equals_gauss_ev_reference(sigma_w2, q0):
     """length_fixed_point against the gauss_ev loop, Newton polish included,
     so sigma_w^2 near 1 is covered too."""
@@ -414,6 +494,8 @@ def test_tanh_fixed_point_equals_gauss_ev_reference(sigma_w2, q0):
 
 @settings(max_examples=8, deadline=None)
 @given(lo=st.floats(0.5, 1.0), hi=st.floats(1.0, 4.0, exclude_min=True), q0=st.floats(0.1, 5.0))
+@example(lo=1.0, hi=4.0, q0=1.0)    # the default bracket: lo = 1 is iterated
+@example(lo=0.9999999999999999, hi=4.0, q0=1.0)   # lo below 1: chi_1(lo, 0) is within tol of 1
 def test_tanh_edge_of_chaos_equals_gauss_ev_reference(lo, hi, q0):
     try:
         got = meanfield.edge_of_chaos(TANH, lo=lo, hi=hi, q0=q0)
