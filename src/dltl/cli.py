@@ -37,7 +37,7 @@ from . import genbounds, landscape, lindyn, meanfield, ntk, spectra, wick
 from .meanfield import GH_NODES
 from .netcore import Activation, NetConfig, forward, load_weights
 
-__all__ = ["ExperimentConfig", "UsageError", "build_parser", "main"]
+__all__ = ["UsageError", "build_parser", "main"]
 
 
 class UsageError(Exception):
@@ -45,35 +45,6 @@ class UsageError(Exception):
 
 
 MAX_RANGE_POINTS = 100_000  # grid points a lo:hi:step range may expand to
-
-
-_COMMON_KEYS = {"subcommand", "seed", "out", "fmt", "handler"}
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Normalized invocation: subcommand, common flags, module parameters.
-
-    argparse rejects unknown keys before this is built; params holds only
-    the subcommand-specific flags.
-    """
-
-    subcommand: str
-    seed: int
-    out: str | None
-    fmt: str
-    params: dict
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "ExperimentConfig":
-        ns = vars(args)
-        return cls(
-            subcommand=ns["subcommand"],
-            seed=ns["seed"],
-            out=ns.get("out"),
-            fmt=ns["fmt"],
-            params={k: v for k, v in ns.items() if k not in _COMMON_KEYS},
-        )
 
 
 @dataclass(frozen=True)
@@ -221,12 +192,12 @@ def _write_text(path: str | None, text: str) -> None:
         fh.write(text)
 
 
-def _emit(emission: Emission, cfg: ExperimentConfig) -> None:
-    if cfg.fmt == "csv":
+def _emit(emission: Emission, args: argparse.Namespace) -> None:
+    if args.fmt == "csv":
         text = render_csv(emission.header, emission.rows)
     else:
         text = render_json(emission.document)
-    _write_text(cfg.out, text)
+    _write_text(args.out, text)
     for path, text in emission.extra_files:
         _write_text(path, text)
 
@@ -246,25 +217,25 @@ def _unflatten(theta: np.ndarray, shapes: list[tuple[int, int]]) -> list[np.ndar
 # subcommand handlers
 
 
-def _run_phase(cfg: ExperimentConfig) -> Emission:
-    act = Activation.parse(cfg.params["act"])
+def _run_phase(args: argparse.Namespace) -> Emission:
+    act = Activation.parse(args.act)
     header = ("sigma_w2", "q_inf", "chi1", "phase", "marginal")
     rows = []
-    for sigma_w2 in parse_range(cfg.params["sigma_w2"]):
-        p = meanfield.phase_classify(sigma_w2, act, q0=cfg.params["q0"], tol=cfg.params["tol"])
+    for sigma_w2 in parse_range(args.sigma_w2):
+        p = meanfield.phase_classify(sigma_w2, act, q0=args.q0, tol=args.tol)
         rows.append((p.sigma_w2, p.q_inf, p.chi1, p.phase, p.marginal))
-    doc = {"activation": str(act), "q0": cfg.params["q0"], "points": _records(header, rows)}
+    doc = {"activation": str(act), "q0": args.q0, "points": _records(header, rows)}
     return Emission(header, tuple(rows), doc)
 
 
-def _run_lengthmap(cfg: ExperimentConfig) -> Emission:
-    act = Activation.parse(cfg.params["act"])
-    sigma_w2 = cfg.params["sigma_w2"]
-    nodes = cfg.params["nodes"]
-    depth = cfg.params["depth"]
+def _run_lengthmap(args: argparse.Namespace) -> Emission:
+    act = Activation.parse(args.act)
+    sigma_w2 = args.sigma_w2
+    nodes = args.nodes
+    depth = args.depth
     if depth < 1:
         raise ValueError(f"depth {depth} must be >= 1")
-    q = float(cfg.params["q0"])
+    q = float(args.q0)
     rows = [(0, q, meanfield.chi1(sigma_w2, q, act, nodes))]
     for layer in range(1, depth + 1):
         q = meanfield.length_map(q, sigma_w2, act, nodes=nodes).q_next
@@ -274,10 +245,10 @@ def _run_lengthmap(cfg: ExperimentConfig) -> Emission:
     return Emission(header, tuple(rows), doc)
 
 
-def _run_spectrum(cfg: ExperimentConfig) -> Emission:
-    depth = cfg.params["depth"]
-    if cfg.params["analytic"]:
-        spectrum = spectra.product_wishart_spectrum(depth, points=cfg.params["points"])
+def _run_spectrum(args: argparse.Namespace) -> Emission:
+    depth = args.depth
+    if args.analytic:
+        spectrum = spectra.product_wishart_spectrum(depth, points=args.points)
         lam = spectrum.lam[::-1]
         rho = spectrum.rho[::-1]
         rows = tuple(zip(lam.tolist(), rho.tolist()))
@@ -291,26 +262,24 @@ def _run_spectrum(cfg: ExperimentConfig) -> Emission:
         return Emission(("lam", "rho"), rows, doc)
 
     config = NetConfig(
-        widths=(cfg.params["width"],) * (depth + 2),
-        activation=cfg.params["act"],
-        init=cfg.params["init"],
-        sigma_w2=cfg.params["sigma_w2"],
+        widths=(args.width,) * (depth + 2),
+        activation=args.act,
+        init=args.init,
+        sigma_w2=args.sigma_w2,
     )
-    emp = spectra.empirical_spectrum(
-        config, replicates=cfg.params["replicates"], seed=cfg.seed
-    )
-    counts, edges = np.histogram(emp.eigenvalues, bins=cfg.params["bins"], density=True)
+    emp = spectra.empirical_spectrum(config, replicates=args.replicates, seed=args.seed)
+    counts, edges = np.histogram(emp.eigenvalues, bins=args.bins, density=True)
     rows = tuple(
         (edges[i], edges[i + 1], counts[i]) for i in range(counts.size)
     )
     doc = {
         "depth": depth,
-        "width": cfg.params["width"],
-        "activation": cfg.params["act"],
-        "init": cfg.params["init"],
-        "sigma_w2": cfg.params["sigma_w2"],
-        "replicates": cfg.params["replicates"],
-        "seed": cfg.seed,
+        "width": args.width,
+        "activation": args.act,
+        "init": args.init,
+        "sigma_w2": args.sigma_w2,
+        "replicates": args.replicates,
+        "seed": args.seed,
         "bins": [
             {"left": l, "right": r, "density": d} for l, r, d in rows
         ],
@@ -318,12 +287,12 @@ def _run_spectrum(cfg: ExperimentConfig) -> Emission:
     return Emission(("bin_left", "bin_right", "density"), rows, doc)
 
 
-def _run_lindyn(cfg: ExperimentConfig) -> Emission:
-    svals = parse_float_list(cfg.params["svals"])
-    depth = cfg.params["depth"]
-    width = cfg.params["width"] if cfg.params["width"] is not None else len(svals)
-    u0 = cfg.params["u0"]
-    eta = cfg.params["eta"]
+def _run_lindyn(args: argparse.Namespace) -> Emission:
+    svals = parse_float_list(args.svals)
+    depth = args.depth
+    width = args.width if args.width is not None else len(svals)
+    u0 = args.u0
+    eta = args.eta
     if eta is None and svals:
         # near-optimal rate for the slowest mode; uf only enters the arrival
         # time, not the rate, so any valid target works here; an empty list
@@ -335,10 +304,10 @@ def _run_lindyn(cfg: ExperimentConfig) -> Emission:
         depth,
         svals,
         eta,
-        seed=cfg.seed,
+        seed=args.seed,
         u0=u0,
-        tol_loss=cfg.params["tol_loss"],
-        max_steps=cfg.params["max_steps"],
+        tol_loss=args.tol_loss,
+        max_steps=args.max_steps,
     )
     rows = tuple((k, loss) for k, loss in enumerate(run.losses.tolist()))
     doc = {
@@ -350,14 +319,14 @@ def _run_lindyn(cfg: ExperimentConfig) -> Emission:
         "steps_to_tol": run.steps_to_tol,
         "losses": run.losses.tolist(),
         "final_modes": run.u[-1].tolist(),
-        "seed": cfg.seed,
+        "seed": args.seed,
     }
     return Emission(("step", "loss"), rows, doc)
 
 
-def _run_path(cfg: ExperimentConfig) -> Emission:
-    config_a, weights_a = load_weights(cfg.params["weights_a"])
-    config_b, weights_b = load_weights(cfg.params["weights_b"])
+def _run_path(args: argparse.Namespace) -> Emission:
+    config_a, weights_a = load_weights(args.weights_a)
+    config_b, weights_b = load_weights(args.weights_b)
     same = (
         config_a.widths == config_b.widths
         and str(config_a.activation) == str(config_b.activation)
@@ -365,8 +334,8 @@ def _run_path(cfg: ExperimentConfig) -> Emission:
     )
     if not same:
         raise ValueError("the two weight files disagree on the architecture")
-    x, y = read_dataset(cfg.params["data"])
-    if cfg.params["loss"] == "logistic" and not np.all(np.abs(y) == 1.0):
+    x, y = read_dataset(args.data)
+    if args.loss == "logistic" and not np.all(np.abs(y) == 1.0):
         raise ValueError("logistic loss needs labels in {-1, +1}")
     trace = landscape.constant_loss_path(
         config_a,
@@ -374,17 +343,17 @@ def _run_path(cfg: ExperimentConfig) -> Emission:
         weights_b,
         x.T,
         y.reshape(1, -1),
-        loss=cfg.params["loss"],
-        epsilon=cfg.params["epsilon"],
-        grid_points=cfg.params["grid_points"],
-        seed=cfg.seed,
+        loss=args.loss,
+        epsilon=args.epsilon,
+        grid_points=args.grid_points,
+        seed=args.seed,
     )
     rows = []
     for index, segment in enumerate(trace.segments):
         for t, loss in zip(segment.t.tolist(), segment.losses.tolist()):
             rows.append((index, segment.name, t, loss))
     doc = {
-        "loss": cfg.params["loss"],
+        "loss": args.loss,
         "meeting_loss": trace.meeting_loss,
         "max_rise": trace.max_rise(),
         "repair_loss_change": list(trace.repair_loss_change),
@@ -402,32 +371,30 @@ def _run_path(cfg: ExperimentConfig) -> Emission:
     return Emission(("segment_index", "segment", "t", "loss"), tuple(rows), doc)
 
 
-def _kernel_config(cfg: ExperimentConfig) -> tuple[NetConfig, list[np.ndarray] | None]:
-    weights_path = cfg.params.get("weights")
-    widths = cfg.params.get("widths")
-    if (weights_path is None) == (widths is None):
+def _kernel_config(args: argparse.Namespace) -> tuple[NetConfig, list[np.ndarray] | None]:
+    if (args.weights is None) == (args.widths is None):
         raise UsageError("pass exactly one of --weights and --widths")
-    if weights_path is not None:
-        return load_weights(weights_path)
+    if args.weights is not None:
+        return load_weights(args.weights)
     config = NetConfig(
-        widths=tuple(parse_int_list(widths)),
-        activation=cfg.params["act"],
+        widths=tuple(parse_int_list(args.widths)),
+        activation=args.act,
         parameterization="ntk",
-        sigma_w2=cfg.params["sigma_w2"],
+        sigma_w2=args.sigma_w2,
     )
     return config, None
 
 
-def _run_ntk_kernel(cfg: ExperimentConfig) -> Emission:
-    x, _ = read_dataset(cfg.params["data"])
-    kind = cfg.params["kind"]
-    config, weights = _kernel_config(cfg)
+def _run_ntk_kernel(args: argparse.Namespace) -> Emission:
+    x, _ = read_dataset(args.data)
+    kind = args.kind
+    config, weights = _kernel_config(args)
     if x.shape[1] != config.widths[0]:
         raise ValueError(
             f"data dimension {x.shape[1]} != input width {config.widths[0]}"
         )
     columns = x.T
-    nodes = cfg.params["nodes"]
+    nodes = args.nodes
     if kind == "empirical":
         if weights is None:
             raise UsageError("--kind empirical needs --weights")
@@ -450,19 +417,16 @@ def _run_ntk_kernel(cfg: ExperimentConfig) -> Emission:
     return Emission(("i", "j", "value"), rows, doc)
 
 
-def _run_ntk_train(cfg: ExperimentConfig) -> Emission:
-    config, weights = load_weights(cfg.params["weights"])
-    x, y = read_dataset(cfg.params["data"])
-    times = parse_float_list(cfg.params["times"])
-    if any(t < 0 for t in times):
+def _run_ntk_train(args: argparse.Namespace) -> Emission:
+    config, weights = load_weights(args.weights)
+    x, y = read_dataset(args.data)
+    times = parse_float_list(args.times)
+    if not all(t >= 0 for t in times):
         raise ValueError("times must be nonnegative")
-    kernel = cfg.params["kernel"].replace("-", "_")
-    sol = ntk.linearize(
-        config, weights, x.T, y, cfg.params["eta"], kernel=kernel,
-        nodes=cfg.params["nodes"],
-    )
-    if cfg.params["query"] is not None:
-        x_query = read_dataset(cfg.params["query"])[0].T
+    kernel = args.kernel.replace("-", "_")
+    sol = ntk.linearize(config, weights, x.T, y, args.eta, kernel=kernel, nodes=args.nodes)
+    if args.query is not None:
+        x_query = read_dataset(args.query)[0].T
     else:
         x_query = x.T
     rows = []
@@ -489,64 +453,64 @@ def _run_ntk_train(cfg: ExperimentConfig) -> Emission:
         snapshots.append(
             {"t": t, "f_lin": f_lin, "gp_mean": gp_mean, "gp_sd": gp_sd}
         )
-    doc = {"kernel": kernel, "eta": cfg.params["eta"], "predictions": snapshots}
+    doc = {"kernel": kernel, "eta": args.eta, "predictions": snapshots}
     return Emission(("t", "index", "f_lin", "gp_mean", "gp_sd"), tuple(rows), doc)
 
 
-def _du_inputs(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
-    if cfg.params["data"] is not None:
-        x, y = read_dataset(cfg.params["data"])
+def _du_inputs(args: argparse.Namespace) -> tuple[np.ndarray, np.ndarray]:
+    if args.data is not None:
+        x, y = read_dataset(args.data)
         columns = x.T
         norms = np.linalg.norm(columns, axis=0)
         if np.any(norms == 0.0):
             raise ValueError("zero input vector cannot be normalized to the sphere")
         return columns / norms, y
-    rng = np.random.default_rng(cfg.seed)
-    columns = rng.standard_normal((cfg.params["dim"], cfg.params["train_size"]))
+    rng = np.random.default_rng(args.seed)
+    columns = rng.standard_normal((args.dim, args.train_size))
     columns /= np.linalg.norm(columns, axis=0)
-    y = rng.uniform(-0.9, 0.9, size=cfg.params["train_size"])
+    y = rng.uniform(-0.9, 0.9, size=args.train_size)
     return columns, y
 
 
-def _run_du_monitor(cfg: ExperimentConfig) -> Emission:
-    columns, y = _du_inputs(cfg)
+def _run_du_monitor(args: argparse.Namespace) -> Emission:
+    columns, y = _du_inputs(args)
     traj = ntk.du_convergence_monitor(
         columns,
         y,
-        n=cfg.params["n"],
-        eta=cfg.params["eta"],
-        T=cfg.params["t_max"],
-        seed=cfg.seed,
+        n=args.n,
+        eta=args.eta,
+        T=args.t_max,
+        seed=args.seed,
     )
     envelope = traj.loss[0] * np.exp(-traj.lambda0 * traj.t)
     header = ("t", "loss", "envelope", "lambda_min_h", "max_displacement", "h_drift")
     columns = (traj.t, traj.loss, envelope, traj.lambda_min_h, traj.max_displacement, traj.h_drift)
     rows = tuple(zip(*(c.tolist() for c in columns)))
     doc = {
-        "n": cfg.params["n"],
-        "eta": cfg.params["eta"],
+        "n": args.n,
+        "eta": args.eta,
         "lambda0": traj.lambda0,
         "r_prime": traj.r_prime,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "records": _records(header, rows),
     }
     return Emission(header, rows, doc)
 
 
-def _run_align(cfg: ExperimentConfig) -> Emission:
-    x, y = read_dataset(cfg.params["data"])
+def _run_align(args: argparse.Namespace) -> Emission:
+    x, y = read_dataset(args.data)
     h_inf = ntk.h_infinity_gram(
         x.T,
-        method=cfg.params["method"],
-        mc_samples=cfg.params["mc_samples"],
-        seed=cfg.seed,
+        method=args.method,
+        mc_samples=args.mc_samples,
+        seed=args.seed,
     )
-    if cfg.params["u0_weights"] is not None:
-        config, weights = load_weights(cfg.params["u0_weights"])
+    if args.u0_weights is not None:
+        config, weights = load_weights(args.u0_weights)
         u0 = forward(config, weights, x.T).output.ravel()
     else:
         u0 = np.zeros_like(y)
-    report = ntk.alignment(h_inf, y, u0, points=cfg.params["points"])
+    report = ntk.alignment(h_inf, y, u0, points=args.points)
     rows = tuple(zip(report.t.tolist(), report.curve.tolist()))
     doc = {
         "eigenvalues": report.eigvals.tolist(),
@@ -575,8 +539,8 @@ def _read_contraction_spec(path: str) -> tuple[wick.ContractionSpec, int]:
     return spec, int(doc["depth"])
 
 
-def _run_wick(cfg: ExperimentConfig) -> Emission:
-    spec, depth = _read_contraction_spec(cfg.params["spec"])
+def _run_wick(args: argparse.Namespace) -> Emission:
+    spec, depth = _read_contraction_spec(args.spec)
     count = wick.exact_correlation(spec, depth)
     header = ("power_of_inv_n", "coefficient", "monomial")
     rows = tuple(
@@ -592,12 +556,12 @@ def _run_wick(cfg: ExperimentConfig) -> Emission:
         "diagram_count": len(count.diagrams),
     }
     extra = ()
-    if cfg.params["mc"]:
-        if cfg.params["mc_out"] is None and cfg.fmt == "csv":
+    if args.mc:
+        if args.mc_out is None and args.fmt == "csv":
             raise UsageError("--mc with --format csv needs --mc-out for the table")
-        widths = parse_int_list(cfg.params["widths"])
+        widths = parse_int_list(args.widths)
         report = wick.mc_scaling_check(
-            spec, depth, widths, replicates=cfg.params["replicates"], seed=cfg.seed
+            spec, depth, widths, replicates=args.replicates, seed=args.seed
         )
         exacts = report.exacts if report.exacts is not None else [None] * len(widths)
         mc_rows = tuple(
@@ -614,25 +578,25 @@ def _run_wick(cfg: ExperimentConfig) -> Emission:
             "exacts": None if report.exacts is None else list(report.exacts),
             "slope_mean": report.slope_mean,
             "slope_variance": report.slope_variance,
-            "replicates": cfg.params["replicates"],
-            "seed": cfg.seed,
+            "replicates": args.replicates,
+            "seed": args.seed,
         }
-        if cfg.params["mc_out"] is not None:
+        if args.mc_out is not None:
             mc_csv = render_csv(
                 ("width", "mc_mean", "mc_se", "mc_variance", "exact"), mc_rows
             )
-            extra = ((cfg.params["mc_out"], mc_csv),)
+            extra = ((args.mc_out, mc_csv),)
     return Emission(header, rows, doc, extra_files=extra)
 
 
-def _run_bounds(cfg: ExperimentConfig) -> Emission:
-    config, weights = load_weights(cfg.params["weights"])
-    x, y = read_dataset(cfg.params["data"])
-    gamma = cfg.params["gamma"]
-    delta = cfg.params["delta"]
+def _run_bounds(args: argparse.Namespace) -> Emission:
+    config, weights = load_weights(args.weights)
+    x, y = read_dataset(args.data)
+    gamma = args.gamma
+    delta = args.delta
     m = y.size
     stats = genbounds.margin_stats(weights, config, (x, y), gamma)
-    family = cfg.params["family"]
+    family = args.family
     reports = {}
     if family in ("bartlett", "all"):
         norms = genbounds.norm_profile(weights)
@@ -645,14 +609,14 @@ def _run_bounds(cfg: ExperimentConfig) -> Emission:
             margin_risk=stats.hard_risk,
         )
     if family in ("neyshabur", "all"):
-        b_norm = cfg.params["b_norm"]
+        b_norm = args.b_norm
         if b_norm is None:
             b_norm = float(np.max(np.linalg.norm(x, axis=1)))
         reports["neyshabur"] = genbounds.neyshabur_bound(
             weights, gamma, b_norm, m, delta, margin_stats=stats
         )
     if family in ("pacbayes", "all"):
-        sigma = cfg.params["sigma"]
+        sigma = args.sigma
         if sigma <= 0:
             raise ValueError(f"posterior scale sigma = {sigma} must be positive")
         log_var = 2.0 * math.log(sigma)
@@ -678,8 +642,8 @@ def _run_bounds(cfg: ExperimentConfig) -> Emission:
             delta,
             posterior=posterior,
             risk_fn=zero_one_risk,
-            samples=cfg.params["replicates"],
-            seed=cfg.seed,
+            samples=args.replicates,
+            seed=args.seed,
         )
     rows = tuple((name, report.bound) for name, report in reports.items())
     report_docs = {name: report.as_dict() for name, report in reports.items()}
@@ -890,10 +854,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return 0 if exc.code is None else int(exc.code)
-    cfg = ExperimentConfig.from_args(args)
     try:
-        emission = args.handler(cfg)
-        _emit(emission, cfg)
+        emission = args.handler(args)
+        _emit(emission, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -443,10 +443,17 @@ def gaussian_kl(posterior: GaussianPosterior) -> float:
     ValueError; a prior precision exp(-lam*) that overflows raises
     OverflowError.
     """
-    shift = posterior.mean - posterior.prior_mean
-    lam = posterior.log_var
-    lam_star = posterior.prior_log_var
-    d = posterior.dim
+    return _gaussian_kl(
+        posterior.mean, posterior.log_var, posterior.prior_mean, posterior.prior_log_var
+    )
+
+
+def _gaussian_kl(mean: np.ndarray, lam: np.ndarray, prior_mean: np.ndarray, lam_star: float) -> float:
+    """gaussian_kl on the posterior's arrays, without building and validating
+    a GaussianPosterior; a non-finite entry gives a non-finite KL, which
+    raises the same ValueError."""
+    shift = mean - prior_mean
+    d = mean.size
     with np.errstate(over="ignore", invalid="ignore"):
         kl = 0.5 * (
             math.exp(-lam_star) * (float(np.sum(np.exp(lam))) + float(shift @ shift))
@@ -645,16 +652,9 @@ def dziugaite_roy_optimize(
     log_grid_const = math.log(2.0 * math.pi**2 * m / (3.0 * delta))
     denom = 2.0 * m - 1.0
 
-    def kl_value(mu, lam, lam_star):
-        return gaussian_kl(
-            GaussianPosterior(
-                mean=mu, log_var=lam, prior_mean=mu_star, prior_log_var=lam_star
-            )
-        )
-
     def penalty_parts(mu, lam, lam_star):
         j_cont = b * (log_c - lam_star)
-        kl = kl_value(mu, lam, lam_star)
+        kl = _gaussian_kl(mu, lam, mu_star, lam_star)
         log_term = log_grid_const + 2.0 * math.log(j_cont)
         return j_cont, kl, math.sqrt((log_term + kl) / denom)
 

@@ -212,25 +212,29 @@ def _repair_full_rank(config, weights, x, y, loss_fn, rng):
     return repaired, (after - before) if changed else 0.0
 
 
-def _upper_waypoints(uppers_a, uppers_b, grid_points, rng, depth=0):
+def _upper_waypoints(config, x_left, out, uppers_a, uppers_b, grid_points, rng, depth=0):
     """Grid samples of the straight-line interpolation between two full-rank
-    upper-weight stacks, subdividing through a random full-rank midpoint
-    whenever some W_l(t) drops rank."""
+    upper-weight stacks, each completed by the first layer that realizes out
+    on X, subdividing through a random full-rank midpoint whenever some
+    W_l(t) drops rank. The rank check is the one right_inverse makes while
+    building each sample's first-layer solver."""
     ts = np.linspace(0.0, 1.0, grid_points)
     sampled = []
     for t in ts:
         stack = [(1.0 - t) * a + t * b for a, b in zip(uppers_a, uppers_b)]
-        if not all(_is_full_rank(w) for w in stack):
+        try:
+            solve = _first_layer_solver(config, [None] + stack, x_left)
+        except ValueError:  # right_inverse: some c_l W_l(t) is rank deficient
             if depth >= 6:
-                raise RuntimeError(f"interpolated upper weights lose rank at t = {t:.4f}")
+                raise RuntimeError(f"interpolated upper weights lose rank at t = {t:.4f}") from None
             mid = []
             for a, b in zip(uppers_a, uppers_b):
                 scale = 0.5 * (np.linalg.norm(a) + np.linalg.norm(b)) / np.sqrt(a.size)
                 mid.append(scale * rng.standard_normal(a.shape))
-            left = _upper_waypoints(uppers_a, mid, grid_points, rng, depth + 1)
-            right = _upper_waypoints(mid, uppers_b, grid_points, rng, depth + 1)
+            left = _upper_waypoints(config, x_left, out, uppers_a, mid, grid_points, rng, depth + 1)
+            right = _upper_waypoints(config, x_left, out, mid, uppers_b, grid_points, rng, depth + 1)
             return left + right[1:]
-        sampled.append(stack)
+        sampled.append([solve(out)] + stack)
     return sampled
 
 
@@ -302,8 +306,7 @@ def constant_loss_path(
     def output_leg(out_from):
         return [[solve_b((1.0 - t) * out_from + t * h_tilde)] + wb[1:] for t in ts]
 
-    upper_stacks = _upper_waypoints(wa[1:], wb[1:], grid_points, rng)
-    carried = [[_first_layer_solver(config, [None] + ups, x_left)(out_a)] + ups for ups in upper_stacks]
+    carried = _upper_waypoints(config, x_left, out_a, wa[1:], wb[1:], grid_points, rng)
     # A side: first layer onto reconstructed form, uppers over to B, output to
     # target; then the B side, built from B and reversed into path order
     legs = (

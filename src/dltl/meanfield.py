@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .netcore import Activation, NetConfig, backward, forward, init_weights
+from .netcore import Activation, NetConfig, backprop, forward, init_weights
 
 __all__ = [
     "DivergenceError",
@@ -63,6 +63,8 @@ class DivergenceError(RuntimeError):
 @lru_cache(maxsize=8)
 def gauss_hermite(nodes: int = GH_NODES) -> tuple[np.ndarray, np.ndarray]:
     """Physicists' Gauss-Hermite nodes and weights (cached)."""
+    if nodes < 1:
+        raise ValueError(f"nodes must be a positive integer, got {nodes}")
     t, w = np.polynomial.hermite.hermgauss(nodes)
     return t, w
 
@@ -414,12 +416,6 @@ def phase_classify(
     return PhasePoint(sigma_w2=sigma_w2, q_inf=q_inf, chi1=chi, phase=phase, marginal=marginal)
 
 
-def _chi1_at_own_fixed_point(sigma_w2: float, act: Activation, q0: float) -> float:
-    if act.homogeneous:
-        return chi1(sigma_w2, q0, act)
-    return chi1(sigma_w2, length_fixed_point(sigma_w2, act, q0=q0).q_inf, act)
-
-
 def edge_of_chaos(
     act: Activation,
     lo: float = 1.0,
@@ -432,10 +428,10 @@ def edge_of_chaos(
     chi_1 is evaluated at each candidate's own length fixed point. Requires
     chi_1 - 1 to change sign (or vanish) on the bracket.
     """
-    f_lo = _chi1_at_own_fixed_point(lo, act, q0) - 1.0
+    f_lo = phase_classify(lo, act, q0=q0).chi1 - 1.0
     if abs(f_lo) <= tol:
         return lo
-    f_hi = _chi1_at_own_fixed_point(hi, act, q0) - 1.0
+    f_hi = phase_classify(hi, act, q0=q0).chi1 - 1.0
     if abs(f_hi) <= tol:
         return hi
     if f_lo * f_hi > 0:
@@ -447,7 +443,7 @@ def edge_of_chaos(
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        f_mid = _chi1_at_own_fixed_point(mid, act, q0) - 1.0
+        f_mid = phase_classify(mid, act, q0=q0).chi1 - 1.0
         if f_mid == 0.0:
             return mid
         if f_lo * f_mid < 0:
@@ -493,14 +489,16 @@ def simulate_moments(
     n_levels = config.n_layers
     qs = np.empty((replicates, n_levels))
     deltas = np.empty((replicates, n_levels))
+    unit = np.zeros(config.widths[-1])
+    unit[0] = 1.0
     for r in range(replicates):
         weights = init_weights(config, seed + r)
         trace = forward(config, weights, x)
-        bt = backward(config, weights, trace, output_index=0)
+        gs = backprop(config, weights, trace, unit)
         for l in range(n_levels):
             n_l = config.widths[l + 1]
             qs[r, l] = float(trace.h[l] @ trace.h[l]) / n_l
-            deltas[r, l] = float(bt.g[l] @ bt.g[l]) / n_l
+            deltas[r, l] = float(gs[l] @ gs[l]) / n_l
     return MomentProfile(
         q=qs.mean(axis=0),
         q_se=qs.std(axis=0, ddof=1) / math.sqrt(replicates),

@@ -49,7 +49,7 @@ __all__ = [
     "alignment",
 ]
 
-KERNEL_TAGS = ("empirical_ntk", "limiting_ntk", "nngp", "h_infinity", "h_t")
+KERNEL_TAGS = ("empirical_ntk", "limiting_ntk", "nngp", "h_infinity")
 
 SYMMETRY_TOL = 1e-10
 EIG_FLOOR = -1e-8
@@ -64,13 +64,13 @@ DU_MAX_STEPS = 200_000
 class KernelGram:
     """A kernel evaluated on a dataset: symmetric PSD within tolerance.
 
-    tag names which kernel the matrix is (one of KERNEL_TAGS); t carries the
-    training time for time-indexed kernels and is None for static ones.
+    tag names which kernel the matrix is (one of KERNEL_TAGS); eigvals holds
+    the ascending eigenvalues computed to validate it.
     """
 
     matrix: np.ndarray
     tag: str
-    t: float | None = None
+    eigvals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
@@ -87,13 +87,14 @@ class KernelGram:
         eigs = np.linalg.eigvalsh(k)
         if eigs.size and eigs[0] < EIG_FLOOR:
             raise ValueError(f"kernel gram has eigenvalue {eigs[0]:.3e} below {EIG_FLOOR}")
+        object.__setattr__(self, "eigvals", eigs)
 
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
 
     def lambda_min(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
+        return float(self.eigvals[0])
 
 
 @dataclass(frozen=True)
@@ -390,14 +391,13 @@ def empirical_ntk(
     config: NetConfig,
     weights: list[np.ndarray],
     x: np.ndarray,
-    t_tag: float | None = None,
 ) -> KernelGram:
     """Gram of exact per-example parameter gradients.
 
     Scalar-output nets give an m x m gram; k outputs give the full
     (m k) x (m k) block gram in the example-major layout.
     """
-    return KernelGram(_tangent_gram(config, weights, x), tag="empirical_ntk", t=t_tag)
+    return KernelGram(_tangent_gram(config, weights, x), tag="empirical_ntk")
 
 
 # -- exact linearized training -------------------------------------------------
@@ -438,9 +438,11 @@ class LinearizedSolution:
 
     def solve_factor(self, t: float) -> np.ndarray:
         """B_t = Theta^{-1} (I - E_t), E_t = exp(-eta Theta t / m), evaluated
-        spectrally."""
+        spectrally. An overflowing exponent is the t -> infinity limit,
+        expm1(-inf) = -1, so the overflow warning is silenced."""
         lam = self.eigvals
-        coeff = -np.expm1(-self.eta * lam * t / self.m) / lam
+        with np.errstate(over="ignore"):
+            coeff = -np.expm1(-self.eta * lam * t / self.m) / lam
         return (self.eigvecs * coeff) @ self.eigvecs.T
 
 
@@ -452,6 +454,16 @@ class LinearizedPrediction:
     f_lin: np.ndarray
     gp_mean: np.ndarray | None = None
     gp_cov: np.ndarray | None = None
+
+
+def _invertible_eigh(gram: KernelGram, role: str) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of a gram that is about to be inverted; role names it in the error."""
+    eigvals, eigvecs = np.linalg.eigh(gram.matrix)
+    if eigvals[0] <= SINGULAR_TOL:
+        raise ValueError(
+            f"{role} gram is singular: lambda_min = {eigvals[0]:.3e} <= {SINGULAR_TOL}"
+        )
+    return eigvals, eigvecs
 
 
 def linearize(
@@ -470,8 +482,8 @@ def linearize(
     kernel of output-layer-only training). The gram must be invertible;
     a smallest eigenvalue at or below 1e-10 is an error.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
     if kernel not in ("empirical", "limiting", "last_layer"):
         raise ValueError(f"unknown kernel choice {kernel!r}")
     x_train = _as_columns(x_train, config.widths[0])
@@ -481,16 +493,12 @@ def linearize(
     if y.size != m * k:
         raise ValueError(f"need {m * k} label entries, got {y.size}")
     if kernel == "empirical":
-        gram, nngp_train = empirical_ntk(config, weights, x_train, t_tag=0.0), None
+        gram, nngp_train = empirical_ntk(config, weights, x_train), None
     else:
         gram, nngp_train = _limit_grams(
             x_train, config, nodes, kernel == "last_layer", k if k > 1 else None
         )
-    eigvals, eigvecs = np.linalg.eigh(gram.matrix)
-    if eigvals[0] <= SINGULAR_TOL:
-        raise ValueError(
-            f"train gram is singular: lambda_min = {eigvals[0]:.3e} <= {SINGULAR_TOL}"
-        )
+    eigvals, eigvecs = _invertible_eigh(gram, "train")
     f0 = forward(config, weights, x_train).output.T.ravel()
     return LinearizedSolution(
         gram=gram,
@@ -519,8 +527,8 @@ def linearized_train(
     Solutions built on a limit kernel also return the GP moments mu_lin,t
     and q_lin,t of the trained infinite-width model (scalar output only).
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not t >= 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
     config = sol.config
     x_query = _as_columns(x_query, config.widths[0])
     k = config.widths[-1]
@@ -574,11 +582,7 @@ def bayes_posterior(
         q_gram = nngp_gram(x_train, config, nodes=nodes)
     if q_gram.size != x_train.shape[1]:
         raise ValueError("train gram size does not match the dataset")
-    eigvals, eigvecs = np.linalg.eigh(q_gram.matrix)
-    if eigvals[0] <= SINGULAR_TOL:
-        raise ValueError(
-            f"prior gram is singular: lambda_min = {eigvals[0]:.3e} <= {SINGULAR_TOL}"
-        )
+    eigvals, eigvecs = _invertible_eigh(q_gram, "prior")
     inv = (eigvecs / eigvals) @ eigvecs.T
     _, q_cross = _pair_kernels(x_query, x_train, config, nodes)
     _, q_query = _pair_kernels(x_query, None, config, nodes)

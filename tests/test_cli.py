@@ -674,6 +674,7 @@ class TestDomainHolesExitOne:
          "sigma_w2 must be positive and finite"),
         (["du-monitor", "--eta", "1e-5"], "exceeds the cap of 200000"),
         (["du-monitor", "--eta", "1e-300", "--t-max", "1e300"], "exceeds the cap of 200000"),
+        (["lengthmap", "--act", "tanh", "--sigma-w2", "1.5", "--nodes", "0"], "nodes must be a positive integer"),
     ])
     def test_exits_one_with_message(self, argv, message):
         proc = self._run(*argv)
@@ -721,6 +722,33 @@ class TestDomainHolesExitOne:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and "sigma_w2 must be positive and finite" in lines[0]
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--eta", "nan"], "eta must be positive and finite, got nan"),
+        (["--eta", "nan", "--kernel", "empirical"], "eta must be positive and finite, got nan"),
+        (["--eta", "inf", "--times", "0"], "eta must be positive and finite, got inf"),
+        (["--times", "nan"], "times must be nonnegative"),
+        (["--times", "1,nan"], "times must be nonnegative"),
+    ])
+    def test_ntk_train_nonfinite_eta_or_time(self, dataset, ntk_net, argv, message):
+        """Each once printed rows of nan with exit 0, the inf rate after two
+        "invalid value" RuntimeWarnings."""
+        proc = self._run("ntk-train", "--weights", ntk_net, "--data", dataset[0], *argv)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+        assert proc.stdout == ""
+
+    def test_ntk_train_overflowing_time_is_the_trained_limit(self, dataset, ntk_net):
+        """t = 1e308 once printed an overflow RuntimeWarning; eta lambda t / m
+        overflowing is the t -> infinity limit, so its rows are the t = inf rows."""
+        proc = self._run("ntk-train", "--weights", ntk_net, "--data", dataset[0],
+                         "--times", "1e308,inf", "--format", "json")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        far, limit = json.loads(proc.stdout)["predictions"]
+        assert far["f_lin"] == limit["f_lin"] and far["gp_mean"] == limit["gp_mean"]
 
     @pytest.mark.parametrize("argv", [
         ["align"],

@@ -198,6 +198,20 @@ class TestConstantLossPath:
         assert trace.max_rise() <= 1e-6
         assert trace.meeting_loss < 1e-6
 
+    def test_upper_leg_subdivides_where_rank_is_lost(self):
+        """W_B's top layer is -W_A's, so the straight line passes through
+        W_2(1/2) = 0: that grid point is replaced by two sub-legs through a
+        random midpoint, 9 + 9 - 1 = 17 points, and the output stays frozen."""
+        config, wa = _net(self.WIDTHS, seed=32)
+        _, wb = _net(self.WIDTHS, seed=33)
+        wb[2] = -wa[2]
+        x, y = self._data(seed=34)
+        trace = landscape.constant_loss_path(config, wa, wb, x, y, grid_points=9)
+        upper = next(s for s in trace.segments if s.name == "upper_a")
+        assert len(upper.t) == 17
+        assert trace.max_rise() <= 1e-6
+        assert trace.meeting_loss < 1e-6
+
     def test_custom_callable_loss(self):
         """Any convex-in-output callable works; pass the square loss by hand."""
         config, wa = _net(self.WIDTHS, seed=26)

@@ -3,6 +3,7 @@ empirical kernels, closed-form linearized training, the bayesian posterior
 identity, the two-layer convergence monitor, and kernel-label alignment."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,16 @@ class TestKernelGram:
         gram = ntk.KernelGram(mat, tag="nngp")
         np.testing.assert_allclose(gram.lambda_min(), 1.0, atol=1e-12)
         assert gram.size == 2
+
+    def test_lambda_min_is_the_validated_spectrum(self):
+        """lambda_min reads the eigvalsh spectrum the constructor computed
+        to validate the gram, so it equals a fresh eigvalsh bit for bit."""
+        a = np.random.default_rng(3).standard_normal((7, 5))
+        mat = a @ a.T
+        gram = ntk.KernelGram(mat, tag="nngp")
+        assert gram.lambda_min() == float(np.linalg.eigvalsh(mat)[0])
+        np.testing.assert_array_equal(gram.eigvals, np.linalg.eigvalsh(mat))
+        assert gram == ntk.KernelGram(mat, tag="nngp")
 
     def test_rejects_asymmetry(self):
         with pytest.raises(ValueError, match="asymmetry"):
@@ -167,9 +178,8 @@ class TestGrams:
         config = _relu_config((3, 6, 2))
         weights = init_weights(config, seed=9)
         x = np.random.default_rng(10).standard_normal((3, 2))
-        gram = ntk.empirical_ntk(config, weights, x, t_tag=1.5)
+        gram = ntk.empirical_ntk(config, weights, x)
         assert gram.size == 4
-        assert gram.t == 1.5
         flat = []
         for i in range(2):
             trace = forward(config, weights, x[:, i])
@@ -273,14 +283,25 @@ class TestLinearizedTraining:
 
     def test_argument_validation(self):
         config, weights, x, y, sol = self._setup()
-        with pytest.raises(ValueError, match="eta"):
-            ntk.linearize(config, sol.weights, x, y, eta=0.0)
+        for eta in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="eta must be positive and finite"):
+                ntk.linearize(config, sol.weights, x, y, eta=eta)
         with pytest.raises(ValueError, match="unknown kernel"):
             ntk.linearize(config, sol.weights, x, y, eta=1.0, kernel="mystery")
         with pytest.raises(ValueError, match="label entries"):
             ntk.linearize(config, sol.weights, x, y[:-1], eta=1.0)
-        with pytest.raises(ValueError, match="nonnegative"):
-            ntk.linearized_train(sol, x, -1.0)
+        for t in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="nonnegative"):
+                ntk.linearized_train(sol, x, t)
+
+    def test_overflowing_time_is_the_trained_limit(self):
+        """eta lambda t / m overflowing to inf is the t -> infinity limit,
+        reached without a warning."""
+        _, _, x, _, sol = self._setup()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            far = ntk.linearized_train(sol, x, 1e308)
+        np.testing.assert_array_equal(far.f_lin, ntk.linearized_train(sol, x, math.inf).f_lin)
 
 
 class TestBayesPosterior:

@@ -7,7 +7,8 @@ tally of its diagrams; landscape's per-leg first-layer solver against
 reconstruct_first_layer; the tanh length-map moments, fixed point and edge
 of chaos against gauss_ev reference loops; the NNGP
 recursion's pair moments against meanfield's correlation maps, and the
-pair-kernel grams against the per-pair recursion. Also a fuzz of the CLI's
+pair-kernel grams against the per-pair recursion; the Dziugaite-Roy
+optimizer's KL against gaussian_kl. Also a fuzz of the CLI's
 count, list, range and tolerance flags and of every subcommand that reads
 input files: every value exits 0, 1 or 2, and a rejected one warns nothing."""
 
@@ -26,7 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dltl import cli, landscape, lindyn, meanfield, ntk, wick
+from dltl import cli, genbounds, landscape, lindyn, meanfield, ntk, wick
 from dltl.netcore import (
     Activation, NetConfig, backprop, backward, forward, haar_orthogonal, init_weights, save_weights,
 )
@@ -664,6 +665,39 @@ def test_pair_kernels_equal_reference_across_chunks(data, act, n0, m):
             assert nngp[i, j] == want[1]
 
 
+# -- PAC-Bayes KL: the optimizer's array path against gaussian_kl ----------------
+
+
+def _kl_or_error_type(kl):
+    try:
+        return kl()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(1, 5),
+    data=st.data(),
+    prior_log_var=st.one_of(st.floats(-5.0, 5.0), st.floats(-800.0, 800.0)),
+)
+def test_optimizer_kl_equals_gaussian_kl(d, data, prior_log_var):
+    """The KL the Dziugaite-Roy optimizer evaluates on its arrays equals
+    gaussian_kl on the same posterior, bit for bit; a draw whose variance,
+    mean shift or prior precision overflows raises the same error type."""
+    def entries(lo, hi):
+        draws = st.one_of(st.floats(-3.0, 3.0), st.floats(lo, hi))
+        return np.array(data.draw(st.lists(draws, min_size=d, max_size=d)))
+
+    mean, log_var, prior_mean = entries(-1e200, 1e200), entries(-800.0, 800.0), entries(-1e200, 1e200)
+    posterior = genbounds.GaussianPosterior(
+        mean=mean, log_var=log_var, prior_mean=prior_mean, prior_log_var=prior_log_var
+    )
+    want = _kl_or_error_type(lambda: genbounds.gaussian_kl(posterior))
+    got = _kl_or_error_type(lambda: genbounds._gaussian_kl(mean, log_var, prior_mean, prior_log_var))
+    assert got == want
+
+
 # -- CLI fuzz -------------------------------------------------------------------
 
 
@@ -847,16 +881,16 @@ def file_subcommands(draw):
         return ["ntk-kernel", "--data", "{data}", "--kind", draw(st.sampled_from(["limiting", "empirical", "nngp"])),
                 *source, "--act", draw(activation_texts), f"--sigma-w2={draw(floats_in(0.5, 2.5))}",
                 "--nodes", draw(ints_in(4, 24))], files
+    rates = mostly(st.floats(0.05, 1.0).map(repr), st.sampled_from(["0", "-1", "nan", "inf"]))
     if sub == "ntk-train":
         files = {"data": draw(datasets(d)), "net": draw(weight_files(draw(other_d))),
                  "query": draw(datasets(draw(other_d)))}
         times = ",".join(draw(st.lists(mostly(st.sampled_from(["0", "0.5", "3", "inf"]),
                                               st.sampled_from(["-1", "nan", "x"])), max_size=3)))
         return ["ntk-train", "--weights", "{net}", "--data", "{data}",
-                *draw(st.sampled_from([[], ["--query", "{query}"]])), f"--eta={draw(floats_in(0.1, 2.0))}",
+                *draw(st.sampled_from([[], ["--query", "{query}"]])), f"--eta={draw(rates)}",
                 f"--times={times}", "--kernel", draw(st.sampled_from(["limiting", "empirical", "last-layer"])),
                 "--nodes", draw(ints_in(4, 24))], files
-    rates = mostly(st.floats(0.05, 1.0).map(repr), st.sampled_from(["0", "-1", "nan", "inf"]))
     if sub == "du-monitor":
         files = {"data": draw(datasets(d, signed=draw(mostly(st.just(False), st.just(True)))))}
         source = draw(st.sampled_from([["--data", "{data}"], ["--dim", draw(ints_in(1, 4)),
@@ -890,12 +924,17 @@ def test_cli_file_subcommands_exit_cleanly(case, fmt):
     """As above, over generated datasets, weight files and contraction
     specs: every call exits 0, 1 or 2, raises nothing, and warns nothing
     when it exits 1 or 2. A call that reads a data file holding an inf or
-    nan feature or label never exits 0."""
+    nan feature or label never exits 0, and neither does an ntk-train call
+    with a rate that is not positive and finite or with a nan time."""
     argv, files = case
     poisoned = any(
         "{" + name + "}" in argv and not (np.isfinite(entry[1]).all() and np.isfinite(entry[2]).all())
         for name, entry in files.items() if entry[0] == "data"
     )
+    if argv[0] == "ntk-train":
+        rate = next(tok for tok in argv if tok.startswith("--eta="))
+        times = next(tok for tok in argv if tok.startswith("--times="))
+        poisoned |= rate in ("--eta=0", "--eta=-1", "--eta=nan", "--eta=inf") or "nan" in times
     with tempfile.TemporaryDirectory() as root:
         paths = _write_inputs(root, files)
         paths["mc"] = os.path.join(root, "mc")
