@@ -217,6 +217,14 @@ def _unflatten(theta: np.ndarray, shapes: list[tuple[int, int]]) -> list[np.ndar
 # subcommand handlers
 
 
+def _nodes(args: argparse.Namespace) -> int:
+    """--nodes, checked where it enters: the piecewise-linear kinds never
+    reach the quadrature rule that would reject it."""
+    if args.nodes < 1:
+        raise ValueError(f"nodes must be a positive integer, got {args.nodes}")
+    return args.nodes
+
+
 def _run_phase(args: argparse.Namespace) -> Emission:
     act = Activation.parse(args.act)
     header = ("sigma_w2", "q_inf", "chi1", "phase", "marginal")
@@ -231,7 +239,7 @@ def _run_phase(args: argparse.Namespace) -> Emission:
 def _run_lengthmap(args: argparse.Namespace) -> Emission:
     act = Activation.parse(args.act)
     sigma_w2 = args.sigma_w2
-    nodes = args.nodes
+    nodes = _nodes(args)
     depth = args.depth
     if depth < 1:
         raise ValueError(f"depth {depth} must be >= 1")
@@ -386,6 +394,7 @@ def _kernel_config(args: argparse.Namespace) -> tuple[NetConfig, list[np.ndarray
 
 
 def _run_ntk_kernel(args: argparse.Namespace) -> Emission:
+    nodes = _nodes(args)
     x, _ = read_dataset(args.data)
     kind = args.kind
     config, weights = _kernel_config(args)
@@ -394,7 +403,6 @@ def _run_ntk_kernel(args: argparse.Namespace) -> Emission:
             f"data dimension {x.shape[1]} != input width {config.widths[0]}"
         )
     columns = x.T
-    nodes = args.nodes
     if kind == "empirical":
         if weights is None:
             raise UsageError("--kind empirical needs --weights")
@@ -418,13 +426,14 @@ def _run_ntk_kernel(args: argparse.Namespace) -> Emission:
 
 
 def _run_ntk_train(args: argparse.Namespace) -> Emission:
+    nodes = _nodes(args)
     config, weights = load_weights(args.weights)
     x, y = read_dataset(args.data)
     times = parse_float_list(args.times)
     if not all(t >= 0 for t in times):
         raise ValueError("times must be nonnegative")
     kernel = args.kernel.replace("-", "_")
-    sol = ntk.linearize(config, weights, x.T, y, args.eta, kernel=kernel, nodes=args.nodes)
+    sol = ntk.linearize(config, weights, x.T, y, args.eta, kernel=kernel, nodes=nodes)
     if args.query is not None:
         x_query = read_dataset(args.query)[0].T
     else:

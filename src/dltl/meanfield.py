@@ -78,27 +78,85 @@ def gauss_ev(f, q: float, nodes: int = GH_NODES) -> float:
     return float(w @ f(z)) / math.sqrt(math.pi)
 
 
-def gauss_ev2(f, g, c: float, q11: float, q22: float, nodes: int = GH_NODES) -> float:
+def _check_pair(c: float, q11: float, q22: float) -> None:
+    """Reject a correlation outside [-1, 1] (1e-12 slack for rounding) and a
+    variance that is negative or not finite; nan fails both tests."""
+    if not abs(c) <= 1.0 + 1e-12:
+        raise ValueError(f"correlation must lie in [-1, 1], got {c}")
+    if not (0.0 <= q11 < math.inf and 0.0 <= q22 < math.inf):
+        raise ValueError(f"variances must be finite and nonnegative, got {q11} and {q22}")
+
+
+# gauss_ev2 takes the tensor rule in blocks of pairs whose node grid stays
+# near this many bytes (8 pairs at 64 nodes), and at least one pair.
+_BLOCK_BYTES = 256 * 1024
+
+
+def gauss_ev2(f, g, c, q11, q22, nodes: int = GH_NODES):
     """E f(u) g(v) for (u, v) centered gaussian with Var u = q11, Var v = q22,
     correlation c. Realized as u = sqrt(q11) z1, v = sqrt(q22)(c z1 +
     sqrt(1-c^2) z2); |c| = 1 collapses to a single axis.
+
+    c, q11 and q22 are scalars or same-shape arrays of pairs. A scalar call
+    returns a float, an array call an array of that shape, whose entries are
+    bit for bit the scalar calls: a pair's value does not depend on the pairs
+    beside it. f and g must act elementwise on arrays of any shape.
     """
-    if q11 < 0 or q22 < 0:
-        raise ValueError("variances must be nonnegative")
-    if abs(c) > 1.0 + 1e-12:
-        raise ValueError(f"correlation must lie in [-1, 1], got {c}")
-    c = min(1.0, max(-1.0, c))
+    c, q11, q22 = (np.asarray(v, dtype=float) for v in (c, q11, q22))
+    shape = c.shape
+    if not shape == q11.shape == q22.shape:
+        raise ValueError(f"c, q11 and q22 must share a shape, got {shape}, {q11.shape} and {q22.shape}")
+    if not shape:
+        _check_pair(float(c), float(q11), float(q22))
+    else:
+        ok = (np.abs(c) <= 1.0 + 1e-12) & (q11 >= 0.0) & (q11 < math.inf) & (q22 >= 0.0) & (q22 < math.inf)
+        if not ok.all():
+            k = np.flatnonzero(~ok)[0]
+            _check_pair(float(c.flat[k]), float(q11.flat[k]), float(q22.flat[k]))
+    c, q11, q22 = c.ravel(), q11.ravel(), q22.ravel()
     t, w = gauss_hermite(nodes)
-    if abs(c) == 1.0:
-        z = math.sqrt(2.0) * t
-        vals = f(math.sqrt(q11) * z) * g(math.copysign(1.0, c) * math.sqrt(q22) * z)
-        return float(w @ vals) / math.sqrt(math.pi)
-    z1 = math.sqrt(2.0) * t[:, None]
-    z2 = math.sqrt(2.0) * t[None, :]
-    u = math.sqrt(q11) * z1
-    v = math.sqrt(q22) * (c * z1 + math.sqrt(1.0 - c * c) * z2)
-    vals = f(u) * g(v)
-    return float(w @ vals @ w) / math.pi
+    z = math.sqrt(2.0) * t
+    edge = np.abs(c) >= 1.0  # |c| = 1 once clipped into [-1, 1]
+    if not edge.any():
+        out = _tensor_rule(f, g, c, q11, q22, z, w)
+    elif edge.all():
+        out = _axis_rule(f, g, c, q11, q22, z, w)
+    else:
+        out = np.empty(c.size)
+        out[edge] = _axis_rule(f, g, c[edge], q11[edge], q22[edge], z, w)
+        inner = ~edge
+        out[inner] = _tensor_rule(f, g, c[inner], q11[inner], q22[inner], z, w)
+    return float(out[0]) if not shape else out.reshape(shape)
+
+
+def _axis_rule(f, g, c, q11, q22, z, w) -> np.ndarray:
+    """gauss_ev2 at c = +-1, where v = sign(c) sqrt(q22/q11) u: one sum over
+    the nodes z = sqrt(2) t per pair, a stacked dot as 1-D w @ vals is."""
+    vals = f(np.sqrt(q11)[:, None] * z) * g((np.copysign(1.0, c) * np.sqrt(q22))[:, None] * z)
+    return np.matmul(vals[:, None, :], w[:, None])[:, 0, 0] / math.sqrt(math.pi)
+
+
+def _tensor_rule(f, g, c, q11, q22, z, w) -> np.ndarray:
+    """gauss_ev2 at |c| < 1 on the n x n tensor grid, in blocks of pairs of
+    _BLOCK_BYTES. Each block's grid v is built in place in one (k, n, n)
+    buffer, and each pair's sum w @ vals @ w is one gemv and one dot, a
+    stacked (k, 1, n) @ (k, n, n) then (k, 1, n) @ (n, 1): a (k, n) @ (n,)
+    gemv would round some sums differently."""
+    n = z.size
+    step = max(1, _BLOCK_BYTES // (8 * n * n))
+    buf = np.empty((min(step, c.size), n, n))
+    z1, z2 = z[:, None], z[None, :]
+    w_row, w_col = w[None, :], w[:, None]
+    c3 = c[:, None, None]
+    s3, root_q11, root_q22 = np.sqrt(1.0 - c3 * c3), np.sqrt(q11)[:, None, None], np.sqrt(q22)[:, None, None]
+    sums = np.empty((c.size, 1, 1))
+    for start in range(0, c.size, step):
+        block = slice(start, start + step)
+        v = np.add(c3[block] * z1, s3[block] * z2, out=buf[: min(step, c.size - start)])
+        v *= root_q22[block]
+        vals = np.multiply(f(root_q11[block] * z1), g(v), out=v)
+        np.matmul(np.matmul(w_row, vals), w_col, out=sums[block])
+    return sums[:, 0, 0] / math.pi
 
 
 def _second_moment_unit(act: Activation) -> float:
@@ -215,10 +273,7 @@ def corr_map(
     if not 0.0 < sigma_w2 < math.inf:
         raise ValueError(f"sigma_w2 must be positive and finite, got {sigma_w2}")
     if act.slopes is not None:
-        if abs(c) > 1.0 + 1e-12:
-            raise ValueError(f"correlation must lie in [-1, 1], got {c}")
-        if q11 < 0 or q22 < 0:
-            raise ValueError("variances must be nonnegative")
+        _check_pair(c, q11, q22)
         c = min(1.0, max(-1.0, c))
         scale = math.sqrt(q11 * q22)
         if act.kind == "linear":
@@ -245,11 +300,10 @@ def chi_map(
     """sigma_w^2 * E phi'(u) phi'(v), the derivative-correlation multiplier."""
     if not 0.0 < sigma_w2 < math.inf:
         raise ValueError(f"sigma_w2 must be positive and finite, got {sigma_w2}")
-    if act.kind == "linear":
-        return sigma_w2
     if act.slopes is not None:
-        if abs(c) > 1.0 + 1e-12:
-            raise ValueError(f"correlation must lie in [-1, 1], got {c}")
+        _check_pair(c, q11, q22)
+        if act.kind == "linear":
+            return sigma_w2
         c = min(1.0, max(-1.0, c))
         # phi' is a two-level step, so the expectation reduces to orthant
         # probabilities: P(++) = P(--) = (pi - theta)/(2 pi), theta = acos c

@@ -107,8 +107,10 @@ class Activation:
             return np.where(z > 0, 1.0, 0.0)
         if self.kind == "leaky_relu":
             return np.where(z > 0, 1.0, self.alpha)
-        t = np.tanh(z)
-        return 1.0 - t * t
+        # 1 - tanh(z)^2 in one buffer; [()] turns a 0-d result into a scalar
+        t = np.tanh(z, out=np.empty_like(z))
+        t *= t
+        return np.subtract(1.0, t, out=t)[()]
 
     @property
     def invertible(self) -> bool:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .meanfield import GH_NODES, chi_map, corr_map, length_map
+from .meanfield import GH_NODES, gauss_ev2, length_map
 from .netcore import Activation, NetConfig, backprop, forward
 
 __all__ = [
@@ -151,10 +151,12 @@ def _theta(q12, chi):
 # -- two-dimensional gaussian moments -----------------------------------------
 #
 # The recursion needs E phi(u) phi(v) and E phi'(u) phi'(v) for a centered
-# gaussian pair. Smooth activations take meanfield's correlation maps, which
-# use the tensor Gauss-Hermite rule, pair by pair; for the piecewise-linear
-# kinds that rule stalls near 1e-3 (the integrand kinks along two lines
-# through the origin), so those are integrated in polar coordinates instead:
+# gaussian pair. Smooth activations take meanfield.gauss_ev2, the tensor
+# Gauss-Hermite rule of meanfield's correlation maps, on a chunk's whole
+# arrays of pairs: one call per moment, whose entries equal the maps' scalar
+# calls bit for bit. For the piecewise-linear kinds that rule stalls near
+# 1e-3 (the integrand kinks along two lines through the origin), so those
+# are integrated in polar coordinates instead:
 # the radial factor is a gamma integral, and on each angular arc where both
 # factors are single pieces the integrand is a smooth trig expression handled
 # by Gauss-Legendre exactly.
@@ -213,9 +215,8 @@ def _pair_moments(c, q11, q22, sigma_w2: float, act: Activation, nodes: int) -> 
     if act.slopes is not None:
         m_phi, m_deriv = (sigma_w2 * m for m in _polar_moments(c, q11, q22, act.slopes))
     else:
-        pairs = list(zip(c.tolist(), q11.tolist(), q22.tolist()))
-        m_phi = np.array([corr_map(*p, sigma_w2, act, nodes) for p in pairs], dtype=float)
-        m_deriv = np.array([chi_map(*p, sigma_w2, act, nodes) for p in pairs], dtype=float)
+        m_phi = sigma_w2 * gauss_ev2(act, act, c, q11, q22, nodes)
+        m_deriv = sigma_w2 * gauss_ev2(act.deriv, act.deriv, c, q11, q22, nodes)
     return m_phi.reshape(shape), m_deriv.reshape(shape)
 
 

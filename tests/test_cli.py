@@ -675,6 +675,9 @@ class TestDomainHolesExitOne:
         (["du-monitor", "--eta", "1e-5"], "exceeds the cap of 200000"),
         (["du-monitor", "--eta", "1e-300", "--t-max", "1e300"], "exceeds the cap of 200000"),
         (["lengthmap", "--act", "tanh", "--sigma-w2", "1.5", "--nodes", "0"], "nodes must be a positive integer"),
+        (["lengthmap", "--act", "relu", "--sigma-w2", "2", "--nodes", "0"], "nodes must be a positive integer, got 0"),
+        (["lengthmap", "--act", "linear", "--sigma-w2", "1", "--nodes", "-3"],
+         "nodes must be a positive integer, got -3"),
     ])
     def test_exits_one_with_message(self, argv, message):
         proc = self._run(*argv)
@@ -682,6 +685,21 @@ class TestDomainHolesExitOne:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and message in lines[0]
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["ntk-kernel", "--widths", "3,8,1", "--act", "relu"],
+        ["ntk-kernel", "--widths", "3,8,1", "--act", "tanh", "--sigma-w2", "1.5"],
+        ["ntk-kernel", "--weights", "{net}", "--kind", "empirical"],
+        ["ntk-train", "--weights", "{net}"],
+        ["ntk-train", "--weights", "{net}", "--kernel", "empirical"],
+    ])
+    def test_nodes_checked_where_the_flag_enters(self, dataset, ntk_net, argv):
+        """--nodes 0 once exited 0 wherever no tanh moment reached the
+        quadrature rule; every kind now rejects it alike."""
+        proc = self._run(*[tok.format(net=ntk_net) for tok in argv], "--data", dataset[0], "--nodes", "0")
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["error: nodes must be a positive integer, got 0"]
         assert proc.stdout == ""
 
     @pytest.mark.parametrize("sigma", ["1e200", "1e308"])

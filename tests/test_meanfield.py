@@ -182,6 +182,44 @@ class TestCorrelationMaps:
         np.testing.assert_allclose(got, want, atol=1e-9)
 
 
+class TestNonFinitePairsRejected:
+    """A nan or infinite c, q11 or q22 once returned a plausible wrong value
+    (tanh corr_map at c = nan gave the c = -1 value, the relu one 0.0); each
+    is now a one-line ValueError."""
+
+    @pytest.mark.parametrize("act", [TANH, RELU, LEAKY, LINEAR])
+    @pytest.mark.parametrize("fn", [corr_map, chi_map])
+    @pytest.mark.parametrize("c, q11, q22, message", [
+        (math.nan, 1.0, 1.0, "correlation must lie in [-1, 1], got nan"),
+        (math.inf, 1.0, 1.0, "correlation must lie in [-1, 1], got inf"),
+        (0.5, math.inf, 1.0, "variances must be finite and nonnegative, got inf and 1.0"),
+        (0.5, 1.0, math.nan, "variances must be finite and nonnegative, got 1.0 and nan"),
+        (0.5, -1.0, 1.0, "variances must be finite and nonnegative, got -1.0 and 1.0"),
+    ])
+    def test_maps(self, fn, act, c, q11, q22, message):
+        with pytest.raises(ValueError) as info:
+            fn(c, q11, q22, 1.5, act)
+        assert str(info.value) == message
+
+    def test_gauss_ev2_scalar(self):
+        with pytest.raises(ValueError, match=r"correlation must lie in \[-1, 1\], got nan"):
+            gauss_ev2(TANH, TANH, math.nan, 1.0, 1.0)
+        with pytest.raises(ValueError, match="variances must be finite and nonnegative, got 1.0 and inf"):
+            gauss_ev2(TANH, TANH, 0.5, 1.0, math.inf)
+
+    def test_gauss_ev2_array_names_the_first_bad_pair(self):
+        c = np.array([[0.1, 0.2], [math.nan, 0.4]])
+        q = np.ones((2, 2))
+        with pytest.raises(ValueError, match=r"correlation must lie in \[-1, 1\], got nan"):
+            gauss_ev2(TANH, TANH, c, q, q)
+        q22 = q.copy()
+        q22[0, 1] = -math.inf
+        with pytest.raises(ValueError, match="got 1.0 and -inf"):
+            gauss_ev2(TANH, TANH, np.zeros((2, 2)), q, q22)
+        with pytest.raises(ValueError, match="must share a shape"):
+            gauss_ev2(TANH, TANH, np.zeros(3), np.ones(3), np.ones((3, 1)))
+
+
 class TestChi1:
     def test_exact_values(self):
         assert chi1(2.0, 1.0, RELU) == pytest.approx(1.0, abs=1e-15)

@@ -44,6 +44,20 @@ class TestActivation:
             mask = np.abs(z) > 1e-3
             np.testing.assert_allclose(act.deriv(z)[mask], fd[mask], atol=1e-8)
 
+    @pytest.mark.parametrize("z", [
+        np.float64(0.7), np.array(-1.3), np.linspace(-4.0, 4.0, 9),
+        np.random.default_rng(3).standard_normal((2, 3, 4)),
+    ])
+    def test_tanh_derivative_is_one_minus_tanh_squared(self, z):
+        """The derivative works in one buffer; it equals 1 - tanh(z)^2 bit
+        for bit, keeps a 0-d input's scalar result and leaves z alone."""
+        before = np.array(z, copy=True)
+        got = Activation("tanh").deriv(z)
+        want = 1.0 - np.tanh(z) ** 2
+        assert np.shape(got) == np.shape(z) and type(got) is type(want)
+        assert np.array_equal(got, want)
+        assert np.array_equal(z, before)
+
     def test_derivative_at_zero_is_left_value(self):
         assert Activation.parse("relu").deriv(0.0) == 0.0
         assert Activation.parse("leaky_relu:0.3").deriv(0.0) == 0.3

@@ -5,12 +5,13 @@ whole-array loops of lindyn, wick and meanfield against the scalar loops
 they replaced, kept here as references; the Wick polynomial against the
 tally of its diagrams; landscape's per-leg first-layer solver against
 reconstruct_first_layer; the tanh length-map moments, fixed point and edge
-of chaos against gauss_ev reference loops; the NNGP
-recursion's pair moments against meanfield's correlation maps, and the
-pair-kernel grams against the per-pair recursion; the Dziugaite-Roy
-optimizer's KL against gaussian_kl. Also a fuzz of the CLI's
-count, list, range and tolerance flags and of every subcommand that reads
-input files: every value exits 0, 1 or 2, and a rejected one warns nothing."""
+of chaos against gauss_ev reference loops; gauss_ev2 on arrays against its
+scalar calls; the NNGP recursion's pair moments against meanfield's
+correlation maps, and the pair-kernel grams against the per-pair
+recursion; the Dziugaite-Roy optimizer's KL against gaussian_kl. Also a
+fuzz of the CLI's count, list, range and tolerance flags and of every
+subcommand that reads input files: every value exits 0, 1 or 2, and a
+rejected one warns nothing."""
 
 import contextlib
 import csv
@@ -21,6 +22,7 @@ import os
 import tempfile
 import warnings
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -533,6 +535,36 @@ def test_smooth_pair_moments_are_the_correlation_maps(c, q11, q22, sigma_w2):
     act = Activation("tanh")
     got = ntk._pair_moments(c, q11, q22, sigma_w2, act, meanfield.GH_NODES)
     assert got == (meanfield.corr_map(c, q11, q22, sigma_w2, act), meanfield.chi_map(c, q11, q22, sigma_w2, act))
+
+
+_TANH, _RELU = Activation("tanh"), Activation("relu")
+_INTEGRANDS = {"tanh": _TANH, "tanh'": _TANH.deriv, "relu": _RELU}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    nodes=st.sampled_from([1, 2, 3, 63, 64, 65, 200]),
+    f=st.sampled_from(sorted(_INTEGRANDS)),
+    g=st.sampled_from(sorted(_INTEGRANDS)),
+    block_pairs=st.sampled_from([None, 1, 2, 3]),
+)
+def test_array_gauss_ev2_is_the_scalar_calls(data, nodes, f, g, block_pairs):
+    """gauss_ev2 on arrays equals its scalar calls entry by entry, exactly,
+    with |c| = 1 mixed among interior pairs and over several blocks: the
+    default budget holds 8 pairs at 63 and 64 nodes, 7 at 65 and one at 200,
+    and block_pairs shrinks it for the smaller rules."""
+    size = data.draw(st.integers(1, 20))
+    c, q11, q22 = (data.draw(st.lists(s, min_size=size, max_size=size)) for s in (correlations, variances, variances))
+    shape = data.draw(st.sampled_from([(size,), (1, size), (size, 1)]))
+    f, g = _INTEGRANDS[f], _INTEGRANDS[g]
+    budget = meanfield._BLOCK_BYTES if block_pairs is None else 8 * nodes * nodes * block_pairs
+    with mock.patch.object(meanfield, "_BLOCK_BYTES", budget):
+        got = meanfield.gauss_ev2(f, g, *(np.reshape(v, shape) for v in (c, q11, q22)), nodes)
+    assert got.shape == shape
+    want = [meanfield.gauss_ev2(f, g, *pair, nodes) for pair in zip(c, q11, q22)]
+    assert all(type(v) is float for v in want)
+    assert got.ravel().tolist() == want
 
 
 # -- pair kernels: the gram path against the per-pair recursion, bit for bit -----
