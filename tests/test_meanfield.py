@@ -201,12 +201,6 @@ class TestNonFinitePairsRejected:
             fn(c, q11, q22, 1.5, act)
         assert str(info.value) == message
 
-    def test_gauss_ev2_scalar(self):
-        with pytest.raises(ValueError, match=r"correlation must lie in \[-1, 1\], got nan"):
-            gauss_ev2(TANH, TANH, math.nan, 1.0, 1.0)
-        with pytest.raises(ValueError, match="variances must be finite and nonnegative, got 1.0 and inf"):
-            gauss_ev2(TANH, TANH, 0.5, 1.0, math.inf)
-
     def test_gauss_ev2_array_names_the_first_bad_pair(self):
         c = np.array([[0.1, 0.2], [math.nan, 0.4]])
         q = np.ones((2, 2))
