@@ -570,11 +570,11 @@ class _StochasticLogisticObjective:
     example, with exact gradients in (mu, lam).
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, nodes: int):
+    def __init__(self, x: np.ndarray, y: np.ndarray):
         self.x = x
         self.y = y
         self.x_sq = x * x
-        t, w = gauss_hermite(nodes)
+        t, w = gauss_hermite(GH_NODES)
         self.t = math.sqrt(2.0) * t
         self.w = w / math.sqrt(math.pi)
 
@@ -611,7 +611,6 @@ def dziugaite_roy_optimize(
     c: float,
     delta: float,
     steps: int,
-    nodes: int = GH_NODES,
 ) -> BoundReport:
     """Minimize the PAC-Bayes bound of a stochastic linear scorer by GD.
 
@@ -644,7 +643,7 @@ def dziugaite_roy_optimize(
             f"data dimension {x.shape[1]} != posterior dimension {init_posterior.dim}"
         )
 
-    surrogate = _StochasticLogisticObjective(x, y, nodes)
+    surrogate = _StochasticLogisticObjective(x, y)
     mu_star = init_posterior.prior_mean
     log_c = math.log(c)
     # j >= 1 keeps the grid index meaningful: lam* <= log c - 1/b

@@ -45,8 +45,8 @@ __all__ = [
 def _check_mode_args(u0: float, uf: float, s: float, L: int) -> None:
     if L < 1:
         raise ValueError(f"need at least one hidden layer, got L = {L}")
-    if s <= 0:
-        raise ValueError(f"target singular value must be positive, got {s}")
+    if not 0 < s < math.inf:
+        raise ValueError(f"target singular value must be positive and finite, got {s}")
     if u0 == 0:
         raise ValueError("u0 = 0 sits at the degenerate fixed point; the mode never moves")
     if not 0 < u0 <= uf:
@@ -84,8 +84,8 @@ def mode_time(u0: float, uf: float, s: float, eta: float, L: int) -> ModeTimeRes
     Both come with the arrival time for the exact exponent, integrated
     numerically in ln u (t_rk4).
     """
-    if eta <= 0:
-        raise ValueError(f"learning rate must be positive, got {eta}")
+    if not 0 < eta < math.inf:
+        raise ValueError(f"learning rate must be positive and finite, got {eta}")
     _check_mode_args(u0, uf, s, L)
     if u0 == uf:
         return ModeTimeResult(t_formula=0.0, t_rk4=0.0, L=L)
@@ -182,8 +182,10 @@ class HessianModeEigs:
 def hessian_mode_eigs(a: float, s: float, L: int) -> HessianModeEigs:
     """lambda1 = (1+2L) a^{2L} - s L a^{L-1} along [1,...,1]; the remaining
     L-fold eigenvalue is s a^{L-1} - a^{2L}."""
-    if a < 0:
-        raise ValueError(f"balanced coordinate must be nonnegative, got {a}")
+    if not 0 <= a < math.inf:
+        raise ValueError(f"balanced coordinate must be finite and nonnegative, got {a}")
+    if not math.isfinite(s):
+        raise ValueError(f"target singular value must be finite, got {s}")
     if L < 1:
         raise ValueError(f"need at least one hidden layer, got L = {L}")
     a_2L = float(a) ** (2 * L)

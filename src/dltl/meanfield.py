@@ -71,8 +71,8 @@ def gauss_hermite(nodes: int = GH_NODES) -> tuple[np.ndarray, np.ndarray]:
 
 def gauss_ev(f, q: float, nodes: int = GH_NODES) -> float:
     """E_{z ~ N(0,1)} f(sqrt(q) z) by Gauss-Hermite quadrature."""
-    if q < 0:
-        raise ValueError(f"variance must be nonnegative, got {q}")
+    if not 0.0 <= q < math.inf:
+        raise ValueError(f"variance must be finite and nonnegative, got {q}")
     t, w = gauss_hermite(nodes)
     z = math.sqrt(2.0 * q) * t
     return float(w @ f(z)) / math.sqrt(math.pi)

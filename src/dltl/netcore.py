@@ -88,6 +88,9 @@ class Activation:
             and self.alpha == other.alpha
         )
 
+    def __hash__(self) -> int:
+        return hash((self.kind, self.alpha))
+
     def __call__(self, z):
         z = np.asarray(z, dtype=float)
         if self.kind == "linear":
@@ -135,7 +138,7 @@ class Activation:
         return self.slopes is not None
 
 
-INIT_SCHEMES = ("gaussian", "glorot", "he", "orthogonal")
+INIT_SCHEMES = ("gaussian", "orthogonal")
 PARAMETERIZATIONS = ("standard", "ntk")
 
 
@@ -236,14 +239,7 @@ def init_weights(config: NetConfig, seed: int) -> list[np.ndarray]:
                 )
             w = np.sqrt(config.sigma_w2) * haar_orthogonal(fan_in, rng)
         else:
-            if config.parameterization == "ntk":
-                var = 1.0
-            elif config.init == "gaussian":
-                var = config.sigma_w2 / fan_in
-            elif config.init == "glorot":
-                var = 2.0 / (fan_in + fan_out)
-            else:  # he
-                var = 2.0 / fan_in
+            var = 1.0 if config.parameterization == "ntk" else config.sigma_w2 / fan_in
             w = rng.standard_normal((fan_out, fan_in)) * np.sqrt(var)
         weights.append(w)
     return weights

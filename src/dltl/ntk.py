@@ -122,10 +122,6 @@ class KernelRecursionState:
         if np.any(np.abs(self.q12) > bound):
             raise ValueError("cross covariance exceeds the Cauchy-Schwarz bound")
 
-    @property
-    def depth(self) -> int:
-        return self.q11.size - 1
-
     def ntk_value(self) -> float:
         """Theta_0(x, x') assembled from the recursion."""
         return float(_theta(self.q12, self.chi))
@@ -644,7 +640,6 @@ class DuTrajectory:
     lambda_min_h: np.ndarray
     max_displacement: np.ndarray
     h_drift: np.ndarray
-    h_infinity: KernelGram
     lambda0: float
     r_prime: float
 
@@ -732,7 +727,6 @@ def du_convergence_monitor(
         lambda_min_h=lam_min,
         max_displacement=disp,
         h_drift=drift,
-        h_infinity=h_inf,
         lambda0=lambda0,
         r_prime=r_prime,
     )

@@ -397,24 +397,21 @@ class EmpiricalSpectrum:
 
 def empirical_spectrum(
     config: NetConfig,
-    x_for_masks: np.ndarray | None = None,
     replicates: int = 50,
     seed: int = 0,
 ) -> EmpiricalSpectrum:
     """Sample weights, form J J^T, pool sorted eigenvalues over replicates.
 
     Linear nets need no input; activations with data-dependent masks get
-    them from a genuine forward pass, on x_for_masks when given, otherwise
-    on a per-replicate standard-normal input from a dedicated substream.
+    them from a genuine forward pass, on a per-replicate standard-normal
+    input from a dedicated substream.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be at least 1, got {replicates}")
     eigs = []
     for r in range(replicates):
         weights = init_weights(config, seed + r)
-        if x_for_masks is not None:
-            x = np.asarray(x_for_masks, dtype=float)
-        elif config.activation.kind == "linear":
+        if config.activation.kind == "linear":
             x = np.ones(config.widths[0])
         else:
             x = np.random.default_rng([seed + r, 1]).standard_normal(config.widths[0])
@@ -445,10 +442,8 @@ def wasserstein1_to_density(values: np.ndarray, density: Density1D) -> float:
     n = values.size
     p = (np.arange(n) + 0.5) / n
     if density.kind == "marchenko_pastur":
-        th = np.linspace(0.0, math.pi / 2, 200_001)
-        xs = 4.0 * np.sin(th) ** 2
-        cdf = (2.0 / math.pi) * (th + np.sin(th) * np.cos(th))
-        quantiles = np.interp(p, cdf, xs)
+        xs = 4.0 * np.sin(np.linspace(0.0, math.pi / 2, 200_001)) ** 2
+        quantiles = np.interp(p, mp_cdf(xs), xs)
     elif density.kind == "grid":
         x, rho = density.grid_x, density.grid_rho
         cdf = _cumulative_trapezoid(rho, x)

@@ -314,33 +314,21 @@ def exact_correlation(spec: ContractionSpec, L: int) -> DiagramCount:
 
     edges = spec.contractions
     for assignment in itertools.product(range(L + 1), repeat=len(edges)):
-        seen: set[tuple[int, int]] = set()
-        valid = True
-        for (i, j), t in zip(edges, assignment):
-            if i == j or (i, t) in seen or (j, t) in seen:
-                valid = False  # a factor differentiates each weight at most once
-                break
-            seen.add((i, t))
-            seen.add((j, t))
-        if not valid:
-            continue
         forced: list[list[tuple[int, int]]] = [[] for _ in range(L + 1)]
         for (i, j), t in zip(edges, assignment):
             forced[t].append((min(i, j), max(i, j)))
-        # per type, every full matching: the forced edges plus one pairing
-        # of the factors they leave free
-        matchings: list[list[tuple[tuple[int, int], ...]]] = []
-        count = 1
-        for t in range(L + 1):
-            taken = {v for e in forced[t] for v in e}
-            rest = tuple(v for v in range(1, spec.m + 1) if v not in taken)
-            if len(rest) % 2 == 1:
-                count = 0
-                break
-            matchings.append([tuple(sorted(forced[t] + list(p))) for p in _pairings_of(rest)])
-            count *= len(matchings[t])
-        if count == 0:
+        taken = [{v for e in f for v in e} for f in forced]
+        # a factor differentiates each weight at most once, so the forced
+        # edges of a type must be disjoint; this also rejects an edge (i, i)
+        if any(len(vs) != 2 * len(f) for vs, f in zip(taken, forced)):
             continue
+        # per type, every full matching: the forced edges plus one pairing
+        # of the factors they leave free (an even number, as m is even)
+        matchings = []
+        for f, vs in zip(forced, taken):
+            rest = tuple(v for v in range(1, spec.m + 1) if v not in vs)
+            matchings.append([tuple(sorted(f + list(p))) for p in _pairings_of(rest)])
+        count = math.prod(len(ms) for ms in matchings)
         if count > MAX_DIAGRAMS:
             raise ValueError(f"diagram enumeration exceeds {MAX_DIAGRAMS} diagrams")
         # loops[c_0, ..., c_L] = sum_r level_r[c_r, c_{r+1}], laid out in
@@ -420,9 +408,6 @@ def _chain_components(spec: ContractionSpec) -> list[tuple[str, tuple[int, ...]]
     components = []
     for comp in spec.cluster_components():
         if len(comp) == 1:
-            v = comp[0]
-            if degree[v - 1] != 0:
-                raise ValueError("an isolated factor cannot carry derivatives")
             components.append(("point", comp))
             continue
         ends = [v for v in comp if degree[v - 1] == 1]
@@ -432,18 +417,16 @@ def _chain_components(spec: ContractionSpec) -> list[tuple[str, tuple[int, ...]]
                 "Monte Carlo supports chain-shaped clusters only "
                 "(two rank-1 endpoints, rank-2 interior factors)"
             )
+        # degrees 1, 2, ..., 2, 1 give k - 1 edges on k connected factors: a
+        # tree, hence a simple path, so the walk from one end visits every factor
         order = [ends[0]]
         prev = None
         while True:
             nxt = [u for u in adjacency[order[-1]] if u != prev]
-            if len(adjacency[order[-1]]) > len(set(adjacency[order[-1]])):
-                raise ValueError("parallel contractions form a loop, not a chain")
             prev = order[-1]
             order.append(nxt[0])
             if degree[order[-1] - 1] == 1:
                 break
-        if len(order) != len(comp):
-            raise ValueError("cluster is not a single chain")
         components.append(("chain", tuple(order)))
     return components
 

@@ -662,6 +662,7 @@ class TestDomainHolesExitOne:
         (["lindyn", "--eta", "nan"], "learning rate must be positive and finite"),
         (["lindyn", "--eta", "inf"], "learning rate must be positive and finite"),
         (["lindyn", "--tol-loss", "nan"], "tol_loss must be finite"),
+        (["lindyn", "--svals", "nan"], "target singular value must be positive and finite, got nan"),
         (["phase", "--act", "tanh", "--sigma-w2", "0.5:2:0.5", "--tol", "nan"], "tol must be finite"),
         (["phase", "--act", "relu", "--sigma-w2", "0.5:2:0.5", "--tol", "-1"], "tol must be finite"),
         (["phase", "--act", "relu", "--sigma-w2", "1:3:1", "--q0", "nan"], "must be finite and nonnegative"),

@@ -77,6 +77,15 @@ class TestModeTime:
         with pytest.raises(ValueError, match="target singular value"):
             lindyn.mode_time(0.01, 0.99, -1.0, 0.05, 2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nonfinite_target_and_rate(self, bad):
+        """A nan target once gave nan times, a nan rate a nan time and an
+        infinite rate t = 0."""
+        with pytest.raises(ValueError, match="target singular value must be positive and finite"):
+            lindyn.mode_time(0.01, 0.9, bad, 0.1, 2)
+        with pytest.raises(ValueError, match="learning rate must be positive and finite"):
+            lindyn.mode_time(0.01, 0.9, 1.0, bad, 2)
+
 
 class TestModeODE:
     def test_shallow_logistic_closed_form(self):
@@ -184,6 +193,13 @@ class TestHessianEigs:
         with pytest.raises(ValueError, match="hidden layer"):
             lindyn.hessian_mode_eigs(0.5, 1.0, 0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nonfinite_arguments(self, bad):
+        with pytest.raises(ValueError, match="balanced coordinate must be finite"):
+            lindyn.hessian_mode_eigs(bad, 1.0, 2)
+        with pytest.raises(ValueError, match="target singular value must be finite"):
+            lindyn.hessian_mode_eigs(0.5, bad, 2)
+
 
 class TestOptSchedule:
     def test_eta_opt_is_reciprocal_peak_curvature(self):
@@ -209,6 +225,11 @@ class TestOptSchedule:
     def test_overflowing_target_is_domain_error(self):
         with pytest.raises(ValueError, match="too large"):
             lindyn.opt_schedule(0.1, 0.99e300, 1e300, 8)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nonfinite_target(self, bad):
+        with pytest.raises(ValueError, match="target singular value must be positive and finite"):
+            lindyn.opt_schedule(0.01, 0.9, bad, 2)
 
 
 class TestDeepLinearGD:

@@ -89,6 +89,15 @@ class TestQuadrature:
         want = gauss_ev(lambda z: np.tanh(z) ** 2, 0.9)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
+    @pytest.mark.parametrize("f, q", [
+        (np.tanh, math.nan),
+        (lambda z: np.tanh(z) ** 2, math.inf),
+    ])
+    def test_gauss_ev_rejects_nonfinite_variance(self, f, q):
+        """These once returned nan and 1.0."""
+        with pytest.raises(ValueError, match="variance must be finite and nonnegative"):
+            gauss_ev(f, q)
+
 
 class TestLengthMap:
     def test_linear_closed_form(self):

@@ -102,6 +102,15 @@ class TestNetConfig:
         with pytest.raises(ValueError, match="sigma_w2 must be positive and finite"):
             NetConfig(widths=(3, 4, 1), activation="relu", sigma_w2=sigma_w2)
 
+    def test_equal_configs_hash_alike(self):
+        a = NetConfig((3, 1), "leaky_relu:0.2", sigma_w2=2.0)
+        b = NetConfig((3, 1), Activation("leaky_relu", 0.2), sigma_w2=2.0)
+        assert a == b and hash(a) == hash(b)
+        table = {a: "first", NetConfig((3, 1), "relu"): "second"}
+        assert table[b] == "first"
+        assert table[NetConfig((3, 1), "relu")] == "second"
+        assert NetConfig((3, 1), "tanh") not in table
+
     def test_orthogonal_ntk_forbidden(self):
         with pytest.raises(ValueError):
             NetConfig(

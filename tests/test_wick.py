@@ -189,6 +189,16 @@ class TestMonteCarloScaling:
         for mean, se, exact in zip(rep.means, rep.std_errs, rep.exacts):
             assert abs(mean - exact) <= 3 * se
 
+    def test_vector_inputs_at_depth_two_have_no_exact_values(self):
+        """exact_correlation refuses vector inputs at L = 2, so exacts is None;
+        E f(x) f(x') = x . x' at every width and depth still checks the means."""
+        x1, x2 = np.array([1.0, 0.5, -0.3]), np.array([0.2, -1.0, 0.8])
+        spec = wick.ContractionSpec(m=2, inputs=(x1, x2))
+        rep = wick.mc_scaling_check(spec, 2, widths=[4, 8, 16], replicates=1000, seed=0)
+        assert rep.exacts is None
+        for mean, se in zip(rep.means, rep.std_errs):
+            assert abs(mean - x1 @ x2) <= 4 * se
+
     def test_validation(self):
         spec = _scalar_spec(4)
         with pytest.raises(ValueError, match="three widths"):
