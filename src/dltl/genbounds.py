@@ -561,47 +561,42 @@ def _logistic_bits_deriv(z: np.ndarray) -> np.ndarray:
         return -1.0 / (1.0 + np.exp(z)) / math.log(2.0)
 
 
-class _StochasticLogisticObjective:
+def _logistic_surrogate(x: np.ndarray, y: np.ndarray):
     """Expected logistic loss of a linear scorer under a diagonal gaussian.
 
     For w ~ N(mu, diag(exp(lam))) the score y_i x_i . w is gaussian with
     mean a_i = y_i x_i . mu and variance v_i = sum_j exp(lam_j) x_ij^2, so
     the expectation reduces to a one-dimensional Gauss-Hermite sum per
-    example, with exact gradients in (mu, lam).
+    example. Returns (mu, lam) -> (loss, grads), where grads() gives the
+    exact gradients in (mu, lam) from the same sums when a step needs them.
     """
+    x_sq = x * x
+    t, w = gauss_hermite(GH_NODES)
+    t = math.sqrt(2.0) * t
+    w = w / math.sqrt(math.pi)
+    w_t = w * t
+    m = y.size
 
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        self.x = x
-        self.y = y
-        self.x_sq = x * x
-        t, w = gauss_hermite(GH_NODES)
-        self.t = math.sqrt(2.0) * t
-        self.w = w / math.sqrt(math.pi)
-
-    def value(self, mu: np.ndarray, lam: np.ndarray) -> float:
-        # overflow yields inf, which the caller's line search rejects
+    def evaluate(mu: np.ndarray, lam: np.ndarray):
+        # overflow yields inf or nan, which the caller's line search rejects
         with np.errstate(over="ignore", invalid="ignore"):
-            a = self.y * (self.x @ mu)
-            v = self.x_sq @ np.exp(lam)
-            z = a[:, None] + np.sqrt(v)[:, None] * self.t[None, :]
-            return float(np.mean(_logistic_bits(z) @ self.w))
+            a = y * (x @ mu)
+            exp_lam = np.exp(lam)
+            v = x_sq @ exp_lam
+            sigma = np.sqrt(v)
+            z = a[:, None] + sigma[:, None] * t[None, :]
+            loss = float(np.mean(_logistic_bits(z) @ w))
 
-    def value_and_grads(self, mu, lam) -> tuple[float, np.ndarray, np.ndarray]:
-        a = self.y * (self.x @ mu)
-        exp_lam = np.exp(lam)
-        v = self.x_sq @ exp_lam
-        sigma = np.sqrt(v)
-        z = a[:, None] + sigma[:, None] * self.t[None, :]
-        loss = float(np.mean(_logistic_bits(z) @ self.w))
-        deriv = _logistic_bits_deriv(z)
-        d_a = deriv @ self.w
-        # d/dv enters through sqrt(v); zero-variance rows have zero gradient
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d_v = np.where(v > 0.0, (deriv @ (self.w * self.t)) / (2.0 * sigma), 0.0)
-        m = self.y.size
-        grad_mu = (d_a * self.y) @ self.x / m
-        grad_lam = (d_v @ self.x_sq) * exp_lam / m
-        return loss, grad_mu, grad_lam
+        def grads() -> tuple[np.ndarray, np.ndarray]:
+            deriv = _logistic_bits_deriv(z)
+            # d/dv enters through sqrt(v); zero-variance rows have zero gradient
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d_v = np.where(v > 0.0, (deriv @ w_t) / (2.0 * sigma), 0.0)
+            return (deriv @ w * y) @ x / m, (d_v @ x_sq) * exp_lam / m
+
+        return loss, grads
+
+    return evaluate
 
 
 def dziugaite_roy_optimize(
@@ -643,7 +638,7 @@ def dziugaite_roy_optimize(
             f"data dimension {x.shape[1]} != posterior dimension {init_posterior.dim}"
         )
 
-    surrogate = _StochasticLogisticObjective(x, y)
+    surrogate = _logistic_surrogate(x, y)
     mu_star = init_posterior.prior_mean
     log_c = math.log(c)
     # j >= 1 keeps the grid index meaningful: lam* <= log c - 1/b
@@ -651,43 +646,43 @@ def dziugaite_roy_optimize(
     log_grid_const = math.log(2.0 * math.pi**2 * m / (3.0 * delta))
     denom = 2.0 * m - 1.0
 
-    def penalty_parts(mu, lam, lam_star):
+    def evaluate(mu, lam, lam_star):
+        """The objective at one point, grads() for its gradients in (mu, lam,
+        lam*), and the (loss, KL, penalty) it sums; raises where the KL does."""
+        loss, surrogate_grads = surrogate(mu, lam)
         j_cont = b * (log_c - lam_star)
         kl = _gaussian_kl(mu, lam, mu_star, lam_star)
-        log_term = log_grid_const + 2.0 * math.log(j_cont)
-        return j_cont, kl, math.sqrt((log_term + kl) / denom)
+        penalty = math.sqrt((log_grid_const + 2.0 * math.log(j_cont) + kl) / denom)
 
-    def objective(mu, lam, lam_star):
+        def grads():
+            g_mu, g_lam = surrogate_grads()
+            shift = mu - mu_star
+            exp_neg = math.exp(-lam_star)
+            scale = 1.0 / (2.0 * denom * penalty)
+            g_mu = g_mu + scale * exp_neg * shift
+            g_lam = g_lam + scale * 0.5 * (exp_neg * np.exp(lam) - 1.0)
+            d_lam_star = -2.0 * b / j_cont + 0.5 * (
+                init_posterior.dim - exp_neg * (float(np.sum(np.exp(lam))) + float(shift @ shift))
+            )
+            return g_mu, g_lam, scale * d_lam_star
+
+        return loss + penalty, grads, (loss, kl, penalty)
+
+    def probe(mu, lam, lam_star):
+        """(objective, grads) at a line-search point; the objective is inf above
+        the grid cap and where exp(lam) or exp(-lam*) leaves float range."""
         if lam_star > lam_star_cap:
-            return math.inf
+            return math.inf, None
         try:
-            loss = surrogate.value(mu, lam)
-            _, _, penalty = penalty_parts(mu, lam, lam_star)
+            objective, grads, _ = evaluate(mu, lam, lam_star)
         except (OverflowError, ValueError):
-            # exp(lam) or exp(-lam*) can leave float range during line search
-            # probes, where gaussian_kl raises
-            return math.inf
-        return loss + penalty
-
-    def gradient(mu, lam, lam_star):
-        loss, g_mu, g_lam = surrogate.value_and_grads(mu, lam)
-        j_cont, kl, penalty = penalty_parts(mu, lam, lam_star)
-        shift = mu - mu_star
-        exp_neg = math.exp(-lam_star)
-        scale = 1.0 / (2.0 * denom * penalty)
-        g_mu = g_mu + scale * exp_neg * shift
-        g_lam = g_lam + scale * 0.5 * (exp_neg * np.exp(lam) - 1.0)
-        d_lam_star = -2.0 * b / j_cont + 0.5 * (
-            init_posterior.dim
-            - exp_neg * (float(np.sum(np.exp(lam))) + float(shift @ shift))
-        )
-        g_lam_star = scale * d_lam_star
-        return loss + penalty, g_mu, g_lam, g_lam_star
+            return math.inf, None
+        return objective, grads
 
     mu = init_posterior.mean.copy()
     lam = init_posterior.log_var.copy()
     lam_star = init_posterior.prior_log_var
-    current = objective(mu, lam, lam_star)
+    current, grads = probe(mu, lam, lam_star)
     if not math.isfinite(current):
         raise ValueError(
             f"non-finite objective at the initial posterior (lam* = {lam_star}, "
@@ -695,36 +690,26 @@ def dziugaite_roy_optimize(
         )
 
     trace = [current]
-    steps_taken = 0
     for _ in range(steps):
-        _, g_mu, g_lam, g_lam_star = gradient(mu, lam, lam_star)
+        g_mu, g_lam, g_lam_star = grads()
         step = 1.0
-        accepted = False
         for _ in range(60):
             # projected step: lam* may ride the j >= 1 boundary of the grid
-            cand_star = min(lam_star - step * g_lam_star, lam_star_cap)
-            cand = objective(mu - step * g_mu, lam - step * g_lam, cand_star)
-            if cand < current:
-                mu = mu - step * g_mu
-                lam = lam - step * g_lam
-                lam_star = cand_star
-                current = cand
-                accepted = True
+            cand = (mu - step * g_mu, lam - step * g_lam, min(lam_star - step * g_lam_star, lam_star_cap))
+            value, cand_grads = probe(*cand)
+            if value < current:
                 break
             step *= 0.5
-        if not accepted:
+        else:
             break
+        (mu, lam, lam_star), current, grads = cand, value, cand_grads
         trace.append(current)
-        steps_taken += 1
 
     # round lam* to the grid and re-evaluate the bound there
     j_cont = b * (log_c - lam_star)
     j_star = max(1, round(j_cont))
     lam_star_grid = log_c - j_star / b
-    loss = surrogate.value(mu, lam)
-    _, kl, penalty = penalty_parts(mu, lam, lam_star_grid)
-    bound = loss + penalty
-    _, _, _, g_lam_star_grid = gradient(mu, lam, lam_star_grid)
+    bound, grid_grads, (loss, kl, penalty) = evaluate(mu, lam, lam_star_grid)
     delta_j = 6.0 * delta / (math.pi**2 * j_star**2)
 
     return BoundReport(
@@ -740,7 +725,7 @@ def dziugaite_roy_optimize(
         },
         details={
             "objective_trace": tuple(trace),
-            "steps_taken": steps_taken,
+            "steps_taken": len(trace) - 1,
             "surrogate_loss": loss,
             "kl": kl,
             "penalty": penalty,
@@ -750,7 +735,7 @@ def dziugaite_roy_optimize(
             "lambda_star_continuous": lam_star,
             "bound_continuous": current,
             "rounding_shift": bound - current,
-            "rounding_penalty_estimate": abs(g_lam_star_grid) / (2.0 * b),
+            "rounding_penalty_estimate": abs(grid_grads()[2]) / (2.0 * b),
             "mean": mu,
             "log_var": lam,
         },

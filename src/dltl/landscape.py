@@ -89,15 +89,6 @@ def logistic_loss(outputs: np.ndarray, y: np.ndarray) -> float:
 _LOSSES = {"square": square_loss, "logistic": logistic_loss}
 
 
-def _resolve_loss(loss):
-    if callable(loss):
-        return loss
-    try:
-        return _LOSSES[loss]
-    except KeyError:
-        raise ValueError(f"unknown loss {loss!r}; pick from {sorted(_LOSSES)}") from None
-
-
 def _check_reconstruct_shapes(config: NetConfig) -> None:
     if not config.activation.invertible:
         raise ValueError(
@@ -244,7 +235,7 @@ def constant_loss_path(
     weights_b: list[np.ndarray],
     x: np.ndarray,
     y: np.ndarray,
-    loss="square",
+    loss: str = "square",
     epsilon: float = 1e-6,
     grid_points: int = 64,
     seed: int = 0,
@@ -256,6 +247,7 @@ def constant_loss_path(
     their first layer onto the reconstructed form, the A side carries its
     upper weights over to B's (output frozen), and both sides meet at the
     B-uppers realization of a target output whose loss is below epsilon.
+    loss names the loss, "square" or "logistic".
     """
     _check_reconstruct_shapes(config)
     if not epsilon >= 1e-8:
@@ -264,7 +256,9 @@ def constant_loss_path(
         raise ValueError(f"grid_points must be at least 2, got {grid_points}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    loss_fn = _resolve_loss(loss)
+    if not (isinstance(loss, str) and loss in _LOSSES):
+        raise ValueError(f"unknown loss {loss!r}; pick from {sorted(_LOSSES)}")
+    loss_fn = _LOSSES[loss]
     rng = np.random.default_rng(seed)
 
     if len(weights_a) == len(weights_b) and all(
@@ -282,7 +276,7 @@ def constant_loss_path(
     loss_b = loss_fn(out_b, y)
 
     target_level = 0.5 * min(epsilon, loss_a if loss_a > 0 else epsilon, loss_b if loss_b > 0 else epsilon)
-    if loss_fn is square_loss:
+    if loss == "square":
         h_tilde = y.astype(float)
     else:
         h_tilde = np.sign(y).astype(float)

@@ -42,11 +42,15 @@ __all__ = [
 ]
 
 
+def _check_positive(what: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{what} must be positive and finite, got {value}")
+
+
 def _check_mode_args(u0: float, uf: float, s: float, L: int) -> None:
     if L < 1:
         raise ValueError(f"need at least one hidden layer, got L = {L}")
-    if not 0 < s < math.inf:
-        raise ValueError(f"target singular value must be positive and finite, got {s}")
+    _check_positive("target singular value", s)
     if u0 == 0:
         raise ValueError("u0 = 0 sits at the degenerate fixed point; the mode never moves")
     if not 0 < u0 <= uf:
@@ -84,8 +88,7 @@ def mode_time(u0: float, uf: float, s: float, eta: float, L: int) -> ModeTimeRes
     Both come with the arrival time for the exact exponent, integrated
     numerically in ln u (t_rk4).
     """
-    if not 0 < eta < math.inf:
-        raise ValueError(f"learning rate must be positive and finite, got {eta}")
+    _check_positive("learning rate", eta)
     _check_mode_args(u0, uf, s, L)
     if u0 == uf:
         return ModeTimeResult(t_formula=0.0, t_rk4=0.0, L=L)
@@ -124,12 +127,18 @@ def integrate_mode_ode(u0: float, s: float, eta: float, L: int, t_grid: np.ndarr
     """RK4 for du/dt = eta (L+1) u^{2L/(L+1)} (s - u) on the given time grid."""
     if L < 1:
         raise ValueError(f"need at least one hidden layer, got L = {L}")
+    _check_positive("target singular value", s)
+    _check_positive("learning rate", eta)
+    if substeps < 1:
+        raise ValueError(f"substeps must be a positive integer, got {substeps}")
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size == 0 or not np.all(np.isfinite(t_grid)):
+        raise ValueError("t_grid must be a nonempty 1-D array of finite times")
     ex = 2.0 * L / (L + 1.0)
 
     def f(u: float) -> float:
         return eta * (L + 1) * max(u, 0.0) ** ex * (s - u)
 
-    t_grid = np.asarray(t_grid, dtype=float)
     out = np.empty_like(t_grid)
     u, t = float(u0), float(t_grid[0])
     out[0] = u
@@ -151,6 +160,11 @@ def integrate_shallow_pair(
 ) -> tuple[np.ndarray, np.ndarray]:
     """RK4 for the unbalanced shallow pair da/dt = eta (s - ab) b,
     db/dt = eta (s - ab) a, whose flow conserves a^2 - b^2."""
+    _check_positive("target singular value", s)
+    _check_positive("learning rate", eta)
+    _check_positive("t_max", t_max)
+    if steps < 1:
+        raise ValueError(f"steps must be a positive integer, got {steps}")
     a, b = float(a0), float(b0)
     traj_a, traj_b = [a], [b]
     h = t_max / steps
@@ -199,8 +213,16 @@ def hessian_mode_eigs(a: float, s: float, L: int) -> HessianModeEigs:
 def hessian_lambda1_max(s: float, L: int, points: int = 20001) -> tuple[float, float]:
     """Grid-searched max of lambda1 over a in [0, s^{1/(L+1)}]; the analytic
     answer is (1+L) s^{2L/(L+1)}, attained at the right endpoint."""
+    if L < 1:
+        raise ValueError(f"need at least one hidden layer, got L = {L}")
+    _check_positive("target singular value", s)
+    if points < 2:
+        raise ValueError(f"points must be at least 2, got {points}")
     grid = np.linspace(0.0, s ** (1.0 / (L + 1)), points)
-    vals = (1 + 2 * L) * grid ** (2 * L) - s * L * grid ** (L - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = (1 + 2 * L) * grid ** (2 * L) - s * L * grid ** (L - 1)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"target s = {s} is too large: lambda1 overflows on the grid")
     i = int(np.argmax(vals))
     return float(vals[i]), float(grid[i])
 
@@ -268,8 +290,7 @@ def simulate_deep_linear_gd(
         raise ValueError("target_svals must be finite, with a finite sum of squares")
     if L < 0:
         raise ValueError(f"depth L must be >= 0, got {L}")
-    if not (eta > 0 and math.isfinite(eta)):
-        raise ValueError(f"learning rate must be positive and finite, got {eta}")
+    _check_positive("learning rate", eta)
     if tol_loss is not None and not (tol_loss >= 0 and math.isfinite(tol_loss)):
         raise ValueError(f"tol_loss must be finite and >= 0, got {tol_loss}")
     if max_steps < 0:

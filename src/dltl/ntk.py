@@ -322,23 +322,21 @@ def limiting_ntk(
     x: np.ndarray,
     config: NetConfig,
     nodes: int = GH_NODES,
-    last_layer_only: bool = False,
     outputs: int | None = None,
 ) -> KernelGram:
     """Deterministic limit kernel Theta_0 on a column dataset.
 
-    last_layer_only freezes everything below the output layer, which
-    collapses the kernel to q_{L+1}. Multi-output kernels are diagonal:
-    passing outputs=k returns the scalar gram kron identity, indexed with
-    the example major and the output component minor.
+    Multi-output kernels are diagonal: passing outputs=k returns the scalar
+    gram kron identity, indexed with the example major and the output
+    component minor.
     """
-    return _limit_grams(x, config, nodes, last_layer_only, outputs)[0]
+    return _limit_grams(x, config, nodes, False, outputs)[0]
 
 
 def _limit_grams(
     x: np.ndarray, config: NetConfig, nodes: int, last_layer_only: bool, outputs: int | None
 ) -> tuple[KernelGram, np.ndarray]:
-    """limiting_ntk's gram, and the q_{L+1} gram computed along with it."""
+    """The Theta_0 gram (q_{L+1} with last_layer_only) and the q_{L+1} gram."""
     if config.parameterization != "ntk":
         raise ValueError("the limit kernel is defined for the ntk parameterization")
     theta, nngp = _pair_kernels(x, None, config, nodes)

@@ -212,13 +212,18 @@ class TestConstantLossPath:
         assert trace.max_rise() <= 1e-6
         assert trace.meeting_loss < 1e-6
 
-    def test_custom_callable_loss(self):
-        """Any convex-in-output callable works; pass the square loss by hand."""
+    @pytest.mark.parametrize(
+        "loss", [landscape.square_loss, lambda o, t: landscape.square_loss(o, t), ["square"]]
+    )
+    def test_loss_only_by_name(self, loss):
+        """The path's target output depends on which loss it is, so a loss
+        is given by name; a callable, even the square loss itself, or a
+        list is rejected in one line."""
         config, wa = _net(self.WIDTHS, seed=26)
         _, wb = _net(self.WIDTHS, seed=27)
         x, y = self._data(seed=28)
-        trace = landscape.constant_loss_path(config, wa, wb, x, y, loss=landscape.square_loss)
-        assert trace.meeting_loss < 1e-6
+        with pytest.raises(ValueError, match=r"^unknown loss .*; pick from \['logistic', 'square'\]$"):
+            landscape.constant_loss_path(config, wa, wb, x, y, loss=loss)
 
     def test_argument_validation(self):
         config, wa = _net(self.WIDTHS, seed=29)

@@ -2,6 +2,8 @@
 Hessian eigenvalues, learning-rate schedules, and full-matrix GD."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +117,25 @@ class TestModeODE:
         with pytest.raises(ValueError, match="hidden layer"):
             lindyn.integrate_mode_ode(0.1, 1.0, 0.1, 0, np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"s": math.nan}, "target singular value must be positive and finite, got nan"),
+            ({"s": -1.0}, "target singular value must be positive and finite, got -1.0"),
+            ({"eta": math.nan}, "learning rate must be positive and finite, got nan"),
+            ({"eta": math.inf}, "learning rate must be positive and finite, got inf"),
+            ({"substeps": 0}, "substeps must be a positive integer, got 0"),
+            ({"t_grid": []}, "t_grid must be a nonempty 1-D array of finite times"),
+            ({"t_grid": [0.0, math.inf]}, "t_grid must be a nonempty 1-D array of finite times"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, kwargs, message):
+        """nan s or eta once gave nan rows, substeps = 0 a divide-by-zero
+        warning and an empty grid an IndexError."""
+        args = {"u0": 0.01, "s": 1.0, "eta": 0.1, "L": 2, "t_grid": [0.0, 1.0]} | kwargs
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lindyn.integrate_mode_ode(**args)
+
 
 class TestShallowPair:
     def test_conserves_difference_of_squares(self):
@@ -134,6 +155,22 @@ class TestShallowPair:
         mode = lindyn.integrate_mode_ode(u0, s, eta, 1, grid)
         np.testing.assert_allclose(a * b, mode, atol=1e-10)
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"s": math.nan}, "target singular value must be positive and finite, got nan"),
+            ({"eta": math.inf}, "learning rate must be positive and finite, got inf"),
+            ({"t_max": math.inf}, "t_max must be positive and finite, got inf"),
+            ({"steps": 0}, "steps must be a positive integer, got 0"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, kwargs, message):
+        """nan s and infinite eta or t_max once gave nan rows, and steps = 0
+        a ZeroDivisionError."""
+        args = {"a0": 0.1, "b0": 0.1, "s": 1.0, "eta": 0.1, "t_max": 1.0, "steps": 3} | kwargs
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lindyn.integrate_shallow_pair(**args)
 
 
 class TestHessianEigs:
@@ -199,6 +236,26 @@ class TestHessianEigs:
             lindyn.hessian_mode_eigs(bad, 1.0, 2)
         with pytest.raises(ValueError, match="target singular value must be finite"):
             lindyn.hessian_mode_eigs(0.5, bad, 2)
+
+    @pytest.mark.parametrize(
+        "s, L, points, message",
+        [
+            (math.nan, 2, 11, "target singular value must be positive and finite, got nan"),
+            (math.inf, 2, 11, "target singular value must be positive and finite, got inf"),
+            (-1.0, 2, 11, "target singular value must be positive and finite, got -1.0"),
+            (1.0, 0, 11, "need at least one hidden layer, got L = 0"),
+            (1.0, 2, 0, "points must be at least 2, got 0"),
+            (1e308, 1, 11, "target s = 1e+308 is too large: lambda1 overflows on the grid"),
+        ],
+    )
+    def test_grid_max_rejects_bad_arguments(self, s, L, points, message):
+        """nan s once gave (nan, nan); inf s, L = 0 and an overflowing s a
+        RuntimeWarning, s = -1 a ComplexWarning and points = 0 an argmax of
+        an empty sequence. No warning is raised on the way."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                lindyn.hessian_lambda1_max(s, L, points)
 
 
 class TestOptSchedule:

@@ -148,11 +148,13 @@ class TestGrams:
             ntk.limiting_ntk(np.eye(3), config)
 
     def test_last_layer_collapses_to_nngp(self):
+        """Training only the output layer leaves the kernel q_{L+1}."""
         config = _relu_config((3, 8, 1))
         x = np.random.default_rng(5).standard_normal((3, 4))
-        frozen = ntk.limiting_ntk(x, config, last_layer_only=True)
+        y = np.random.default_rng(6).standard_normal(4)
+        frozen = ntk.linearize(config, init_weights(config, seed=5), x, y, eta=1.0, kernel="last_layer")
         nngp = ntk.nngp_gram(x, config)
-        np.testing.assert_allclose(frozen.matrix, nngp.matrix, atol=1e-12)
+        np.testing.assert_allclose(frozen.gram.matrix, nngp.matrix, atol=1e-12)
 
     def test_multi_output_is_kron(self):
         config = _relu_config((3, 8, 2))

@@ -8,10 +8,11 @@ reconstruct_first_layer; the tanh length-map moments, fixed point and edge
 of chaos against gauss_ev reference loops; gauss_ev2 on arrays against its
 scalar calls; the NNGP recursion's pair moments against meanfield's
 correlation maps, and the pair-kernel grams against the per-pair
-recursion; the Dziugaite-Roy optimizer's KL against gaussian_kl. Also a
-fuzz of the CLI's count, list, range and tolerance flags and of every
-subcommand that reads input files: every value exits 0, 1 or 2, and a
-rejected one warns nothing."""
+recursion; the Dziugaite-Roy optimizer's KL against gaussian_kl, and its
+one evaluation per point against the loop that evaluated each accepted
+point twice. Also a fuzz of the CLI's count, list, range and tolerance
+flags and of every subcommand that reads input files: every value exits
+0, 1 or 2, and a rejected one warns nothing."""
 
 import contextlib
 import csv
@@ -582,8 +583,11 @@ def _half_plane_arc(center1, center2):
     return center1 + lo, center1 + hi
 
 
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+
+
 def _reference_polar_moments(c, q11, q22, slopes):
-    """The polar rule arc by arc, one Gauss-Legendre dot product per arc."""
+    """The polar rule arc by arc, one 32-node Gauss-Legendre dot product per arc."""
     c = min(1.0, max(-1.0, c))
     d = math.asin(c)
     centers_u = {1.0: 0.0, -1.0: math.pi}
@@ -596,8 +600,8 @@ def _reference_polar_moments(c, q11, q22, slopes):
                 continue
             m_deriv += slope_u * slope_v * (hi - lo) / (2 * math.pi)
             half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-            a = mid + half * ntk._GL_NODES
-            arc = half * float(ntk._GL_WEIGHTS @ (np.cos(a) * np.sin(a + d)))
+            a = mid + half * _GL_NODES
+            arc = half * float(_GL_WEIGHTS @ (np.cos(a) * np.sin(a + d)))
             m_phi += slope_u * slope_v * arc / math.pi
     return math.sqrt(q11 * q22) * m_phi, m_deriv
 
@@ -728,6 +732,183 @@ def test_optimizer_kl_equals_gaussian_kl(d, data, prior_log_var):
     want = _kl_or_error_type(lambda: genbounds.gaussian_kl(posterior))
     got = _kl_or_error_type(lambda: genbounds._gaussian_kl(mean, log_var, prior_mean, prior_log_var))
     assert got == want
+
+
+# -- Dziugaite-Roy: one evaluator per point against the two-evaluator loop -------
+
+
+def _reference_dziugaite_roy(post, x, y, b, c, delta, steps):
+    """The optimizer with a value-only objective for the probes and a
+    separate gradient evaluator run again at each accepted point and at the
+    grid point. Returns (bound, details) or raises as the optimizer does."""
+    t, w = genbounds.gauss_hermite(genbounds.GH_NODES)
+    t, w = math.sqrt(2.0) * t, w / math.sqrt(math.pi)
+    x_sq = x * x
+    m = y.size
+    mu_star = post.prior_mean
+    log_c = math.log(c)
+    lam_star_cap = log_c - 1.0 / b
+    log_grid_const = math.log(2.0 * math.pi**2 * m / (3.0 * delta))
+    denom = 2.0 * m - 1.0
+
+    def surrogate_value(mu, lam):
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = y * (x @ mu)
+            v = x_sq @ np.exp(lam)
+            z = a[:, None] + np.sqrt(v)[:, None] * t[None, :]
+            return float(np.mean(genbounds._logistic_bits(z) @ w))
+
+    def surrogate_value_and_grads(mu, lam):
+        a = y * (x @ mu)
+        exp_lam = np.exp(lam)
+        v = x_sq @ exp_lam
+        sigma = np.sqrt(v)
+        z = a[:, None] + sigma[:, None] * t[None, :]
+        loss = float(np.mean(genbounds._logistic_bits(z) @ w))
+        deriv = genbounds._logistic_bits_deriv(z)
+        d_a = deriv @ w
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d_v = np.where(v > 0.0, (deriv @ (w * t)) / (2.0 * sigma), 0.0)
+        return loss, (d_a * y) @ x / m, (d_v @ x_sq) * exp_lam / m
+
+    def penalty_parts(mu, lam, lam_star):
+        j_cont = b * (log_c - lam_star)
+        kl = genbounds._gaussian_kl(mu, lam, mu_star, lam_star)
+        log_term = log_grid_const + 2.0 * math.log(j_cont)
+        return j_cont, kl, math.sqrt((log_term + kl) / denom)
+
+    def objective(mu, lam, lam_star):
+        if lam_star > lam_star_cap:
+            return math.inf
+        try:
+            loss = surrogate_value(mu, lam)
+            _, _, penalty = penalty_parts(mu, lam, lam_star)
+        except (OverflowError, ValueError):
+            return math.inf
+        return loss + penalty
+
+    def gradient(mu, lam, lam_star):
+        loss, g_mu, g_lam = surrogate_value_and_grads(mu, lam)
+        j_cont, kl, penalty = penalty_parts(mu, lam, lam_star)
+        shift = mu - mu_star
+        exp_neg = math.exp(-lam_star)
+        scale = 1.0 / (2.0 * denom * penalty)
+        g_mu = g_mu + scale * exp_neg * shift
+        g_lam = g_lam + scale * 0.5 * (exp_neg * np.exp(lam) - 1.0)
+        d_lam_star = -2.0 * b / j_cont + 0.5 * (
+            post.dim - exp_neg * (float(np.sum(np.exp(lam))) + float(shift @ shift))
+        )
+        return loss + penalty, g_mu, g_lam, scale * d_lam_star
+
+    mu, lam, lam_star = post.mean.copy(), post.log_var.copy(), post.prior_log_var
+    current = objective(mu, lam, lam_star)
+    if not math.isfinite(current):
+        raise ValueError(
+            f"non-finite objective at the initial posterior (lam* = {lam_star}, "
+            f"grid cap = {lam_star_cap})"
+        )
+    trace = [current]
+    steps_taken = 0
+    for _ in range(steps):
+        _, g_mu, g_lam, g_lam_star = gradient(mu, lam, lam_star)
+        step = 1.0
+        accepted = False
+        for _ in range(60):
+            cand_star = min(lam_star - step * g_lam_star, lam_star_cap)
+            cand = objective(mu - step * g_mu, lam - step * g_lam, cand_star)
+            if cand < current:
+                mu, lam, lam_star, current = mu - step * g_mu, lam - step * g_lam, cand_star, cand
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+        trace.append(current)
+        steps_taken += 1
+
+    j_star = max(1, round(b * (log_c - lam_star)))
+    lam_star_grid = log_c - j_star / b
+    loss = surrogate_value(mu, lam)
+    _, kl, penalty = penalty_parts(mu, lam, lam_star_grid)
+    bound = loss + penalty
+    _, _, _, g_lam_star_grid = gradient(mu, lam, lam_star_grid)
+    return bound, {
+        "objective_trace": tuple(trace),
+        "steps_taken": steps_taken,
+        "surrogate_loss": loss,
+        "kl": kl,
+        "penalty": penalty,
+        "j_star": j_star,
+        "delta_j": 6.0 * delta / (math.pi**2 * j_star**2),
+        "lambda_star": lam_star_grid,
+        "lambda_star_continuous": lam_star,
+        "bound_continuous": current,
+        "rounding_shift": bound - current,
+        "rounding_penalty_estimate": abs(g_lam_star_grid) / (2.0 * b),
+        "mean": mu,
+        "log_var": lam,
+    }
+
+
+def _bound_or_error(call):
+    try:
+        return call()
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    d=st.integers(1, 7),
+    m=st.integers(1, 59),
+    b=st.floats(0.5, 200.0),
+    c=st.one_of(st.floats(1e-3, 10.0), st.floats(1e-210, 1e-165)),
+    delta=st.floats(1e-3, 0.5),
+    steps=st.integers(0, 79),
+    x_scale=st.sampled_from([1.0, 30.0, 1e3]),
+    prior_offset=st.floats(-0.5, 12.0),
+)
+@example(data=None, d=3, m=20, b=100.0, c=0.1, delta=0.05, steps=0, x_scale=1.0, prior_offset=1.99)
+@example(data=None, d=3, m=20, b=100.0, c=math.exp(-380.0), delta=0.05, steps=20, x_scale=1.0, prior_offset=0.99)
+def test_dziugaite_roy_equals_two_evaluator_loop(data, d, m, b, c, delta, steps, x_scale, prior_offset):
+    """One evaluation per probe gives the report of the loop that evaluated
+    each accepted point twice, field for field with ==, or the same error.
+    The prior log-variance sits prior_offset below the grid cap log c - 1/b.
+    A grid scale c below about 1e-165 makes the first probes overflow; at
+    c = exp(-380) the toy problem takes a step after 34 of them. A negative
+    offset puts the prior above the cap, the initial-point error."""
+    if data is None:
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((m, d))
+        y = np.sign(x @ rng.standard_normal(d))
+        y[y == 0] = 1.0
+        mean, log_var, prior_mean = np.zeros(d), -3.0 * np.ones(d), np.zeros(d)
+    else:
+        def vector(size, elements):
+            return np.array(data.draw(st.lists(elements, min_size=size, max_size=size)))
+
+        x = x_scale * vector(m * d, st.floats(-3.0, 3.0)).reshape(m, d)
+        y = vector(m, st.sampled_from([-1.0, 1.0]))
+        mean, log_var = vector(d, st.floats(-3.0, 3.0)), vector(d, st.floats(-10.0, 3.0))
+        prior_mean = vector(d, st.floats(-3.0, 3.0))
+    post = genbounds.GaussianPosterior(
+        mean=mean, log_var=log_var, prior_mean=prior_mean, prior_log_var=math.log(c) - 1.0 / b - prior_offset
+    )
+    want = _bound_or_error(lambda: _reference_dziugaite_roy(post, x, y, b, c, delta, steps))
+    got = _bound_or_error(lambda: genbounds.dziugaite_roy_optimize(post, (x, y), b, c, delta, steps))
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    bound, details = want
+    assert got.bound == bound
+    assert got.inputs == {"m": m, "delta": delta, "b": b, "c": c, "steps": steps, "dim": d}
+    assert got.details.keys() == details.keys()
+    for key, value in details.items():
+        if isinstance(value, np.ndarray):
+            assert got.details[key].dtype == value.dtype and np.array_equal(got.details[key], value), key
+        else:
+            assert type(got.details[key]) is type(value) and got.details[key] == value, key
 
 
 # -- CLI fuzz -------------------------------------------------------------------
