@@ -562,7 +562,7 @@ def _run_wick(args: argparse.Namespace) -> Emission:
         "terms": _records(header, rows),
         "leading_exponent": count.leading_exponent,
         "conjectured_exponent": wick.conjecture_exponent(spec),
-        "diagram_count": len(count.diagrams),
+        "diagram_count": count.diagram_count,
     }
     extra = ()
     if args.mc:

@@ -12,8 +12,10 @@ matching of the type they differentiate. Each diagram contributes
 
 with l the number of loops of the diagram's double-line expansion (L vertex
 levels per factor; a type-0 edge joins level 1, a type-L edge joins level L,
-a middle type joins two adjacent levels). The module enumerates these
-diagrams exactly, evaluates the resulting polynomial in 1/n, places the
+a middle type joins two adjacent levels). No edge joins two levels, so the
+diagram sum factors into per-level transfer matrices (the double-line rules
+of Dyer & Gur-Ari, arXiv:1909.11304). The module sums the diagrams exactly
+that way, evaluates the resulting polynomial in 1/n, places the
 cluster-counting exponent prediction s_C = n_e + n_o/2 - m/2 next to it, and
 Monte-Carlo-checks both on finite nets sampled through netcore.
 
@@ -36,7 +38,6 @@ from .netcore import NetConfig, backward, forward, init_weights
 
 __all__ = [
     "ContractionSpec",
-    "DiagramInfo",
     "DiagramTerm",
     "DiagramCount",
     "ScalingReport",
@@ -144,15 +145,6 @@ def conjecture_exponent(spec: ContractionSpec) -> float:
 
 
 @dataclass(frozen=True)
-class DiagramInfo:
-    """One admissible diagram: its matchings, loop count, and input monomial."""
-
-    edges_by_type: tuple[tuple[tuple[int, int], ...], ...]
-    loops: int
-    monomial: tuple
-
-
-@dataclass(frozen=True)
 class DiagramTerm:
     power_of_inv_n: int
     coefficient: int
@@ -161,12 +153,17 @@ class DiagramTerm:
 
 @dataclass(frozen=True)
 class DiagramCount:
-    """The exact expansion: per-diagram records plus the collected polynomial."""
+    """The exact expansion: the collected polynomial and its diagram count."""
 
     spec: ContractionSpec
     depth: int
-    diagrams: tuple[DiagramInfo, ...]
+    diagram_count: int
     terms: tuple[DiagramTerm, ...]
+
+    @property
+    def diagrams(self) -> range:
+        """range(diagram_count) for the benchmark counter, until it reads diagram_count."""
+        return range(self.diagram_count)
 
     @property
     def leading_exponent(self) -> float | None:
@@ -247,15 +244,9 @@ def _level_loops(below: np.ndarray, above: np.ndarray) -> np.ndarray:
 def double_line_loops(
     edges_by_type: tuple[tuple[tuple[int, int], ...], ...], m: int, depth: int
 ) -> int:
-    """Loop count of the double-line expansion of one diagram.
-
-    Every factor spawns `depth` index levels; a type-0 edge identifies the
-    level-1 indices of its endpoints, a type-L edge the level-L indices, and
-    a middle type l the indices at levels l and l + 1. Each level vertex
-    ends with degree two, so loops are the connected components. No edge
-    joins two levels, so the count is a sum over levels r = 1..L of the
-    components drawn by types r - 1 and r.
-    """
+    """Loop count of the double-line expansion of one diagram: the sum over
+    levels r = 1..L of the loops drawn by types r - 1 and r, the quantity
+    exact_correlation sums over all diagrams at once."""
     for edges in edges_by_type:
         if sorted(v for e in edges for v in e) != list(range(1, m + 1)):
             raise ValueError(f"{edges} is not a perfect matching of 1..{m}")
@@ -291,12 +282,16 @@ def _monomial_key(m0_edges: tuple[tuple[int, int], ...], labels: tuple[int, ...]
 
 
 def exact_correlation(spec: ContractionSpec, L: int) -> DiagramCount:
-    """Enumerate every admissible diagram and collect the 1/n polynomial.
+    """Count every admissible diagram and collect the 1/n polynomial.
 
     Each contraction edge is assigned one of the L+1 weight types (no factor
     may repeat a type: the network is multilinear in its weight matrices);
     per type, the factors not consumed by an assigned edge are paired in all
     possible ways. Odd m admits no pairing and gives the zero polynomial.
+
+    Loops add up over levels, so the loop polynomial of type-0 matching a is
+    row a of T_0 T_1 ... T_{L-1} 1 with T_r[a, b] = x^level_r[a, b], summed
+    on int64 coefficient arrays that MAX_DIAGRAMS keeps exact.
     """
     if L < 1:
         raise ValueError("depth must be at least 1")
@@ -306,13 +301,14 @@ def exact_correlation(spec: ContractionSpec, L: int) -> DiagramCount:
         raise ValueError("vector inputs are supported at L = 1 only; deeper nets take scalars")
     labels = spec.input_labels()
     scalar = spec.scalar_inputs
-    diagrams: list[DiagramInfo] = []
-    poly: Counter[tuple[int, tuple]] = Counter()
+    tally: Counter[tuple[int, tuple]] = Counter()
+    diagram_count = 0
 
     if spec.m % 2 == 1:
-        return DiagramCount(spec=spec, depth=L, diagrams=(), terms=())
+        return DiagramCount(spec=spec, depth=L, diagram_count=0, terms=())
 
     edges = spec.contractions
+    half = spec.m // 2
     for assignment in itertools.product(range(L + 1), repeat=len(edges)):
         forced: list[list[tuple[int, int]]] = [[] for _ in range(L + 1)]
         for (i, j), t in zip(edges, assignment):
@@ -331,28 +327,29 @@ def exact_correlation(spec: ContractionSpec, L: int) -> DiagramCount:
         count = math.prod(len(ms) for ms in matchings)
         if count > MAX_DIAGRAMS:
             raise ValueError(f"diagram enumeration exceeds {MAX_DIAGRAMS} diagrams")
-        # loops[c_0, ..., c_L] = sum_r level_r[c_r, c_{r+1}], laid out in
-        # the order itertools.product walks the matchings
-        loops = np.zeros([len(ms) for ms in matchings], dtype=np.int64)
+        diagram_count += count
         rows = [_involutions(spec.m, ms) for ms in matchings]
-        for r in range(L):
+        # poly[c, d]: matchings above type r that close d loops over its c
+        poly = np.zeros((len(rows[L]), L * half + 1), dtype=np.int64)
+        poly[:, 0] = 1
+        for r in reversed(range(L)):
             level = _level_loops(rows[r], rows[r + 1])
-            loops += level.reshape((1,) * r + level.shape + (1,) * (L - 1 - r))
-        first = [(e, _monomial_key(e, labels, scalar)) for e in matchings[0]]
-        for ((e0, monomial), *rest), n_loops in zip(
-            itertools.product(first, *matchings[1:]), loops.ravel().tolist()
-        ):
-            diagrams.append(DiagramInfo(edges_by_type=(e0, *rest), loops=n_loops, monomial=monomial))
-        # a type-0 matching fixes the monomial: tally its row's loop counts
-        for (_, monomial), row in zip(first, loops.reshape(len(first), -1)):
-            for n_loops, c in enumerate(np.bincount(row).tolist()):
-                poly[L * spec.m // 2 - n_loops, monomial] += c
+            below = np.zeros((len(rows[r]), poly.shape[1]), dtype=np.int64)
+            # the union of two perfect matchings holds 1..m/2 loops
+            for k in range(1, half + 1):
+                below[:, k:] += ((level == k) @ poly)[:, :-k]
+            poly = below
+        # a type-0 matching fixes the monomial
+        for e0, row in zip(matchings[0], poly.tolist()):
+            monomial = _monomial_key(e0, labels, scalar)
+            for n_loops, c in enumerate(row):
+                if c:
+                    tally[L * half - n_loops, monomial] += c
 
     terms = tuple(
-        DiagramTerm(power_of_inv_n=p, coefficient=c, monomial=mono)
-        for (p, mono), c in sorted(poly.items()) if c
+        DiagramTerm(power_of_inv_n=p, coefficient=c, monomial=mono) for (p, mono), c in sorted(tally.items())
     )
-    return DiagramCount(spec=spec, depth=L, diagrams=tuple(diagrams), terms=terms)
+    return DiagramCount(spec=spec, depth=L, diagram_count=diagram_count, terms=terms)
 
 
 # -- Monte Carlo ---------------------------------------------------------------

@@ -2,8 +2,8 @@
 against single-input backward column by column, and the layer-wise
 empirical tangent gram against an explicit gradient-feature gram. The
 whole-array loops of lindyn, wick and meanfield against the scalar loops
-they replaced, kept here as references; the Wick polynomial against the
-tally of its diagrams; landscape's per-leg first-layer solver against
+they replaced, kept here as references; the Wick polynomial against a
+listing of its diagrams; landscape's per-leg first-layer solver against
 reconstruct_first_layer; the tanh length-map moments, fixed point and edge
 of chaos against gauss_ev reference loops; gauss_ev2 on arrays against its
 scalar calls; the NNGP recursion's pair moments against meanfield's
@@ -17,6 +17,7 @@ flags and of every subcommand that reads input files: every value exits
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -228,7 +229,7 @@ def test_arrival_time_matches_stepping_loop(L, s, eta, start, stop):
     assert abs(lindyn._arrival_time_rk4(u0, uf, s, eta, L) - want) <= 1e-14 * abs(want)
 
 
-# -- double-line loops: per-level tables against one union-find ----------------
+# -- the Wick polynomial against a listing of its diagrams ---------------------
 
 
 def _reference_loops(edges_by_type, m, depth):
@@ -249,6 +250,40 @@ def _reference_loops(edges_by_type, m, depth):
             for p, q in edges:
                 union(row * m + p - 1, row * m + q - 1)
     return len({find(v) for v in range(depth * m)})
+
+
+def _listed_diagrams(spec, L):
+    """Every diagram one at a time, as its matchings by type: per weight
+    type, every perfect matching of 1..m holding the contraction edges
+    assigned to that type."""
+    if spec.m % 2:
+        return
+    matchings = [
+        frozenset((p + 1, q + 1) for p, q in pairing) for pairing in wick.enumerate_pairings(spec.m // 2)
+    ]
+    for assignment in itertools.product(range(L + 1), repeat=len(spec.contractions)):
+        forced = [[tuple(sorted(e)) for e, a in zip(spec.contractions, assignment) if a == t] for t in range(L + 1)]
+        # forced edges that share a factor fit no matching; a repeated edge
+        # shares two, and a self-contraction (i, i) shares one with itself
+        if any(len({v for e in f for v in e}) != 2 * len(f) for f in forced):
+            continue
+        yield from itertools.product(*[[mt for mt in matchings if mt >= set(f)] for f in forced])
+
+
+def _reference_expansion(spec, L):
+    """(terms, diagram count) tallied over _listed_diagrams, with loops
+    counted by _reference_loops."""
+    labels = spec.input_labels()
+    tally, diagrams = Counter(), 0
+    for edges_by_type in _listed_diagrams(spec, L):
+        diagrams += 1
+        ends = [(labels[p - 1], labels[q - 1]) for p, q in edges_by_type[0]]
+        if spec.scalar_inputs:
+            monomial = tuple(sorted(v for e in ends for v in e))
+        else:
+            monomial = tuple(sorted((min(e), max(e)) for e in ends))
+        tally[L * spec.m // 2 - _reference_loops(edges_by_type, spec.m, L), monomial] += 1
+    return tuple(wick.DiagramTerm(p, c, mono) for (p, mono), c in sorted(tally.items())), diagrams
 
 
 @st.composite
@@ -281,14 +316,18 @@ _VEC_A, _VEC_B = np.array([0.3, -1.0, 0.5]), np.array([1.1, 0.2, -0.4])
 @example(spec_depth=(wick.ContractionSpec(m=6, contractions=((1, 2), (3, 4)), inputs=(0.7,) * 6), 2))
 @example(spec_depth=(wick.ContractionSpec(m=6, contractions=((1, 2),), inputs=(_VEC_A, _VEC_B) * 3), 1))
 @example(spec_depth=(wick.ContractionSpec(m=4, inputs=(_VEC_A, _VEC_B, _VEC_A, _VEC_A)), 1))
+@example(spec_depth=(wick.ContractionSpec(m=4, contractions=((1, 2), (1, 2)), inputs=(0.7,) * 4), 2))
+@example(spec_depth=(wick.ContractionSpec(m=4, contractions=((2, 2), (1, 3)), inputs=(0.7,) * 4), 1))
+@example(spec_depth=(wick.ContractionSpec(m=5, contractions=((1, 2),), inputs=(0.7,) * 5), 2))
 def test_diagram_terms_tally_the_diagrams(spec_depth):
-    """The polynomial, counted per type-0 matching, is the per-diagram tally
-    of (L m / 2 - loops, monomial), with int coefficients."""
+    """The transfer-product polynomial and diagram count equal the tally of
+    (L m / 2 - loops, monomial) over a listing of every diagram, with int
+    coefficients."""
     spec, L = spec_depth
     count = wick.exact_correlation(spec, L)
-    tally = Counter((L * spec.m // 2 - d.loops, d.monomial) for d in count.diagrams)
-    want = tuple(wick.DiagramTerm(p, c, mono) for (p, mono), c in sorted(tally.items()))
-    assert count.terms == want
+    terms, diagrams = _reference_expansion(spec, L)
+    assert count.terms == terms
+    assert count.diagram_count == diagrams
     assert all(type(t.coefficient) is int for t in count.terms)
 
 
@@ -296,11 +335,8 @@ def test_diagram_terms_tally_the_diagrams(spec_depth):
 @given(spec_depth=diagram_specs())
 def test_diagram_loops_match_level_union_find(spec_depth):
     spec, L = spec_depth
-    count = wick.exact_correlation(spec, L)
-    for info in count.diagrams:
-        want = _reference_loops(info.edges_by_type, spec.m, L)
-        assert info.loops == want
-        assert wick.double_line_loops(info.edges_by_type, spec.m, L) == want
+    for edges_by_type in _listed_diagrams(spec, L):
+        assert wick.double_line_loops(edges_by_type, spec.m, L) == _reference_loops(edges_by_type, spec.m, L)
 
 
 # -- first-layer reconstruction: one solver per leg against the public call ----

@@ -104,16 +104,20 @@ class TestExactCorrelation:
         assert [(t.power_of_inv_n, t.coefficient) for t in count.terms] == [
             (0, 3), (1, 12), (2, 12),
         ]
-        assert len(count.diagrams) == 27
+        assert count.diagram_count == 27
 
     def test_width_one_collapses_to_scalar_gaussians(self):
         """At n = 1 the net is a product of L+1 independent N(0,1) scalars, so
-        E f^4 = 3^{L+1} (x = 1): the polynomial must sum to it."""
+        E f^m = ((m-1)!!)^{L+1} (x = 1): the polynomial must sum to it. With
+        no contractions each diagram is one pairing per type, so the diagram
+        count is the same number. m = 8, L = 2 is the largest spec under
+        MAX_DIAGRAMS, with 105^3 diagrams."""
         one = np.array([1.0])
-        spec = wick.ContractionSpec(m=4, inputs=(one,) * 4)
-        for L in (1, 2, 3):
-            count = wick.exact_correlation(spec, L)
-            np.testing.assert_allclose(count.evaluate(1), 3.0 ** (L + 1), rtol=1e-12)
+        for m, L in ((4, 1), (4, 2), (4, 3), (8, 2)):
+            count = wick.exact_correlation(wick.ContractionSpec(m=m, inputs=(one,) * m), L)
+            moment = math.prod(range(m - 1, 0, -2))  # E z^m = (m-1)!!
+            assert count.evaluate(1) == moment ** (L + 1)
+            assert count.diagram_count == moment ** (L + 1)
 
     def test_sixth_moment_at_width_one(self):
         """E f^6 at n = 1 is (E z^6)^{L+1} = 15^{L+1}."""
@@ -121,7 +125,7 @@ class TestExactCorrelation:
         spec = wick.ContractionSpec(m=6, inputs=(one,) * 6)
         count = wick.exact_correlation(spec, 1)
         np.testing.assert_allclose(count.evaluate(1), 15.0**2, rtol=1e-12)
-        assert len(count.diagrams) == 15 * 15
+        assert count.diagram_count == 15 * 15
 
     def test_vector_pair_covariance(self):
         """E f(x1) f(x2) = x1.x2 exactly, any width."""
