@@ -533,6 +533,8 @@ def _run_align(args: argparse.Namespace) -> Emission:
 def _read_contraction_spec(path: str) -> tuple[wick.ContractionSpec, int]:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object")
     allowed = {"m", "depth", "contractions", "inputs"}
     unknown = set(doc) - allowed
     if unknown:
@@ -540,12 +542,17 @@ def _read_contraction_spec(path: str) -> tuple[wick.ContractionSpec, int]:
     for key in ("m", "depth"):
         if key not in doc:
             raise ValueError(f"{path}: missing key {key!r}")
+    depth, contractions, inputs = doc["depth"], doc.get("contractions", []), doc.get("inputs", [])
+    if type(depth) is not int:
+        raise ValueError(f"{path}: depth must be an integer, got {depth!r}")
+    if not (isinstance(contractions, list) and isinstance(inputs, list)):
+        raise ValueError(f"{path}: contractions and inputs must be lists")
     spec = wick.ContractionSpec(
-        m=int(doc["m"]),
-        contractions=tuple((int(p), int(q)) for p, q in doc.get("contractions", ())),
-        inputs=tuple(np.asarray(v, dtype=float) for v in doc.get("inputs", ())),
+        m=doc["m"],
+        contractions=tuple(contractions),
+        inputs=tuple(np.asarray(v, dtype=float) for v in inputs),
     )
-    return spec, int(doc["depth"])
+    return spec, depth
 
 
 def _run_wick(args: argparse.Namespace) -> Emission:

@@ -59,6 +59,11 @@ def _check_mode_args(u0: float, uf: float, s: float, L: int) -> None:
         raise ValueError(f"uf = {uf} is not reachable in finite time (target s = {s})")
 
 
+def _crossed_zero(x: float, start: float, slack: float = 0.0) -> bool:
+    """x lies on the other side of zero from start, by more than slack."""
+    return x < -slack and start > 0 or x > slack and start < 0
+
+
 def _log_ratio(u0: float, uf: float, s: float) -> float:
     # ln( uf (u0 - s) / (u0 (uf - s)) ), positive for 0 < u0 <= uf < s
     return math.log(uf * (s - u0) / (u0 * (s - uf)))
@@ -124,7 +129,13 @@ def _arrival_time_rk4(u0: float, uf: float, s: float, eta: float, L: int, steps:
 
 
 def integrate_mode_ode(u0: float, s: float, eta: float, L: int, t_grid: np.ndarray, substeps: int = 16) -> np.ndarray:
-    """RK4 for du/dt = eta (L+1) u^{2L/(L+1)} (s - u) on the given time grid."""
+    """RK4 for du/dt = eta (L+1) u^{2L/(L+1)} (s - u) on the given time grid.
+
+    The flow keeps the sign of u, so a step that leaves u non-finite or
+    across zero raises RuntimeError: eta times the step is too large.
+    """
+    if not math.isfinite(u0):
+        raise ValueError(f"u0 must be finite, got {u0}")
     if L < 1:
         raise ValueError(f"need at least one hidden layer, got L = {L}")
     _check_positive("target singular value", s)
@@ -150,6 +161,8 @@ def integrate_mode_ode(u0: float, s: float, eta: float, L: int, t_grid: np.ndarr
             k3 = f(u + 0.5 * h * k2)
             k4 = f(u + h * k3)
             u += (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not math.isfinite(u) or _crossed_zero(u, u0):
+                raise RuntimeError(f"RK4 diverged before t = {t_grid[i]} with eta = {eta}: u = {u}")
         t = t_grid[i]
         out[i] = u
     return out
@@ -159,7 +172,16 @@ def integrate_shallow_pair(
     a0: float, b0: float, s: float, eta: float, t_max: float, steps: int = 2000
 ) -> tuple[np.ndarray, np.ndarray]:
     """RK4 for the unbalanced shallow pair da/dt = eta (s - ab) b,
-    db/dt = eta (s - ab) a, whose flow conserves a^2 - b^2."""
+    db/dt = eta (s - ab) a, whose flow conserves a^2 - b^2.
+
+    The flow also keeps the signs of a + b and a - b, as (a +- b)' =
+    +-eta (s - ab) (a +- b); a step that leaves a or b non-finite or either
+    sum across zero raises RuntimeError: eta times the step is too large.
+    A start balanced to the last bits keeps one sum at the rounding level
+    of a and b, so a crossing within 1e-8 (|a| + |b|) does not count.
+    """
+    if not (math.isfinite(a0) and math.isfinite(b0)):
+        raise ValueError(f"a0 and b0 must be finite, got {a0} and {b0}")
     _check_positive("target singular value", s)
     _check_positive("learning rate", eta)
     _check_positive("t_max", t_max)
@@ -173,13 +195,16 @@ def integrate_shallow_pair(
         r = eta * (s - a * b)
         return r * b, r * a
 
-    for _ in range(steps):
+    for step in range(1, steps + 1):
         k1a, k1b = f(a, b)
         k2a, k2b = f(a + 0.5 * h * k1a, b + 0.5 * h * k1b)
         k3a, k3b = f(a + 0.5 * h * k2a, b + 0.5 * h * k2b)
         k4a, k4b = f(a + h * k3a, b + h * k3b)
         a += (h / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a)
         b += (h / 6.0) * (k1b + 2 * k2b + 2 * k3b + k4b)
+        slack = 1e-8 * (abs(a) + abs(b))  # not finite once a or b is not
+        if not math.isfinite(slack) or _crossed_zero(a + b, a0 + b0, slack) or _crossed_zero(a - b, a0 - b0, slack):
+            raise RuntimeError(f"RK4 diverged at step {step} with eta = {eta}: a = {a}, b = {b}")
         traj_a.append(a)
         traj_b.append(b)
     return np.array(traj_a), np.array(traj_b)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 
@@ -52,6 +53,7 @@ __all__ = [
 MAX_FACTORS = 8
 MAX_PAIRING_ELEMENTS = 12
 MAX_DIAGRAMS = 2_000_000
+MAX_DEPTH = 63
 
 
 def enumerate_pairings(k: int) -> list[tuple[tuple[int, int], ...]]:
@@ -75,6 +77,11 @@ def _pairings_of(items: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
     return out
 
 
+def _is_integer(value) -> bool:
+    """An integer that is not a bool: int() would pass 2.9 and True."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ContractionSpec:
     """m derivative-tensor factors with pairwise-contracted indices.
@@ -89,8 +96,13 @@ class ContractionSpec:
     inputs: tuple = ()
 
     def __post_init__(self):
+        if not _is_integer(self.m):
+            raise ValueError(f"m must be an integer, got {self.m!r}")
         if self.m < 1:
             raise ValueError("need at least one factor")
+        for pair in self.contractions:
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(_is_integer, pair))):
+                raise ValueError(f"contraction {pair!r} is not a pair of integer factor indices")
         pairs = tuple((int(i), int(j)) for i, j in self.contractions)
         object.__setattr__(self, "contractions", pairs)
         for i, j in pairs:
@@ -102,6 +114,9 @@ class ContractionSpec:
             raise ValueError(f"need {self.m} inputs, got {len(arrays)}")
         if len({x.shape for x in arrays}) > 1:
             raise ValueError("inputs must share a dimension")
+        for k, x in enumerate(arrays, 1):
+            if x.ndim != 1 or x.size == 0 or not np.all(np.isfinite(x)):
+                raise ValueError(f"input of factor {k} must be a finite number or 1-D vector, got {x.tolist()}")
 
     @property
     def input_dim(self) -> int:
@@ -308,6 +323,8 @@ def exact_correlation(spec: ContractionSpec, L: int) -> DiagramCount:
         return DiagramCount(spec=spec, depth=L, diagram_count=0, terms=())
 
     edges = spec.contractions
+    if (L + 1) ** len(edges) > MAX_DIAGRAMS:
+        raise ValueError(f"{len(edges)} contractions at depth {L} give more than {MAX_DIAGRAMS} type assignments")
     half = spec.m // 2
     for assignment in itertools.product(range(L + 1), repeat=len(edges)):
         forced: list[list[tuple[int, int]]] = [[] for _ in range(L + 1)]
@@ -327,6 +344,10 @@ def exact_correlation(spec: ContractionSpec, L: int) -> DiagramCount:
         count = math.prod(len(ms) for ms in matchings)
         if count > MAX_DIAGRAMS:
             raise ValueError(f"diagram enumeration exceeds {MAX_DIAGRAMS} diagrams")
+        # the limit sits at the first admissible assignment, so that a spec
+        # with none still gives the zero polynomial at any depth
+        if L > MAX_DEPTH:
+            raise ValueError(f"depth {L} exceeds the supported {MAX_DEPTH}")
         diagram_count += count
         rows = [_involutions(spec.m, ms) for ms in matchings]
         # poly[c, d]: matchings above type r that close d loops over its c

@@ -497,6 +497,38 @@ class TestWick:
         assert code == 1
         assert "unknown keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"m": 2, "depth": 1, "inputs": [[math.nan], [1.0]]},
+         "input of factor 1 must be a finite number or 1-D vector, got [nan]"),
+        ({"m": 2, "depth": 1, "inputs": [[[1.0]], [[2.0]]]},
+         "input of factor 1 must be a finite number or 1-D vector, got [[1.0]]"),
+        ({"m": 2, "depth": 1.5, "inputs": [[1.0]] * 2}, "depth must be an integer, got 1.5"),
+        ({"m": 2, "depth": True, "inputs": [[1.0]] * 2}, "depth must be an integer, got True"),
+        ({"m": 2.9, "depth": 1, "inputs": [[1.0]] * 2}, "m must be an integer, got 2.9"),
+        ({"m": 2, "depth": 1, "contractions": [[1.7, 2.2]], "inputs": [[1.0]] * 2},
+         "contraction [1.7, 2.2] is not a pair of integer factor indices"),
+        ({"m": 2, "depth": 1, "contractions": [[1, 2, 3]], "inputs": [[1.0]] * 2},
+         "contraction [1, 2, 3] is not a pair of integer factor indices"),
+        ({"m": 2, "depth": 1, "contractions": 5, "inputs": [[1.0]] * 2}, "contractions and inputs must be lists"),
+        ([2, 1], "expected a JSON object"),
+        ({"m": 4, "depth": 1, "contractions": [[1, 2]] * 30, "inputs": [[1.0]] * 4},
+         "30 contractions at depth 1 give more than 2000000 type assignments"),
+        ({"m": 2, "depth": 64, "inputs": [[1.0]] * 2}, "depth 64 exceeds the supported 63"),
+    ])
+    def test_spec_checked_where_it_enters(self, doc, message, tmp_path, capsys):
+        """A nan input once gave nan means, exacts and slopes with exit 0, a
+        1 x 1 input a TypeError traceback, non-integers were truncated, a
+        three-entry contraction failed to unpack, 30 contractions walked 2^30
+        assignments and depth 64 hit numpy's 64-axis limit."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["wick", "--spec", str(spec), "--mc", "--widths", "2,3,4", "--replicates", "2",
+                     "--format", "json", "--out", str(tmp_path / "out.json")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ") and err[0].endswith(message)
+        assert not (tmp_path / "out.json").exists()
+
 
 class TestBounds:
     def test_all_families_table(self, signed_dataset, tmp_path):

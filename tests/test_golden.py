@@ -78,6 +78,7 @@ def write_inputs(root: Path) -> dict[str, str]:
     net("bounds_net", (4, 6, 1), "relu", 30)
     spec("spec", {"m": 4, "depth": 1, "contractions": [], "inputs": [[1.2]] * 4})
     spec("spec_deep", {"m": 6, "depth": 2, "contractions": [[1, 2], [3, 4]], "inputs": [[0.7]] * 6})
+    spec("spec_8x2", {"m": 8, "depth": 2, "inputs": [[1.0]] * 8})
     spec("spec_vec", {"m": 4, "depth": 1, "contractions": [[1, 2]],
                       "inputs": [[1.0, 0.5], [0.3, -1.0], [1.0, 0.5], [0.3, -1.0]]})
     paths["mc_out"] = str(root / "mc_out.csv")
@@ -113,6 +114,7 @@ CASES = {
     "align-mc-u0": "align --data {data} --points 8 --method mc --mc-samples 2000 --u0-weights {u0_net} --seed 4",
     "wick": "wick --spec {spec}",
     "wick-deep": "wick --spec {spec_deep}",
+    "wick-8x2": "wick --spec {spec_8x2}",
     "wick-mc": "wick --spec {spec_vec} --mc --widths 4,8,16 --replicates 30 --seed 2 --mc-out {mc_out}",
     "bounds": "bounds --weights {bounds_net} --data {signed} --replicates 20 --seed 9",
 }

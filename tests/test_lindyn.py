@@ -127,6 +127,8 @@ class TestModeODE:
             ({"substeps": 0}, "substeps must be a positive integer, got 0"),
             ({"t_grid": []}, "t_grid must be a nonempty 1-D array of finite times"),
             ({"t_grid": [0.0, math.inf]}, "t_grid must be a nonempty 1-D array of finite times"),
+            ({"u0": math.nan}, "u0 must be finite, got nan"),
+            ({"u0": -math.inf}, "u0 must be finite, got -inf"),
         ],
     )
     def test_rejects_bad_arguments(self, kwargs, message):
@@ -135,6 +137,12 @@ class TestModeODE:
         args = {"u0": 0.01, "s": 1.0, "eta": 0.1, "L": 2, "t_grid": [0.0, 1.0]} | kwargs
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             lindyn.integrate_mode_ode(**args)
+
+
+    def test_too_large_a_step_raises(self):
+        """Once returned [0.5, -1.27e12] without a word."""
+        with pytest.raises(RuntimeError, match=r"^RK4 diverged before t = 100.0 with eta = 100.0: u = -12743718"):
+            lindyn.integrate_mode_ode(0.5, 1.0, 100.0, 2, [0, 100], substeps=1)
 
 
 class TestShallowPair:
@@ -163,6 +171,8 @@ class TestShallowPair:
             ({"eta": math.inf}, "learning rate must be positive and finite, got inf"),
             ({"t_max": math.inf}, "t_max must be positive and finite, got inf"),
             ({"steps": 0}, "steps must be a positive integer, got 0"),
+            ({"a0": math.nan}, "a0 and b0 must be finite, got nan and 0.1"),
+            ({"b0": math.inf}, "a0 and b0 must be finite, got 0.1 and inf"),
         ],
     )
     def test_rejects_bad_arguments(self, kwargs, message):
@@ -171,6 +181,27 @@ class TestShallowPair:
         args = {"a0": 0.1, "b0": 0.1, "s": 1.0, "eta": 0.1, "t_max": 1.0, "steps": 3} | kwargs
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             lindyn.integrate_shallow_pair(**args)
+
+
+    def test_too_large_a_step_raises(self):
+        """Once ended at a = -7.7e136 without a word."""
+        with pytest.raises(RuntimeError, match=r"^RK4 diverged at step 1 with eta = 100.0: a = -7\.70"):
+            lindyn.integrate_shallow_pair(0.5, 0.5, 1.0, 100.0, 100.0, steps=1)
+
+    def test_mixed_signs_cross_zero(self):
+        """a0 > 0 > b0 with a0^2 > b0^2: b crosses zero on its way to ab = s,
+        as the flow allows, while a + b and a - b keep their signs."""
+        a, b = lindyn.integrate_shallow_pair(1.0, -0.5, 1.0, 0.3, 60.0)
+        assert b[0] < 0 < b[-1]
+        np.testing.assert_allclose(a[-1] * b[-1], 1.0, atol=1e-6)
+        np.testing.assert_allclose(a**2 - b**2, 0.75, atol=1e-10)
+
+    def test_start_balanced_to_the_last_bit(self):
+        """a0 = -b0 up to one ulp: a - b rounds across zero as the pair
+        settles at a = b, which is rounding, not divergence."""
+        a, b = lindyn.integrate_shallow_pair(0.5523612835089521, -0.5523612835089522, 2.544714414844597,
+                                             0.2943962441914821, 454.74669869826937, steps=500)
+        assert abs(a[-1] - b[-1]) < 1e-15 < abs(a[-1])
 
 
 class TestHessianEigs:

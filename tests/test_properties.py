@@ -1073,14 +1073,30 @@ def wick_specs(draw):
     factor = mostly(st.integers(1, max(m, 1)), st.integers(0, max(m, 0) + 1))
     scalar = draw(st.booleans())
     n_inputs = draw(mostly(st.just(m), st.integers(0, 5)))
+    entry = mostly(st.floats(-2, 2), st.sampled_from([math.nan, math.inf]))
     doc = {
         "m": m,
         "depth": draw(mostly(st.integers(1, 2), st.integers(-1, 3))),
         "contractions": draw(st.lists(st.lists(factor, min_size=2, max_size=2), max_size=2)),
-        "inputs": [[draw(st.floats(-2, 2))] if scalar else [1.0, draw(st.floats(-2, 2))]
-                   for _ in range(n_inputs)],
+        "inputs": [[draw(entry)] if scalar else [1.0, draw(entry)] for _ in range(n_inputs)],
     }
+    # now and then a number where an integer belongs, or a three-entry contraction
+    key = draw(mostly(st.none(), st.sampled_from(["m", "depth", "contraction", "triple"])))
+    if key in ("m", "depth"):
+        doc[key] = draw(st.sampled_from([doc[key] + 0.5, float(doc[key]), True]))
+    elif key is not None:
+        doc["contractions"].append([1.7, 2.2] if key == "contraction" else [1, 2, 1])
     return ("spec", doc)
+
+
+def _bad_spec(doc):
+    """A spec whose m, depth or contraction entry is not an integer, or
+    whose inputs hold a non-finite number: it must never exit 0."""
+    return (
+        any(type(doc[key]) is not int for key in ("m", "depth"))
+        or any(len(c) != 2 or any(type(v) is not int for v in c) for c in doc["contractions"])
+        or not all(np.isfinite(x).all() for x in doc["inputs"])
+    )
 
 
 def _write_inputs(root, files):
@@ -1174,12 +1190,15 @@ def test_cli_file_subcommands_exit_cleanly(case, fmt):
     specs: every call exits 0, 1 or 2, raises nothing, and warns nothing
     when it exits 1 or 2. A call that reads a data file holding an inf or
     nan feature or label never exits 0, and neither does an ntk-train call
-    with a rate that is not positive and finite or with a nan time."""
+    with a rate that is not positive and finite or with a nan time, nor a
+    wick call on a spec with a non-integer count or a non-finite input."""
     argv, files = case
     poisoned = any(
         "{" + name + "}" in argv and not (np.isfinite(entry[1]).all() and np.isfinite(entry[2]).all())
         for name, entry in files.items() if entry[0] == "data"
     )
+    if argv[0] == "wick":
+        poisoned |= _bad_spec(files["spec"][1])
     if argv[0] == "ntk-train":
         rate = next(tok for tok in argv if tok.startswith("--eta="))
         times = next(tok for tok in argv if tok.startswith("--times="))

@@ -1,6 +1,7 @@
 """Tests for the diagram expansion of deep-linear correlation functions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -54,6 +55,27 @@ class TestContractionSpec:
             wick.ContractionSpec(m=2, inputs=(X1,))
         with pytest.raises(ValueError, match="share a dimension"):
             wick.ContractionSpec(m=2, inputs=(np.ones(2), np.ones(3)))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"m": 2.9}, "m must be an integer, got 2.9"),
+        ({"m": True}, "m must be an integer, got True"),
+        ({"contractions": ((1.7, 2.2),)}, "contraction (1.7, 2.2) is not a pair of integer factor indices"),
+        ({"contractions": ((1, 2, 1),)}, "contraction (1, 2, 1) is not a pair of integer factor indices"),
+        ({"contractions": ((1, True),)}, "contraction (1, True) is not a pair of integer factor indices"),
+        ({"inputs": (X1, np.array([math.nan]))}, "input of factor 2 must be a finite number or 1-D vector, got [nan]"),
+        ({"inputs": (np.array([1.0, -math.inf]),) * 2},
+         "input of factor 1 must be a finite number or 1-D vector, got [1.0, -inf]"),
+        ({"inputs": (np.array([[1.0]]),) * 2}, "input of factor 1 must be a finite number or 1-D vector, got [[1.0]]"),
+        ({"inputs": (np.array([]),) * 2}, "input of factor 1 must be a finite number or 1-D vector, got []"),
+    ])
+    def test_rejects_non_integer_counts_and_bad_inputs(self, kwargs, message):
+        """m 2.9 and the contraction (1.7, 2.2) were once truncated to 2 and
+        (1, 2), a three-entry contraction failed to unpack, a nan input gave
+        nan means, exacts and slopes, and a 1 x 1 input a TypeError in the
+        Monte Carlo estimator."""
+        args = {"m": 2, "contractions": (), "inputs": (X1, X1)} | kwargs
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            wick.ContractionSpec(**args)
 
 
 class TestConjectureExponent:
@@ -160,6 +182,23 @@ class TestExactCorrelation:
             wick.exact_correlation(vec, 2)
         with pytest.raises(ValueError, match="positive"):
             wick.exact_correlation(_scalar_spec(2), 1).evaluate(0)
+
+
+    def test_assignment_walk_is_bounded_before_it_starts(self):
+        """30 contractions at depth 1 once walked all 2^30 type assignments."""
+        spec = _scalar_spec(4, ((1, 2),) * 30)
+        with pytest.raises(ValueError, match="30 contractions at depth 1 give more than 2000000 type assignments"):
+            wick.exact_correlation(spec, 1)
+
+    def test_depth_limit(self):
+        """Depth 63 is the deepest net; past it only specs with no admissible
+        diagram (odd m, a self-contraction) still give the zero polynomial."""
+        count = wick.exact_correlation(_scalar_spec(2), wick.MAX_DEPTH)
+        assert [(t.power_of_inv_n, t.coefficient) for t in count.terms] == [(0, 1)]
+        with pytest.raises(ValueError, match="^depth 64 exceeds the supported 63$"):
+            wick.exact_correlation(_scalar_spec(2), 64)
+        assert wick.exact_correlation(_scalar_spec(3), 100).terms == ()
+        assert wick.exact_correlation(_scalar_spec(2, ((1, 1),)), 100).terms == ()
 
 
 class TestRenderMonomial:

@@ -54,8 +54,8 @@ def time_case(name: str, paths: dict[str, str], runs: int, out: str) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Time the dltl CLI end to end on the golden flag sets.")
     parser.add_argument("--runs", type=int, default=5, help="fresh interpreters per case (default 5)")
-    parser.add_argument("--case", action="append", choices=sorted(CASES),
-                        help="time only this case (repeatable; default: every case)")
+    parser.add_argument("--case", action="extend", nargs="+", choices=sorted(CASES),
+                        help="time only these cases (repeatable; default: every case)")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
