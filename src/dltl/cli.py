@@ -29,7 +29,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -246,7 +246,7 @@ def _run_lengthmap(args: argparse.Namespace) -> Emission:
     q = float(args.q0)
     rows = [(0, q, meanfield.chi1(sigma_w2, q, act, nodes))]
     for layer in range(1, depth + 1):
-        q = meanfield.length_map(q, sigma_w2, act, nodes=nodes).q_next
+        q = meanfield.length_map(q, sigma_w2, act, nodes=nodes)
         rows.append((layer, q, meanfield.chi1(sigma_w2, q, act, nodes)))
     header = ("layer", "q", "chi1")
     doc = {"activation": str(act), "sigma_w2": sigma_w2, "layers": _records(header, rows)}
@@ -662,7 +662,7 @@ def _run_bounds(args: argparse.Namespace) -> Emission:
             seed=args.seed,
         )
     rows = tuple((name, report.bound) for name, report in reports.items())
-    report_docs = {name: report.as_dict() for name, report in reports.items()}
+    report_docs = {name: asdict(report) for name, report in reports.items()}
     doc = report_docs[family] if family != "all" else report_docs
     return Emission(("family", "bound"), rows, doc)
 

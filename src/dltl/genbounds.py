@@ -170,14 +170,6 @@ class BoundReport:
         if not self.bound >= 0.0:
             raise ValueError(f"bound {self.bound} is negative")
 
-    def as_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "bound": self.bound,
-            "inputs": self.inputs,
-            "details": self.details,
-        }
-
 
 def _check_m_delta(m: int, delta: float) -> tuple[int, float]:
     m = int(m)

@@ -31,7 +31,6 @@ from .netcore import Activation, NetConfig, backprop, forward, init_weights
 
 __all__ = [
     "DivergenceError",
-    "LengthMapResult",
     "FixedPointResult",
     "PhasePoint",
     "MomentProfile",
@@ -165,12 +164,6 @@ def _second_moment_unit(act: Activation) -> float:
     return 0.5 * (1.0 + act.slopes[1] ** 2)
 
 
-@dataclass(frozen=True)
-class LengthMapResult:
-    q_next: float
-    dv_dq: float | None = None
-
-
 class _LengthMoments(NamedTuple):
     value: Callable[[float], float]   # q -> V(q | sigma_w^2)
     slope: Callable[[float], float]   # q -> dV/dq
@@ -228,16 +221,12 @@ def _length_moments(sigma_w2: float, act: Activation, nodes: int) -> _LengthMome
     return _LengthMoments(value, slope, chi)
 
 
-def length_map(
-    q: float,
-    sigma_w2: float,
-    act: Activation,
-    nodes: int = GH_NODES,
-    with_derivative: bool = False,
-) -> LengthMapResult:
-    """V(q | sigma_w^2) = sigma_w^2 * E phi(sqrt(q) z)^2, optionally with dV/dq.
+def length_map(q: float, sigma_w2: float, act: Activation, nodes: int = GH_NODES) -> float:
+    """V(q | sigma_w^2) = sigma_w^2 * E phi(sqrt(q) z)^2, the next layer's
+    variance for an input of current variance q.
 
-    A result that is not finite (overflow) raises DivergenceError.
+    A value that is not finite (overflow) raises DivergenceError. dV/dq is
+    _length_moments(...).slope, which the fixed-point Newton polish reads.
     """
     if not 0.0 <= q < math.inf:
         raise ValueError(f"q must be finite and nonnegative, got {q}")
@@ -245,18 +234,14 @@ def length_map(
         raise ValueError(f"sigma_w2 must be positive and finite, got {sigma_w2}")
     if act.homogeneous:
         # V is exactly linear in q, with slope chi_1
-        m2 = _second_moment_unit(act)
-        value = sigma_w2 * q * m2
-        deriv = sigma_w2 * m2 if with_derivative else None
+        value = sigma_w2 * q * _second_moment_unit(act)
     else:
-        moments = _length_moments(sigma_w2, act, nodes)
-        value = moments.value(q)
-        deriv = moments.slope(q) if with_derivative else None
-    if not math.isfinite(value) or (deriv is not None and not math.isfinite(deriv)):
+        value = _length_moments(sigma_w2, act, nodes).value(q)
+    if not math.isfinite(value):
         raise DivergenceError(
             f"length map overflowed at q = {q:g} (next value {value:g})", last_value=value
         )
-    return LengthMapResult(q_next=value, dv_dq=deriv)
+    return value
 
 
 def corr_map(

@@ -246,7 +246,7 @@ def _diagonals(rows: np.ndarray, config: NetConfig, nodes: int) -> np.ndarray:
         with np.errstate(over="ignore"):  # an overflow fails length_map's check
             q[0, k] = config.sigma_w2 / config.widths[0] * float(x @ x)
         for l in range(config.depth):
-            q[l + 1, k] = length_map(float(q[l, k]), config.sigma_w2, config.activation, nodes=nodes).q_next
+            q[l + 1, k] = length_map(float(q[l, k]), config.sigma_w2, config.activation, nodes=nodes)
     return q
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "dirac",
     "d_squared_relu",
     "grid_density",
-    "stieltjes_toolkit",
     "r_transform",
     "product_wishart_spectrum",
     "product_wishart_lambda_max",
@@ -249,10 +248,6 @@ class StieltjesTransforms:
             if hi - lo <= 1e-13 * max(1.0, abs(hi)):
                 break
         return 0.5 * (lo + hi)
-
-
-def stieltjes_toolkit(density: Density1D) -> StieltjesTransforms:
-    return StieltjesTransforms(density)
 
 
 def r_transform(density: Density1D):

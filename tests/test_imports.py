@@ -52,7 +52,7 @@ def close(a, b, tol=1e-9):
     assert abs(a - b) <= tol, (a, b)
 
 mp = spectra.marchenko_pastur()
-tk = spectra.stieltjes_toolkit(mp)
+tk = spectra.StieltjesTransforms(mp)
 close(mp.mass(), 1.0, 1e-10)
 close(mp.mean(), 1.0, 1e-10)
 close(tk.G(5.0), (5.0 - math.sqrt(5.0)) / 10.0)
@@ -69,7 +69,7 @@ assert cli.parse_range("0:2:0.5") == [0.0, 0.5, 1.0, 1.5, 2.0]
 close(genbounds.classic_bounds(100, 0.05)["hoeffding_eps"], math.sqrt(math.log(20.0) / 200.0))
 close(landscape.square_loss(np.array([1.0, 2.0]), np.array([0.0, 2.0])), 0.25)
 close(lindyn.mode_time(0.03, 0.8, 1.2, 0.4, 1).t_formula, math.log(0.8 * 1.17 / (0.03 * 0.4)) / 0.96)
-close(meanfield.length_map(1.0, 2.0, netcore.Activation("relu")).q_next, 1.0)
+close(meanfield.length_map(1.0, 2.0, netcore.Activation("relu")), 1.0)
 config = netcore.NetConfig(widths=(3, 4, 1), activation="relu")
 assert netcore.forward(config, netcore.init_weights(config, seed=0), np.ones(3)).h[-1].shape == (1,)
 close(ntk.nngp_recursion(np.ones(3), np.ones(3), config).q11[0], 1.0)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from dltl import meanfield
 from dltl.meanfield import (
     GH_NODES,
     DivergenceError,
@@ -102,31 +103,31 @@ class TestQuadrature:
 class TestLengthMap:
     def test_linear_closed_form(self):
         res = length_map(1.7, 2.0, LINEAR)
-        assert res.q_next == pytest.approx(3.4, abs=1e-14)
+        assert res == pytest.approx(3.4, abs=1e-14)
 
     def test_relu_closed_form(self):
         # E relu(z)^2 = q/2 for z ~ N(0, q)
         res = length_map(1.7, 2.0, RELU)
-        assert res.q_next == pytest.approx(1.7, abs=1e-12)
+        assert res == pytest.approx(1.7, abs=1e-12)
 
     def test_leaky_closed_form(self):
         res = length_map(2.0, 1.0, LEAKY)
-        assert res.q_next == pytest.approx(2.0 * (1 + 0.25**2) / 2, abs=1e-12)
+        assert res == pytest.approx(2.0 * (1 + 0.25**2) / 2, abs=1e-12)
 
     def test_tanh_against_oracle(self):
         # 64-node GH carries ~1e-7 for tanh moments; 256 nodes reach 1e-10
         res = length_map(1.5, 2.2, TANH, nodes=256)
         want = 2.2 * _quad_ev(lambda z: math.tanh(z) ** 2, 1.5)
-        np.testing.assert_allclose(res.q_next, want, atol=1e-10)
+        np.testing.assert_allclose(res, want, atol=1e-10)
 
     def test_derivative_matches_finite_differences(self):
         # h large enough that quadrature noise does not dominate the quotient
         h = 1e-4
         for act in (TANH, RELU, LEAKY):
-            res = length_map(1.2, 1.8, act, nodes=256, with_derivative=True)
-            up = length_map(1.2 + h, 1.8, act, nodes=256).q_next
-            down = length_map(1.2 - h, 1.8, act, nodes=256).q_next
-            np.testing.assert_allclose(res.dv_dq, (up - down) / (2 * h), atol=1e-6)
+            slope = meanfield._length_moments(1.8, act, 256).slope(1.2)
+            up = length_map(1.2 + h, 1.8, act, nodes=256)
+            down = length_map(1.2 - h, 1.8, act, nodes=256)
+            np.testing.assert_allclose(slope, (up - down) / (2 * h), atol=1e-6)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -138,7 +139,7 @@ class TestLengthMap:
         with pytest.raises(DivergenceError):
             length_map(5e199, 1e200, RELU)
         with pytest.raises(DivergenceError):
-            length_map(1e300, 1e300, LINEAR, with_derivative=True)
+            length_map(1e300, 1e300, LINEAR)
 
 
 class TestCorrelationMaps:
@@ -168,7 +169,7 @@ class TestCorrelationMaps:
         # c = 1 with equal variances is the length map itself
         for act in (RELU, LEAKY, TANH):
             got = corr_map(1.0, 0.9, 0.9, 1.6, act)
-            want = length_map(0.9, 1.6, act).q_next
+            want = length_map(0.9, 1.6, act)
             np.testing.assert_allclose(got, want, atol=1e-9)
 
     def test_chi_map_relu_arccos_derivative(self):
@@ -273,7 +274,7 @@ class TestFixedPoints:
 
     def test_residual_at_fixed_point(self):
         res = length_fixed_point(2.5, TANH)
-        nxt = length_map(res.q_inf, 2.5, TANH).q_next
+        nxt = length_map(res.q_inf, 2.5, TANH)
         assert abs(nxt - res.q_inf) < 1e-9
 
 

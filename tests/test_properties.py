@@ -388,7 +388,7 @@ def test_tanh_fixed_point_matches_iterated_length_map(sigma_w2, q0):
     q, k = q0, 0
     while True:
         k += 1
-        q_next = meanfield.length_map(q, sigma_w2, act).q_next
+        q_next = meanfield.length_map(q, sigma_w2, act)
         if abs(q_next - q) <= tol:
             break
         q = q_next
@@ -513,8 +513,7 @@ def test_tanh_length_moments_equal_gauss_ev(q, sigma_w2, nodes):
     value, slope, chi = _gauss_length_moments(sigma_w2, nodes)
     moments = meanfield._length_moments(sigma_w2, TANH, nodes)
     assert (moments.value(q), moments.slope(q), moments.chi1(q)) == (value(q), slope(q), chi(q))
-    got = meanfield.length_map(q, sigma_w2, TANH, nodes=nodes, with_derivative=True)
-    assert (got.q_next, got.dv_dq) == (value(q), slope(q))
+    assert meanfield.length_map(q, sigma_w2, TANH, nodes=nodes) == value(q)
     assert meanfield.chi1(sigma_w2, q, TANH, nodes=nodes) == chi(q)
 
 
@@ -658,8 +657,8 @@ def _reference_pair(x, xp, config):
         else:
             q12.append(meanfield.corr_map(c, q11[-1], q22[-1], sw2, act))
             chi.append(meanfield.chi_map(c, q11[-1], q22[-1], sw2, act))
-        q11.append(meanfield.length_map(q11[-1], sw2, act).q_next)
-        q22.append(meanfield.length_map(q22[-1], sw2, act).q_next)
+        q11.append(meanfield.length_map(q11[-1], sw2, act))
+        q22.append(meanfield.length_map(q22[-1], sw2, act))
     theta = 0.0
     for l in range(len(q12)):
         theta += q12[l] * float(np.prod(np.array(chi[l:])))

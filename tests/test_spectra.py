@@ -16,6 +16,7 @@ from dltl.spectra import (
     Density1D,
     _cumulative_trapezoid,
     EmpiricalSpectrum,
+    StieltjesTransforms,
     d_squared_relu,
     dirac,
     empirical_spectrum,
@@ -28,7 +29,6 @@ from dltl.spectra import (
     product_wishart_spectrum,
     r_transform,
     relu_orth_edge,
-    stieltjes_toolkit,
     wasserstein1_to_density,
 )
 
@@ -116,43 +116,43 @@ class TestStieltjes:
         assert abs(g - _quad_G(z)) <= 1e-12
 
     def test_G_matches_closed_form(self):
-        tk = stieltjes_toolkit(marchenko_pastur())
+        tk = StieltjesTransforms(marchenko_pastur())
         for z in (4.5, 5.0, 8.0, 20.0):
             np.testing.assert_allclose(tk.G(z), _mp_G(z), atol=1e-9)
 
     def test_G_rejects_on_support(self):
-        tk = stieltjes_toolkit(marchenko_pastur())
+        tk = StieltjesTransforms(marchenko_pastur())
         with pytest.raises(ValueError):
             tk.G(2.0)
 
     def test_M_and_inverse_round_trip(self):
-        tk = stieltjes_toolkit(marchenko_pastur())
+        tk = StieltjesTransforms(marchenko_pastur())
         w = 6.0
         y = tk.M(w)
         np.testing.assert_allclose(tk.M_inverse(y), w, atol=1e-8)
 
     def test_G_inverse_round_trip(self):
-        tk = stieltjes_toolkit(marchenko_pastur())
+        tk = StieltjesTransforms(marchenko_pastur())
         np.testing.assert_allclose(tk.G_inverse(_mp_G(5.0)), 5.0, atol=1e-7)
 
     def test_S_transform_closed_form(self):
         # square-Wishart S(z) = 1 / (1 + z)
-        tk = stieltjes_toolkit(marchenko_pastur())
+        tk = StieltjesTransforms(marchenko_pastur())
         for z in (0.2, 0.5, 0.9):
             np.testing.assert_allclose(tk.S(z), 1.0 / (1.0 + z), atol=1e-7)
 
     def test_S_edge_value(self):
         # M(4) = 1 exactly, so S(1) probes the boundary of the domain
-        tk = stieltjes_toolkit(marchenko_pastur())
+        tk = StieltjesTransforms(marchenko_pastur())
         np.testing.assert_allclose(tk.S(1.0), 0.5, atol=1e-5)
 
     def test_S_edge_value_is_exact(self):
         # the closed-form G keeps M(4 + delta) = 1 - O(sqrt(delta)) exact
-        tk = stieltjes_toolkit(marchenko_pastur())
+        tk = StieltjesTransforms(marchenko_pastur())
         assert abs(tk.S(1.0) - 0.5) <= 1e-12
 
     def test_dirac_transforms(self):
-        tk = stieltjes_toolkit(dirac(3.0))
+        tk = StieltjesTransforms(dirac(3.0))
         np.testing.assert_allclose(tk.G(5.0), 1.0 / 2.0, atol=1e-12)
         # S(z) = 1/a for a point mass at a, any z in (0, 1)
         np.testing.assert_allclose(tk.S(0.4), 1.0 / 3.0, atol=1e-9)
@@ -164,7 +164,7 @@ class TestMonotoneCondition:
     condition raises."""
 
     def test_negative_atom_mass_rejected(self):
-        tk = stieltjes_toolkit(Density1D(kind="dirac", atoms=((1.0, 1.5), (2.0, -0.5))))
+        tk = StieltjesTransforms(Density1D(kind="dirac", atoms=((1.0, 1.5), (2.0, -0.5))))
         with pytest.raises(ValueError, match="G is not monotone"):
             tk.G_inverse(0.3)
         with pytest.raises(ValueError, match="M is not monotone"):
@@ -172,7 +172,7 @@ class TestMonotoneCondition:
 
     def test_negative_support_rejects_only_M(self):
         # G(w) = 1 / (w + 1) decreases, M(w) = -1 / (w + 1) does not
-        tk = stieltjes_toolkit(dirac(-1.0))
+        tk = StieltjesTransforms(dirac(-1.0))
         np.testing.assert_allclose(tk.G_inverse(0.3), 1.0 / 0.3 - 1.0, atol=1e-12)
         np.testing.assert_allclose(tk.G_inverse(2.0), -0.5, atol=1e-12)
         with pytest.raises(ValueError, match="M is not monotone"):
@@ -182,7 +182,7 @@ class TestMonotoneCondition:
         x = np.linspace(0.0, 1.0, 101)
         rho = np.ones_like(x)
         rho[50] = -0.1
-        tk = stieltjes_toolkit(grid_density(x, rho))
+        tk = StieltjesTransforms(grid_density(x, rho))
         for invert in (tk.G_inverse, tk.M_inverse):
             with pytest.raises(ValueError, match="is not monotone"):
                 invert(0.5)
@@ -228,7 +228,7 @@ class TestProductWishart:
         # defined for z in (0, 1/L): M at the top edge equals 1/L exactly
         for L in (2, 3):
             spec = product_wishart_spectrum(L)
-            tk = stieltjes_toolkit(spec.density())
+            tk = StieltjesTransforms(spec.density())
             for z in (0.4 / L, 0.8 / L):
                 np.testing.assert_allclose(
                     tk.S(z), (1.0 + z) ** (-L), rtol=2e-5
@@ -237,7 +237,7 @@ class TestProductWishart:
     def test_s_transform_at_domain_edge(self):
         # z = 1/L resolves to the spectral edge through the slack rule
         spec = product_wishart_spectrum(2)
-        tk = stieltjes_toolkit(spec.density())
+        tk = StieltjesTransforms(spec.density())
         np.testing.assert_allclose(tk.S(0.5), (1.5) ** (-2), rtol=1e-4)
 
     def test_rejects_bad_depth(self):
