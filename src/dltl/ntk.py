@@ -345,7 +345,7 @@ def _limit_grams(
         if outputs < 1:
             raise ValueError("outputs must be a positive count")
         gram = np.kron(gram, np.eye(outputs))
-    return KernelGram(gram, tag="limiting_ntk"), nngp
+    return KernelGram(gram, tag="nngp" if last_layer_only else "limiting_ntk"), nngp
 
 
 # -- empirical kernel ----------------------------------------------------------

@@ -317,11 +317,17 @@ def product_wishart_spectrum(L: int, points: int = 200_001) -> ParamSpectrum:
     if points < 2:
         raise ValueError(f"the spectrum curve needs at least 2 points, got {points}")
     phi = np.linspace(1e-8, math.pi / (L + 1) - 1e-8, points)
-    s1, sL, sL1 = np.sin(phi), np.sin(L * phi), np.sin((L + 1) * phi)
-    lam = sL1 ** (L + 1) / (s1 * sL**L)
-    rho = s1**2 * sL ** (L - 1) / (math.pi * sL1**L)
-    if np.any(np.diff(lam) >= 0):
-        raise RuntimeError("lambda(phi) failed to decrease; grid too coarse")
+    with np.errstate(all="ignore"):  # an out-of-range curve fails the check below
+        s1, sL, sL1 = np.sin(phi), np.sin(L * phi), np.sin((L + 1) * phi)
+        lam = sL1 ** (L + 1) / (s1 * sL**L)
+        rho = s1**2 * sL ** (L - 1) / (math.pi * sL1**L)
+        in_range = np.all(np.isfinite(lam) & (lam > 0.0) & np.isfinite(rho) & (rho > 0.0))
+    if not in_range or np.any(np.diff(lam) >= 0):
+        # lambda(phi) decreases analytically; in float64 the powers of
+        # sin under- or overflow near the endpoints once L is large
+        raise RuntimeError(
+            f"the depth-{L} spectrum curve leaves float range (sin^L under- or overflows near the endpoints)"
+        )
     return ParamSpectrum(depth=L, phi=phi, lam=lam, rho=rho)
 
 

@@ -200,10 +200,14 @@ class DiagramCount:
     def evaluate(self, n: int) -> float:
         if n < 1:
             raise ValueError("width must be positive")
-        return sum(
-            term.coefficient * float(n) ** (-term.power_of_inv_n) * self.monomial_value(term.monomial)
-            for term in self.terms
-        )
+        with np.errstate(all="ignore"):  # an overflow fails the check below
+            value = sum(
+                term.coefficient * float(n) ** (-term.power_of_inv_n) * self.monomial_value(term.monomial)
+                for term in self.terms
+            )
+        if not math.isfinite(value):
+            raise ValueError(f"the exact value at width {n} is {value}: the inputs are too large")
+        return value
 
 
 def _components(m: int, edges) -> list[tuple[int, ...]]:
@@ -509,21 +513,29 @@ def mc_scaling_check(
             sigma_w2=1.0,
         )
         samples = np.empty(replicates)
-        for r in range(replicates):
-            weights = init_weights(config, seed=seed + 7919 * w_idx + r)
-            value = 1.0
-            for kind, comp in components:
-                if kind == "point":
-                    value *= float(forward(config, weights, scaled[comp[0] - 1]).output[0])
-                else:
-                    v = _grad_blocks(config, weights, scaled[comp[0] - 1])
-                    for mid in comp[1:-1]:
-                        v = _hessian_vec(config, weights, v, scaled[mid - 1])
-                    value *= _block_dot(v, _grad_blocks(config, weights, scaled[comp[-1] - 1]))
-            samples[r] = value
-        means.append(float(samples.mean()))
-        variances.append(float(samples.var(ddof=1)))
-        ses.append(math.sqrt(variances[-1] / replicates))
+        with np.errstate(all="ignore"):  # an overflow fails the check below
+            for r in range(replicates):
+                weights = init_weights(config, seed=seed + 7919 * w_idx + r)
+                value = 1.0
+                for kind, comp in components:
+                    if kind == "point":
+                        value *= float(forward(config, weights, scaled[comp[0] - 1]).output[0])
+                    else:
+                        v = _grad_blocks(config, weights, scaled[comp[0] - 1])
+                        for mid in comp[1:-1]:
+                            v = _hessian_vec(config, weights, v, scaled[mid - 1])
+                        value *= _block_dot(v, _grad_blocks(config, weights, scaled[comp[-1] - 1]))
+                samples[r] = value
+            mean, variance = float(samples.mean()), float(samples.var(ddof=1))
+        # a sample that is not finite makes the mean so too
+        if not (math.isfinite(mean) and math.isfinite(variance)):
+            raise ValueError(
+                f"the Monte Carlo samples at width {n} have mean {mean} and variance {variance}:"
+                " the inputs are too large"
+            )
+        means.append(mean)
+        variances.append(variance)
+        ses.append(math.sqrt(variance / replicates))
         if exact is not None:
             exacts.append(exact.evaluate(n))
 

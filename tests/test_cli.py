@@ -711,6 +711,11 @@ class TestDomainHolesExitOne:
         (["lengthmap", "--act", "relu", "--sigma-w2", "2", "--nodes", "0"], "nodes must be a positive integer, got 0"),
         (["lengthmap", "--act", "linear", "--sigma-w2", "1", "--nodes", "-3"],
          "nodes must be a positive integer, got -3"),
+        *(
+            (["spectrum", "--analytic", "--depth", depth, "--points", points],
+             f"error: the depth-{depth} spectrum curve leaves float range")
+            for depth in ("50", "100", "300") for points in ("50", "2001")
+        ),
     ])
     def test_exits_one_with_message(self, argv, message):
         proc = self._run(*argv)
@@ -749,6 +754,28 @@ class TestDomainHolesExitOne:
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
         assert proc.stderr.splitlines() == [
             "error: KL divergence nan is not finite: a posterior variance or the mean shift overflows"
+        ]
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("points", ["50", "2001"])
+    def test_depth_30_analytic_spectrum_still_runs(self, points):
+        """The deepest curves above fail in float64; depth 30 still fits."""
+        proc = self._run("spectrum", "--analytic", "--depth", "30", "--points", points, "--format", "json")
+        assert proc.returncode == 0 and proc.stderr == ""
+        doc = json.loads(proc.stdout)
+        assert math.isfinite(doc["mass"]) and math.isfinite(doc["mean"])
+
+    def test_wick_mc_out_of_float_range(self, tmp_path):
+        """Finite inputs whose products overflow once printed numpy's
+        "invalid value" warning and inf means and exacts with exit 0."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"m": 2, "depth": 1, "inputs": [[1e200], [1e200]]}), encoding="utf-8")
+        proc = self._run("wick", "--spec", str(spec), "--mc", "--widths", "2,3,4", "--replicates", "3",
+                         "--format", "json")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            "error: the Monte Carlo samples at width 2 have mean inf and variance nan: the inputs are too large"
         ]
         assert proc.stdout == ""
 

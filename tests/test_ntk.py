@@ -155,6 +155,7 @@ class TestGrams:
         frozen = ntk.linearize(config, init_weights(config, seed=5), x, y, eta=1.0, kernel="last_layer")
         nngp = ntk.nngp_gram(x, config)
         np.testing.assert_allclose(frozen.gram.matrix, nngp.matrix, atol=1e-12)
+        assert frozen.gram.tag == nngp.tag == "nngp"
 
     def test_multi_output_is_kron(self):
         config = _relu_config((3, 8, 2))

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,22 @@ class TestMonteCarloScaling:
         assert rep.exacts is None
         for mean, se in zip(rep.means, rep.std_errs):
             assert abs(mean - x1 @ x2) <= 4 * se
+
+    def test_overflowing_inputs_rejected_without_warnings(self):
+        """Finite inputs whose products leave float range: the exact value
+        and the sampled moments each raise instead of returning inf or nan."""
+        big = np.array([1e200, 1e200])
+        spec = wick.ContractionSpec(m=2, inputs=(big, big))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="exact value at width 2 is inf"):
+                wick.exact_correlation(spec, 1).evaluate(2)
+            with pytest.raises(ValueError, match="width 2 have mean inf and variance nan"):
+                wick.mc_scaling_check(spec, 1, widths=[2, 3, 4], replicates=3)
+            # samples that are finite but whose variance overflows
+            spec = wick.ContractionSpec(m=2, inputs=(np.array([1e100]),) * 2)
+            with pytest.raises(ValueError, match="variance inf"):
+                wick.mc_scaling_check(spec, 1, widths=[2, 3, 4], replicates=3)
 
     def test_validation(self):
         spec = _scalar_spec(4)
