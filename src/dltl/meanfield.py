@@ -100,6 +100,11 @@ def gauss_ev2(f, g, c, q11, q22, nodes: int = GH_NODES):
     returns a float, an array call an array of that shape, whose entries are
     bit for bit the scalar calls: a pair's value does not depend on the pairs
     beside it. f and g must act elementwise on arrays of any shape.
+
+    When f and g are each a tanh or linear Activation or its deriv, the
+    integrand has a parity, and the tensor grid's mirror half is copied
+    instead of evaluated (see _tensor_rule); the value is the same to the
+    bit. Any other callable is evaluated on the full grid.
     """
     c, q11, q22 = (np.asarray(v, dtype=float) for v in (c, q11, q22))
     shape = c.shape
@@ -116,16 +121,31 @@ def gauss_ev2(f, g, c, q11, q22, nodes: int = GH_NODES):
     t, w = gauss_hermite(nodes)
     z = math.sqrt(2.0) * t
     edge = np.abs(c) >= 1.0  # |c| = 1 once clipped into [-1, 1]
+    parity = _parity(f) * _parity(g)
     if not edge.any():
-        out = _tensor_rule(f, g, c, q11, q22, z, w)
+        out = _tensor_rule(f, g, c, q11, q22, z, w, parity)
     elif edge.all():
         out = _axis_rule(f, g, c, q11, q22, z, w)
     else:
         out = np.empty(c.size)
         out[edge] = _axis_rule(f, g, c[edge], q11[edge], q22[edge], z, w)
         inner = ~edge
-        out[inner] = _tensor_rule(f, g, c[inner], q11[inner], q22[inner], z, w)
+        out[inner] = _tensor_rule(f, g, c[inner], q11[inner], q22[inner], z, w, parity)
     return float(out[0]) if not shape else out.reshape(shape)
+
+
+def _parity(f) -> int:
+    """-1 for an odd f, 1 for an even one, 0 when unknown: tanh and linear
+    are odd to the bit (IEEE negation and numpy's tanh are sign-symmetric),
+    so their derivatives are even. Piecewise-linear kinds with a kink and
+    plain callables report 0."""
+    if isinstance(f, Activation):
+        act, sign = f, -1
+    elif getattr(f, "__func__", None) is Activation.deriv:
+        act, sign = f.__self__, 1
+    else:
+        return 0
+    return sign if act.kind in ("tanh", "linear") else 0
 
 
 def _axis_rule(f, g, c, q11, q22, z, w) -> np.ndarray:
@@ -135,25 +155,36 @@ def _axis_rule(f, g, c, q11, q22, z, w) -> np.ndarray:
     return np.matmul(vals[:, None, :], w[:, None])[:, 0, 0] / math.sqrt(math.pi)
 
 
-def _tensor_rule(f, g, c, q11, q22, z, w) -> np.ndarray:
+def _tensor_rule(f, g, c, q11, q22, z, w, parity: int) -> np.ndarray:
     """gauss_ev2 at |c| < 1 on the n x n tensor grid, in blocks of pairs of
-    _BLOCK_BYTES. Each block's grid v is built in place in one (k, n, n)
-    buffer, and each pair's sum w @ vals @ w is one gemv and one dot, a
-    stacked (k, 1, n) @ (k, n, n) then (k, 1, n) @ (n, 1): a (k, n) @ (n,)
-    gemv would round some sums differently."""
+    _BLOCK_BYTES. Each block's grid of values is built in place in one
+    (k, n, n) buffer, and each pair's sum w @ vals @ w is one gemv and one
+    dot, a stacked (k, 1, n) @ (k, n, n) then (k, 1, n) @ (n, 1): a
+    (k, n) @ (n,) gemv would round some sums differently.
+
+    The nodes satisfy z[::-1] == -z exactly, and IEEE products, sums and
+    negation are sign-symmetric, so an integrand of parity p (the product of
+    f's and g's, +-1) gives vals[n-1-i, n-1-j] == p vals[i, j]. Then only
+    the first ceil(n/2) rows are evaluated and the rest are their reversed
+    copy times p; the sums still run over the full grid. parity 0 evaluates
+    every row."""
     n = z.size
+    rows = n - n // 2 if parity else n
     step = max(1, _BLOCK_BYTES // (8 * n * n))
     buf = np.empty((min(step, c.size), n, n))
-    z1, z2 = z[:, None], z[None, :]
+    z1, z2 = z[:rows, None], z[None, :]
     w_row, w_col = w[None, :], w[:, None]
     c3 = c[:, None, None]
     s3, root_q11, root_q22 = np.sqrt(1.0 - c3 * c3), np.sqrt(q11)[:, None, None], np.sqrt(q22)[:, None, None]
     sums = np.empty((c.size, 1, 1))
     for start in range(0, c.size, step):
         block = slice(start, start + step)
-        v = np.add(c3[block] * z1, s3[block] * z2, out=buf[: min(step, c.size - start)])
+        vals = buf[: min(step, c.size - start)]
+        v = np.add(c3[block] * z1, s3[block] * z2, out=vals[:, :rows])
         v *= root_q22[block]
-        vals = np.multiply(f(root_q11[block] * z1), g(v), out=v)
+        np.multiply(f(root_q11[block] * z1), g(v), out=v)
+        if rows < n:  # times +-1.0 is exact, signed zeros included
+            np.multiply(vals[:, n - rows - 1 :: -1, ::-1], parity, out=vals[:, rows:])
         np.matmul(np.matmul(w_row, vals), w_col, out=sums[block])
     return sums[:, 0, 0] / math.pi
 

@@ -408,7 +408,8 @@ class LinearizedSolution:
     nngp_train is the train-set q_{L+1} gram of a limit-kernel solution
     (None for the empirical kernel). weights holds read-only views of the
     arrays passed to linearize, not copies: writing into those arrays
-    afterwards changes the solution's f_0.
+    afterwards changes the solution's f_0. A limit-kernel solution keeps its
+    query kernels for the most recent query set (see _query_kernels).
     """
 
     gram: KernelGram
@@ -424,6 +425,7 @@ class LinearizedSolution:
     kernel: str = "limiting"
     nodes: int = GH_NODES
     nngp_train: np.ndarray | None = field(default=None, repr=False)
+    _query_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         recon = (self.eigvecs * self.eigvals) @ self.eigvecs.T
@@ -521,6 +523,11 @@ def linearized_train(
     E_t = exp(-eta Theta t / m); t = inf gives the fully trained model.
     Solutions built on a limit kernel also return the GP moments mu_lin,t
     and q_lin,t of the trained infinite-width model (scalar output only).
+
+    f_0(x) is evaluated from sol.weights on every call. The limit kernels
+    Theta(x, X), q(x, X) and q(x, x) depend on neither t nor the weights, so
+    calls at several t on one query set compute them once; the empirical
+    kernel is recomputed per call, as it depends on the weights.
     """
     if not t >= 0:
         raise ValueError(f"t must be nonnegative, got {t}")
@@ -534,7 +541,7 @@ def linearized_train(
         f_lin = f0_query + theta_cross @ b_t @ (sol.y - sol.f0_train)
         return LinearizedPrediction(t=t, f_lin=f_lin)
 
-    theta_cross, nngp_cross = _pair_kernels(x_query, sol.x_train, config, sol.nodes)
+    theta_cross, nngp_cross, nngp_query = _query_kernels(sol, x_query)
     if sol.kernel == "last_layer":
         theta_cross = nngp_cross
     if k > 1:
@@ -544,7 +551,6 @@ def linearized_train(
 
     f_lin = f0_query + theta_cross @ b_t @ (sol.y - sol.f0_train)
     gp_mean = theta_cross @ b_t @ sol.y
-    _, nngp_query = _pair_kernels(x_query, None, config, sol.nodes)
     cross_term = theta_cross @ b_t @ nngp_cross.T
     gp_cov = (
         nngp_query
@@ -553,6 +559,29 @@ def linearized_train(
         + theta_cross @ b_t @ sol.nngp_train @ b_t @ theta_cross.T
     )
     return LinearizedPrediction(t=t, f_lin=f_lin, gp_mean=gp_mean, gp_cov=gp_cov)
+
+
+def _query_kernels(
+    sol: LinearizedSolution, x_query: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Theta(x, X), q(x, X) and, for a scalar output, q(x, x) of a limit-kernel
+    solution on query columns.
+
+    The solution keeps one entry, for its most recent query set, keyed by
+    the columns' shape and bytes rather than the array's identity, so a
+    query array edited in place is computed afresh.
+    """
+    key = (x_query.shape, x_query.tobytes())
+    kernels = sol._query_memo.get(key)
+    if kernels is None:
+        theta_cross, nngp_cross = _pair_kernels(x_query, sol.x_train, sol.config, sol.nodes)
+        nngp_query = None
+        if sol.config.widths[-1] == 1:
+            nngp_query = _pair_kernels(x_query, None, sol.config, sol.nodes)[1]
+        kernels = (theta_cross, nngp_cross, nngp_query)
+        sol._query_memo.clear()
+        sol._query_memo[key] = kernels
+    return kernels
 
 
 def bayes_posterior(

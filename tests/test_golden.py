@@ -107,6 +107,12 @@ CASES = {
     "ntk-kernel-linear-empirical": "ntk-kernel --data {data} --kind empirical --weights {ntk_linear}",
     "ntk-train-limiting": "ntk-train --weights {ntk_relu} --data {data} --query {query} --times 0,1,inf",
     "ntk-train-tanh-limiting": "ntk-train --weights {ntk_tanh} --data {data} --query {query} --times 0.5,inf",
+    "ntk-train-times": (
+        "ntk-train --weights {ntk_relu} --data {data} --query {query} --times 0,0.25,0.5,1,2,5,10,inf"
+    ),
+    "ntk-train-tanh-times": (
+        "ntk-train --weights {ntk_tanh} --data {data} --query {query} --times 0,0.25,0.5,1,2,5,10,inf"
+    ),
     "ntk-train-empirical": "ntk-train --weights {ntk_relu} --data {data} --kernel empirical --times 0,2,inf",
     "ntk-train-last-layer": "ntk-train --weights {ntk_relu} --data {data} --query {query} --kernel last-layer",
     "du-monitor": "du-monitor --dim 3 --train-size 4 --n 32 --eta 0.5 --t-max 2 --seed 5",

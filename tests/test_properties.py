@@ -6,9 +6,11 @@ they replaced, kept here as references; the Wick polynomial against a
 listing of its diagrams; landscape's per-leg first-layer solver against
 reconstruct_first_layer; the tanh length-map moments, fixed point and edge
 of chaos against gauss_ev reference loops; gauss_ev2 on arrays against its
-scalar calls; the NNGP recursion's pair moments against meanfield's
-correlation maps, and the pair-kernel grams against the per-pair
-recursion; the Dziugaite-Roy optimizer's KL against gaussian_kl, and its
+scalar calls and against the full-grid tensor rule it mirrors half of;
+the NNGP recursion's pair moments against meanfield's correlation maps,
+and the pair-kernel grams against the per-pair recursion; linearized
+training on a solution queried many times against fresh solutions; the
+Dziugaite-Roy optimizer's KL against gaussian_kl, and its
 one evaluation per point against the loop that evaluated each accepted
 point twice. Also a fuzz of the CLI's count, list, range and tolerance
 flags and of every subcommand that reads input files: every value exits
@@ -28,7 +30,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dltl import cli, genbounds, landscape, lindyn, meanfield, ntk, wick
@@ -603,6 +605,59 @@ def test_array_gauss_ev2_is_the_scalar_calls(data, nodes, f, g, block_pairs):
     assert got.ravel().tolist() == want
 
 
+def _full_grid_tensor_rule(f, g, c, q11, q22, nodes):
+    """gauss_ev2's tensor rule at |c| < 1 as it was before the mirrored half:
+    every row of each pair's n x n grid evaluated, in blocks of _BLOCK_BYTES."""
+    t, w = meanfield.gauss_hermite(nodes)
+    z = math.sqrt(2.0) * t
+    n = z.size
+    step = max(1, meanfield._BLOCK_BYTES // (8 * n * n))
+    buf = np.empty((min(step, c.size), n, n))
+    z1, z2 = z[:, None], z[None, :]
+    w_row, w_col = w[None, :], w[:, None]
+    c3 = c[:, None, None]
+    s3, root_q11, root_q22 = np.sqrt(1.0 - c3 * c3), np.sqrt(q11)[:, None, None], np.sqrt(q22)[:, None, None]
+    sums = np.empty((c.size, 1, 1))
+    for start in range(0, c.size, step):
+        block = slice(start, start + step)
+        v = np.add(c3[block] * z1, s3[block] * z2, out=buf[: min(step, c.size - start)])
+        v *= root_q22[block]
+        vals = np.multiply(f(root_q11[block] * z1), g(v), out=v)
+        np.matmul(np.matmul(w_row, vals), w_col, out=sums[block])
+    return sums[:, 0, 0] / math.pi
+
+
+# odd, even, neither, and a plain callable (parity unknown, so never mirrored)
+_RULE_INTEGRANDS = {**_INTEGRANDS, "lambda": lambda z: np.exp(-0.25 * z * z) + np.tanh(z)}
+interior_correlations = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5]),
+                                  st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    nodes=st.sampled_from([1, 2, 3, 63, 64, 65, 200]),
+    f=st.sampled_from(sorted(_RULE_INTEGRANDS)),
+    g=st.sampled_from(sorted(_RULE_INTEGRANDS)),
+    block_pairs=st.sampled_from([None, 1, 3]),
+)
+def test_tensor_rule_equals_full_grid(data, nodes, f, g, block_pairs):
+    """Copying the mirror half of the grid for tanh and tanh' (odd and even,
+    in either order and mixed) gives gauss_ev2 bit for bit the full-grid
+    rule, signed zeros included; relu and a plain callable take the full
+    grid."""
+    size = data.draw(st.integers(1, 12))
+    c = np.array(data.draw(st.lists(interior_correlations, min_size=size, max_size=size)))
+    q11, q22 = (np.array(data.draw(st.lists(st.one_of(st.just(0.0), variances), min_size=size, max_size=size)))
+                for _ in range(2))
+    f, g = _RULE_INTEGRANDS[f], _RULE_INTEGRANDS[g]
+    budget = meanfield._BLOCK_BYTES if block_pairs is None else 8 * nodes * nodes * block_pairs
+    with mock.patch.object(meanfield, "_BLOCK_BYTES", budget):
+        got = meanfield.gauss_ev2(f, g, c, q11, q22, nodes)
+        want = _full_grid_tensor_rule(f, g, c, q11, q22, nodes)
+    assert got.tobytes() == want.tobytes()
+
+
 # -- pair kernels: the gram path against the per-pair recursion, bit for bit -----
 
 
@@ -734,6 +789,76 @@ def test_pair_kernels_equal_reference_across_chunks(data, act, n0, m):
             want = _reference_pair(np.ascontiguousarray(left[:, i]), np.ascontiguousarray(cols[:, j]), config)
             assert theta[i, j] == want[0]
             assert nngp[i, j] == want[1]
+
+
+# -- linearized training: one solution queried many times, against fresh ones ----
+
+
+def _prediction_lists(pred):
+    return [None if v is None else v.tolist() for v in (pred.f_lin, pred.gp_mean, pred.gp_cov)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    data=st.data(),
+    act=st.sampled_from(["relu", "leaky_relu:0.2", "tanh"]),
+    k=st.sampled_from([1, 2]),
+    kernel=st.sampled_from(["limiting", "last_layer"]),
+    times=st.lists(st.sampled_from([0.0, 0.25, 1.0, 10.0, math.inf]), min_size=2, max_size=4),
+)
+def test_linearized_train_on_one_solution_equals_fresh_solutions(data, act, k, kernel, times):
+    """A solution called at several t, interleaved with a second query set
+    and with an in-place edit of the first, returns == what a freshly built
+    solution returns for each call."""
+    config = NetConfig(widths=(3, 8, 8, k), activation=act, parameterization="ntk", sigma_w2=1.5)
+    weights = init_weights(config, seed=data.draw(st.integers(0, 2**32 - 1)))
+    m = data.draw(st.integers(2, 5))
+    x_train = _columns(data.draw, 3, m)
+    y = _columns(data.draw, m * k, 1).ravel()
+
+    def fresh():
+        return ntk.linearize(config, weights, x_train, y, eta=1.0, kernel=kernel)
+
+    try:
+        sol = fresh()
+    except ValueError:  # a singular train gram
+        assume(False)
+    x_a, x_b = _columns(data.draw, 3, data.draw(st.integers(1, 4))), _columns(data.draw, 3, 2)
+    for edit in (False, True):
+        if edit:
+            x_a[0, 0] += 0.5  # the same array object with new values
+        for x, t in [(x_a, t) for t in times] + [(x_b, times[0]), (x_a, times[1])]:
+            assert _prediction_lists(ntk.linearized_train(sol, x, t)) == _prediction_lists(
+                ntk.linearized_train(fresh(), x, t)
+            )
+
+
+def test_linearized_train_computes_query_kernels_once_per_query_set():
+    """The query kernels are computed on the first call for a query set and
+    after the set changes, in place or not; f_0 is read from the weights on
+    every call, so an edit of the weight arrays still shows."""
+    config = NetConfig(widths=(3, 8, 1), activation="relu", parameterization="ntk", sigma_w2=2.0)
+    weights = init_weights(config, seed=4)
+    rng = np.random.default_rng(5)
+    x_train, y, x_query = rng.standard_normal((3, 4)), rng.standard_normal(4), rng.standard_normal((3, 3))
+    sol = ntk.linearize(config, weights, x_train, y, eta=1.0)
+    with mock.patch.object(ntk, "_pair_kernels", wraps=ntk._pair_kernels) as pair_kernels:
+        for t in (0.0, 1.0, math.inf):
+            ntk.linearized_train(sol, x_query, t)
+        assert pair_kernels.call_count == 2  # Theta(x, X) with q(x, X), then q(x, x)
+        ntk.linearized_train(sol, x_query.copy(), 2.0)
+        assert pair_kernels.call_count == 2  # the same values in another array
+        x_query[1, 2] = -x_query[1, 2]
+        ntk.linearized_train(sol, x_query, 2.0)
+        assert pair_kernels.call_count == 4
+    untouched = ntk.linearize(config, weights, x_train, y, eta=1.0)
+    weights[-1] *= -1.0  # both solutions hold views of these arrays
+    assert _prediction_lists(ntk.linearized_train(sol, x_query, 2.0)) == _prediction_lists(
+        ntk.linearized_train(untouched, x_query, 2.0)
+    )
+    assert ntk.linearized_train(sol, x_query, 2.0).f_lin.tolist() != ntk.linearized_train(
+        ntk.linearize(config, [-w for w in weights], x_train, y, eta=1.0), x_query, 2.0
+    ).f_lin.tolist()
 
 
 # -- PAC-Bayes KL: the optimizer's array path against gaussian_kl ----------------
