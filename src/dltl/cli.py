@@ -33,7 +33,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import genbounds, landscape, lindyn, meanfield, ntk, spectra, wick
+# The other numerical modules are imported by the handlers that call them,
+# so a subcommand loads only what it runs.
+from . import meanfield
 from .meanfield import GH_NODES
 from .netcore import Activation, NetConfig, forward, load_weights
 
@@ -254,6 +256,8 @@ def _run_lengthmap(args: argparse.Namespace) -> Emission:
 
 
 def _run_spectrum(args: argparse.Namespace) -> Emission:
+    from . import spectra
+
     depth = args.depth
     if args.analytic:
         spectrum = spectra.product_wishart_spectrum(depth, points=args.points)
@@ -296,6 +300,8 @@ def _run_spectrum(args: argparse.Namespace) -> Emission:
 
 
 def _run_lindyn(args: argparse.Namespace) -> Emission:
+    from . import lindyn
+
     svals = parse_float_list(args.svals)
     depth = args.depth
     width = args.width if args.width is not None else len(svals)
@@ -333,6 +339,8 @@ def _run_lindyn(args: argparse.Namespace) -> Emission:
 
 
 def _run_path(args: argparse.Namespace) -> Emission:
+    from . import landscape
+
     config_a, weights_a = load_weights(args.weights_a)
     config_b, weights_b = load_weights(args.weights_b)
     same = (
@@ -394,6 +402,8 @@ def _kernel_config(args: argparse.Namespace) -> tuple[NetConfig, list[np.ndarray
 
 
 def _run_ntk_kernel(args: argparse.Namespace) -> Emission:
+    from . import ntk
+
     nodes = _nodes(args)
     x, _ = read_dataset(args.data)
     kind = args.kind
@@ -426,6 +436,8 @@ def _run_ntk_kernel(args: argparse.Namespace) -> Emission:
 
 
 def _run_ntk_train(args: argparse.Namespace) -> Emission:
+    from . import ntk
+
     nodes = _nodes(args)
     config, weights = load_weights(args.weights)
     x, y = read_dataset(args.data)
@@ -482,6 +494,8 @@ def _du_inputs(args: argparse.Namespace) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _run_du_monitor(args: argparse.Namespace) -> Emission:
+    from . import ntk
+
     columns, y = _du_inputs(args)
     traj = ntk.du_convergence_monitor(
         columns,
@@ -507,6 +521,8 @@ def _run_du_monitor(args: argparse.Namespace) -> Emission:
 
 
 def _run_align(args: argparse.Namespace) -> Emission:
+    from . import ntk
+
     x, y = read_dataset(args.data)
     h_inf = ntk.h_infinity_gram(
         x.T,
@@ -531,6 +547,8 @@ def _run_align(args: argparse.Namespace) -> Emission:
 
 
 def _read_contraction_spec(path: str) -> tuple[wick.ContractionSpec, int]:
+    from . import wick
+
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -556,6 +574,8 @@ def _read_contraction_spec(path: str) -> tuple[wick.ContractionSpec, int]:
 
 
 def _run_wick(args: argparse.Namespace) -> Emission:
+    from . import wick
+
     spec, depth = _read_contraction_spec(args.spec)
     count = wick.exact_correlation(spec, depth)
     header = ("power_of_inv_n", "coefficient", "monomial")
@@ -606,6 +626,8 @@ def _run_wick(args: argparse.Namespace) -> Emission:
 
 
 def _run_bounds(args: argparse.Namespace) -> Emission:
+    from . import genbounds
+
     config, weights = load_weights(args.weights)
     x, y = read_dataset(args.data)
     gamma = args.gamma
@@ -658,7 +680,7 @@ def _run_bounds(args: argparse.Namespace) -> Emission:
             delta,
             posterior=posterior,
             risk_fn=zero_one_risk,
-            samples=args.replicates,
+            samples=genbounds.MC_POSTERIOR_SAMPLES if args.replicates is None else args.replicates,
             seed=args.seed,
         )
     rows = tuple((name, report.bound) for name, report in reports.items())
@@ -852,7 +874,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.05, help="failure probability (default %(default)s)")
     p.add_argument("--b-norm", type=float, default=None, help="input norm cap B (default: max row norm)")
     p.add_argument("--sigma", type=float, default=0.05, help="posterior std for pacbayes (default %(default)s)")
-    p.add_argument("--replicates", type=int, default=genbounds.MC_POSTERIOR_SAMPLES, help="posterior samples (default %(default)s)")
+    p.add_argument(
+        "--replicates", type=int, default=None, help="posterior samples (default: genbounds.MC_POSTERIOR_SAMPLES)"
+    )
     p.set_defaults(handler=_run_bounds)
 
     return parser

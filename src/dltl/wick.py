@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -54,6 +55,9 @@ MAX_FACTORS = 8
 MAX_PAIRING_ELEMENTS = 12
 MAX_DIAGRAMS = 2_000_000
 MAX_DEPTH = 63
+# The smallest normal float: a nonzero value below it in magnitude has lost
+# bits to underflow.
+_TINY = sys.float_info.min
 
 
 def enumerate_pairings(k: int) -> list[tuple[tuple[int, int], ...]]:
@@ -207,7 +211,25 @@ class DiagramCount:
             )
         if not math.isfinite(value):
             raise ValueError(f"the exact value at width {n} is {value}: the inputs are too large")
+        if abs(value) < _TINY and self.terms and self._rational_value(n) != 0:
+            raise ValueError(f"the exact value at width {n} underflows to {value}: the inputs are too small")
         return value
+
+    def _rational_value(self, n: int):
+        """The polynomial at width n in exact rational arithmetic on the
+        inputs' float values: zero only when the correlation vanishes."""
+        from fractions import Fraction
+
+        def factor(entry):
+            if isinstance(entry, tuple):
+                a, b = (self.spec.inputs[label - 1].tolist() for label in entry)
+                return sum(Fraction(u) * Fraction(v) for u, v in zip(a, b))
+            return Fraction(self.spec.inputs[entry - 1].tolist()[0])
+
+        return sum(
+            term.coefficient * Fraction(n) ** -term.power_of_inv_n * math.prod(map(factor, term.monomial))
+            for term in self.terms
+        )
 
 
 def _components(m: int, edges) -> list[tuple[int, ...]]:
@@ -472,12 +494,10 @@ class ScalingReport:
 
 
 def _fit_slope(widths: tuple[int, ...], values: np.ndarray) -> float:
-    mask = np.abs(values) > 0
-    if mask.sum() < 2:
-        return math.nan
-    x = np.log(np.asarray(widths, dtype=float)[mask])
-    y = np.log(np.abs(values[mask]))
-    return float(np.polyfit(x, y, 1)[0])
+    """Least-squares slope of log |values| against log widths; the values
+    are normal floats, as mc_scaling_check checks."""
+    x = np.log(np.asarray(widths, dtype=float))
+    return float(np.polyfit(x, np.log(np.abs(values)), 1)[0])
 
 
 def mc_scaling_check(
@@ -532,6 +552,12 @@ def mc_scaling_check(
             raise ValueError(
                 f"the Monte Carlo samples at width {n} have mean {mean} and variance {variance}:"
                 " the inputs are too large"
+            )
+        # the slopes fit log |mean| and log variance: 0 or a subnormal cannot be
+        if not (abs(mean) >= _TINY and variance >= _TINY):
+            raise ValueError(
+                f"the Monte Carlo samples at width {n} have mean {mean} and variance {variance}:"
+                " the inputs are too small to fit a slope"
             )
         means.append(mean)
         variances.append(variance)

@@ -779,6 +779,39 @@ class TestDomainHolesExitOne:
         ]
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("inputs, message", [
+        ([[1e-200], [1e-200]], "mean 0.0 and variance 0.0"),
+        ([[1e-160], [1e-160]], "mean 3.923e-321 and variance 0.0"),
+        ([[0.0], [1.0]], "mean 0.0 and variance 0.0"),
+    ])
+    def test_wick_mc_underflow(self, tmp_path, inputs, message):
+        """Inputs whose products underflow once printed exacts and means of
+        0.0 (or subnormal) and nan slopes with exit 0."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"m": 2, "depth": 1, "inputs": inputs}), encoding="utf-8")
+        proc = self._run("wick", "--spec", str(spec), "--mc", "--widths", "2,3,4", "--replicates", "3",
+                         "--format", "json")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"error: the Monte Carlo samples at width 2 have {message}: the inputs are too small to fit a slope"
+        ]
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("inputs", [[[1.0]] * 3, [[0.5, -1.0], [0.3, 2.0], [1.0, 0.0]]])
+    def test_wick_mc_odd_m_still_runs(self, tmp_path, inputs):
+        """An odd number of factors has the zero polynomial: integer-0
+        exacts next to finite sampled slopes, exit 0."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"m": 3, "depth": 1, "inputs": inputs}), encoding="utf-8")
+        proc = self._run("wick", "--spec", str(spec), "--mc", "--widths", "2,3,4", "--replicates", "50",
+                         "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        mc = json.loads(proc.stdout)["mc"]
+        assert mc["exacts"] == [0, 0, 0] and all(type(v) is int for v in mc["exacts"])
+        assert math.isfinite(mc["slope_mean"]) and math.isfinite(mc["slope_variance"])
+
     def test_pacbayes_prior_precision_out_of_float_range(self, tmp_path):
         """A posterior scale whose prior precision 1/sigma^2 leaves float
         range once exited with "math range error"; the CLI now names the flag."""

@@ -88,3 +88,54 @@ def test_runs_with_scipy_blocked():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+# dltl modules a subcommand loads besides dltl, dltl.cli, dltl.netcore and
+# dltl.meanfield, which every call loads
+SUBCOMMAND_MODULES = {
+    "phase": (),
+    "lengthmap": (),
+    "spectrum": ("spectra",),
+    "lindyn": ("lindyn",),
+    "path": ("landscape",),
+    "ntk-kernel": ("ntk",),
+    "ntk-train": ("ntk",),
+    "du-monitor": ("ntk",),
+    "align": ("ntk",),
+    "wick": ("wick",),
+    "bounds": ("genbounds",),
+}
+
+LOADED = """
+import sys
+from dltl.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted(name for name in sys.modules if name.partition(".")[0] == "dltl"))
+"""
+
+
+def test_every_subcommand_has_its_modules():
+    from dltl.cli import build_parser
+
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    assert set(SUBCOMMAND_MODULES) == set(subparsers)
+
+
+@pytest.mark.parametrize("subcommand", sorted(SUBCOMMAND_MODULES))
+def test_subcommand_loads_only_its_modules(subcommand, tmp_path):
+    """A subcommand imports the numerical modules it calls and no others:
+    after its first golden flag set (tests/test_golden.py), a fresh
+    interpreter holds exactly these dltl modules."""
+    from test_golden import CASES, write_inputs
+
+    paths = write_inputs(tmp_path)
+    case = min(name for name, argv in CASES.items() if argv.split()[0] == subcommand)
+    argv = [tok.format(**paths) for tok in CASES[case].split()] + ["--out", str(tmp_path / "out")]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dltl.__file__)))
+    proc = subprocess.run([sys.executable, "-c", LOADED, *argv], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.split()
+    assert code == "0", proc.stderr
+    common = {"dltl", "dltl.cli", "dltl.netcore", "dltl.meanfield"}
+    assert set(loaded) == common | {f"dltl.{name}" for name in SUBCOMMAND_MODULES[subcommand]}

@@ -259,6 +259,27 @@ class TestMonteCarloScaling:
             with pytest.raises(ValueError, match="variance inf"):
                 wick.mc_scaling_check(spec, 1, widths=[2, 3, 4], replicates=3)
 
+    def test_underflowing_inputs_rejected_without_warnings(self):
+        """Inputs whose products underflow: an exact value of 0 or a
+        subnormal is rejected unless the correlation vanishes exactly, and
+        sampled moments too small for the log-log fit raise."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in ([1e-200], [1e-160], [3e-200, 1e-200]):
+                spec = wick.ContractionSpec(m=2, inputs=(np.array(x),) * 2)
+                with pytest.raises(ValueError, match="exact value at width 2 underflows to .*: the inputs are too small"):
+                    wick.exact_correlation(spec, 1).evaluate(2)
+                with pytest.raises(ValueError, match="width 2 have mean .* the inputs are too small to fit a slope"):
+                    wick.mc_scaling_check(spec, 1, widths=[2, 3, 4], replicates=3)
+            # orthogonal and zero inputs: the correlation is 0, not underflow
+            orthogonal = wick.ContractionSpec(m=2, inputs=(np.array([1.0, 0.0]), np.array([0.0, 1.0])))
+            assert wick.exact_correlation(orthogonal, 1).evaluate(3) == 0.0
+            zero = wick.ContractionSpec(m=4, inputs=(np.array([0.0]),) + (np.array([1.0]),) * 3)
+            assert wick.exact_correlation(zero, 2).evaluate(5) == 0.0
+            # a dot that cancels exactly, though each of its products underflows
+            tiny = wick.ContractionSpec(m=2, inputs=(np.array([1e-160, 1e-160]), np.array([1e-160, -1e-160])))
+            assert wick.exact_correlation(tiny, 1).evaluate(2) == 0.0
+
     def test_validation(self):
         spec = _scalar_spec(4)
         with pytest.raises(ValueError, match="three widths"):
