@@ -91,18 +91,18 @@ def _check_pair(c: float, q11: float, q22: float) -> None:
 _BLOCK_BYTES = 256 * 1024
 
 
-def gauss_ev2(f, g, c, q11, q22, nodes: int = GH_NODES):
-    """E f(u) g(v) for (u, v) centered gaussian with Var u = q11, Var v = q22,
+def gauss_ev2(f, c, q11, q22, nodes: int = GH_NODES):
+    """E f(u) f(v) for (u, v) centered gaussian with Var u = q11, Var v = q22,
     correlation c. Realized as u = sqrt(q11) z1, v = sqrt(q22)(c z1 +
     sqrt(1-c^2) z2); |c| = 1 collapses to a single axis.
 
     c, q11 and q22 are scalars or same-shape arrays of pairs. A scalar call
     returns a float, an array call an array of that shape, whose entries are
     bit for bit the scalar calls: a pair's value does not depend on the pairs
-    beside it. f and g must act elementwise on arrays of any shape.
+    beside it. f must act elementwise on arrays of any shape.
 
-    When f and g are each a tanh or linear Activation or its deriv, the
-    integrand has a parity, and the tensor grid's mirror half is copied
+    When f is a tanh or linear Activation or its deriv, f is odd or even, so
+    f(u) f(v) is even in (u, v), and the tensor grid's mirror half is copied
     instead of evaluated (see _tensor_rule); the value is the same to the
     bit. Any other callable is evaluated on the full grid.
     """
@@ -121,41 +121,41 @@ def gauss_ev2(f, g, c, q11, q22, nodes: int = GH_NODES):
     t, w = gauss_hermite(nodes)
     z = math.sqrt(2.0) * t
     edge = np.abs(c) >= 1.0  # |c| = 1 once clipped into [-1, 1]
-    parity = _parity(f) * _parity(g)
+    mirror = _has_parity(f)
     if not edge.any():
-        out = _tensor_rule(f, g, c, q11, q22, z, w, parity)
+        out = _tensor_rule(f, c, q11, q22, z, w, mirror)
     elif edge.all():
-        out = _axis_rule(f, g, c, q11, q22, z, w)
+        out = _axis_rule(f, c, q11, q22, z, w)
     else:
         out = np.empty(c.size)
-        out[edge] = _axis_rule(f, g, c[edge], q11[edge], q22[edge], z, w)
+        out[edge] = _axis_rule(f, c[edge], q11[edge], q22[edge], z, w)
         inner = ~edge
-        out[inner] = _tensor_rule(f, g, c[inner], q11[inner], q22[inner], z, w, parity)
+        out[inner] = _tensor_rule(f, c[inner], q11[inner], q22[inner], z, w, mirror)
     return float(out[0]) if not shape else out.reshape(shape)
 
 
-def _parity(f) -> int:
-    """-1 for an odd f, 1 for an even one, 0 when unknown: tanh and linear
-    are odd to the bit (IEEE negation and numpy's tanh are sign-symmetric),
-    so their derivatives are even. Piecewise-linear kinds with a kink and
-    plain callables report 0."""
+def _has_parity(f) -> bool:
+    """Whether f is odd or even to the bit: tanh and linear are odd (IEEE
+    negation and numpy's tanh are sign-symmetric), so their derivatives are
+    even. Piecewise-linear kinds with a kink and plain callables report
+    False."""
     if isinstance(f, Activation):
-        act, sign = f, -1
+        act = f
     elif getattr(f, "__func__", None) is Activation.deriv:
-        act, sign = f.__self__, 1
+        act = f.__self__
     else:
-        return 0
-    return sign if act.kind in ("tanh", "linear") else 0
+        return False
+    return act.kind in ("tanh", "linear")
 
 
-def _axis_rule(f, g, c, q11, q22, z, w) -> np.ndarray:
+def _axis_rule(f, c, q11, q22, z, w) -> np.ndarray:
     """gauss_ev2 at c = +-1, where v = sign(c) sqrt(q22/q11) u: one sum over
     the nodes z = sqrt(2) t per pair, a stacked dot as 1-D w @ vals is."""
-    vals = f(np.sqrt(q11)[:, None] * z) * g((np.copysign(1.0, c) * np.sqrt(q22))[:, None] * z)
+    vals = f(np.sqrt(q11)[:, None] * z) * f((np.copysign(1.0, c) * np.sqrt(q22))[:, None] * z)
     return np.matmul(vals[:, None, :], w[:, None])[:, 0, 0] / math.sqrt(math.pi)
 
 
-def _tensor_rule(f, g, c, q11, q22, z, w, parity: int) -> np.ndarray:
+def _tensor_rule(f, c, q11, q22, z, w, mirror: bool) -> np.ndarray:
     """gauss_ev2 at |c| < 1 on the n x n tensor grid, in blocks of pairs of
     _BLOCK_BYTES. Each block's grid of values is built in place in one
     (k, n, n) buffer, and each pair's sum w @ vals @ w is one gemv and one
@@ -163,13 +163,13 @@ def _tensor_rule(f, g, c, q11, q22, z, w, parity: int) -> np.ndarray:
     (k, n) @ (n,) gemv would round some sums differently.
 
     The nodes satisfy z[::-1] == -z exactly, and IEEE products, sums and
-    negation are sign-symmetric, so an integrand of parity p (the product of
-    f's and g's, +-1) gives vals[n-1-i, n-1-j] == p vals[i, j]. Then only
+    negation are sign-symmetric, so for an odd or even f (mirror) the
+    integrand f(u) f(v) gives vals[n-1-i, n-1-j] == vals[i, j]. Then only
     the first ceil(n/2) rows are evaluated and the rest are their reversed
-    copy times p; the sums still run over the full grid. parity 0 evaluates
-    every row."""
+    copy; the sums still run over the full grid. Otherwise every row is
+    evaluated."""
     n = z.size
-    rows = n - n // 2 if parity else n
+    rows = n - n // 2 if mirror else n
     step = max(1, _BLOCK_BYTES // (8 * n * n))
     buf = np.empty((min(step, c.size), n, n))
     z1, z2 = z[:rows, None], z[None, :]
@@ -182,9 +182,9 @@ def _tensor_rule(f, g, c, q11, q22, z, w, parity: int) -> np.ndarray:
         vals = buf[: min(step, c.size - start)]
         v = np.add(c3[block] * z1, s3[block] * z2, out=vals[:, :rows])
         v *= root_q22[block]
-        np.multiply(f(root_q11[block] * z1), g(v), out=v)
-        if rows < n:  # times +-1.0 is exact, signed zeros included
-            np.multiply(vals[:, n - rows - 1 :: -1, ::-1], parity, out=vals[:, rows:])
+        np.multiply(f(root_q11[block] * z1), f(v), out=v)
+        if rows < n:
+            vals[:, rows:] = vals[:, n - rows - 1 :: -1, ::-1]
         np.matmul(np.matmul(w_row, vals), w_col, out=sums[block])
     return sums[:, 0, 0] / math.pi
 
@@ -201,12 +201,12 @@ class _LengthMoments(NamedTuple):
     chi1: Callable[[float], float]    # q -> chi_1 at variance q
 
 
-def _length_moments(sigma_w2: float, act: Activation, nodes: int) -> _LengthMoments:
-    """The three one-dimensional moments of the length map at sigma_w^2, for
-    evaluation at many q.
+def _length_moments(sigma_w2: float, nodes: int) -> _LengthMoments:
+    """The three one-dimensional moments of the tanh length map at
+    sigma_w^2, for evaluation at many q.
 
-    The homogeneous kinds have closed forms, which length_map and chi1
-    evaluate without building this. For tanh, the quadrature rule
+    The piecewise-linear kinds have closed forms, which length_map, chi1 and
+    length_fixed_point evaluate instead. The quadrature rule
     is looked up once and the scaled nodes share one buffer across calls.
     Each value is bit for bit the gauss_ev expression of its integrand, with
     u = sqrt(q) z, t = tanh(u) and d = phi'(u) = 1 - t*t:
@@ -219,13 +219,6 @@ def _length_moments(sigma_w2: float, act: Activation, nodes: int) -> _LengthMome
     ddot of w @ x); tanh is computed once per value. The expectations are
     not batched over q: a stacked gemv sums in another order.
     """
-    if act.homogeneous:
-        m2 = _second_moment_unit(act)
-        kappa = sigma_w2 * m2
-        # phi(sqrt(q) z) = sqrt(q) phi(z), so the map is exactly linear in q;
-        # for the piecewise-linear kinds phi phi'' vanishes almost everywhere
-        # (phi(0) = 0 kills the relu kink's point mass), so dV/dq = chi_1
-        return _LengthMoments(lambda q: sigma_w2 * q * m2, lambda q: kappa, lambda q: kappa)
     t, w = gauss_hermite(nodes)
     z = np.empty_like(t)
     root_pi = math.sqrt(math.pi)
@@ -257,7 +250,9 @@ def length_map(q: float, sigma_w2: float, act: Activation, nodes: int = GH_NODES
     variance for an input of current variance q.
 
     A value that is not finite (overflow) raises DivergenceError. dV/dq is
-    _length_moments(...).slope, which the fixed-point Newton polish reads.
+    _length_moments(...).slope for tanh, which the fixed-point Newton polish
+    reads, and chi_1 for the piecewise-linear kinds, whose phi phi'' vanishes
+    almost everywhere (phi(0) = 0 kills the relu kink's point mass).
     """
     if not 0.0 <= q < math.inf:
         raise ValueError(f"q must be finite and nonnegative, got {q}")
@@ -267,7 +262,7 @@ def length_map(q: float, sigma_w2: float, act: Activation, nodes: int = GH_NODES
         # V is exactly linear in q, with slope chi_1
         value = sigma_w2 * q * _second_moment_unit(act)
     else:
-        value = _length_moments(sigma_w2, act, nodes).value(q)
+        value = _length_moments(sigma_w2, nodes).value(q)
     if not math.isfinite(value):
         raise DivergenceError(
             f"length map overflowed at q = {q:g} (next value {value:g})", last_value=value
@@ -302,7 +297,7 @@ def corr_map(
         abs_term = (2.0 / math.pi) * (math.sqrt(1.0 - c * c) + c * math.asin(c))
         pair = 0.25 * ((1.0 + a) ** 2 * c + (1.0 - a) ** 2 * abs_term)
         return sigma_w2 * scale * pair
-    return sigma_w2 * gauss_ev2(act, act, c, q11, q22, nodes=nodes)
+    return sigma_w2 * gauss_ev2(act, c, q11, q22, nodes=nodes)
 
 
 def chi_map(
@@ -328,7 +323,7 @@ def chi_map(
         same = (math.pi - theta) / (2.0 * math.pi)
         mixed = theta / (2.0 * math.pi)
         return sigma_w2 * ((1.0 + a * a) * same + 2.0 * a * mixed)
-    return sigma_w2 * gauss_ev2(act.deriv, act.deriv, c, q11, q22, nodes=nodes)
+    return sigma_w2 * gauss_ev2(act.deriv, c, q11, q22, nodes=nodes)
 
 
 def chi1(sigma_w2: float, q: float, act: Activation, nodes: int = GH_NODES) -> float:
@@ -339,7 +334,7 @@ def chi1(sigma_w2: float, q: float, act: Activation, nodes: int = GH_NODES) -> f
         raise ValueError(f"q must be finite and nonnegative, got {q}")
     if act.homogeneous:
         return sigma_w2 * _second_moment_unit(act)
-    return _length_moments(sigma_w2, act, nodes).chi1(q)
+    return _length_moments(sigma_w2, nodes).chi1(q)
 
 
 @dataclass(frozen=True)
@@ -356,11 +351,14 @@ def length_fixed_point(
     tol: float = 1e-10,
     max_iter: int = 10_000,
 ) -> FixedPointResult:
-    """Iterate the length map to its fixed point from q0.
+    """The length map's fixed point from q0.
 
-    Homogeneous activations make the map exactly linear, V(q) = kappa q.
-    kappa = 1 (e.g. relu at sigma_w^2 = 2) leaves every q fixed; that case
-    returns q0 with marginal=True rather than inventing a unique answer.
+    Piecewise-linear activations make the map exactly linear, V(q) = kappa q
+    with kappa = sigma_w^2 (1 + a^2)/2, and are answered without iterating:
+    kappa = 1 (e.g. relu at sigma_w^2 = 2) leaves every q fixed and returns
+    q0 with marginal=True rather than inventing a unique answer; kappa < 1,
+    or q0 = 0, gives q* = 0 exactly; kappa > 1 from q0 > 0 grows without
+    bound and raises DivergenceError with last_value inf.
 
     For tanh at sigma_w^2 < 1, tanh(u)^2 < u^2 gives V(q) < sigma_w^2 q < q,
     so q* = 0 exactly; it is returned with iterations = 0, as no map is
@@ -381,9 +379,14 @@ def length_fixed_point(
         kappa = sigma_w2 * _second_moment_unit(act)
         if abs(kappa - 1.0) <= MARGINAL_TOL:
             return FixedPointResult(q_inf=float(q0), iterations=0, marginal=True)
-    elif sigma_w2 < 1.0:
+        if kappa < 1.0 or q0 == 0.0:
+            return FixedPointResult(q_inf=0.0, iterations=0, marginal=False)
+        raise DivergenceError(
+            f"length map V(q) = {kappa:g} q grows without bound from q0 = {q0:g}", last_value=math.inf
+        )
+    if sigma_w2 < 1.0:
         return FixedPointResult(q_inf=0.0, iterations=0, marginal=False)
-    moments = _length_moments(sigma_w2, act, GH_NODES)
+    moments = _length_moments(sigma_w2, GH_NODES)
     length_value, isfinite = moments.value, math.isfinite
     q = float(q0)
     polish_at = min(512, max_iter)
@@ -454,36 +457,28 @@ def phase_classify(
     q0: float = 1.0,
     tol: float = 1e-6,
 ) -> PhasePoint:
-    """Classify (sigma_w^2, phi) by chi_1 at the length fixed point.
+    """Classify (sigma_w^2, phi) by chi_1 at length_fixed_point's q_inf.
 
-    For homogeneous activations chi_1 does not depend on q, so no fixed point
-    needs to exist: q_inf is reported as 0, q0 or inf according to the map's
-    slope. Otherwise chi_1 is read at length_fixed_point's q_inf.
+    For the piecewise-linear kinds chi_1 does not depend on q, so it is read
+    at q0, and no fixed point needs to exist: a map that grows without bound
+    is reported as q_inf = inf (chaotic). A tanh divergence still raises.
     """
     if not (tol >= 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
-    if act.homogeneous:
-        kappa = sigma_w2 * _second_moment_unit(act)
-        marginal = abs(kappa - 1.0) <= MARGINAL_TOL
-        if marginal:
-            q_inf = float(q0)
-        elif kappa < 1.0:
-            q_inf = 0.0
-        else:
-            q_inf = math.inf
-        chi = chi1(sigma_w2, q0, act)
-    else:
+    try:
         fp = length_fixed_point(sigma_w2, act, q0=q0)
-        marginal = fp.marginal
-        q_inf = fp.q_inf
-        chi = chi1(sigma_w2, q_inf, act)
+    except DivergenceError:
+        if not act.homogeneous:
+            raise
+        fp = FixedPointResult(q_inf=math.inf, iterations=0, marginal=False)
+    chi = chi1(sigma_w2, q0 if act.homogeneous else fp.q_inf, act)
     if chi < 1.0 - tol:
         phase = "ordered"
     elif chi > 1.0 + tol:
         phase = "chaotic"
     else:
         phase = "edge"
-    return PhasePoint(sigma_w2=sigma_w2, q_inf=q_inf, chi1=chi, phase=phase, marginal=marginal)
+    return PhasePoint(sigma_w2=sigma_w2, q_inf=fp.q_inf, chi1=chi, phase=phase, marginal=fp.marginal)
 
 
 def edge_of_chaos(

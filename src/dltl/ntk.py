@@ -148,9 +148,9 @@ def _theta(q12, chi):
 #
 # The recursion needs E phi(u) phi(v) and E phi'(u) phi'(v) for a centered
 # gaussian pair. Smooth activations take meanfield.gauss_ev2, the tensor
-# Gauss-Hermite rule of meanfield's correlation maps, on a chunk's whole
-# arrays of pairs: one call per moment, whose entries equal the maps' scalar
-# calls bit for bit. For the piecewise-linear kinds that rule stalls near
+# Gauss-Hermite rule of meanfield's correlation maps for E f(u) f(v), on a
+# chunk's whole arrays of pairs: one call per moment, f = phi and f = phi',
+# whose entries equal the maps' scalar calls bit for bit. For the piecewise-linear kinds that rule stalls near
 # 1e-3 (the integrand kinks along two lines through the origin), so those
 # are integrated in polar coordinates instead:
 # the radial factor is a gamma integral, and on each angular arc where both
@@ -211,8 +211,8 @@ def _pair_moments(c, q11, q22, sigma_w2: float, act: Activation, nodes: int) -> 
     if act.slopes is not None:
         m_phi, m_deriv = (sigma_w2 * m for m in _polar_moments(c, q11, q22, act.slopes))
     else:
-        m_phi = sigma_w2 * gauss_ev2(act, act, c, q11, q22, nodes)
-        m_deriv = sigma_w2 * gauss_ev2(act.deriv, act.deriv, c, q11, q22, nodes)
+        m_phi = sigma_w2 * gauss_ev2(act, c, q11, q22, nodes)
+        m_deriv = sigma_w2 * gauss_ev2(act.deriv, c, q11, q22, nodes)
     return m_phi.reshape(shape), m_deriv.reshape(shape)
 
 

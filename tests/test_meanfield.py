@@ -12,6 +12,7 @@ from dltl import meanfield
 from dltl.meanfield import (
     GH_NODES,
     DivergenceError,
+    FixedPointResult,
     chi1,
     chi_map,
     corr_map,
@@ -81,12 +82,12 @@ class TestQuadrature:
 
     def test_gauss_ev2_matches_scipy(self):
         for c in (-0.8, 0.0, 0.5, 0.99):
-            got = gauss_ev2(TANH, TANH, c, 1.3, 1.3)
+            got = gauss_ev2(TANH, c, 1.3, 1.3)
             want = _quad_ev2(math.tanh, math.tanh, c, 1.3)
             np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_gauss_ev2_perfect_correlation(self):
-        got = gauss_ev2(TANH, TANH, 1.0, 0.9, 0.9)
+        got = gauss_ev2(TANH, 1.0, 0.9, 0.9)
         want = gauss_ev(lambda z: np.tanh(z) ** 2, 0.9)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -121,10 +122,14 @@ class TestLengthMap:
         np.testing.assert_allclose(res, want, atol=1e-10)
 
     def test_derivative_matches_finite_differences(self):
-        # h large enough that quadrature noise does not dominate the quotient
+        # h large enough that quadrature noise does not dominate the quotient;
+        # the piecewise-linear maps are kappa q, so dV/dq = kappa = chi_1
         h = 1e-4
         for act in (TANH, RELU, LEAKY):
-            slope = meanfield._length_moments(1.8, act, 256).slope(1.2)
+            if act is TANH:
+                slope = meanfield._length_moments(1.8, 256).slope(1.2)
+            else:
+                slope = chi1(1.8, 1.2, act)
             up = length_map(1.2 + h, 1.8, act, nodes=256)
             down = length_map(1.2 - h, 1.8, act, nodes=256)
             np.testing.assert_allclose(slope, (up - down) / (2 * h), atol=1e-6)
@@ -215,13 +220,13 @@ class TestNonFinitePairsRejected:
         c = np.array([[0.1, 0.2], [math.nan, 0.4]])
         q = np.ones((2, 2))
         with pytest.raises(ValueError, match=r"correlation must lie in \[-1, 1\], got nan"):
-            gauss_ev2(TANH, TANH, c, q, q)
+            gauss_ev2(TANH, c, q, q)
         q22 = q.copy()
         q22[0, 1] = -math.inf
         with pytest.raises(ValueError, match="got 1.0 and -inf"):
-            gauss_ev2(TANH, TANH, np.zeros((2, 2)), q, q22)
+            gauss_ev2(TANH, np.zeros((2, 2)), q, q22)
         with pytest.raises(ValueError, match="must share a shape"):
-            gauss_ev2(TANH, TANH, np.zeros(3), np.ones(3), np.ones((3, 1)))
+            gauss_ev2(TANH, np.zeros(3), np.ones(3), np.ones((3, 1)))
 
 
 class TestChi1:
@@ -268,6 +273,27 @@ class TestFixedPoints:
             length_fixed_point(2.0, LINEAR, q0=1.0)
         assert err.value.last_value > 1.0
 
+    @pytest.mark.parametrize("act, sigma_w2", [(RELU, 1.5), (LEAKY, 1.0), (LINEAR, 0.5)])
+    @pytest.mark.parametrize("q0", [0.0, 0.3, 7.0])
+    def test_piecewise_linear_contracting_map_is_exactly_zero(self, act, sigma_w2, q0):
+        """V(q) = kappa q with kappa < 1 has q* = 0 exactly; relu at
+        sigma_w^2 = 1.5 once iterated 77 steps to q = 2.4e-10."""
+        assert length_fixed_point(sigma_w2, act, q0=q0) == FixedPointResult(0.0, 0, False)
+
+    @pytest.mark.parametrize("act, sigma_w2", [(RELU, 2.0), (LEAKY, 2.0 / (1 + 0.25**2)), (LINEAR, 1.0)])
+    @pytest.mark.parametrize("q0", [0.0, 0.3, 7.0])
+    def test_piecewise_linear_marginal_map_keeps_q0(self, act, sigma_w2, q0):
+        assert length_fixed_point(sigma_w2, act, q0=q0) == FixedPointResult(q0, 0, True)
+
+    @pytest.mark.parametrize("act, sigma_w2", [(RELU, 3.0), (LEAKY, 2.5), (LINEAR, 1.5)])
+    def test_piecewise_linear_expanding_map(self, act, sigma_w2):
+        """kappa > 1: from q0 = 0 the map stays at 0; from q0 > 0 it grows
+        without bound."""
+        assert length_fixed_point(sigma_w2, act, q0=0.0) == FixedPointResult(0.0, 0, False)
+        with pytest.raises(DivergenceError, match="grows without bound") as err:
+            length_fixed_point(sigma_w2, act, q0=0.3)
+        assert err.value.last_value == math.inf
+
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError, match="sigma_w2 must be positive"):
             length_fixed_point(-1.0, TANH)
@@ -291,6 +317,14 @@ class TestPhase:
         assert p.phase == "edge" and p.marginal and p.q_inf == 0.3
         p = phase_classify(3.0, RELU)
         assert p.phase == "chaotic" and np.isinf(p.q_inf)
+
+    @pytest.mark.parametrize("act", [TANH, RELU])
+    def test_zero_input_variance_stays_zero(self, act):
+        """q0 = 0 is a fixed point of every kind's map; relu at sigma_w^2 = 3
+        once reported q_inf = inf there, while tanh and length_fixed_point
+        reported 0."""
+        p = phase_classify(3.0, act, q0=0.0)
+        assert p.q_inf == 0.0 and p.phase == "chaotic" and not p.marginal
 
     @pytest.mark.parametrize("act", [TANH, RELU])
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])

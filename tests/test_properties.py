@@ -513,7 +513,7 @@ def _reference_edge(lo, hi, q0, tol=1e-10):
 def test_tanh_length_moments_equal_gauss_ev(q, sigma_w2, nodes):
     """The hoisted V, dV/dq and chi_1 are the gauss_ev expressions bit for bit."""
     value, slope, chi = _gauss_length_moments(sigma_w2, nodes)
-    moments = meanfield._length_moments(sigma_w2, TANH, nodes)
+    moments = meanfield._length_moments(sigma_w2, nodes)
     assert (moments.value(q), moments.slope(q), moments.chi1(q)) == (value(q), slope(q), chi(q))
     assert meanfield.length_map(q, sigma_w2, TANH, nodes=nodes) == value(q)
     assert meanfield.chi1(sigma_w2, q, TANH, nodes=nodes) == chi(q)
@@ -584,10 +584,9 @@ _INTEGRANDS = {"tanh": _TANH, "tanh'": _TANH.deriv, "relu": _RELU}
     data=st.data(),
     nodes=st.sampled_from([1, 2, 3, 63, 64, 65, 200]),
     f=st.sampled_from(sorted(_INTEGRANDS)),
-    g=st.sampled_from(sorted(_INTEGRANDS)),
     block_pairs=st.sampled_from([None, 1, 2, 3]),
 )
-def test_array_gauss_ev2_is_the_scalar_calls(data, nodes, f, g, block_pairs):
+def test_array_gauss_ev2_is_the_scalar_calls(data, nodes, f, block_pairs):
     """gauss_ev2 on arrays equals its scalar calls entry by entry, exactly,
     with |c| = 1 mixed among interior pairs and over several blocks: the
     default budget holds 8 pairs at 63 and 64 nodes, 7 at 65 and one at 200,
@@ -595,17 +594,17 @@ def test_array_gauss_ev2_is_the_scalar_calls(data, nodes, f, g, block_pairs):
     size = data.draw(st.integers(1, 20))
     c, q11, q22 = (data.draw(st.lists(s, min_size=size, max_size=size)) for s in (correlations, variances, variances))
     shape = data.draw(st.sampled_from([(size,), (1, size), (size, 1)]))
-    f, g = _INTEGRANDS[f], _INTEGRANDS[g]
+    f = _INTEGRANDS[f]
     budget = meanfield._BLOCK_BYTES if block_pairs is None else 8 * nodes * nodes * block_pairs
     with mock.patch.object(meanfield, "_BLOCK_BYTES", budget):
-        got = meanfield.gauss_ev2(f, g, *(np.reshape(v, shape) for v in (c, q11, q22)), nodes)
+        got = meanfield.gauss_ev2(f, *(np.reshape(v, shape) for v in (c, q11, q22)), nodes)
     assert got.shape == shape
-    want = [meanfield.gauss_ev2(f, g, *pair, nodes) for pair in zip(c, q11, q22)]
+    want = [meanfield.gauss_ev2(f, *pair, nodes) for pair in zip(c, q11, q22)]
     assert all(type(v) is float for v in want)
     assert got.ravel().tolist() == want
 
 
-def _full_grid_tensor_rule(f, g, c, q11, q22, nodes):
+def _full_grid_tensor_rule(f, c, q11, q22, nodes):
     """gauss_ev2's tensor rule at |c| < 1 as it was before the mirrored half:
     every row of each pair's n x n grid evaluated, in blocks of _BLOCK_BYTES."""
     t, w = meanfield.gauss_hermite(nodes)
@@ -622,7 +621,7 @@ def _full_grid_tensor_rule(f, g, c, q11, q22, nodes):
         block = slice(start, start + step)
         v = np.add(c3[block] * z1, s3[block] * z2, out=buf[: min(step, c.size - start)])
         v *= root_q22[block]
-        vals = np.multiply(f(root_q11[block] * z1), g(v), out=v)
+        vals = np.multiply(f(root_q11[block] * z1), f(v), out=v)
         np.matmul(np.matmul(w_row, vals), w_col, out=sums[block])
     return sums[:, 0, 0] / math.pi
 
@@ -638,23 +637,21 @@ interior_correlations = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5]),
     data=st.data(),
     nodes=st.sampled_from([1, 2, 3, 63, 64, 65, 200]),
     f=st.sampled_from(sorted(_RULE_INTEGRANDS)),
-    g=st.sampled_from(sorted(_RULE_INTEGRANDS)),
     block_pairs=st.sampled_from([None, 1, 3]),
 )
-def test_tensor_rule_equals_full_grid(data, nodes, f, g, block_pairs):
-    """Copying the mirror half of the grid for tanh and tanh' (odd and even,
-    in either order and mixed) gives gauss_ev2 bit for bit the full-grid
-    rule, signed zeros included; relu and a plain callable take the full
-    grid."""
+def test_tensor_rule_equals_full_grid(data, nodes, f, block_pairs):
+    """Copying the mirror half of the grid for tanh (odd) and tanh' (even)
+    gives gauss_ev2 bit for bit the full-grid rule, signed zeros included;
+    relu and a plain callable take the full grid."""
     size = data.draw(st.integers(1, 12))
     c = np.array(data.draw(st.lists(interior_correlations, min_size=size, max_size=size)))
     q11, q22 = (np.array(data.draw(st.lists(st.one_of(st.just(0.0), variances), min_size=size, max_size=size)))
                 for _ in range(2))
-    f, g = _RULE_INTEGRANDS[f], _RULE_INTEGRANDS[g]
+    f = _RULE_INTEGRANDS[f]
     budget = meanfield._BLOCK_BYTES if block_pairs is None else 8 * nodes * nodes * block_pairs
     with mock.patch.object(meanfield, "_BLOCK_BYTES", budget):
-        got = meanfield.gauss_ev2(f, g, c, q11, q22, nodes)
-        want = _full_grid_tensor_rule(f, g, c, q11, q22, nodes)
+        got = meanfield.gauss_ev2(f, c, q11, q22, nodes)
+        want = _full_grid_tensor_rule(f, c, q11, q22, nodes)
     assert got.tobytes() == want.tobytes()
 
 
