@@ -181,6 +181,15 @@ def _check_m_delta(m: int, delta: float) -> tuple[int, float]:
     return m, delta
 
 
+def _log_over_delta(numerator: float, delta: float) -> float:
+    """log(numerator / delta), rejecting a delta so small that the quotient
+    overflows (a bound of inf, or one clamped to 1, would hide it)."""
+    quotient = numerator / delta
+    if quotient == math.inf:
+        raise ValueError(f"confidence delta = {delta} is too small: {numerator:g} / delta overflows")
+    return math.log(quotient)
+
+
 def classic_bounds(m: int, delta: float, vc_dim: int | None = None) -> dict:
     """Hoeffding radius, Sauer growth estimate, and the VC Rademacher bound.
 
@@ -190,7 +199,7 @@ def classic_bounds(m: int, delta: float, vc_dim: int | None = None) -> dict:
     sqrt((2/m) (log 2 + d (1 + log m - log d))).
     """
     m, delta = _check_m_delta(m, delta)
-    out = {"hoeffding_eps": math.sqrt(math.log(1.0 / delta) / (2.0 * m))}
+    out = {"hoeffding_eps": math.sqrt(_log_over_delta(1.0, delta) / (2.0 * m))}
     if vc_dim is not None:
         d = int(vc_dim)
         if d < 1:
@@ -275,10 +284,15 @@ def bartlett_bound(
     scaled = c_width * (x_norm_f / gamma) * complexity
     eps_opt = 3.0 / math.sqrt(m) * scaled
     log_arg = 6.0 / m * scaled
-    hoeffding = math.sqrt(math.log(1.0 / delta) / (2.0 * m))
+    hoeffding = math.sqrt(_log_over_delta(1.0, delta) / (2.0 * m))
 
     in_regime = log_arg < 1.0
     rademacher = 12.0 / m * scaled * (1.0 - math.log(log_arg))
+    if not (math.isfinite(eps_opt) and math.isfinite(rademacher)):
+        raise ValueError(
+            f"the scaled complexity C |X|_F R / gamma = {scaled:g} leaves float range "
+            f"(|X|_F = {x_norm_f:g}, gamma = {gamma:g})"
+        )
     if in_regime:
         bound = margin_risk + 2.0 * rademacher + hoeffding
     else:
@@ -332,7 +346,7 @@ def a_posteriori_grid(norms: NormProfile, delta: float) -> dict:
 
     i_star = tuple(smallest_index(s) for s in norms.spectral)
     j_star = tuple(smallest_index(b) for b in norms.two_one)
-    log_inv = math.log(1.0 / delta)
+    log_inv = _log_over_delta(1.0, delta)
     for i, j in zip(i_star, j_star):
         log_inv += (
             math.log(i) + math.log(i + 1.0) + math.log(j) + math.log(j + 1.0)
@@ -390,16 +404,25 @@ def neyshabur_bound(
     width = max(max(w.shape) for w in weights)
     complexity = spectral_complexity_ratio(weights)
 
+    try:
+        fit = (B * complexity / gamma) ** 2
+    except OverflowError:  # float ** raises where * would give inf
+        fit = math.inf
     penalty_sq = (
-        math.log(8.0 * depth * m / delta)
+        _log_over_delta(8.0 * depth * m, delta)
         + math.log(m) / (2.0 * depth)
         + 8.0
         * math.e**4
-        * (B * complexity / gamma) ** 2
+        * fit
         * depth**2
         * width
         * math.log(2.0 * depth * width)
     ) / (2.0 * m - 1.0)
+    if not math.isfinite(penalty_sq):
+        raise ValueError(
+            f"the penalty overflows: B R(theta) / gamma = {B * complexity / gamma:g} "
+            f"(B = {B:g}, gamma = {gamma:g})"
+        )
     penalty = math.sqrt(penalty_sq)
     risk = margin_stats.hard_risk if margin_stats is not None else 0.0
 
@@ -460,7 +483,7 @@ def _gaussian_kl(mean: np.ndarray, lam: np.ndarray, prior_mean: np.ndarray, lam_
 
 
 def _mcallester_penalty(kl: float, m: int, delta: float) -> float:
-    return math.sqrt((math.log(4.0 * m / delta) + kl) / (2.0 * m - 1.0))
+    return math.sqrt((_log_over_delta(4.0 * m, delta) + kl) / (2.0 * m - 1.0))
 
 
 def pacbayes_mcallester(
@@ -788,8 +811,10 @@ def margin_stats(weights, config: NetConfig, dataset, gamma: float) -> MarginSta
     if gamma == 0.0:
         ramp = (margins <= 0.0).astype(float)
     else:
-        # the clip realizes all three ramp branches at once
-        ramp = np.clip(1.0 - margins / gamma, 0.0, 1.0)
+        # the clip realizes all three ramp branches at once; a quotient that
+        # overflows at a tiny gamma is +-inf, which the clip maps to 1 or 0
+        with np.errstate(over="ignore"):
+            ramp = np.clip(1.0 - margins / gamma, 0.0, 1.0)
     return MarginStats(
         gamma=gamma,
         margins=margins,

@@ -488,10 +488,12 @@ def edge_of_chaos(
     tol: float = 1e-10,
     q0: float = 1.0,
 ) -> float:
-    """Bisect sigma_w^2 in [lo, hi] for chi_1(sigma_w^2) = 1.
+    """sigma_w^2 in [lo, hi] where chi_1(sigma_w^2) = 1.
 
     chi_1 is evaluated at each candidate's own length fixed point. Requires
-    chi_1 - 1 to change sign (or vanish) on the bracket.
+    chi_1 - 1 to change sign (or vanish) on the bracket, whose ends are
+    evaluated and checked for every kind. A piecewise-linear kind then
+    returns the closed form 1 / E phi'(z)^2 = 2 / (1 + a^2); tanh bisects.
     """
     f_lo = phase_classify(lo, act, q0=q0).chi1 - 1.0
     if abs(f_lo) <= tol:
@@ -504,6 +506,8 @@ def edge_of_chaos(
             f"chi1 - 1 does not change sign on [{lo}, {hi}] "
             f"(values {f_lo:g}, {f_hi:g})"
         )
+    if act.homogeneous:
+        return 1.0 / _second_moment_unit(act)
     for _ in range(200):
         if hi - lo <= tol:
             break

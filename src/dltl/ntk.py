@@ -235,6 +235,7 @@ def nngp_recursion(
     if x.size != n0:
         raise ValueError(f"inputs have dimension {x.size}, config expects {n0}")
     q11, q22 = _diagonals(x[None], config, nodes), _diagonals(xp[None], config, nodes)
+    _check_variance_products(q11, q22)
     q12, chi = _recursion(x[None], xp[None], q11, q22, config, nodes)
     return KernelRecursionState(q11=q11[:, 0], q12=q12[:, 0], q22=q22[:, 0], chi=chi[:, 0])
 
@@ -248,6 +249,21 @@ def _diagonals(rows: np.ndarray, config: NetConfig, nodes: int) -> np.ndarray:
         for l in range(config.depth):
             q[l + 1, k] = length_map(float(q[l, k]), config.sigma_w2, config.activation, nodes=nodes)
     return q
+
+
+def _check_variance_products(diag_a: np.ndarray, diag_b: np.ndarray) -> None:
+    """Reject inputs whose layer variances overflow a pair's product
+    q_l(x, x) q_l(x', x'), which would read the pair as uncorrelated. Every
+    pair list pairs each column of diag_a with each of diag_b (a gram's
+    i <= j triangle holds every diagonal pair), so the largest product is
+    that of the two largest variances of each layer."""
+    for l, (i, j) in enumerate(zip(diag_a.argmax(axis=1).tolist(), diag_b.argmax(axis=1).tolist())):
+        a, b = float(diag_a[l, i]), float(diag_b[l, j])
+        if not math.isfinite(a * b):
+            raise ValueError(
+                f"input columns {i} and {j} are too large: their layer-{l + 1} variances "
+                f"{a:g} and {b:g} overflow in their product"
+            )
 
 
 def _recursion(rows_a, rows_b, q11, q22, config: NetConfig, nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -295,6 +311,7 @@ def _pair_kernels(
     rows_b = rows_a if x_b is None else np.ascontiguousarray(_as_columns(x_b, n0).T)
     diag_a = _diagonals(rows_a, config, nodes)
     diag_b = diag_a if x_b is None else _diagonals(rows_b, config, nodes)
+    _check_variance_products(diag_a, diag_b)
     shape = (len(rows_a), len(rows_b))
     pair_i, pair_j = np.triu_indices(shape[0]) if x_b is None else np.indices(shape).reshape(2, -1)
     theta = np.empty(shape)
@@ -795,9 +812,12 @@ def alignment(
 ) -> AlignmentReport:
     """Decompose y - u0 in the kernel eigenbasis and predict the loss curve.
 
-    The default grid is log-spaced from well before the fastest mode turns
-    over to well after the slowest positive mode has died.
+    The default grid has `points` (at least 2) times, log-spaced from well
+    before the fastest mode turns over to well after the slowest positive
+    mode has died.
     """
+    if t_grid is None and points < 2:
+        raise ValueError(f"points must be at least 2, got {points}")
     k = h_inf.matrix
     y = np.asarray(y, dtype=float).ravel()
     u0 = np.asarray(u0, dtype=float).ravel()

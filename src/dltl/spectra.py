@@ -46,10 +46,14 @@ __all__ = [
     "wasserstein1_to_density",
 ]
 
-# np.trapezoid exists from numpy 2.0 on and np.trapz is gone in 2.4; the floor,
-# numpy 1.24, has only np.trapz. Keep the fallback lazy: a getattr default is
-# evaluated even when np.trapezoid exists.
-_trapz = getattr(np, "trapezoid", None) or np.trapz
+
+def _trapezoid(y: np.ndarray, x: np.ndarray):
+    """Trapezoid integral of y over the 1-D grid x. This is the expression
+    of np.trapezoid (numpy >= 2.0) and of np.trapz before it for 1-D input,
+    so the value is the same to the bit under either, and no lookup by numpy
+    version is needed."""
+    return (np.diff(x) * (y[1:] + y[:-1]) / 2.0).sum()
+
 
 # Marchenko-Pastur integrals in t = 4 sin^2(theta), where rho dt becomes
 # (4/pi) cos^2(theta) dtheta with no endpoint singularity: a 64-node
@@ -103,7 +107,7 @@ class Density1D:
         if self.kind == "marchenko_pastur":
             total += np.sum(_MP_WEIGHTS * f(_MP_NODES))
         elif self.kind == "grid":
-            total += _trapz(f(self.grid_x) * self.grid_rho, self.grid_x)
+            total += _trapezoid(f(self.grid_x) * self.grid_rho, self.grid_x)
         elif self.kind == "quadrature":
             total += np.sum(self.quad_w * f(self.quad_x))
         return total
@@ -287,10 +291,10 @@ class ParamSpectrum:
         )
 
     def mass(self) -> float:
-        return float(_trapz(self.rho * (-self._dlam_dphi()), self.phi))
+        return float(_trapezoid(self.rho * (-self._dlam_dphi()), self.phi))
 
     def mean(self) -> float:
-        return float(_trapz(self.lam * self.rho * (-self._dlam_dphi()), self.phi))
+        return float(_trapezoid(self.lam * self.rho * (-self._dlam_dphi()), self.phi))
 
     def density(self) -> Density1D:
         """Quadrature density on the lambda samples: trapezoid weights taken
@@ -361,7 +365,7 @@ def invert_stieltjes(G, support_grid: np.ndarray) -> Density1D:
         levels.append(vals)
     r1 = (10.0 * levels[1] - levels[0]) / 9.0
     r2 = (10.0 * levels[2] - levels[1]) / 9.0
-    mass1, mass2 = _trapz(r1, grid), _trapz(r2, grid)
+    mass1, mass2 = _trapezoid(r1, grid), _trapezoid(r2, grid)
     if not (np.isfinite(mass1) and np.isfinite(mass2)) or abs(mass2 - mass1) > 0.05 * (
         1.0 + abs(mass2)
     ):

@@ -825,6 +825,66 @@ class TestDomainHolesExitOne:
         assert proc.stderr.splitlines() == ["error: posterior scale --sigma 1e-200 is too small: 1/sigma^2 overflows"]
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--delta", "1e-320"], "error: confidence delta = 1e-320 is too small: 1 / delta overflows"),
+        (["--delta", "1e-307", "--family", "pacbayes"],
+         "error: confidence delta = 1e-307 is too small: 48 / delta overflows"),
+        (["--delta", "1e-307", "--family", "neyshabur"],
+         "error: confidence delta = 1e-307 is too small: 192 / delta overflows"),
+        (["--gamma", "1e-310"], "error: the scaled complexity C |X|_F R / gamma = inf leaves float range"),
+        (["--gamma", "1e-310", "--family", "neyshabur"], "error: the penalty overflows: B R(theta) / gamma = inf"),
+        (["--gamma", "1e-200"], "error: the penalty overflows"),
+        (["--family", "neyshabur", "--b-norm", "1e300"], "(B = 1e+300, gamma = 1)"),
+    ])
+    def test_bounds_out_of_float_range(self, signed_dataset, tmp_path, argv, message):
+        """Each once printed an inf bound, a bound clamped to 1 over inf
+        details, numpy's overflow warning or "(34, 'Numerical result out of
+        range')", and all but the last exited 0."""
+        net = tmp_path / "net.json"
+        _save_net(net, (4, 6, 1), activation="relu", seed=30)
+        proc = self._run("bounds", "--weights", str(net), "--data", signed_dataset[0], "--replicates", "2", *argv)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and message in lines[0]
+        assert proc.stdout == ""
+
+    def test_bounds_tiny_gamma_ramp_warns_nothing(self, signed_dataset, tmp_path):
+        """The ramp risk's margins / gamma overflows at gamma = 1e-310, and
+        the clip maps it to the right end; pacbayes does not read gamma."""
+        net = tmp_path / "net.json"
+        _save_net(net, (4, 6, 1), activation="relu", seed=30)
+        proc = self._run("bounds", "--weights", str(net), "--data", signed_dataset[0], "--replicates", "2",
+                         "--family", "pacbayes", "--gamma", "1e-310")
+        assert proc.returncode == 0 and proc.stderr == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["ntk-kernel", "--widths", "3,8,1", "--act", "tanh"],
+        ["ntk-kernel", "--widths", "3,8,1", "--act", "relu"],
+        ["ntk-kernel", "--kind", "nngp", "--widths", "3,8,8,1", "--act", "leaky_relu:0.2", "--sigma-w2", "1"],
+    ])
+    def test_ntk_kernel_variance_product_overflow(self, tmp_path, argv):
+        """Rows whose squared norms fit but whose layer variances overflow
+        in q(x, x) q(x', x') once warned and then printed an all-zero gram
+        with exit 0 (tanh), or exited 1 after two warnings (relu)."""
+        data = tmp_path / "big.csv"
+        _write_dataset(data, np.array([[1e150, 0.0, 0.0], [0.0, 1e150, 0.0]]), np.array([0.5, -0.2]))
+        proc = self._run(*argv, "--data", str(data))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: input columns 0 and 0 are too large: their layer-1 variances")
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("points", ["0", "1", "-3"])
+    def test_align_needs_two_points(self, dataset, points):
+        """--points 0 once printed empty "t" and "curve" lists with exit 0."""
+        proc = self._run("align", "--data", dataset[0], "--points", points)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [f"error: points must be at least 2, got {points}"]
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("sigma_w2", ["inf", "nan"])
     def test_ntk_kernel_nonfinite_sigma(self, dataset, sigma_w2):
         """Once reported as "q must be finite" from inside the recursion."""

@@ -348,9 +348,20 @@ class TestPhase:
         want = 2.0 / (1 + 0.25**2)
         assert edge_of_chaos(LEAKY) == pytest.approx(want, abs=1e-9)
 
-    def test_edge_of_chaos_no_crossing_raises(self):
-        with pytest.raises(ValueError):
-            edge_of_chaos(TANH, lo=2.0, hi=4.0)
+    @pytest.mark.parametrize("act, want", [
+        (RELU, 2.0),
+        (Activation.parse("leaky_relu:0.2"), 1.923076923076923),
+        (LEAKY, 2.0 / (1 + 0.25**2)),
+    ])
+    def test_edge_of_chaos_piecewise_linear_is_exact(self, act, want):
+        """1 / E phi'(z)^2 in closed form; the bisection once returned
+        1.999999999985448 for relu and 1.9230769231071463 for leaky 0.2."""
+        assert edge_of_chaos(act) == want
+
+    @pytest.mark.parametrize("act, lo, hi", [(TANH, 2.0, 4.0), (RELU, 2.5, 4.0), (LEAKY, 0.5, 1.5)])
+    def test_edge_of_chaos_no_crossing_raises(self, act, lo, hi):
+        with pytest.raises(ValueError, match="does not change sign"):
+            edge_of_chaos(act, lo=lo, hi=hi)
 
     def test_edge_of_chaos_chi_is_one(self):
         sw2 = edge_of_chaos(RELU)

@@ -3,18 +3,15 @@ square-Wishart case, the product-Wishart parametric curve, transform
 round trips, and the sampled-Jacobian ensembles."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import dltl
 from dltl.netcore import NetConfig
 from dltl.spectra import (
     Density1D,
     _cumulative_trapezoid,
+    _trapezoid,
     EmpiricalSpectrum,
     StieltjesTransforms,
     d_squared_relu,
@@ -368,37 +365,13 @@ class TestWasserstein:
                               cumulative_trapezoid(rho, x, initial=0.0))
 
 
-class TestTrapezoidLookup:
-    """spectra picks np.trapezoid (numpy >= 2.0) or, failing that, np.trapz
-    (numpy < 2.0). Each case runs in a fresh interpreter with one of the two
-    names removed from numpy, and from numpy.__all__ since scipy star-imports
-    numpy, before dltl.spectra is imported; reloading the module here would
-    replace the classes the other tests imported."""
-
-    SCRIPT = (
-        "import sys\n"
-        "import numpy as np\n"
-        "keep = sys.argv[1]\n"
-        "rule = vars(np).get('trapezoid') or vars(np)['trapz']\n"
-        "for name in ('trapezoid', 'trapz'):\n"
-        "    vars(np).pop(name, None)\n"
-        "    if name in np.__all__:\n"
-        "        np.__all__.remove(name)\n"
-        "setattr(np, keep, rule)\n"
-        "np.__all__.append(keep)\n"
-        "assert not hasattr(np, 'trapz' if keep == 'trapezoid' else 'trapezoid')\n"
-        "from dltl import spectra\n"
-        "assert spectra._trapz is rule\n"
-        "x = np.linspace(0.0, 1.0, 101)\n"
-        "print(float(spectra.grid_density(x, np.ones_like(x)).mass()))\n"
-    )
-
-    @pytest.mark.parametrize("keep", ["trapz", "trapezoid"])
-    def test_import_and_grid_mass(self, keep):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(dltl.__file__)))
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, keep], env=env,
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert float(proc.stdout) == pytest.approx(1.0, rel=1e-12)
+@pytest.mark.parametrize("n", [2, 3, 64, 1_001, 200_001])
+def test_trapezoid_is_numpys(n):
+    """spectra's one trapezoid rule equals np.trapezoid to the bit, on
+    uneven grids and on a complex integrand (Density1D.integrate)."""
+    rng = np.random.default_rng(n)
+    x = np.sort(rng.uniform(-2.0, 3.0, n))
+    y = rng.standard_normal(n)
+    assert _trapezoid(y, x) == np.trapezoid(y, x)
+    z = y + 1j * rng.standard_normal(n)
+    assert _trapezoid(z, x) == np.trapezoid(z, x)
