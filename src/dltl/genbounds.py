@@ -1,18 +1,20 @@
-"""Calculators for classical and modern generalization bounds.
+"""Calculators for modern generalization bounds of a trained net.
 
 Every function here evaluates a closed-form bound or optimizes one
-numerically; nothing is trained and nothing is proved. The families:
+numerically; nothing is trained and nothing is proved. The `dltl bounds`
+subcommand serves three families, all from a net's weights and data:
 
-- concentration and capacity: the Hoeffding deviation radius, the Sauer
-  growth-function estimate, and the VC Rademacher bound;
-- spectral margin bounds: the covering-number complexity R_{s,b} with the
-  optimized Dudley entropy integral, plus the union-bound grid that turns
-  the a-priori norm-class statement into an a-posteriori one, and the
-  PAC-Bayes spectral bound built from per-layer norms;
-- PAC-Bayes proper: the McAllester deviation bound with diagonal-gaussian
-  posteriors, gradient-descent optimization of that bound over the
-  posterior (prior variance restricted to a countable grid so the union
-  bound stays valid), and code-length priors for compressed models.
+- the spectral margin bound of Bartlett et al. via covering numbers, with
+  the Dudley entropy integral optimized over its split point (norm_profile,
+  bartlett_bound);
+- the PAC-Bayes spectral bound of Neyshabur et al., built from per-layer
+  spectral and Frobenius norms (neyshabur_bound);
+- the McAllester PAC-Bayes bound with a diagonal-gaussian posterior
+  (gaussian_kl, pacbayes_mcallester).
+
+The Dziugaite-Roy optimizer of that bound over the posterior, with the
+prior variance on a countable grid so the union bound stays valid
+(dziugaite_roy_optimize), is served by the benchmark.
 
 Margins follow the binary convention: labels are +-1, a scalar score z
 classifies correctly when y z > 0, and the gamma-margin risk counts
@@ -44,16 +46,12 @@ __all__ = [
     "BoundReport",
     "GaussianPosterior",
     "MC_POSTERIOR_SAMPLES",
-    "classic_bounds",
     "norm_profile",
     "bartlett_bound",
-    "a_posteriori_grid",
     "neyshabur_bound",
     "gaussian_kl",
     "pacbayes_mcallester",
     "dziugaite_roy_optimize",
-    "code_length_kl",
-    "naive_code_length",
     "margin_stats",
 ]
 
@@ -109,10 +107,6 @@ class NormProfile:
                 raise ValueError(
                     f"norm chain violated: spectral {s}, frobenius {f}, two_one {b}"
                 )
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.spectral)
 
     @property
     def max_width(self) -> int:
@@ -188,29 +182,6 @@ def _log_over_delta(numerator: float, delta: float) -> float:
     if quotient == math.inf:
         raise ValueError(f"confidence delta = {delta} is too small: {numerator:g} / delta overflows")
     return math.log(quotient)
-
-
-def classic_bounds(m: int, delta: float, vc_dim: int | None = None) -> dict:
-    """Hoeffding radius, Sauer growth estimate, and the VC Rademacher bound.
-
-    hoeffding_eps = sqrt(log(1/delta) / (2m)) bounds R - R_hat for a single
-    fixed predictor. With vc_dim = d the growth function is bounded by
-    (e m / d)^d (valid for d < m) and the zero-one Rademacher complexity by
-    sqrt((2/m) (log 2 + d (1 + log m - log d))).
-    """
-    m, delta = _check_m_delta(m, delta)
-    out = {"hoeffding_eps": math.sqrt(_log_over_delta(1.0, delta) / (2.0 * m))}
-    if vc_dim is not None:
-        d = int(vc_dim)
-        if d < 1:
-            raise ValueError(f"vc dimension {d} must be >= 1")
-        if d >= m:
-            raise ValueError(f"the (e m / d)^d growth form needs d < m, got d={d}, m={m}")
-        out["sauer_growth"] = (math.e * m / d) ** d
-        out["vc_rademacher"] = math.sqrt(
-            (2.0 / m) * (math.log(2.0) + d * (1.0 + math.log(m) - math.log(d)))
-        )
-    return out
 
 
 def norm_profile(weights) -> NormProfile:
@@ -322,41 +293,6 @@ def bartlett_bound(
             "hoeffding_term": hoeffding,
         },
     )
-
-
-def a_posteriori_grid(norms: NormProfile, delta: float) -> dict:
-    """Union-bound grid indices for a trained net's norms.
-
-    The norm classes are indexed by s_l(i) = i / L and b_l(j) = j / L with
-    L the number of hidden layers, and the failure budget is split as
-    delta(i, j) = delta / prod_l i_l (i_l + 1) j_l (j_l + 1), which sums to
-    delta over the full grid by telescoping. Returned are the smallest
-    indices whose class strictly contains each observed norm.
-    """
-    _, delta = _check_m_delta(1, delta)
-    if norms.n_layers < 2:
-        raise ValueError("grid needs at least two layers (one hidden layer)")
-    n_hidden = norms.n_layers - 1
-
-    def smallest_index(value: float) -> int:
-        if value < 0.0:
-            raise ValueError(f"negative norm {value}")
-        # smallest integer i with i / n_hidden > value
-        return int(math.floor(value * n_hidden)) + 1
-
-    i_star = tuple(smallest_index(s) for s in norms.spectral)
-    j_star = tuple(smallest_index(b) for b in norms.two_one)
-    log_inv = _log_over_delta(1.0, delta)
-    for i, j in zip(i_star, j_star):
-        log_inv += (
-            math.log(i) + math.log(i + 1.0) + math.log(j) + math.log(j + 1.0)
-        )
-    return {
-        "i_star": i_star,
-        "j_star": j_star,
-        "delta_star": delta * math.exp(-(log_inv - math.log(1.0 / delta))),
-        "log_inv_delta_star": log_inv,
-    }
 
 
 def spectral_complexity_ratio(weights) -> float:
@@ -755,41 +691,6 @@ def dziugaite_roy_optimize(
             "log_var": lam,
         },
     )
-
-
-def code_length_kl(code_bits: int, mass_fn, z: float = 1.0) -> float:
-    """KL of a point mass at a code against the code-length prior, in nats.
-
-    The prior puts mass m(|f|) 2^{-|f|} / Z on a code f of length |f| bits,
-    so KL = log Z + |f| log 2 - log m(|f|).
-    """
-    code_bits = int(code_bits)
-    z = float(z)
-    if code_bits < 1:
-        raise ValueError(f"code length {code_bits} must be >= 1 bit")
-    if z <= 0.0:
-        raise ValueError(f"normalizer Z = {z} must be positive")
-    mass = float(mass_fn(code_bits))
-    if mass <= 0.0:
-        raise ValueError(f"prior mass m({code_bits}) = {mass} must be positive")
-    return math.log(z) + code_bits * math.log(2.0) - math.log(mass)
-
-
-def naive_code_length(k: int, dim_theta: int, r: int) -> float:
-    """Bit count k (log2 dim + log2 r) + 32 r for a sparse quantized net.
-
-    k nonzero locations each cost an index into the dim_theta weights plus
-    an index into the r-entry codebook; the codebook itself is stored at 32
-    bits per entry.
-    """
-    k = int(k)
-    dim_theta = int(dim_theta)
-    r = int(r)
-    if k < 0:
-        raise ValueError(f"nonzero count k = {k} must be >= 0")
-    if dim_theta < 1 or r < 1:
-        raise ValueError(f"need dim_theta >= 1 and r >= 1, got {dim_theta}, {r}")
-    return k * (math.log2(dim_theta) + math.log2(r)) + 32.0 * r
 
 
 def margin_stats(weights, config: NetConfig, dataset, gamma: float) -> MarginStats:

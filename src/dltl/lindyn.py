@@ -8,14 +8,20 @@ continuous-time limit of GD reads
 
     du/dt = eta (L+1) u^{2L/(L+1)} (s - u),
 
-with t counted in GD steps. The module evaluates the closed-form arrival
-times (exact for L = 1, the u^2-exponent approximation for deep nets), always
-next to a numerical integration of the exact exponent (RK4 in ln u, which is
-composite Simpson since the integrand does not depend on t) so the
-approximation gap is measured rather than trusted; the mode Hessian
-eigenvalues and the resulting optimal learning rate; and a discrete
-full-matrix GD simulation built from genuine weight matrices, against which
-all of the above is checked.
+with t counted in GD steps. The module serves three things:
+
+- mode_time: the closed-form arrival time (exact for L = 1, the
+  u^2-exponent approximation for deep nets), always next to a numerical
+  integration of the exact exponent (RK4 in ln u, which is composite
+  Simpson since the integrand does not depend on t), so the approximation
+  gap is measured rather than trusted;
+- opt_schedule: the learning rate 1 / max lambda1 set by the peak mode
+  Hessian eigenvalue, and the arrival time it gives;
+- simulate_deep_linear_gd: discrete full-matrix GD built from genuine
+  weight matrices.
+
+The tests hold them to an RK4 trajectory of the mode ODE, a numerical
+Hessian of the mode loss and the GD simulation.
 """
 
 from __future__ import annotations
@@ -29,14 +35,9 @@ from .netcore import haar_orthogonal
 
 __all__ = [
     "ModeTimeResult",
-    "HessianModeEigs",
     "OptSchedule",
     "GDSimulation",
     "mode_time",
-    "integrate_mode_ode",
-    "integrate_shallow_pair",
-    "hessian_mode_eigs",
-    "hessian_lambda1_max",
     "opt_schedule",
     "simulate_deep_linear_gd",
 ]
@@ -57,11 +58,6 @@ def _check_mode_args(u0: float, uf: float, s: float, L: int) -> None:
         raise ValueError(f"need 0 < u0 <= uf, got u0 = {u0}, uf = {uf}")
     if uf >= s:
         raise ValueError(f"uf = {uf} is not reachable in finite time (target s = {s})")
-
-
-def _crossed_zero(x: float, start: float, slack: float = 0.0) -> bool:
-    """x lies on the other side of zero from start, by more than slack."""
-    return x < -slack and start > 0 or x > slack and start < 0
 
 
 def _log_ratio(u0: float, uf: float, s: float) -> float:
@@ -126,130 +122,6 @@ def _arrival_time_rk4(u0: float, uf: float, s: float, eta: float, L: int, steps:
     k = g(v)
     panels = (h / 6.0) * (k[:-1] + 4.0 * g(v[:-1] + 0.5 * h) + k[1:])
     return float(np.cumsum(panels)[-1])
-
-
-def integrate_mode_ode(u0: float, s: float, eta: float, L: int, t_grid: np.ndarray, substeps: int = 16) -> np.ndarray:
-    """RK4 for du/dt = eta (L+1) u^{2L/(L+1)} (s - u) on the given time grid.
-
-    The flow keeps the sign of u, so a step that leaves u non-finite or
-    across zero raises RuntimeError: eta times the step is too large.
-    """
-    if not math.isfinite(u0):
-        raise ValueError(f"u0 must be finite, got {u0}")
-    if L < 1:
-        raise ValueError(f"need at least one hidden layer, got L = {L}")
-    _check_positive("target singular value", s)
-    _check_positive("learning rate", eta)
-    if substeps < 1:
-        raise ValueError(f"substeps must be a positive integer, got {substeps}")
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0 or not np.all(np.isfinite(t_grid)):
-        raise ValueError("t_grid must be a nonempty 1-D array of finite times")
-    ex = 2.0 * L / (L + 1.0)
-
-    def f(u: float) -> float:
-        return eta * (L + 1) * max(u, 0.0) ** ex * (s - u)
-
-    out = np.empty_like(t_grid)
-    u, t = float(u0), float(t_grid[0])
-    out[0] = u
-    for i in range(1, t_grid.size):
-        h = (t_grid[i] - t) / substeps
-        for _ in range(substeps):
-            k1 = f(u)
-            k2 = f(u + 0.5 * h * k1)
-            k3 = f(u + 0.5 * h * k2)
-            k4 = f(u + h * k3)
-            u += (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not math.isfinite(u) or _crossed_zero(u, u0):
-                raise RuntimeError(f"RK4 diverged before t = {t_grid[i]} with eta = {eta}: u = {u}")
-        t = t_grid[i]
-        out[i] = u
-    return out
-
-
-def integrate_shallow_pair(
-    a0: float, b0: float, s: float, eta: float, t_max: float, steps: int = 2000
-) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 for the unbalanced shallow pair da/dt = eta (s - ab) b,
-    db/dt = eta (s - ab) a, whose flow conserves a^2 - b^2.
-
-    The flow also keeps the signs of a + b and a - b, as (a +- b)' =
-    +-eta (s - ab) (a +- b); a step that leaves a or b non-finite or either
-    sum across zero raises RuntimeError: eta times the step is too large.
-    A start balanced to the last bits keeps one sum at the rounding level
-    of a and b, so a crossing within 1e-8 (|a| + |b|) does not count.
-    """
-    if not (math.isfinite(a0) and math.isfinite(b0)):
-        raise ValueError(f"a0 and b0 must be finite, got {a0} and {b0}")
-    _check_positive("target singular value", s)
-    _check_positive("learning rate", eta)
-    _check_positive("t_max", t_max)
-    if steps < 1:
-        raise ValueError(f"steps must be a positive integer, got {steps}")
-    a, b = float(a0), float(b0)
-    traj_a, traj_b = [a], [b]
-    h = t_max / steps
-
-    def f(a: float, b: float) -> tuple[float, float]:
-        r = eta * (s - a * b)
-        return r * b, r * a
-
-    for step in range(1, steps + 1):
-        k1a, k1b = f(a, b)
-        k2a, k2b = f(a + 0.5 * h * k1a, b + 0.5 * h * k1b)
-        k3a, k3b = f(a + 0.5 * h * k2a, b + 0.5 * h * k2b)
-        k4a, k4b = f(a + h * k3a, b + h * k3b)
-        a += (h / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a)
-        b += (h / 6.0) * (k1b + 2 * k2b + 2 * k3b + k4b)
-        slack = 1e-8 * (abs(a) + abs(b))  # not finite once a or b is not
-        if not math.isfinite(slack) or _crossed_zero(a + b, a0 + b0, slack) or _crossed_zero(a - b, a0 - b0, slack):
-            raise RuntimeError(f"RK4 diverged at step {step} with eta = {eta}: a = {a}, b = {b}")
-        traj_a.append(a)
-        traj_b.append(b)
-    return np.array(traj_a), np.array(traj_b)
-
-
-@dataclass(frozen=True)
-class HessianModeEigs:
-    """Eigenvalues of one mode's (L+1)x(L+1) Hessian at a balanced point a."""
-
-    lambda1: float
-    lambda_rest: float
-
-
-def hessian_mode_eigs(a: float, s: float, L: int) -> HessianModeEigs:
-    """lambda1 = (1+2L) a^{2L} - s L a^{L-1} along [1,...,1]; the remaining
-    L-fold eigenvalue is s a^{L-1} - a^{2L}."""
-    if not 0 <= a < math.inf:
-        raise ValueError(f"balanced coordinate must be finite and nonnegative, got {a}")
-    if not math.isfinite(s):
-        raise ValueError(f"target singular value must be finite, got {s}")
-    if L < 1:
-        raise ValueError(f"need at least one hidden layer, got L = {L}")
-    a_2L = float(a) ** (2 * L)
-    a_Lm1 = float(a) ** (L - 1)
-    return HessianModeEigs(
-        lambda1=(1 + 2 * L) * a_2L - s * L * a_Lm1,
-        lambda_rest=s * a_Lm1 - a_2L,
-    )
-
-
-def hessian_lambda1_max(s: float, L: int, points: int = 20001) -> tuple[float, float]:
-    """Grid-searched max of lambda1 over a in [0, s^{1/(L+1)}]; the analytic
-    answer is (1+L) s^{2L/(L+1)}, attained at the right endpoint."""
-    if L < 1:
-        raise ValueError(f"need at least one hidden layer, got L = {L}")
-    _check_positive("target singular value", s)
-    if points < 2:
-        raise ValueError(f"points must be at least 2, got {points}")
-    grid = np.linspace(0.0, s ** (1.0 / (L + 1)), points)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = (1 + 2 * L) * grid ** (2 * L) - s * L * grid ** (L - 1)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(f"target s = {s} is too large: lambda1 overflows on the grid")
-    i = int(np.argmax(vals))
-    return float(vals[i]), float(grid[i])
 
 
 @dataclass(frozen=True)

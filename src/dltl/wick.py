@@ -43,7 +43,6 @@ __all__ = [
     "DiagramTerm",
     "DiagramCount",
     "ScalingReport",
-    "enumerate_pairings",
     "conjecture_exponent",
     "exact_correlation",
     "double_line_loops",
@@ -52,7 +51,6 @@ __all__ = [
 ]
 
 MAX_FACTORS = 8
-MAX_PAIRING_ELEMENTS = 12
 MAX_DIAGRAMS = 2_000_000
 MAX_DEPTH = 63
 # The smallest normal float: a nonzero value below it in magnitude has lost
@@ -60,16 +58,8 @@ MAX_DEPTH = 63
 _TINY = sys.float_info.min
 
 
-def enumerate_pairings(k: int) -> list[tuple[tuple[int, int], ...]]:
-    """All unordered pairings of the elements 0..2k-1; there are (2k-1)!!."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if 2 * k > MAX_PAIRING_ELEMENTS:
-        raise ValueError(f"refusing to pair more than {MAX_PAIRING_ELEMENTS} elements")
-    return _pairings_of(tuple(range(2 * k)))
-
-
 def _pairings_of(items: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
+    """All unordered pairings of the items; there are (n-1)!! for n items."""
     if not items:
         return [()]
     first, rest = items[0], items[1:]

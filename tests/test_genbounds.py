@@ -1,6 +1,7 @@
-"""Tests for generalization-bound calculators: classic inequalities, norm
-profiles, spectral margin bounds, PAC-Bayes bounds, the stochastic-scorer
-optimizer, code-length priors, and margin statistics."""
+"""Tests for the generalization-bound calculators that `dltl bounds` and
+the benchmark serve: norm profiles, the spectral margin bound, the
+PAC-Bayes spectral and McAllester bounds, the Dziugaite-Roy optimizer and
+margin statistics."""
 
 import math
 import warnings
@@ -11,43 +12,6 @@ import pytest
 
 from dltl import genbounds as gb
 from dltl.netcore import NetConfig
-
-
-class TestClassicBounds:
-    def test_hoeffding_radius(self):
-        """sqrt(log(1/delta) / (2m)); frozen at m = 10^4, delta = 0.01."""
-        out = gb.classic_bounds(10_000, 0.01)
-        np.testing.assert_allclose(out["hoeffding_eps"], 0.015174271293851465, rtol=1e-12)
-        assert "sauer_growth" not in out
-
-    def test_sauer_and_vc_rademacher(self):
-        """(e m / d)^d at d = 1 is e m; the Rademacher bound follows the
-        explicit square-root formula."""
-        out = gb.classic_bounds(10, 0.5, vc_dim=1)
-        np.testing.assert_allclose(out["sauer_growth"], math.e * 10, rtol=1e-12)
-        np.testing.assert_allclose(out["vc_rademacher"], 0.89394991733922, rtol=1e-12)
-        expect = math.sqrt((2.0 / 10) * (math.log(2.0) + 1.0 + math.log(10)))
-        np.testing.assert_allclose(out["vc_rademacher"], expect, rtol=1e-12)
-
-    def test_hoeffding_monotone(self):
-        """Shrinks with m, grows as delta shrinks."""
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            m = int(rng.integers(10, 10_000))
-            delta = float(rng.uniform(0.01, 0.5))
-            base = gb.classic_bounds(m, delta)["hoeffding_eps"]
-            assert gb.classic_bounds(2 * m, delta)["hoeffding_eps"] < base
-            assert gb.classic_bounds(m, delta / 2)["hoeffding_eps"] > base
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="sample size"):
-            gb.classic_bounds(0, 0.1)
-        with pytest.raises(ValueError, match="delta"):
-            gb.classic_bounds(10, 1.5)
-        with pytest.raises(ValueError, match="d < m"):
-            gb.classic_bounds(10, 0.1, vc_dim=10)
-        with pytest.raises(ValueError, match="vc dimension"):
-            gb.classic_bounds(10, 0.1, vc_dim=0)
 
 
 class TestNormProfile:
@@ -170,48 +134,6 @@ class TestBartlettBound:
             gb.bartlett_bound(profile, 0.0, 1.0, 100, 0.05)
         with pytest.raises(ValueError, match="margin risk"):
             gb.bartlett_bound(profile, 2.0, 1.0, 100, 0.05, margin_risk=1.5)
-
-
-class TestAPosterioriGrid:
-    def _profile(self, s, b):
-        f = tuple((si + bi) / 2 for si, bi in zip(s, b))
-        shapes = tuple((2, 2) for _ in s)
-        return gb.NormProfile(spectral=s, frobenius=f, two_one=b, shapes=shapes)
-
-    def test_budget_indices_and_delta_star(self):
-        """Norms in [0.5, 1) at two hidden layers give index 2 everywhere, so
-        delta* = delta / 6^6."""
-        profile = self._profile((0.6, 0.6, 0.6), (0.9, 0.9, 0.9))
-        out = gb.a_posteriori_grid(profile, 0.05)
-        assert out["i_star"] == (2, 2, 2)
-        assert out["j_star"] == (2, 2, 2)
-        np.testing.assert_allclose(out["delta_star"], 0.05 / 6**6, rtol=1e-12)
-        np.testing.assert_allclose(
-            out["log_inv_delta_star"], math.log(6**6 / 0.05), rtol=1e-12
-        )
-
-    def test_class_strictly_contains_the_norm(self):
-        """i*/L > s and j*/L > b with i*, j* minimal."""
-        profile = self._profile((0.6, 1.4, 0.3), (0.9, 2.0, 0.5))
-        out = gb.a_posteriori_grid(profile, 0.1)
-        n_hidden = 2
-        for idx, value in zip(out["i_star"], profile.spectral):
-            assert idx / n_hidden > value
-            assert (idx - 1) / n_hidden <= value
-        for idx, value in zip(out["j_star"], profile.two_one):
-            assert idx / n_hidden > value
-
-    def test_budget_telescopes_to_delta(self):
-        """sum_{i,j >= 1} delta / prod_l i(i+1) j(j+1) = delta, since each
-        index contributes sum 1/(i(i+1)) = 1; numerical truncation."""
-        inv = sum(1.0 / (i * (i + 1)) for i in range(1, 4000))
-        np.testing.assert_allclose(inv**4, 1.0, rtol=2e-3)
-
-    def test_validation(self):
-        single = gb.NormProfile(spectral=(1.0,), frobenius=(1.0,), two_one=(1.0,),
-                                shapes=((2, 2),))
-        with pytest.raises(ValueError, match="two layers"):
-            gb.a_posteriori_grid(single, 0.05)
 
 
 class TestNeyshaburBound:
@@ -480,35 +402,6 @@ class TestLogisticBitsDeriv:
         want = -expit(-z) / math.log(2.0)
         assert np.all(np.abs(got - want) <= self.ULPS * np.spacing(np.abs(want)))
         assert got[-2] == -1.0 / math.log(2.0) and got[-1] == 0.0
-
-
-class TestCodeLengths:
-    def test_kl_of_uniform_mass(self):
-        """m(k) = 1, Z = 1 leaves KL = k log 2 nats."""
-        np.testing.assert_allclose(gb.code_length_kl(8, lambda k: 1.0),
-                                   8 * math.log(2.0), rtol=1e-12)
-
-    def test_kl_mass_and_normalizer_terms(self):
-        value = gb.code_length_kl(10, lambda k: 0.25, z=2.0)
-        np.testing.assert_allclose(
-            value, math.log(2.0) + 10 * math.log(2.0) - math.log(0.25), rtol=1e-12
-        )
-
-    def test_naive_code_length_frozen(self):
-        """100 nonzeros in 10^6 weights with a 16-entry codebook."""
-        np.testing.assert_allclose(gb.naive_code_length(100, 10**6, 16),
-                                   2905.156856932417, rtol=1e-12)
-        expect = 100 * (math.log2(10**6) + 4.0) + 32.0 * 16
-        np.testing.assert_allclose(gb.naive_code_length(100, 10**6, 16), expect,
-                                   rtol=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="code length"):
-            gb.code_length_kl(0, lambda k: 1.0)
-        with pytest.raises(ValueError, match="mass"):
-            gb.code_length_kl(4, lambda k: 0.0)
-        with pytest.raises(ValueError, match="k ="):
-            gb.naive_code_length(-1, 10, 2)
 
 
 class TestMarginStats:

@@ -37,7 +37,7 @@ def test_module_import_leaves_scipy_out(name):
 
 
 NUMPY_ONLY = """
-import cmath, math, sys
+import math, sys
 
 class NoScipy:
     def find_spec(self, name, path=None, target=None):
@@ -51,22 +51,15 @@ from dltl import cli, genbounds, landscape, lindyn, meanfield, netcore, ntk, spe
 def close(a, b, tol=1e-9):
     assert abs(a - b) <= tol, (a, b)
 
-mp = spectra.marchenko_pastur()
-tk = spectra.StieltjesTransforms(mp)
-close(mp.mass(), 1.0, 1e-10)
-close(mp.mean(), 1.0, 1e-10)
-close(tk.G(5.0), (5.0 - math.sqrt(5.0)) / 10.0)
-z = 2.0 + 0.01j
-close(tk.G(z), (z - cmath.sqrt(z) * cmath.sqrt(z - 4.0)) / (2.0 * z))
-close(tk.M_inverse(tk.M(6.0)), 6.0)
-close(tk.S(0.5), 1.0 / 1.5)
-close(spectra.r_transform(mp)(0.2), 1.0 / 0.8)
-xs = 4.0 * np.sin(np.linspace(0.0, math.pi / 2, 200_001)) ** 2
-samples = np.interp((np.arange(500) + 0.5) / 500, spectra.mp_cdf(xs), xs)
-assert spectra.wasserstein1_to_density(samples, mp) < 1e-8
+spec = spectra.product_wishart_spectrum(1)
+close(spec.mass(), 1.0, 1e-6)
+close(spec.mean(), 1.0, 1e-6)
+assert spec.lambda_max == 4.0
+config = netcore.NetConfig(widths=(4, 4, 4), activation="linear", init="orthogonal")
+close(spectra.empirical_spectrum(config, replicates=2).eigenvalues.max(), 1.0, 1e-12)
 
 assert cli.parse_range("0:2:0.5") == [0.0, 0.5, 1.0, 1.5, 2.0]
-close(genbounds.classic_bounds(100, 0.05)["hoeffding_eps"], math.sqrt(math.log(20.0) / 200.0))
+assert genbounds.norm_profile([np.eye(2), 2.0 * np.eye(2)]).two_one == (2.0, 4.0)
 close(landscape.square_loss(np.array([1.0, 2.0]), np.array([0.0, 2.0])), 0.25)
 close(lindyn.mode_time(0.03, 0.8, 1.2, 0.4, 1).t_formula, math.log(0.8 * 1.17 / (0.03 * 0.4)) / 0.96)
 close(meanfield.length_map(1.0, 2.0, netcore.Activation("relu")), 1.0)
@@ -80,9 +73,9 @@ print("ok")
 
 def test_runs_with_scipy_blocked():
     """dltl needs numpy alone: with every scipy import refused, all nine
-    modules import, the Marchenko-Pastur transforms (mass and mean, real and
-    complex G, M^{-1}, S, R, the Wasserstein distance) match their closed
-    forms, and one cheap call in each other module runs."""
+    modules import, the depth-1 product-Wishart curve has mass and mean 1
+    and top edge 4, a sampled orthogonal linear net has J J^T = I, and one
+    cheap call in each other module runs."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(dltl.__file__)))
     proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True)

@@ -260,9 +260,7 @@ def _listed_diagrams(spec, L):
     assigned to that type."""
     if spec.m % 2:
         return
-    matchings = [
-        frozenset((p + 1, q + 1) for p, q in pairing) for pairing in wick.enumerate_pairings(spec.m // 2)
-    ]
+    matchings = [frozenset(pairing) for pairing in wick._pairings_of(tuple(range(1, spec.m + 1)))]
     for assignment in itertools.product(range(L + 1), repeat=len(spec.contractions)):
         forced = [[tuple(sorted(e)) for e, a in zip(spec.contractions, assignment) if a == t] for t in range(L + 1)]
         # forced edges that share a factor fit no matching; a repeated edge

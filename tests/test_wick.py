@@ -21,18 +21,12 @@ class TestPairings:
     def test_double_factorial_counts(self):
         """(2k-1)!! pairings of 2k elements."""
         for k, count in [(1, 1), (2, 3), (3, 15), (4, 105)]:
-            assert len(wick.enumerate_pairings(k)) == count
+            assert len(wick._pairings_of(tuple(range(2 * k)))) == count
 
     def test_each_pairing_is_a_partition(self):
-        for pairing in wick.enumerate_pairings(3):
+        for pairing in wick._pairings_of(tuple(range(6))):
             flat = sorted(v for edge in pairing for v in edge)
             assert flat == list(range(6))
-
-    def test_limits(self):
-        with pytest.raises(ValueError, match="at least 1"):
-            wick.enumerate_pairings(0)
-        with pytest.raises(ValueError, match="refusing"):
-            wick.enumerate_pairings(7)
 
 
 class TestContractionSpec:
