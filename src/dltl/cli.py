@@ -219,6 +219,21 @@ def _unflatten(theta: np.ndarray, shapes: list[tuple[int, int]]) -> list[np.ndar
 # subcommand handlers
 
 
+def _check_weights_on(path: str, config: NetConfig, weights: list[np.ndarray], x: np.ndarray) -> None:
+    """One forward pass of the weights read from path on the data rows x.
+    Weights that drive a layer's activations out of float range stop here,
+    with the file and the layer named, before a handler prints nan or a
+    later error. Data of the wrong width is left to the handler's own
+    check, so its message stays the same."""
+    if x.shape[1] != config.widths[0]:
+        return
+    with np.errstate(all="ignore"):
+        trace = forward(config, weights, x.T)
+    for layer, h in enumerate(trace.h):
+        if not np.all(np.isfinite(h)):
+            raise ValueError(f"{path}: the activations of layer {layer} are not finite on the data")
+
+
 def _nodes(args: argparse.Namespace) -> int:
     """--nodes, checked where it enters: the piecewise-linear kinds never
     reach the quadrature rule that would reject it."""
@@ -353,6 +368,8 @@ def _run_path(args: argparse.Namespace) -> Emission:
     x, y = read_dataset(args.data)
     if args.loss == "logistic" and not np.all(np.abs(y) == 1.0):
         raise ValueError("logistic loss needs labels in {-1, +1}")
+    _check_weights_on(args.weights_a, config_a, weights_a, x)
+    _check_weights_on(args.weights_b, config_b, weights_b, x)
     trace = landscape.constant_loss_path(
         config_a,
         weights_a,
@@ -416,6 +433,7 @@ def _run_ntk_kernel(args: argparse.Namespace) -> Emission:
     if kind == "empirical":
         if weights is None:
             raise UsageError("--kind empirical needs --weights")
+        _check_weights_on(args.weights, config, weights, x)
         gram = ntk.empirical_ntk(config, weights, columns)
     elif kind == "limiting":
         gram = ntk.limiting_ntk(columns, config, nodes=nodes)
@@ -444,6 +462,7 @@ def _run_ntk_train(args: argparse.Namespace) -> Emission:
     times = parse_float_list(args.times)
     if not all(t >= 0 for t in times):
         raise ValueError("times must be nonnegative")
+    _check_weights_on(args.weights, config, weights, x)
     kernel = args.kernel.replace("-", "_")
     sol = ntk.linearize(config, weights, x.T, y, args.eta, kernel=kernel, nodes=nodes)
     if args.query is not None:
@@ -532,6 +551,7 @@ def _run_align(args: argparse.Namespace) -> Emission:
     )
     if args.u0_weights is not None:
         config, weights = load_weights(args.u0_weights)
+        _check_weights_on(args.u0_weights, config, weights, x)
         u0 = forward(config, weights, x.T).output.ravel()
     else:
         u0 = np.zeros_like(y)
@@ -630,6 +650,7 @@ def _run_bounds(args: argparse.Namespace) -> Emission:
 
     config, weights = load_weights(args.weights)
     x, y = read_dataset(args.data)
+    _check_weights_on(args.weights, config, weights, x)
     gamma = args.gamma
     delta = args.delta
     m = y.size

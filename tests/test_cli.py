@@ -757,6 +757,35 @@ class TestDomainHolesExitOne:
         ]
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("case", ["path", "ntk-kernel-linear-empirical", "ntk-train-limiting",
+                                      "ntk-train-empirical", "align-mc-u0", "bounds"])
+    def test_weights_out_of_float_range(self, tmp_path, case):
+        """The golden weight files times 1e160 once gave nan losses,
+        residuals or f_lin with exit 0, or numpy's overflow warnings and then
+        an error that blamed a nan risk or gram. The call now names the
+        first weight file it reads and the layer that overflows."""
+        from test_golden import CASES, write_inputs
+
+        paths = write_inputs(tmp_path)
+        scaled = set()
+        for path in paths.values():
+            if not path.endswith(".json"):
+                continue
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+            if "weights" in doc:
+                doc["weights"] = [(np.array(w) * 1e160).tolist() for w in doc["weights"]]
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(doc, fh)
+                scaled.add(path)
+        argv = [tok.format(**paths) for tok in CASES[case].split()]
+        proc = self._run(*argv)
+        first = next(tok for tok in argv if tok in scaled)
+        assert proc.returncode == 1
+        assert "Warning" not in proc.stderr
+        assert proc.stderr.splitlines() == [f"error: {first}: the activations of layer 1 are not finite on the data"]
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("points", ["50", "2001"])
     def test_depth_30_analytic_spectrum_still_runs(self, points):
         """The deepest curves above fail in float64; depth 30 still fits."""
