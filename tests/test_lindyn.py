@@ -10,9 +10,10 @@ import pytest
 from dltl import lindyn
 
 
-def _integrate_mode_ode(u0: float, s: float, eta: float, L: int, t_grid, substeps: int = 16) -> np.ndarray:
-    """RK4 for du/dt = eta (L+1) u^{2L/(L+1)} (s - u) on the given time grid:
-    the trajectory behind mode_time's arrival times."""
+def _integrate_mode_ode(u0: float, s: float, eta: float, L: int, t_grid) -> np.ndarray:
+    """RK4 for du/dt = eta (L+1) u^{2L/(L+1)} (s - u) on the given time grid,
+    16 steps per grid interval: the trajectory behind mode_time's arrival
+    times."""
     t_grid = np.asarray(t_grid, dtype=float)
     ex = 2.0 * L / (L + 1.0)
 
@@ -23,8 +24,8 @@ def _integrate_mode_ode(u0: float, s: float, eta: float, L: int, t_grid, substep
     u, t = float(u0), float(t_grid[0])
     out[0] = u
     for i in range(1, t_grid.size):
-        h = (t_grid[i] - t) / substeps
-        for _ in range(substeps):
+        h = (t_grid[i] - t) / 16
+        for _ in range(16):
             k1 = f(u)
             k2 = f(u + 0.5 * h * k1)
             k3 = f(u + 0.5 * h * k2)
@@ -44,10 +45,10 @@ def _hessian_mode_eigs(a: float, s: float, L: int) -> tuple[float, float]:
     return (1 + 2 * L) * a_2L - s * L * a_Lm1, s * a_Lm1 - a_2L
 
 
-def _hessian_lambda1_max(s: float, L: int, points: int = 20001) -> tuple[float, float]:
+def _hessian_lambda1_max(s: float, L: int) -> tuple[float, float]:
     """Grid-searched max of lambda1 over a in [0, s^{1/(L+1)}], and where it
     sits; the analytic answer is (1+L) s^{2L/(L+1)} at the right end."""
-    grid = np.linspace(0.0, s ** (1.0 / (L + 1)), points)
+    grid = np.linspace(0.0, s ** (1.0 / (L + 1)), 20001)
     vals = (1 + 2 * L) * grid ** (2 * L) - s * L * grid ** (L - 1)
     i = int(np.argmax(vals))
     return float(vals[i]), float(grid[i])
