@@ -786,6 +786,38 @@ class TestDomainHolesExitOne:
         assert proc.stderr.splitlines() == [f"error: {first}: the activations of layer 1 are not finite on the data"]
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("case", ["path", "ntk-kernel-linear-empirical", "ntk-train-limiting",
+                                      "ntk-train-empirical", "align-mc-u0", "bounds"])
+    def test_weights_out_of_float_range_name_the_layer(self, tmp_path, case):
+        """With only the last two weight matrices of each golden file scaled
+        by 1e160, the activations stay finite up to the output layer and
+        overflow there: the message names that layer, counted from 0 like
+        the weight matrices."""
+        from test_golden import CASES, write_inputs
+
+        paths = write_inputs(tmp_path)
+        last = {}
+        for path in paths.values():
+            if not path.endswith(".json"):
+                continue
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+            if "weights" in doc:
+                ws = doc["weights"]
+                ws[-2:] = [(np.array(w) * 1e160).tolist() for w in ws[-2:]]
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(doc, fh)
+                last[path] = len(ws) - 1
+        argv = [tok.format(**paths) for tok in CASES[case].split()]
+        proc = self._run(*argv)
+        first = next(tok for tok in argv if tok in last)
+        assert proc.returncode == 1
+        assert "Warning" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"error: {first}: the activations of layer {last[first]} are not finite on the data"
+        ]
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("points", ["50", "2001"])
     def test_depth_30_analytic_spectrum_still_runs(self, points):
         """The deepest curves above fail in float64; depth 30 still fits."""

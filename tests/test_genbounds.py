@@ -34,6 +34,18 @@ class TestNormProfile:
         assert profile.shapes == ((2, 2),)
         assert profile.max_width == 2
 
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_orthogonal_layers_are_at_the_chain_ends(self, n):
+        """An n x n orthogonal matrix has spectral norm 1, Frobenius norm
+        sqrt(n) and n unit columns, so its (2,1)-norm is n."""
+        rng = np.random.default_rng(n)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        prof = gb.norm_profile([q, -q.T])
+        np.testing.assert_allclose(prof.spectral, 1.0, rtol=1e-12)
+        np.testing.assert_allclose(prof.frobenius, math.sqrt(n), rtol=1e-12)
+        np.testing.assert_allclose(prof.two_one, n, rtol=1e-12)
+        assert prof.shapes == ((n, n), (n, n)) and prof.max_width == n
+
     def test_chain_violations_rejected(self):
         with pytest.raises(ValueError, match="norm chain"):
             gb.NormProfile(spectral=(2.0,), frobenius=(1.0,), two_one=(3.0,),
@@ -182,6 +194,19 @@ class TestGaussianKL:
         post = gb.GaussianPosterior(mean=np.array([1.0]), log_var=np.array([0.0]),
                                     prior_mean=np.array([0.0]), prior_log_var=0.0)
         np.testing.assert_allclose(gb.gaussian_kl(post), 0.5, rtol=1e-12)
+
+    def test_adds_over_coordinates(self):
+        """Diagonal posterior and isotropic prior factor over coordinates, so
+        the KL of the whole is the sum of the KLs of any split."""
+        rng = np.random.default_rng(7)
+        mean, log_var, prior_mean = rng.standard_normal((3, 6))
+
+        def kl(part):
+            return gb.gaussian_kl(gb.GaussianPosterior(mean=mean[part], log_var=log_var[part],
+                                                       prior_mean=prior_mean[part], prior_log_var=-0.4))
+
+        whole = kl(slice(None))
+        np.testing.assert_allclose(kl(slice(0, 2)) + kl(slice(2, 6)), whole, rtol=1e-12)
 
     def test_against_direct_formula(self):
         rng = np.random.default_rng(6)

@@ -110,6 +110,38 @@ class TestModeTime:
         traj = _integrate_mode_ode(u0, s, eta, L, np.linspace(0.0, r.t_rk4, 201))
         np.testing.assert_allclose(traj[-1], uf, atol=1e-8)
 
+    @pytest.mark.parametrize("u0, uf, s, eta", [
+        (0.01, 0.5, 0.6, 0.3),
+        (0.2, 2.9, 3.0, 0.01),
+        (1e-3, 0.97, 1.0, 1.0),
+        (0.5, 0.51, 0.8, 0.05),
+    ])
+    def test_shallow_formula_is_exact_across_targets(self, u0, uf, s, eta):
+        """The L = 1 closed form meets the RK4 arrival time for targets below
+        and above 1, long and short journeys and small and large rates."""
+        r = lindyn.mode_time(u0, uf, s, eta, 1)
+        np.testing.assert_allclose(r.t_formula, r.t_rk4, rtol=1e-6)
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 5, 8])
+    def test_arrival_times_add_along_the_path(self, L):
+        """The mode ODE is autonomous, so the time u0 -> uf is the time
+        u0 -> um plus the time um -> uf, for the formula and for RK4."""
+        u0, um, uf, s, eta = 0.01, 0.3, 0.95, 1.2, 0.1
+        first = lindyn.mode_time(u0, um, s, eta, L)
+        second = lindyn.mode_time(um, uf, s, eta, L)
+        whole = lindyn.mode_time(u0, uf, s, eta, L)
+        np.testing.assert_allclose(first.t_formula + second.t_formula, whole.t_formula, rtol=1e-12)
+        np.testing.assert_allclose(first.t_rk4 + second.t_rk4, whole.t_rk4, rtol=1e-10)
+
+    @pytest.mark.parametrize("L", [1, 2, 6, 12])
+    def test_rk4_arrival_lands_on_uf_at_every_depth(self, L):
+        """Integrating the mode ODE for exactly t_rk4 reaches uf at shallow
+        and deep L alike."""
+        u0, uf, s, eta = 0.02, 0.9, 1.1, 0.05
+        r = lindyn.mode_time(u0, uf, s, eta, L)
+        traj = _integrate_mode_ode(u0, s, eta, L, np.linspace(0.0, r.t_rk4, 201))
+        np.testing.assert_allclose(traj[-1], uf, atol=1e-8)
+
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="hidden layer"):
             lindyn.mode_time(0.01, 0.99, 1.0, 0.05, 0)
@@ -248,6 +280,17 @@ class TestDeepLinearGD:
         np.testing.assert_allclose(sim.u[0], 0.1, rtol=1e-12)
         mode_loss = 0.5 * np.sum((sim.targets[None, :] - sim.u) ** 2, axis=1)
         np.testing.assert_allclose(mode_loss, sim.losses, atol=1e-12)
+
+    @pytest.mark.parametrize("eta", [0.1, 0.5, 1.5])
+    def test_single_layer_is_geometric(self, eta):
+        """With no hidden layer GD reads W <- W + eta (S - W), so every mode
+        closes its gap by the factor 1 - eta per step:
+        u_k = s - (s - u0) (1 - eta)^k, oscillating for eta > 1."""
+        sim = lindyn.simulate_deep_linear_gd(3, 0, (1.0, 0.6), eta, seed=0, u0=0.1, tol_loss=1e-20)
+        k = np.arange(sim.u.shape[0])[:, None]
+        expect = sim.targets - (sim.targets - 0.1) * (1.0 - eta) ** k
+        np.testing.assert_allclose(sim.u, expect, atol=1e-12)
+        np.testing.assert_allclose(sim.losses, 0.5 * np.sum((sim.targets - expect) ** 2, axis=1), atol=1e-12)
 
     def test_rotation_seed_does_not_change_losses(self):
         """Haar conjugation is a similarity transform of the dynamics, so the

@@ -249,7 +249,25 @@ class TestForwardBackward:
         with pytest.raises(ValueError):
             backward(config, weights, batch_trace, output_index=0)
 
-    @pytest.mark.parametrize("activation", ["tanh", "leaky_relu:0.3"])
+    @pytest.mark.parametrize("activation", ["linear", "relu", "leaky_relu:0.3"])
+    def test_weight_gradients_match_finite_differences_per_activation(self, activation):
+        """backward against central differences for the piecewise-linear
+        kinds; the seeded input keeps every unit off the relu kink."""
+        config, weights, x = self._setup(activation=activation)
+        trace = forward(config, weights, x)
+        bt = backward(config, weights, trace, output_index=0)
+        h = 1e-6
+        for l in range(config.n_layers):
+            w = weights[l]
+            for idx in [(0, 0), (w.shape[0] - 1, w.shape[1] - 1), (w.shape[0] - 1, 0)]:
+                bumped = [m.copy() for m in weights]
+                bumped[l][idx] += h
+                up = forward(config, bumped, x).output[0]
+                bumped[l][idx] -= 2 * h
+                down = forward(config, bumped, x).output[0]
+                np.testing.assert_allclose(bt.grads[l][idx], (up - down) / (2 * h), atol=1e-6)
+
+    @pytest.mark.parametrize("activation", ["tanh", "leaky_relu:0.3", "linear", "relu"])
     def test_jacobian_matches_finite_differences(self, activation):
         config, weights, x = self._setup(activation=activation)
         j = jacobian(config, weights, x)

@@ -277,6 +277,28 @@ class TestProductWishart:
         assert spec.lambda_max == pytest.approx(want, abs=1e-10)
         assert spec.lam.max() <= want + 1e-9
 
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_moments_are_fuss_catalan(self, L, k):
+        """The k-th moment of the product of L square-Wishart factors is the
+        Fuss-Catalan number binom((L+1)k, k) / (Lk + 1) (Catalan at L = 1).
+        The phi integral along the curve meets it to rounding."""
+        spec = product_wishart_spectrum(L)
+        weight = spec.rho * (-spec._dlam_dphi())
+        moment = _trapezoid(spec.lam**k * weight, spec.phi)
+        fuss_catalan = math.comb((L + 1) * k, k) / (L * k + 1)
+        np.testing.assert_allclose(moment, fuss_catalan, rtol=1e-12)
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 5, 10, 20, 30])
+    def test_curve_runs_from_lambda_max_to_zero(self, L):
+        """lam(phi) falls strictly from the top edge at phi -> 0 to the
+        bottom edge 0 at phi -> pi/(L+1), with a positive density between."""
+        spec = product_wishart_spectrum(L)
+        np.testing.assert_allclose(spec.lam[0], spec.lambda_max, rtol=1e-12)
+        assert spec.lam[-1] < 1e-12 * spec.lambda_max
+        assert np.all(np.diff(spec.lam) < 0)
+        assert np.all(spec.rho > 0)
+
     def test_s_transform_multiplicativity(self):
         # the product of L free Wishart factors has S(z) = (1 + z)^{-L},
         # defined for z in (0, 1/L): M at the top edge equals 1/L exactly
@@ -342,6 +364,18 @@ class TestEmpirical:
         emp = empirical_spectrum(config, replicates=10, seed=0)
         assert _w1(emp.eigenvalues, _curve_density(product_wishart_spectrum(2))) < 0.02
         assert _w1(emp.eigenvalues, _MARCHENKO_PASTUR) > 0.2
+
+    @pytest.mark.parametrize("activation", ["linear", "relu", "leaky_relu:0.3", "tanh"])
+    def test_pooled_eigenvalues_of_every_activation(self, activation):
+        """J J^T is positive semidefinite, so every pooled eigenvalue is
+        nonnegative up to rounding, and the pool is the sorted union of
+        the single replicates seed, seed + 1, ..."""
+        config = NetConfig(widths=(16,) * 4, activation=activation, sigma_w2=1.5)
+        pooled = empirical_spectrum(config, replicates=3, seed=5).eigenvalues
+        singles = [empirical_spectrum(config, replicates=1, seed=5 + r).eigenvalues for r in range(3)]
+        assert pooled.size == 16 * 3
+        assert np.array_equal(pooled, np.sort(np.concatenate(singles)))
+        assert pooled[0] >= -1e-12 * pooled[-1]
 
     def test_metadata(self):
         config = NetConfig(widths=(32,) * 3, activation="linear")

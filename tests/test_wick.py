@@ -115,6 +115,16 @@ class TestExactCorrelation:
         count = wick.exact_correlation(_scalar_spec(4, ((1, 2),)), 1)
         assert [(t.power_of_inv_n, t.coefficient) for t in count.terms] == [(0, 2), (1, 4)]
 
+    @pytest.mark.parametrize("L", [1, 2, 3, 5, 8])
+    def test_second_moment_has_no_width_correction(self, L):
+        """E f(x)^2 = x^2 at every depth and width: each level contributes
+        its one pairing, with no 1/n term."""
+        count = wick.exact_correlation(_scalar_spec(2), L)
+        assert [(t.power_of_inv_n, t.coefficient) for t in count.terms] == [(0, 1)]
+        assert count.diagram_count == 1 and count.leading_exponent == 0
+        for n in (1, 8, 1000):
+            np.testing.assert_allclose(count.evaluate(n), 1.2**2, rtol=1e-14)
+
     def test_depth_two_fourth_moment(self):
         """Two hidden levels: 27 diagrams collecting to 3 + 12/n + 12/n^2."""
         count = wick.exact_correlation(_scalar_spec(4), 2)
