@@ -425,57 +425,39 @@ def _mcallester_penalty(kl: float, m: int, delta: float) -> float:
 def pacbayes_mcallester(
     m: int,
     delta: float,
-    kl: float | None = None,
-    posterior: GaussianPosterior | None = None,
-    risk_fn=None,
-    empirical_risk: float | None = None,
+    posterior: GaussianPosterior,
+    risk_fn,
     samples: int = MC_POSTERIOR_SAMPLES,
     seed: int = 0,
 ) -> BoundReport:
-    """McAllester bound sqrt((log(4m/delta) + KL) / (2m - 1)).
+    """McAllester bound E_{theta ~ Q} risk + sqrt((log(4m/delta) + KL) / (2m - 1)).
 
-    Pass either kl directly or a GaussianPosterior (whose KL to its prior
-    is computed by gaussian_kl). The empirical risk term is optional: give
-    it as a number, or give risk_fn(theta) -> [0, 1] to estimate
-    E_{theta ~ Q} risk by Monte Carlo over `samples` posterior draws; the
+    KL is that of the GaussianPosterior Q to its prior (gaussian_kl). The
+    risk term is estimated by Monte Carlo: risk_fn(theta) -> [0, 1] averaged
+    over `samples` (at least 2) posterior draws from the stream `seed`; the
     standard error of that estimate is reported alongside.
     """
     m, delta = _check_m_delta(m, delta)
-    if (kl is None) == (posterior is None):
-        raise ValueError("pass exactly one of kl and posterior")
-    if risk_fn is not None and empirical_risk is not None:
-        raise ValueError("pass at most one of risk_fn and empirical_risk")
-    if risk_fn is not None and posterior is None:
-        raise ValueError("risk_fn sampling needs a posterior")
-
-    if posterior is not None:
-        kl = gaussian_kl(posterior)
-    kl = float(kl)
-    if kl < 0.0:
-        raise ValueError(f"kl = {kl} must be nonnegative")
+    kl = gaussian_kl(posterior)
     penalty = _mcallester_penalty(kl, m, delta)
 
-    risk = empirical_risk
-    risk_se = None
-    if risk_fn is not None:
-        samples = int(samples)
-        if samples < 2:
-            raise ValueError("need at least 2 posterior samples")
-        rng = np.random.default_rng(seed)
-        draws = posterior.mean + np.exp(0.5 * posterior.log_var) * rng.standard_normal(
-            (samples, posterior.dim)
-        )
-        risks = np.array([float(risk_fn(theta)) for theta in draws])
-        if np.any((risks < 0.0) | (risks > 1.0)):
-            raise ValueError("risk_fn must return values in [0, 1]")
-        risk = float(np.mean(risks))
-        risk_se = float(np.std(risks, ddof=1) / math.sqrt(samples))
+    samples = int(samples)
+    if samples < 2:
+        raise ValueError("need at least 2 posterior samples")
+    rng = np.random.default_rng(seed)
+    draws = posterior.mean + np.exp(0.5 * posterior.log_var) * rng.standard_normal(
+        (samples, posterior.dim)
+    )
+    risks = np.array([float(risk_fn(theta)) for theta in draws])
+    if np.any((risks < 0.0) | (risks > 1.0)):
+        raise ValueError("risk_fn must return values in [0, 1]")
+    risk = float(np.mean(risks))
+    risk_se = float(np.std(risks, ddof=1) / math.sqrt(samples))
 
-    bound = penalty if risk is None else float(risk) + penalty
     return BoundReport(
         family="pacbayes_mcallester",
-        bound=bound,
-        inputs={"m": m, "delta": delta, "samples": samples if risk_fn else None},
+        bound=risk + penalty,
+        inputs={"m": m, "delta": delta, "samples": samples},
         details={
             "kl": kl,
             "penalty": penalty,

@@ -72,12 +72,6 @@ class ModeTimeResult:
 
     t_formula: float
     t_rk4: float
-    L: int
-
-    @property
-    def exact_formula(self) -> bool:
-        """True when the closed form integrates the ODE exactly (L = 1)."""
-        return self.L == 1
 
 
 def mode_time(u0: float, uf: float, s: float, eta: float, L: int) -> ModeTimeResult:
@@ -92,24 +86,27 @@ def mode_time(u0: float, uf: float, s: float, eta: float, L: int) -> ModeTimeRes
     _check_positive("learning rate", eta)
     _check_mode_args(u0, uf, s, L)
     if u0 == uf:
-        return ModeTimeResult(t_formula=0.0, t_rk4=0.0, L=L)
+        return ModeTimeResult(t_formula=0.0, t_rk4=0.0)
     lr = _log_ratio(u0, uf, s)
     if L == 1:
         t_formula = lr / (2.0 * s * eta)
     else:
         t_formula = (1.0 / u0 - 1.0 / uf + lr / s) / ((L + 1) * s * eta)
-    return ModeTimeResult(t_formula=t_formula, t_rk4=_arrival_time_rk4(u0, uf, s, eta, L), L=L)
+    return ModeTimeResult(t_formula=t_formula, t_rk4=_arrival_time_rk4(u0, uf, s, eta, L))
 
 
-def _arrival_time_rk4(u0: float, uf: float, s: float, eta: float, L: int, steps: int = 4096) -> float:
+RK4_STEPS = 4096  # steps in ln u from u0 to uf
+
+
+def _arrival_time_rk4(u0: float, uf: float, s: float, eta: float, L: int) -> float:
     """Integrate dt/dv for v = ln u; the integrand u^{(1-L)/(1+L)} / ((L+1) eta (s-u))
     stays smooth in v all the way down to small u0.
 
     The integrand does not depend on t, so each RK4 step is a Simpson panel
     and k4 of one step is k1 of the next: the integrand is evaluated once on
-    the steps + 1 nodes and the steps midpoints. The nodes accumulate h one
-    step at a time and the panels are added in step order (cumsum, not the
-    pairwise sum), so the rounding is that of RK4 stepping.
+    the RK4_STEPS + 1 nodes and the RK4_STEPS midpoints. The nodes
+    accumulate h one step at a time and the panels are added in step order
+    (cumsum, not the pairwise sum), so the rounding is that of RK4 stepping.
     """
     ex = (1.0 - L) / (1.0 + L)
 
@@ -117,8 +114,8 @@ def _arrival_time_rk4(u0: float, uf: float, s: float, eta: float, L: int, steps:
         u = np.exp(v)
         return u**ex / (eta * (L + 1) * (s - u))
 
-    h = (math.log(uf) - math.log(u0)) / steps
-    v = np.cumsum(np.concatenate(([math.log(u0)], np.full(steps, h))))
+    h = (math.log(uf) - math.log(u0)) / RK4_STEPS
+    v = np.cumsum(np.concatenate(([math.log(u0)], np.full(RK4_STEPS, h))))
     k = g(v)
     panels = (h / 6.0) * (k[:-1] + 4.0 * g(v[:-1] + 0.5 * h) + k[1:])
     return float(np.cumsum(panels)[-1])

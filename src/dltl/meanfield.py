@@ -49,6 +49,12 @@ __all__ = [
 
 GH_NODES = 64          # default node count per axis
 MARGINAL_TOL = 1e-12   # |slope - 1| below this means every q is a fixed point
+# The tanh fixed-point iteration: a step |V(q) - q| of at most FIXED_POINT_TOL
+# ends it, it gives up after FIXED_POINT_ITERATIONS plain steps, and its
+# Newton polish gives up after NEWTON_STEPS steps.
+FIXED_POINT_TOL = 1e-10
+FIXED_POINT_ITERATIONS = 10_000
+NEWTON_STEPS = 200
 
 
 class DivergenceError(RuntimeError):
@@ -270,14 +276,7 @@ def length_map(q: float, sigma_w2: float, act: Activation, nodes: int = GH_NODES
     return value
 
 
-def corr_map(
-    c: float,
-    q11: float,
-    q22: float,
-    sigma_w2: float,
-    act: Activation,
-    nodes: int = GH_NODES,
-) -> float:
+def corr_map(c: float, q11: float, q22: float, sigma_w2: float, act: Activation) -> float:
     """C(c, q11, q22 | sigma_w^2) = sigma_w^2 * E phi(u) phi(v), the next
     layer's covariance for inputs with current variances q11, q22 and
     correlation c."""
@@ -297,17 +296,10 @@ def corr_map(
         abs_term = (2.0 / math.pi) * (math.sqrt(1.0 - c * c) + c * math.asin(c))
         pair = 0.25 * ((1.0 + a) ** 2 * c + (1.0 - a) ** 2 * abs_term)
         return sigma_w2 * scale * pair
-    return sigma_w2 * gauss_ev2(act, c, q11, q22, nodes=nodes)
+    return sigma_w2 * gauss_ev2(act, c, q11, q22)
 
 
-def chi_map(
-    c: float,
-    q11: float,
-    q22: float,
-    sigma_w2: float,
-    act: Activation,
-    nodes: int = GH_NODES,
-) -> float:
+def chi_map(c: float, q11: float, q22: float, sigma_w2: float, act: Activation) -> float:
     """sigma_w^2 * E phi'(u) phi'(v), the derivative-correlation multiplier."""
     if not 0.0 < sigma_w2 < math.inf:
         raise ValueError(f"sigma_w2 must be positive and finite, got {sigma_w2}")
@@ -323,7 +315,7 @@ def chi_map(
         same = (math.pi - theta) / (2.0 * math.pi)
         mixed = theta / (2.0 * math.pi)
         return sigma_w2 * ((1.0 + a * a) * same + 2.0 * a * mixed)
-    return sigma_w2 * gauss_ev2(act.deriv, c, q11, q22, nodes=nodes)
+    return sigma_w2 * gauss_ev2(act.deriv, c, q11, q22)
 
 
 def chi1(sigma_w2: float, q: float, act: Activation, nodes: int = GH_NODES) -> float:
@@ -344,13 +336,7 @@ class FixedPointResult:
     marginal: bool
 
 
-def length_fixed_point(
-    sigma_w2: float,
-    act: Activation,
-    q0: float = 1.0,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-) -> FixedPointResult:
+def length_fixed_point(sigma_w2: float, act: Activation, q0: float = 1.0) -> FixedPointResult:
     """The length map's fixed point from q0.
 
     Piecewise-linear activations make the map exactly linear, V(q) = kappa q
@@ -362,14 +348,15 @@ def length_fixed_point(
 
     For tanh at sigma_w^2 < 1, tanh(u)^2 < u^2 gives V(q) < sigma_w^2 q < q,
     so q* = 0 exactly; it is returned with iterations = 0, as no map is
-    evaluated. sigma_w^2 = 1 is iterated, so that edge_of_chaos, whose default
-    bracket starts at lo = 1, bisects instead of returning lo outright.
+    evaluated. sigma_w^2 = 1 is iterated, so that edge_of_chaos, whose
+    bracket starts at 1, bisects instead of returning 1 outright.
 
-    Plain iteration stalls harmonically where the map's slope at the fixed
-    point is 1 (tanh at sigma_w^2 = 1); once plain steps have had a fair run,
-    a Newton polish on V(q) - q with the analytic derivative finishes the job.
-    Divergence (overflow or no convergence within max_iter) raises
-    DivergenceError carrying the last iterate.
+    Plain iteration stops once a step |V(q) - q| is at most FIXED_POINT_TOL.
+    It stalls harmonically where the map's slope at the fixed point is 1
+    (tanh at sigma_w^2 = 1); once plain steps have had a fair run, a Newton
+    polish on V(q) - q with the analytic derivative finishes the job.
+    Divergence (overflow or no convergence within FIXED_POINT_ITERATIONS)
+    raises DivergenceError carrying the last iterate.
     """
     if not 0.0 <= q0 < math.inf:
         raise ValueError(f"q0 must be finite and nonnegative, got {q0}")
@@ -389,31 +376,28 @@ def length_fixed_point(
     moments = _length_moments(sigma_w2, GH_NODES)
     length_value, isfinite = moments.value, math.isfinite
     q = float(q0)
-    polish_at = min(512, max_iter)
-    for k in range(1, max_iter + 1):
+    for k in range(1, FIXED_POINT_ITERATIONS + 1):
         q_next = length_value(q)
         if not isfinite(q_next) or q_next > 1e12:
             raise DivergenceError(
                 f"length map diverged after {k} iterations (last iterate {q_next:g})",
                 last_value=q_next,
             )
-        if abs(q_next - q) <= tol:
+        if abs(q_next - q) <= FIXED_POINT_TOL:
             return FixedPointResult(q_inf=q_next, iterations=k, marginal=False)
         q = q_next
-        if k == polish_at:
-            polished = _newton_polish(q, moments, tol)
+        if k == 512:
+            polished = _newton_polish(q, moments)
             if polished is not None:
                 q_star, extra = polished
                 return FixedPointResult(q_inf=q_star, iterations=k + extra, marginal=False)
     raise DivergenceError(
-        f"length map did not settle within {max_iter} iterations (last iterate {q:g})",
+        f"length map did not settle within {FIXED_POINT_ITERATIONS} iterations (last iterate {q:g})",
         last_value=q,
     )
 
 
-def _newton_polish(
-    q: float, moments: _LengthMoments, tol: float, max_steps: int = 200
-) -> tuple[float, int] | None:
+def _newton_polish(q: float, moments: _LengthMoments) -> tuple[float, int] | None:
     """Newton on g(q) = V(q) - q from a plain-iteration iterate, with V and
     its derivative from moments (_length_moments at the iterated sigma_w^2).
 
@@ -423,7 +407,7 @@ def _newton_polish(
     """
     length_value, slope = moments.value, moments.slope
     q_hi = 10.0 * max(q, 1.0)
-    for j in range(1, max_steps + 1):
+    for j in range(1, NEWTON_STEPS + 1):
         g = length_value(q) - q
         gp = slope(q) - 1.0
         if gp == 0.0:
@@ -433,9 +417,9 @@ def _newton_polish(
             q_new = 0.5 * q  # fixed points live in q >= 0
         if q_new > q_hi:
             return None
-        if abs(q_new - q) <= tol:
+        if abs(q_new - q) <= FIXED_POINT_TOL:
             resid = abs(length_value(q_new) - q_new)
-            if resid <= 10.0 * tol * (1.0 + abs(q_new)):
+            if resid <= 10.0 * FIXED_POINT_TOL * (1.0 + abs(q_new)):
                 return q_new, j
             return None
         q = q_new
@@ -481,31 +465,23 @@ def phase_classify(
     return PhasePoint(sigma_w2=sigma_w2, q_inf=fp.q_inf, chi1=chi, phase=phase, marginal=fp.marginal)
 
 
-def edge_of_chaos(
-    act: Activation,
-    lo: float = 1.0,
-    hi: float = 4.0,
-    tol: float = 1e-10,
-    q0: float = 1.0,
-) -> float:
-    """sigma_w^2 in [lo, hi] where chi_1(sigma_w^2) = 1.
+def edge_of_chaos(act: Activation, q0: float = 1.0) -> float:
+    """sigma_w^2 in [1, 4] where chi_1(sigma_w^2) = 1, with chi_1 evaluated
+    at each candidate's own length fixed point from q0.
 
-    chi_1 is evaluated at each candidate's own length fixed point. Requires
-    chi_1 - 1 to change sign (or vanish) on the bracket, whose ends are
-    evaluated and checked for every kind. A piecewise-linear kind then
-    returns the closed form 1 / E phi'(z)^2 = 2 / (1 + a^2); tanh bisects.
+    The bracket is fixed, and chi_1 - 1 changes sign on it for every kind:
+    at sigma_w^2 = 1 it is at most 0 (phi'^2 <= 1 for tanh, and chi_1 =
+    (1 + a^2)/2 with a in [0, 1] for the piecewise-linear kinds), and at 4
+    it is above 0 (chi_1 = 2 (1 + a^2), and for tanh so seen for q0 from 0
+    to 1e4). So only the lower end is evaluated; that call also rejects a
+    bad q0, and a chi_1 within 1e-10 of 1 there makes 1 the answer. A
+    piecewise-linear kind then returns the closed form 1 / E phi'(z)^2 =
+    2 / (1 + a^2); tanh bisects to a bracket of width 1e-10.
     """
+    lo, hi, tol = 1.0, 4.0, 1e-10
     f_lo = phase_classify(lo, act, q0=q0).chi1 - 1.0
     if abs(f_lo) <= tol:
         return lo
-    f_hi = phase_classify(hi, act, q0=q0).chi1 - 1.0
-    if abs(f_hi) <= tol:
-        return hi
-    if f_lo * f_hi > 0:
-        raise ValueError(
-            f"chi1 - 1 does not change sign on [{lo}, {hi}] "
-            f"(values {f_lo:g}, {f_hi:g})"
-        )
     if act.homogeneous:
         return 1.0 / _second_moment_unit(act)
     for _ in range(200):
@@ -539,21 +515,15 @@ class MomentProfile:
     replicates: int
 
 
-def simulate_moments(
-    config: NetConfig,
-    x: np.ndarray | None = None,
-    replicates: int = 200,
-    seed: int = 0,
-) -> MomentProfile:
-    """Monte Carlo forward/backward moments against the mean-field maps.
+def simulate_moments(config: NetConfig, x: np.ndarray, replicates: int = 200, seed: int = 0) -> MomentProfile:
+    """Monte Carlo forward/backward moments of the input x against the
+    mean-field maps.
 
     Weights are resampled per replicate with stream seed + r. The seed
     gradient for the backward moments is the first output basis vector.
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates for standard errors")
-    if x is None:
-        x = np.ones(config.widths[0])
     x = np.asarray(x, dtype=float)
     n_levels = config.n_layers
     qs = np.empty((replicates, n_levels))

@@ -296,26 +296,16 @@ def backprop(
 
 
 def backward(
-    config: NetConfig,
-    weights: list[np.ndarray],
-    trace: ForwardTrace,
-    seed_grad: np.ndarray | None = None,
-    output_index: int | None = None,
+    config: NetConfig, weights: list[np.ndarray], trace: ForwardTrace, output_index: int
 ) -> BackwardTrace:
-    """Backpropagate from the output preactivation h_{L+1}.
-
-    Exactly one of seed_grad (a vector dL/dh_{L+1}) or output_index i (sets
-    the seed to e_i, so the result is the gradient of the i-th output)
-    must be given. Weight gradients come out as the scaled outer products
-    grads[l] = c_l * outer(g_{l+1}, x_l).
+    """The gradient of output output_index of a single-input trace:
+    backpropagate from h_{L+1} with the seed e_i. Weight gradients come out
+    as the scaled outer products grads[l] = c_l * outer(g_{l+1}, x_l).
     """
-    if (seed_grad is None) == (output_index is None):
-        raise ValueError("pass exactly one of seed_grad or output_index")
     if trace.h[-1].ndim != 1:
         raise ValueError("backward expects a single-input trace")
-    if seed_grad is None:
-        seed_grad = np.zeros_like(trace.h[-1])
-        seed_grad[output_index] = 1.0
+    seed_grad = np.zeros_like(trace.h[-1])
+    seed_grad[output_index] = 1.0
     gs = backprop(config, weights, trace, seed_grad)
     inputs = [trace.x0, *trace.x]
     grads = [config.layer_scale(l) * np.outer(gs[l], inputs[l]) for l in range(config.n_layers)]

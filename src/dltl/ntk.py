@@ -103,24 +103,14 @@ class KernelRecursionState:
 
     Arrays are indexed by layer: q11[i], q12[i], q22[i] hold
     q_{i+1}(x,x), q_{i+1}(x,x'), q_{i+1}(x',x') for i = 0..L, and chi[i]
-    holds chi_{i+1}(x,x') for i = 0..L-1.
+    holds chi_{i+1}(x,x') for i = 0..L-1. nngp_recursion builds it, and
+    its recursion checks every layer against the Cauchy-Schwarz bound.
     """
 
     q11: np.ndarray
     q12: np.ndarray
     q22: np.ndarray
     chi: np.ndarray
-
-    def __post_init__(self):
-        for name in ("q11", "q12", "q22", "chi"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if not (self.q11.shape == self.q12.shape == self.q22.shape):
-            raise ValueError("q arrays must share a shape")
-        if self.chi.shape != (self.q11.size - 1,):
-            raise ValueError("need exactly one chi per hidden-to-output step")
-        bound = np.sqrt(self.q11 * self.q22) + 1e-10
-        if np.any(np.abs(self.q12) > bound):
-            raise ValueError("cross covariance exceeds the Cauchy-Schwarz bound")
 
     def ntk_value(self) -> float:
         """Theta_0(x, x') assembled from the recursion."""
@@ -216,9 +206,7 @@ def _pair_moments(c, q11, q22, sigma_w2: float, act: Activation, nodes: int) -> 
     return m_phi.reshape(shape), m_deriv.reshape(shape)
 
 
-def nngp_recursion(
-    x: np.ndarray, x_prime: np.ndarray, config: NetConfig, nodes: int = GH_NODES
-) -> KernelRecursionState:
+def nngp_recursion(x: np.ndarray, x_prime: np.ndarray, config: NetConfig) -> KernelRecursionState:
     """Run the covariance recursion for one input pair.
 
     q_1 = (sigma_w^2 / n_0) x^T x', then
@@ -234,9 +222,9 @@ def nngp_recursion(
     n0 = config.widths[0]
     if x.size != n0:
         raise ValueError(f"inputs have dimension {x.size}, config expects {n0}")
-    q11, q22 = _diagonals(x[None], config, nodes), _diagonals(xp[None], config, nodes)
+    q11, q22 = _diagonals(x[None], config, GH_NODES), _diagonals(xp[None], config, GH_NODES)
     _check_variance_products(q11, q22)
-    q12, chi = _recursion(x[None], xp[None], q11, q22, config, nodes)
+    q12, chi = _recursion(x[None], xp[None], q11, q22, config, GH_NODES)
     return KernelRecursionState(q11=q11[:, 0], q12=q12[:, 0], q22=q22[:, 0], chi=chi[:, 0])
 
 
@@ -335,32 +323,25 @@ def nngp_gram(x: np.ndarray, config: NetConfig, nodes: int = GH_NODES) -> Kernel
     return KernelGram(nngp, tag="nngp")
 
 
-def limiting_ntk(
-    x: np.ndarray,
-    config: NetConfig,
-    nodes: int = GH_NODES,
-    outputs: int | None = None,
-) -> KernelGram:
-    """Deterministic limit kernel Theta_0 on a column dataset.
-
-    Multi-output kernels are diagonal: passing outputs=k returns the scalar
-    gram kron identity, indexed with the example major and the output
-    component minor.
-    """
-    return _limit_grams(x, config, nodes, False, outputs)[0]
+def limiting_ntk(x: np.ndarray, config: NetConfig, nodes: int = GH_NODES) -> KernelGram:
+    """Deterministic limit kernel Theta_0 on a column dataset, one entry per
+    pair of columns (the scalar-output kernel)."""
+    return _limit_grams(x, config, nodes, False, None)[0]
 
 
 def _limit_grams(
     x: np.ndarray, config: NetConfig, nodes: int, last_layer_only: bool, outputs: int | None
 ) -> tuple[KernelGram, np.ndarray]:
-    """The Theta_0 gram (q_{L+1} with last_layer_only) and the q_{L+1} gram."""
+    """The Theta_0 gram (q_{L+1} with last_layer_only) and the q_{L+1} gram.
+
+    Multi-output kernels are diagonal: outputs=k gives the scalar gram kron
+    identity, indexed with the example major and the output component
+    minor, the layout of linearize's labels."""
     if config.parameterization != "ntk":
         raise ValueError("the limit kernel is defined for the ntk parameterization")
     theta, nngp = _pair_kernels(x, None, config, nodes)
     gram = nngp if last_layer_only else theta
     if outputs is not None:
-        if outputs < 1:
-            raise ValueError("outputs must be a positive count")
         gram = np.kron(gram, np.eye(outputs))
     return KernelGram(gram, tag="nngp" if last_layer_only else "limiting_ntk"), nngp
 
@@ -607,7 +588,6 @@ def bayes_posterior(
     y: np.ndarray,
     x_query: np.ndarray,
     config: NetConfig,
-    nodes: int = GH_NODES,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Noise-free GP regression under the NNGP prior q_{L+1}.
 
@@ -620,13 +600,13 @@ def bayes_posterior(
     if y.size != x_train.shape[1]:
         raise ValueError("bayes_posterior handles scalar outputs, one label per column")
     if q_gram is None:
-        q_gram = nngp_gram(x_train, config, nodes=nodes)
+        q_gram = nngp_gram(x_train, config)
     if q_gram.size != x_train.shape[1]:
         raise ValueError("train gram size does not match the dataset")
     eigvals, eigvecs = _invertible_eigh(q_gram, "prior")
     inv = (eigvecs / eigvals) @ eigvecs.T
-    _, q_cross = _pair_kernels(x_query, x_train, config, nodes)
-    _, q_query = _pair_kernels(x_query, None, config, nodes)
+    _, q_cross = _pair_kernels(x_query, x_train, config, GH_NODES)
+    _, q_query = _pair_kernels(x_query, None, config, GH_NODES)
     mean = q_cross @ inv @ y
     cov = q_query - q_cross @ inv @ q_cross.T
     return mean, cov
@@ -794,29 +774,16 @@ class AlignmentReport:
     t: np.ndarray
     curve: np.ndarray
 
-    def time_to_fraction(self, fraction: float) -> float:
-        """First grid time where the curve drops to fraction of curve[0]."""
-        if not 0 < fraction < 1:
-            raise ValueError("fraction must lie in (0, 1)")
-        target = fraction * self.curve[0]
-        hit = np.nonzero(self.curve <= target)[0]
-        return float(self.t[hit[0]]) if hit.size else math.inf
 
-
-def alignment(
-    h_inf: KernelGram,
-    y: np.ndarray,
-    u0: np.ndarray,
-    t_grid: np.ndarray | None = None,
-    points: int = 200,
-) -> AlignmentReport:
+def alignment(h_inf: KernelGram, y: np.ndarray, u0: np.ndarray, points: int = 200) -> AlignmentReport:
     """Decompose y - u0 in the kernel eigenbasis and predict the loss curve.
 
-    The default grid has `points` (at least 2) times, log-spaced from well
-    before the fastest mode turns over to well after the slowest positive
+    The curve is taken on `points` (at least 2) times, log-spaced from
+    0.01 / lambda_max, well before the fastest mode turns over, to
+    20 / lambda_min over the positive eigenvalues, well after the slowest
     mode has died.
     """
-    if t_grid is None and points < 2:
+    if points < 2:
         raise ValueError(f"points must be at least 2, got {points}")
     k = h_inf.matrix
     y = np.asarray(y, dtype=float).ravel()
@@ -829,17 +796,12 @@ def alignment(
     total = float(projections @ projections)
     if abs(total - float(resid @ resid)) > 1e-8 * max(1.0, float(resid @ resid)):
         raise ValueError("projection energies do not add up to the residual norm")
-    if t_grid is None:
-        lam_max = float(eigvals[-1])
-        if not 0 < lam_max < math.inf:
-            raise ValueError(f"kernel needs a positive finite top eigenvalue, got {lam_max}")
-        positive = eigvals[eigvals > 1e-12 * lam_max]
-        lam_min = float(positive[0])
-        t_grid = np.logspace(
-            math.log10(0.01 / lam_max), math.log10(20.0 / lam_min), points
-        )
-    else:
-        t_grid = np.asarray(t_grid, dtype=float)
+    lam_max = float(eigvals[-1])
+    if not 0 < lam_max < math.inf:
+        raise ValueError(f"kernel needs a positive finite top eigenvalue, got {lam_max}")
+    positive = eigvals[eigvals > 1e-12 * lam_max]
+    lam_min = float(positive[0])
+    t_grid = np.logspace(math.log10(0.01 / lam_max), math.log10(20.0 / lam_min), points)
     curve = np.exp(-2.0 * np.outer(t_grid, eigvals)) @ (projections**2)
     return AlignmentReport(
         eigvals=eigvals,

@@ -232,10 +232,19 @@ class TestGaussianKL:
                                  prior_mean=np.zeros(1), prior_log_var=0.0)
 
 
+def _shifted_posterior(kl: float) -> gb.GaussianPosterior:
+    """A one-parameter unit-variance posterior whose KL to N(0, 1) is
+    |mu|^2 / 2 = kl."""
+    return gb.GaussianPosterior(mean=np.array([math.sqrt(2.0 * kl)]), log_var=np.zeros(1),
+                                prior_mean=np.zeros(1), prior_log_var=0.0)
+
+
 class TestMcAllester:
     def test_frozen_zero_kl_value(self):
-        """sqrt(log(4m/delta) / (2m - 1)) at m = 1000, delta = 0.05."""
-        report = gb.pacbayes_mcallester(1000, 0.05, kl=0.0)
+        """sqrt(log(4m/delta) / (2m - 1)) at m = 1000, delta = 0.05, for a
+        posterior equal to its prior and a zero risk."""
+        report = gb.pacbayes_mcallester(1000, 0.05, posterior=_shifted_posterior(0.0), risk_fn=lambda t: 0.0)
+        assert report.details["kl"] == 0.0
         np.testing.assert_allclose(report.bound, 0.07515127952493642, rtol=1e-12)
         np.testing.assert_allclose(
             report.bound, math.sqrt(math.log(4000 / 0.05) / 1999), rtol=1e-12
@@ -243,19 +252,25 @@ class TestMcAllester:
 
     def test_monotone_in_kl_and_m(self):
         rng = np.random.default_rng(7)
+
+        def bound(m, kl):
+            return gb.pacbayes_mcallester(m, 0.05, posterior=_shifted_posterior(kl), risk_fn=lambda t: 0.0).bound
+
         for _ in range(20):
             m = int(rng.integers(100, 50_000))
             kl = float(rng.uniform(0.0, 50.0))
-            base = gb.pacbayes_mcallester(m, 0.05, kl=kl).bound
-            assert gb.pacbayes_mcallester(m, 0.05, kl=kl + 1.0).bound > base
-            assert gb.pacbayes_mcallester(4 * m, 0.05, kl=kl).bound < base
+            base = bound(m, kl)
+            assert bound(m, kl + 1.0) > base
+            assert bound(4 * m, kl) < base
 
-    def test_posterior_route_matches_kl_route(self):
+    def test_posterior_kl_enters_the_penalty(self):
+        """A unit mean shift under unit variances has KL 1/2, and the bound
+        is sqrt((log(4m/delta) + 1/2) / (2m - 1)) at zero risk."""
         post = gb.GaussianPosterior(mean=np.array([1.0]), log_var=np.array([0.0]),
                                     prior_mean=np.array([0.0]), prior_log_var=0.0)
-        via_post = gb.pacbayes_mcallester(500, 0.1, posterior=post)
-        via_kl = gb.pacbayes_mcallester(500, 0.1, kl=0.5)
-        np.testing.assert_allclose(via_post.bound, via_kl.bound, rtol=1e-12)
+        report = gb.pacbayes_mcallester(500, 0.1, posterior=post, risk_fn=lambda t: 0.0)
+        np.testing.assert_allclose(report.details["kl"], 0.5, rtol=1e-12)
+        np.testing.assert_allclose(report.bound, math.sqrt((math.log(4 * 500 / 0.1) + 0.5) / 999), rtol=1e-12)
 
     def test_risk_sampling(self):
         """A constant risk_fn contributes itself with zero standard error."""
@@ -269,22 +284,12 @@ class TestMcAllester:
         assert report.details["empirical_risk_se"] == 0.0
 
     def test_validation(self):
-        post = gb.GaussianPosterior(mean=np.zeros(1), log_var=np.zeros(1),
-                                    prior_mean=np.zeros(1), prior_log_var=0.0)
-        with pytest.raises(ValueError, match="exactly one"):
-            gb.pacbayes_mcallester(100, 0.05)
-        with pytest.raises(ValueError, match="exactly one"):
-            gb.pacbayes_mcallester(100, 0.05, kl=1.0, posterior=post)
-        with pytest.raises(ValueError, match="at most one"):
-            gb.pacbayes_mcallester(100, 0.05, posterior=post,
-                                   risk_fn=lambda t: 0.0, empirical_risk=0.1)
-        with pytest.raises(ValueError, match="needs a posterior"):
-            gb.pacbayes_mcallester(100, 0.05, kl=1.0, risk_fn=lambda t: 0.0)
-        with pytest.raises(ValueError, match="nonnegative"):
-            gb.pacbayes_mcallester(100, 0.05, kl=-1.0)
+        post = _shifted_posterior(0.0)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             gb.pacbayes_mcallester(100, 0.05, posterior=post,
                                    risk_fn=lambda t: 2.0, samples=5)
+        with pytest.raises(ValueError, match="at least 2 posterior samples"):
+            gb.pacbayes_mcallester(100, 0.05, posterior=post, risk_fn=lambda t: 0.0, samples=1)
 
 
 class TestDziugaiteRoy:

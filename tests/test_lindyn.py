@@ -59,7 +59,6 @@ class TestModeTime:
         """For L = 1 the ODE du/dt = 2 eta u (s - u) is integrable and the
         closed form matches the RK4 arrival time."""
         r = lindyn.mode_time(0.01, 0.99, 1.0, 0.05, 1)
-        assert r.exact_formula
         np.testing.assert_allclose(r.t_formula, r.t_rk4, rtol=1e-6)
 
     def test_shallow_formula_value(self):
@@ -75,7 +74,6 @@ class TestModeTime:
         lr = math.log(uf * (s - u0) / (u0 * (s - uf)))
         expect = (1.0 / u0 - 1.0 / uf + lr / s) / ((L + 1) * s * eta)
         r = lindyn.mode_time(u0, uf, s, eta, L)
-        assert not r.exact_formula
         np.testing.assert_allclose(r.t_formula, expect, rtol=1e-14)
 
     def test_deep_formula_gap_table(self):

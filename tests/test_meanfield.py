@@ -358,11 +358,6 @@ class TestPhase:
         1.999999999985448 for relu and 1.9230769231071463 for leaky 0.2."""
         assert edge_of_chaos(act) == want
 
-    @pytest.mark.parametrize("act, lo, hi", [(TANH, 2.0, 4.0), (RELU, 2.5, 4.0), (LEAKY, 0.5, 1.5)])
-    def test_edge_of_chaos_no_crossing_raises(self, act, lo, hi):
-        with pytest.raises(ValueError, match="does not change sign"):
-            edge_of_chaos(act, lo=lo, hi=hi)
-
     def test_edge_of_chaos_chi_is_one(self):
         sw2 = edge_of_chaos(RELU)
         assert chi1(sw2, 1.0, RELU) == pytest.approx(1.0, abs=1e-9)
@@ -386,7 +381,7 @@ def test_lengths_must_be_finite_and_nonnegative(act, q):
         lambda: chi1(1.5, q, act),
         lambda: length_fixed_point(1.5, act, q0=q),
         lambda: phase_classify(1.5, act, q0=q),
-        lambda: edge_of_chaos(act, lo=0.5, hi=4.0, q0=q),
+        lambda: edge_of_chaos(act, q0=q),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="must be finite and nonnegative"):
@@ -398,20 +393,20 @@ class TestSimulatedMoments:
         # v_l = 1/n_l makes q_l = 1 at every layer for linear nets
         n, L = 128, 4
         config = NetConfig(widths=(n,) * (L + 2), activation="linear", sigma_w2=1.0)
-        prof = simulate_moments(config, replicates=100, seed=0)
+        prof = simulate_moments(config, np.ones(n), replicates=100, seed=0)
         assert np.all(np.abs(prof.q - 1.0) <= 3 * prof.q_se)
 
     def test_relu_matches_length_map(self):
         # x = ones gives q_1 = sigma_w2 |x|^2 / n = 2; the map then holds it
         n, L = 128, 4
         config = NetConfig(widths=(n,) * (L + 2), activation="relu", sigma_w2=2.0)
-        prof = simulate_moments(config, replicates=100, seed=1)
+        prof = simulate_moments(config, np.ones(n), replicates=100, seed=1)
         assert np.all(np.abs(prof.q - 2.0) <= 3 * prof.q_se)
 
     def test_backward_moments_flat_at_edge(self):
         n, L = 128, 4
         config = NetConfig(widths=(n,) * (L + 2), activation="relu", sigma_w2=2.0)
-        prof = simulate_moments(config, replicates=100, seed=2)
+        prof = simulate_moments(config, np.ones(n), replicates=100, seed=2)
         # chi1 = 1: delta_l is layer-independent up to MC noise
         spread = prof.delta.max() - prof.delta.min()
         assert spread <= 4 * prof.delta_se.max()
@@ -419,4 +414,4 @@ class TestSimulatedMoments:
     def test_replicate_validation(self):
         config = NetConfig(widths=(4, 4, 4), activation="relu")
         with pytest.raises(ValueError):
-            simulate_moments(config, replicates=1)
+            simulate_moments(config, np.ones(4), replicates=1)

@@ -7,6 +7,7 @@ import pytest
 from dltl.netcore import (
     Activation,
     NetConfig,
+    backprop,
     backward,
     forward,
     haar_orthogonal,
@@ -227,24 +228,17 @@ class TestForwardBackward:
                 fd = (up - down) / (2 * h)
                 np.testing.assert_allclose(bt.grads[l][idx], fd, atol=1e-6)
 
-    def test_backward_seed_grad_is_linear(self):
+    def test_backprop_is_linear_in_the_seed(self):
         config, weights, x = self._setup()
         trace = forward(config, weights, x)
         b0 = backward(config, weights, trace, output_index=0)
         b1 = backward(config, weights, trace, output_index=1)
-        both = backward(config, weights, trace, seed_grad=np.array([2.0, -1.0]))
+        both = backprop(config, weights, trace, np.array([2.0, -1.0]))
         for l in range(config.n_layers):
-            np.testing.assert_allclose(
-                both.grads[l], 2.0 * b0.grads[l] - b1.grads[l], atol=1e-12
-            )
+            np.testing.assert_allclose(both[l], 2.0 * b0.g[l] - b1.g[l], atol=1e-12)
 
     def test_backward_argument_validation(self):
         config, weights, x = self._setup()
-        trace = forward(config, weights, x)
-        with pytest.raises(ValueError):
-            backward(config, weights, trace)
-        with pytest.raises(ValueError):
-            backward(config, weights, trace, seed_grad=np.ones(2), output_index=0)
         batch_trace = forward(config, weights, np.zeros((4, 3)))
         with pytest.raises(ValueError):
             backward(config, weights, batch_trace, output_index=0)

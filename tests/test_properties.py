@@ -91,8 +91,8 @@ def test_batched_backprop_matches_single_columns(data, net):
     seeds = _columns(data.draw, config.widths[-1], m)
     batched = backprop(config, weights, forward(config, weights, x), seeds)
     for j in range(m):
-        single = backward(config, weights, forward(config, weights, x[:, j]), seed_grad=seeds[:, j])
-        for g_batch, g_single in zip(batched, single.g, strict=True):
+        single = backprop(config, weights, forward(config, weights, x[:, j]), seeds[:, j])
+        for g_batch, g_single in zip(batched, single, strict=True):
             _assert_rel_close(g_batch[:, j], g_single)
 
 
@@ -393,7 +393,7 @@ def test_tanh_fixed_point_matches_iterated_length_map(sigma_w2, q0):
             break
         q = q_next
     assert k < 512  # the Newton polish never fires on this range
-    got = meanfield.length_fixed_point(sigma_w2, act, q0=q0, tol=tol)
+    got = meanfield.length_fixed_point(sigma_w2, act, q0=q0)
     if sigma_w2 < 1.0:
         assert abs(q_next) <= 1e-8
         assert (got.q_inf, got.iterations, got.marginal) == (0.0, 0, False)
@@ -474,20 +474,19 @@ def _fixed_point_outcome(sigma_w2, q0):
     return fp.q_inf, fp.iterations
 
 
-def _reference_edge(lo, hi, q0, tol=1e-10):
-    """edge_of_chaos(tanh) bisection on the reference fixed point."""
+def _reference_edge(q0, tol=1e-10):
+    """edge_of_chaos(tanh) bisection on [1, 4] on the reference fixed point.
+    The upper end is evaluated here only to check that chi_1 - 1 changes
+    sign on the bracket, which edge_of_chaos takes as given."""
     def f(sigma_w2):
         q_inf = _reference_fixed_point(sigma_w2, q0)[0]
         return _gauss_length_moments(sigma_w2)[2](q_inf) - 1.0
 
+    lo, hi = 1.0, 4.0
     f_lo = f(lo)
+    assert f_lo <= 0.0 < f(hi)
     if abs(f_lo) <= tol:
         return lo
-    f_hi = f(hi)
-    if abs(f_hi) <= tol:
-        return hi
-    if f_lo * f_hi > 0:
-        return "no sign change"
     for _ in range(200):
         if hi - lo <= tol:
             break
@@ -532,15 +531,11 @@ def test_tanh_fixed_point_equals_gauss_ev_reference(sigma_w2, q0):
 
 
 @settings(max_examples=8, deadline=None)
-@given(lo=st.floats(0.5, 1.0), hi=st.floats(1.0, 4.0, exclude_min=True), q0=st.floats(0.1, 5.0))
-@example(lo=1.0, hi=4.0, q0=1.0)    # the default bracket: lo = 1 is iterated
-@example(lo=0.9999999999999999, hi=4.0, q0=1.0)   # lo below 1: chi_1(lo, 0) is within tol of 1
-def test_tanh_edge_of_chaos_equals_gauss_ev_reference(lo, hi, q0):
-    try:
-        got = meanfield.edge_of_chaos(TANH, lo=lo, hi=hi, q0=q0)
-    except ValueError:
-        got = "no sign change"
-    assert got == _reference_edge(lo, hi, q0)
+@given(q0=st.one_of(st.floats(0.1, 5.0), st.floats(0.0, 1e-11)))
+@example(q0=1.0)    # sigma_w^2 = 1 is iterated, and the bisection runs
+@example(q0=0.0)    # chi_1(1, 0) = 1: the lower end is the answer
+def test_tanh_edge_of_chaos_equals_gauss_ev_reference(q0):
+    assert meanfield.edge_of_chaos(TANH, q0=q0) == _reference_edge(q0)
 
 
 # -- pair moments: the NNGP recursion's rule against meanfield's maps ------------
@@ -745,8 +740,8 @@ def test_pair_kernels_equal_nngp_recursion(data, act, depth, n0, sigma_w2, cross
 
 
 def test_pair_kernels_check_cauchy_schwarz(monkeypatch):
-    """The gram path checks every layer's cross covariance, as the
-    recursion state does."""
+    """The gram path and nngp_recursion check every layer's cross
+    covariance against the Cauchy-Schwarz bound."""
     config = NetConfig(widths=(3, 8, 8, 1), activation="relu", parameterization="ntk", sigma_w2=2.0)
     x = np.random.default_rng(3).standard_normal((3, 4))
     monkeypatch.setattr(ntk, "_pair_moments", lambda c, q11, q22, *args: (2.0 * np.sqrt(q11 * q22) + 1.0, 1.0))
@@ -754,6 +749,8 @@ def test_pair_kernels_check_cauchy_schwarz(monkeypatch):
         ntk._pair_kernels(x, None, config, meanfield.GH_NODES)
     with pytest.raises(ValueError, match="Cauchy-Schwarz"):
         ntk._pair_kernels(x, x[:, :2], config, meanfield.GH_NODES)
+    with pytest.raises(ValueError, match="Cauchy-Schwarz"):
+        ntk.nngp_recursion(x[:, 0], x[:, 1], config)
 
 
 @settings(max_examples=6, deadline=None)
