@@ -222,16 +222,21 @@ def _unflatten(theta: np.ndarray, shapes: list[tuple[int, int]]) -> list[np.ndar
 def _check_weights_on(path: str, config: NetConfig, weights: list[np.ndarray], x: np.ndarray) -> None:
     """One forward pass of the weights read from path on the data rows x.
     Weights that drive a layer's activations out of float range stop here,
-    with the file and the layer named, before a handler prints nan or a
-    later error. Data of the wrong width is left to the handler's own
-    check, so its message stays the same."""
+    with the file and the layer named, before a handler prints nan, inf or
+    a later error. So do finite activations whose per-example squared norm
+    h.h overflows, as read_dataset rejects such rows: every kernel, loss
+    and residual downstream squares them. Data of the wrong width is left
+    to the handler's own check, so its message stays the same."""
     if x.shape[1] != config.widths[0]:
         return
     with np.errstate(all="ignore"):
         trace = forward(config, weights, x.T)
-    for layer, h in enumerate(trace.h):
-        if not np.all(np.isfinite(h)):
-            raise ValueError(f"{path}: the activations of layer {layer} are not finite on the data")
+        for layer, h in enumerate(trace.h):
+            if not np.all(np.isfinite(h)):
+                raise ValueError(f"{path}: the activations of layer {layer} are not finite on the data")
+        for layer, h in enumerate(trace.h):
+            if not np.all(np.isfinite(np.sum(h * h, axis=0))):
+                raise ValueError(f"{path}: the squared norm of the activations of layer {layer} overflows on the data")
 
 
 def _nodes(args: argparse.Namespace) -> int:

@@ -354,9 +354,15 @@ def length_fixed_point(sigma_w2: float, act: Activation, q0: float = 1.0) -> Fix
     Plain iteration stops once a step |V(q) - q| is at most FIXED_POINT_TOL.
     It stalls harmonically where the map's slope at the fixed point is 1
     (tanh at sigma_w^2 = 1); once plain steps have had a fair run, a Newton
-    polish on V(q) - q with the analytic derivative finishes the job.
-    Divergence (overflow or no convergence within FIXED_POINT_ITERATIONS)
-    raises DivergenceError carrying the last iterate.
+    polish on V(q) - q with the analytic derivative finishes the job. Where
+    dV/dq exceeds 1 the map repels (tanh at sigma_w^2 > 1 next to q = 0):
+    plain steps up from a tiny q0 are tiny but grow, and Newton can land on
+    q = 0 itself. So a small step up, and a Newton landing, end the
+    iteration only where dV/dq <= 1. A small step down ends it as before:
+    V(q) <= q holds above the positive fixed point, and at q = 0, where
+    q0 = 0 stays. Divergence (overflow or no convergence within
+    FIXED_POINT_ITERATIONS) raises DivergenceError carrying the last
+    iterate.
     """
     if not 0.0 <= q0 < math.inf:
         raise ValueError(f"q0 must be finite and nonnegative, got {q0}")
@@ -374,7 +380,7 @@ def length_fixed_point(sigma_w2: float, act: Activation, q0: float = 1.0) -> Fix
     if sigma_w2 < 1.0:
         return FixedPointResult(q_inf=0.0, iterations=0, marginal=False)
     moments = _length_moments(sigma_w2, GH_NODES)
-    length_value, isfinite = moments.value, math.isfinite
+    length_value, slope, isfinite = moments.value, moments.slope, math.isfinite
     q = float(q0)
     for k in range(1, FIXED_POINT_ITERATIONS + 1):
         q_next = length_value(q)
@@ -383,7 +389,7 @@ def length_fixed_point(sigma_w2: float, act: Activation, q0: float = 1.0) -> Fix
                 f"length map diverged after {k} iterations (last iterate {q_next:g})",
                 last_value=q_next,
             )
-        if abs(q_next - q) <= FIXED_POINT_TOL:
+        if abs(q_next - q) <= FIXED_POINT_TOL and (q_next <= q or slope(q_next) <= 1.0):
             return FixedPointResult(q_inf=q_next, iterations=k, marginal=False)
         q = q_next
         if k == 512:
@@ -403,7 +409,7 @@ def _newton_polish(q: float, moments: _LengthMoments) -> tuple[float, int] | Non
 
     Returns (fixed point, steps) or None when Newton cannot be trusted
     (derivative vanished, iterate escaped, or the landing point fails the
-    fixed-point residual check).
+    fixed-point residual check or has dV/dq > 1, where the map repels).
     """
     length_value, slope = moments.value, moments.slope
     q_hi = 10.0 * max(q, 1.0)
@@ -419,7 +425,7 @@ def _newton_polish(q: float, moments: _LengthMoments) -> tuple[float, int] | Non
             return None
         if abs(q_new - q) <= FIXED_POINT_TOL:
             resid = abs(length_value(q_new) - q_new)
-            if resid <= 10.0 * FIXED_POINT_TOL * (1.0 + abs(q_new)):
+            if resid <= 10.0 * FIXED_POINT_TOL * (1.0 + abs(q_new)) and slope(q_new) <= 1.0:
                 return q_new, j
             return None
         q = q_new

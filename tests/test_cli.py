@@ -757,42 +757,15 @@ class TestDomainHolesExitOne:
         ]
         assert proc.stdout == ""
 
-    @pytest.mark.parametrize("case", ["path", "ntk-kernel-linear-empirical", "ntk-train-limiting",
-                                      "ntk-train-empirical", "align-mc-u0", "bounds"])
-    def test_weights_out_of_float_range(self, tmp_path, case):
-        """The golden weight files times 1e160 once gave nan losses,
-        residuals or f_lin with exit 0, or numpy's overflow warnings and then
-        an error that blamed a nan risk or gram. The call now names the
-        first weight file it reads and the layer that overflows."""
-        from test_golden import CASES, write_inputs
+    # the golden calls that read weight files and check them on the data
+    WEIGHT_FILE_CASES = ["path", "ntk-kernel-linear-empirical", "ntk-train-limiting",
+                         "ntk-train-empirical", "align-mc-u0", "bounds"]
 
-        paths = write_inputs(tmp_path)
-        scaled = set()
-        for path in paths.values():
-            if not path.endswith(".json"):
-                continue
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-            if "weights" in doc:
-                doc["weights"] = [(np.array(w) * 1e160).tolist() for w in doc["weights"]]
-                with open(path, "w", encoding="utf-8") as fh:
-                    json.dump(doc, fh)
-                scaled.add(path)
-        argv = [tok.format(**paths) for tok in CASES[case].split()]
-        proc = self._run(*argv)
-        first = next(tok for tok in argv if tok in scaled)
-        assert proc.returncode == 1
-        assert "Warning" not in proc.stderr
-        assert proc.stderr.splitlines() == [f"error: {first}: the activations of layer 1 are not finite on the data"]
-        assert proc.stdout == ""
-
-    @pytest.mark.parametrize("case", ["path", "ntk-kernel-linear-empirical", "ntk-train-limiting",
-                                      "ntk-train-empirical", "align-mc-u0", "bounds"])
-    def test_weights_out_of_float_range_name_the_layer(self, tmp_path, case):
-        """With only the last two weight matrices of each golden file scaled
-        by 1e160, the activations stay finite up to the output layer and
-        overflow there: the message names that layer, counted from 0 like
-        the weight matrices."""
+    @staticmethod
+    def _scaled_golden_call(tmp_path, case, scale, matrices):
+        """The golden call's argv, with the given weight matrices of every
+        weight file multiplied by scale, and the weight files, each mapped
+        to the index of its last matrix."""
         from test_golden import CASES, write_inputs
 
         paths = write_inputs(tmp_path)
@@ -804,19 +777,49 @@ class TestDomainHolesExitOne:
                 doc = json.load(fh)
             if "weights" in doc:
                 ws = doc["weights"]
-                ws[-2:] = [(np.array(w) * 1e160).tolist() for w in ws[-2:]]
+                ws[matrices] = [(np.array(w) * scale).tolist() for w in ws[matrices]]
                 with open(path, "w", encoding="utf-8") as fh:
                     json.dump(doc, fh)
                 last[path] = len(ws) - 1
-        argv = [tok.format(**paths) for tok in CASES[case].split()]
+        return [tok.format(**paths) for tok in CASES[case].split()], last
+
+    def _assert_one_line(self, argv, message):
         proc = self._run(*argv)
-        first = next(tok for tok in argv if tok in last)
         assert proc.returncode == 1
         assert "Warning" not in proc.stderr
-        assert proc.stderr.splitlines() == [
-            f"error: {first}: the activations of layer {last[first]} are not finite on the data"
-        ]
+        assert proc.stderr.splitlines() == [f"error: {message}"]
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("case", WEIGHT_FILE_CASES)
+    def test_weights_out_of_float_range(self, tmp_path, case):
+        """The golden weight files times 1e160 once gave nan losses,
+        residuals or f_lin with exit 0, or numpy's overflow warnings and then
+        an error that blamed a nan risk or gram. The call now names the
+        first weight file it reads and the layer that overflows."""
+        argv, last = self._scaled_golden_call(tmp_path, case, 1e160, slice(None))
+        first = next(tok for tok in argv if tok in last)
+        self._assert_one_line(argv, f"{first}: the activations of layer 1 are not finite on the data")
+
+    @pytest.mark.parametrize("case", WEIGHT_FILE_CASES)
+    def test_weights_out_of_float_range_name_the_layer(self, tmp_path, case):
+        """With only the last two weight matrices of each golden file scaled
+        by 1e160, the activations stay finite up to the output layer and
+        overflow there: the message names that layer, counted from 0 like
+        the weight matrices."""
+        argv, last = self._scaled_golden_call(tmp_path, case, 1e160, slice(-2, None))
+        first = next(tok for tok in argv if tok in last)
+        self._assert_one_line(argv, f"{first}: the activations of layer {last[first]} are not finite on the data")
+
+    @pytest.mark.parametrize("case", WEIGHT_FILE_CASES)
+    def test_weights_whose_squared_norms_overflow(self, tmp_path, case):
+        """At 1e100 the activations stay finite but their squared norms do
+        not. align --u0-weights, path and ntk-train (limiting) once exited 0
+        with inf residuals, inf losses or f_lin near -6e199, and the
+        empirical kernels printed overflow warnings before blaming the
+        gram."""
+        argv, last = self._scaled_golden_call(tmp_path, case, 1e100, slice(None))
+        first = next(tok for tok in argv if tok in last)
+        self._assert_one_line(argv, f"{first}: the squared norm of the activations of layer 1 overflows on the data")
 
     @pytest.mark.parametrize("points", ["50", "2001"])
     def test_depth_30_analytic_spectrum_still_runs(self, points):

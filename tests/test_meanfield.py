@@ -294,6 +294,23 @@ class TestFixedPoints:
             length_fixed_point(sigma_w2, act, q0=0.3)
         assert err.value.last_value == math.inf
 
+    @pytest.mark.parametrize("sigma_w2", [1.5, 4.0])
+    @pytest.mark.parametrize("q0", [1e-12, 1e-15])
+    def test_tanh_from_a_tiny_q0_reaches_the_positive_fixed_point(self, sigma_w2, q0):
+        """Next to q = 0 the map's slope is sigma_w^2 > 1, so the first
+        steps are tiny but grow; they once passed the step test, and
+        sigma_w^2 = 1.5 from q0 = 1e-12 reported q_inf 1.5e-12 and chi_1 1.5
+        where q0 = 1 gives 0.2869 and 1.0406."""
+        want = length_fixed_point(sigma_w2, TANH, q0=1.0).q_inf
+        assert length_fixed_point(sigma_w2, TANH, q0=q0).q_inf == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("sigma_w2", [1.0001, 1.001])
+    def test_tanh_escape_too_slow_to_settle_raises(self, sigma_w2):
+        """Just above the edge the escape from q0 = 1e-12 takes more than
+        FIXED_POINT_ITERATIONS steps: an error, not the tiny iterate."""
+        with pytest.raises(DivergenceError, match="did not settle"):
+            length_fixed_point(sigma_w2, TANH, q0=1e-12)
+
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError, match="sigma_w2 must be positive"):
             length_fixed_point(-1.0, TANH)

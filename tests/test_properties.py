@@ -382,23 +382,29 @@ def test_first_layer_solver_equals_reconstruction(case):
 )
 def test_tanh_fixed_point_matches_iterated_length_map(sigma_w2, q0):
     """Above the edge, the hoisted iteration is the plain iteration of the
-    public map. Below it, V(q) < sigma_w^2 q < q makes q* = 0 exact and no
-    step is taken; the plain iteration is the oracle that it lands there."""
+    public map, which stops at a small step unless it is a step up where
+    dV/dq > 1 (the repelling side of q = 0). Below it, V(q) < sigma_w^2 q < q
+    makes q* = 0 exact and no step is taken; the plain iteration is the
+    oracle that it lands there. From a tiny q0 the escape from 0 can outlast
+    the 512 plain steps after which the Newton polish takes over; then the
+    gauss_ev reference, polish included, is the oracle."""
     act, tol = Activation("tanh"), 1e-10
-    q, k = q0, 0
-    while True:
-        k += 1
+    slope = _gauss_length_moments(sigma_w2)[1]
+    q = q0
+    for k in range(1, 513):
         q_next = meanfield.length_map(q, sigma_w2, act)
-        if abs(q_next - q) <= tol:
+        if abs(q_next - q) <= tol and (q_next <= q or slope(q_next) <= 1.0):
+            want = (q_next, k)
             break
         q = q_next
-    assert k < 512  # the Newton polish never fires on this range
+    else:
+        want = _reference_fixed_point(sigma_w2, q0)
     got = meanfield.length_fixed_point(sigma_w2, act, q0=q0)
     if sigma_w2 < 1.0:
-        assert abs(q_next) <= 1e-8
+        assert abs(want[0]) <= 1e-8
         assert (got.q_inf, got.iterations, got.marginal) == (0.0, 0, False)
     else:
-        assert (got.q_inf, got.iterations, got.marginal) == (q_next, k, False)
+        assert (got.q_inf, got.iterations, got.marginal) == (*want, False)
 
 
 # -- tanh length-map moments: the hoisted evaluator against gauss_ev -------------
@@ -429,7 +435,8 @@ def _gauss_length_moments(sigma_w2, nodes=meanfield.GH_NODES):
 
 def _reference_fixed_point(sigma_w2, q0, tol=1e-10, max_iter=10_000):
     """Plain iteration of the gauss_ev length map with the Newton polish on
-    V(q) - q at step 512; (q_inf, iterations), or "diverged". Below
+    V(q) - q at step 512; (q_inf, iterations), or "diverged". A small step
+    up and a Newton landing end it only where dV/dq <= 1. Below
     sigma_w^2 = 1, tanh^2 u < u^2 gives V(q) < q for q > 0, so q* = 0
     exactly, reached in no steps."""
     if sigma_w2 < 1.0:
@@ -449,7 +456,7 @@ def _reference_fixed_point(sigma_w2, q0, tol=1e-10, max_iter=10_000):
                 return None
             if abs(q_new - q) <= tol:
                 ok = abs(value(q_new) - q_new) <= 10.0 * tol * (1.0 + abs(q_new))
-                return (q_new, j) if ok else None
+                return (q_new, j) if ok and slope(q_new) <= 1.0 else None
             q = q_new
         return None
 
@@ -458,7 +465,7 @@ def _reference_fixed_point(sigma_w2, q0, tol=1e-10, max_iter=10_000):
         q_next = value(q)
         if not math.isfinite(q_next) or q_next > 1e12:
             return "diverged"
-        if abs(q_next - q) <= tol:
+        if abs(q_next - q) <= tol and (q_next <= q or slope(q_next) <= 1.0):
             return q_next, k
         q = q_next
         if k == 512 and (polished := polish(q)) is not None:

@@ -9,11 +9,14 @@ BENCHMARK.json's per_layer metrics. A reached function or class reaches
 every dltl name its body refers to: a bare name defined or imported in its
 module, or an attribute of an imported dltl module. A test oracle belongs
 in tests/, next to its test, so an entry of a module's __all__ that the
-walk does not reach fails here. Only reads perfbench/ and BENCHMARK.json.
+walk does not reach fails here. The same holds for parameters: a defaulted
+parameter that no call in the walked code sets is an option only tests
+use, and fails here too. Only reads perfbench/ and BENCHMARK.json.
 """
 
 import ast
 import json
+import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -88,18 +91,23 @@ def _public(tree: ast.Module) -> list[str]:
     return []
 
 
-def _walk() -> tuple[dict, set]:
+def _walk() -> tuple[dict, set, list]:
+    """The parsed modules, the reached (module, name) pairs, and the walked
+    scopes as (nodes, module or None, imports) triples."""
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
     defs = {name: _top_level(tree) for name, tree in trees.items()}
     imports = {name: _imports(tree) for name, tree in trees.items()}
 
-    todo = set()
+    scopes = []
     for name, tree in trees.items():
         module_code = [s for s in tree.body if not isinstance(s, (ast.FunctionDef, ast.ClassDef))]
-        todo |= _references(module_code, name, defs, imports[name])
+        scopes.append((module_code, name, imports[name]))
     for bench in ("workloads.py", "checks.py"):
         tree = ast.parse((ROOT / "perfbench" / bench).read_text(encoding="utf-8"))
-        todo |= _references([tree], None, defs, _imports(tree))
+        scopes.append(([tree], None, _imports(tree)))
+    todo = set()
+    for nodes, module, scope_imports in scopes:
+        todo |= _references(nodes, module, defs, scope_imports)
     per_layer = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
     for metric in per_layer:
         parts = metric["name"].split(".")
@@ -113,12 +121,14 @@ def _walk() -> tuple[dict, set]:
         if key in reached or name not in defs.get(module, {}):
             continue
         reached.add(key)
-        todo |= _references([defs[module][name]], module, defs, imports[module])
-    return trees, reached
+        node = defs[module][name]
+        scopes.append(([node], module, imports[module]))
+        todo |= _references([node], module, defs, imports[module])
+    return trees, reached, scopes
 
 
 def test_every_public_name_is_served():
-    trees, reached = _walk()
+    trees, reached, _ = _walk()
     unserved = [
         f"{module}.{name}"
         for module, tree in trees.items()
@@ -132,5 +142,76 @@ def test_every_public_name_is_served():
 def test_allowlist_is_needed():
     """An allowed name that the walk reaches after all leaves the list;
     this also shows that the walk does not reach everything."""
-    _, reached = _walk()
+    _, reached, _ = _walk()
     assert not [key for key in ALLOWED if key in reached]
+
+
+# Defaulted parameters of public functions that no served call sets, kept
+# on purpose, with the reason.
+ALLOWED_PARAMETERS = {
+    ("cli", "main", "argv"): "the seam through which tests run the CLI in-process",
+    ("meanfield", "gauss_ev", "nodes"): "gauss_ev is public only for a per_layer name; roadmap item 1 decides its fate",
+}
+
+
+def _served_calls() -> tuple[dict, set, dict]:
+    """The parsed modules, the reached (module, name) pairs, and (module,
+    function) -> the (positional count, keyword names) of every call to it
+    in walked code; a *args or **kwargs argument sets everything."""
+    trees, reached, scopes = _walk()
+    defs = {name: _top_level(tree) for name, tree in trees.items()}
+    calls = {}
+    for nodes, module, (modules, names) in scopes:
+        for root in nodes:
+            for node in ast.walk(root):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if isinstance(func, ast.Name) and func.id in names:
+                    key = names[func.id]
+                elif isinstance(func, ast.Name) and module is not None and func.id in defs[module]:
+                    key = (module, func.id)
+                elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in modules:
+                    key = (modules[func.value.id], func.attr)
+                else:
+                    continue
+                spread = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg for k in node.keywords}
+                calls.setdefault(key, []).append(
+                    (math.inf if spread else len(node.args), None if None in keywords else keywords)
+                )
+    return trees, reached, calls
+
+
+def test_every_public_parameter_is_served():
+    """A parameter with a default that no CLI handler, benchmark op or
+    served internal call ever sets is an option only tests use. Checked on
+    every public function and every private one that the walk reaches."""
+    trees, reached, calls = _served_calls()
+    unserved = []
+    for module, tree in trees.items():
+        public = set(_public(tree))
+        for stmt in tree.body:
+            if not (isinstance(stmt, ast.FunctionDef) and (stmt.name in public or (module, stmt.name) in reached)):
+                continue
+            args = stmt.args
+            positional = args.posonlyargs + args.args
+            defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= len(positional) - len(args.defaults)]
+            defaulted += [(math.inf, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for index, param in defaulted:
+                key = (module, stmt.name, param)
+                if key in ALLOWED_PARAMETERS:
+                    continue
+                if not any(count > index or keywords is None or param in keywords
+                           for count, keywords in calls.get((module, stmt.name), [])):
+                    unserved.append(".".join(key))
+    assert not unserved, f"defaulted parameters that no served call sets: {unserved}"
+
+
+def test_parameter_allowlist_is_needed():
+    _, _, calls = _served_calls()
+    set_anyway = [
+        key for key in ALLOWED_PARAMETERS
+        if any(keywords is None or key[2] in keywords for _, keywords in calls.get(key[:2], []))
+    ]
+    assert not set_anyway
