@@ -121,9 +121,9 @@ def _first_layer_solver(config: NetConfig, weights, x_left: np.ndarray):
     """h -> W_0 of reconstruct_first_layer for fixed upper weights
     weights[1:] and x_left = left_inverse(X). The right inverses of the
     scaled upper weights are computed, and rank-checked, once per solver."""
-    act, c0 = config.activation, config.layer_scale(0)
+    act, c0 = config.activation, config.scales[0]
     pullbacks = [
-        right_inverse(config.layer_scale(l) * weights[l], name=f"W_{l}")
+        right_inverse(config.scales[l] * weights[l], name=f"W_{l}")
         for l in range(config.n_layers - 1, 0, -1)
     ]
 

@@ -150,7 +150,9 @@ class NetConfig:
     matrices, W_l of shape (n_{l+1}, n_l). sigma_w2 is the weight variance
     scale sigma_w^2: gaussian init draws W_l ~ N(0, sigma_w2 / n_l) in the
     standard parameterization and N(0, 1) in the ntk one (where sigma_w
-    enters the forward scaling instead).
+    enters the forward scaling instead). scales holds the forward scale c_l
+    of h_{l+1} = c_l W_l x_l per layer, computed once: sqrt(sigma_w2 / n_l)
+    in the ntk parameterization and 1 in the standard one.
     """
 
     widths: tuple[int, ...]
@@ -158,8 +160,12 @@ class NetConfig:
     parameterization: str = "standard"
     init: str = "gaussian"
     sigma_w2: float = 1.0
+    scales: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # numpy integers are widths too; a bool, a float or a string is not
+        if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in self.widths):
+            raise ValueError(f"widths must be integers, got {list(self.widths)}")
         object.__setattr__(self, "widths", tuple(int(n) for n in self.widths))
         if isinstance(self.activation, str):
             object.__setattr__(self, "activation", Activation.parse(self.activation))
@@ -175,6 +181,9 @@ class NetConfig:
             raise ValueError(f"sigma_w2 must be positive and finite, got {self.sigma_w2}")
         if self.init == "orthogonal" and self.parameterization == "ntk":
             raise ValueError("orthogonal init is defined for the standard parameterization only")
+        ntk = self.parameterization == "ntk"
+        scales = tuple(float(np.sqrt(self.sigma_w2 / n)) if ntk else 1.0 for n in self.widths[:-1])
+        object.__setattr__(self, "scales", scales)
 
     @property
     def depth(self) -> int:
@@ -185,12 +194,6 @@ class NetConfig:
     def n_layers(self) -> int:
         """Number of weight matrices, L + 1."""
         return len(self.widths) - 1
-
-    def layer_scale(self, layer: int) -> float:
-        """Forward scale c_l in h_{l+1} = c_l W_l x_l."""
-        if self.parameterization == "standard":
-            return 1.0
-        return float(np.sqrt(self.sigma_w2 / self.widths[layer]))
 
 
 @dataclass
@@ -261,14 +264,12 @@ def forward(config: NetConfig, weights: list[np.ndarray], x: np.ndarray) -> Forw
     if x.shape[0] != config.widths[0]:
         raise ValueError(f"input has leading dim {x.shape[0]}, expected {config.widths[0]}")
     trace = ForwardTrace(x0=x)
-    act = config.activation
-    cur = x
-    for l in range(config.n_layers):
-        h = config.layer_scale(l) * (weights[l] @ cur)
-        trace.h.append(h)
-        if l < config.n_layers - 1:
-            cur = act(h)
+    act, cur = config.activation, x
+    for c, w in zip(config.scales, weights):
+        if trace.h:
+            cur = act(trace.h[-1])
             trace.x.append(cur)
+        trace.h.append(c * (w @ cur))
     return trace
 
 
@@ -290,8 +291,9 @@ def backprop(
     act = config.activation
     gs = [g]
     for l in range(config.n_layers - 1, 0, -1):
-        g_prev = config.layer_scale(l) * act.deriv(trace.h[l - 1]) * (weights[l].T @ gs[0])
-        gs.insert(0, g_prev)
+        g = config.scales[l] * act.deriv(trace.h[l - 1]) * (weights[l].T @ g)
+        gs.append(g)
+    gs.reverse()
     return gs
 
 
@@ -304,11 +306,11 @@ def backward(
     """
     if trace.h[-1].ndim != 1:
         raise ValueError("backward expects a single-input trace")
-    seed_grad = np.zeros_like(trace.h[-1])
+    seed_grad = np.zeros(trace.h[-1].shape)
     seed_grad[output_index] = 1.0
     gs = backprop(config, weights, trace, seed_grad)
     inputs = [trace.x0, *trace.x]
-    grads = [config.layer_scale(l) * np.outer(gs[l], inputs[l]) for l in range(config.n_layers)]
+    grads = [c * (g[:, None] * x[None, :]) for c, g, x in zip(config.scales, gs, inputs)]
     return BackwardTrace(g=gs, grads=grads)
 
 
@@ -325,7 +327,7 @@ def jacobian(config: NetConfig, weights: list[np.ndarray], x: np.ndarray) -> np.
     j = np.eye(config.widths[1])
     for l in range(1, config.n_layers):
         d = act.deriv(trace.h[l - 1])
-        j = (config.layer_scale(l) * weights[l]) @ (d[:, None] * j)
+        j = (config.scales[l] * weights[l]) @ (d[:, None] * j)
     return j
 
 
@@ -357,12 +359,15 @@ def load_weights(path) -> tuple[NetConfig, list[np.ndarray]]:
         doc = json.load(fh)
     if doc.get("version") != 1:
         raise ValueError(f"unsupported weight file version {doc.get('version')!r}")
-    config = NetConfig(
-        widths=tuple(doc["widths"]),
-        activation=Activation.parse(doc["activation"]),
-        parameterization=doc["parameterization"],
-        sigma_w2=float(doc.get("sigma_w2", 1.0)),
-    )
+    try:
+        config = NetConfig(
+            widths=tuple(doc["widths"]),
+            activation=Activation.parse(doc["activation"]),
+            parameterization=doc["parameterization"],
+            sigma_w2=float(doc.get("sigma_w2", 1.0)),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     weights = [np.asarray(w, dtype=float) for w in doc["weights"]]
     _check_shapes(config, weights)
     return config, weights

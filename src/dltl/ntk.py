@@ -376,7 +376,7 @@ def _tangent_gram(
     xs_b, gs_b = (xs_a, gs_a) if x_b is None else layer_factors(x_b)
     gram = np.zeros((xs_a[0].shape[1], xs_b[0].shape[1]))
     for l in range(config.n_layers):
-        gram += config.layer_scale(l) ** 2 * (gs_a[l].T @ gs_b[l]) * (xs_a[l].T @ xs_b[l])
+        gram += config.scales[l] ** 2 * (gs_a[l].T @ gs_b[l]) * (xs_a[l].T @ xs_b[l])
     return gram
 
 
@@ -428,7 +428,8 @@ class LinearizedSolution:
     def __post_init__(self):
         recon = (self.eigvecs * self.eigvals) @ self.eigvecs.T
         err = float(np.max(np.abs(recon - self.gram.matrix)))
-        if err > 1e-8:
+        # relative to the gram's scale: eigh is accurate to rounding of |lambda|_max
+        if err > 1e-8 * max(1.0, float(np.abs(self.eigvals).max())):
             raise ValueError(f"eigendecomposition misses the gram by {err:.3e}")
 
     def solve_factor(self, t: float) -> np.ndarray:

@@ -821,6 +821,34 @@ class TestDomainHolesExitOne:
         first = next(tok for tok in argv if tok in last)
         self._assert_one_line(argv, f"{first}: the squared norm of the activations of layer 1 overflows on the data")
 
+    def test_empirical_training_on_weights_times_1e4(self, tmp_path):
+        """The eigendecomposition check once held the reconstruction error
+        of the 1e8-scale gram to an absolute 1e-8 and exited 1 ("misses the
+        gram by 6.519e-08", a relative error near 1e-16). It is relative now."""
+        argv, _ = self._scaled_golden_call(tmp_path, "ntk-train-empirical", 1e4, slice(None))
+        proc = self._run(*argv, "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        f_lin = [v for row in json.loads(proc.stdout)["predictions"] for v in row["f_lin"]]
+        assert f_lin and all(math.isfinite(v) for v in f_lin)
+
+    @pytest.mark.parametrize("width", [8.9, "8", True])
+    def test_weight_file_with_a_width_that_is_not_an_integer(self, tmp_path, width):
+        """A width of 8.9 or "8" once loaded as 8, and True as 1; the
+        (3, 8, 1) file then ran with exit 0."""
+        from test_golden import write_inputs
+
+        paths = write_inputs(tmp_path)
+        net = paths["ntk_relu"]
+        with open(net, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        assert doc["widths"] == [3, 8, 1]
+        doc["widths"][1] = width
+        with open(net, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        argv = ["ntk-kernel", "--data", paths["data"], "--kind", "empirical", "--weights", net]
+        self._assert_one_line(argv, f"{net}: widths must be integers, got {[3, width, 1]}")
+
     @pytest.mark.parametrize("points", ["50", "2001"])
     def test_depth_30_analytic_spectrum_still_runs(self, points):
         """The deepest curves above fail in float64; depth 30 still fits."""

@@ -1,8 +1,13 @@
 """Network primitives: activations, init statistics, forward/backward/jacobian
-against finite differences, weight-file round trips."""
+against finite differences and a per-call reference loop, weight-file round
+trips."""
+
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dltl.netcore import (
     Activation,
@@ -121,14 +126,27 @@ class TestNetConfig:
                 init="orthogonal",
             )
 
-    def test_layer_scale(self):
+    def test_scales(self):
         std = NetConfig(widths=(4, 16, 1), activation="relu")
-        assert std.layer_scale(0) == 1.0
+        assert std.scales == (1.0, 1.0)
         ntk = NetConfig(
             widths=(4, 16, 1), activation="relu", parameterization="ntk", sigma_w2=2.0
         )
-        assert ntk.layer_scale(0) == pytest.approx(np.sqrt(2.0 / 4.0))
-        assert ntk.layer_scale(1) == pytest.approx(np.sqrt(2.0 / 16.0))
+        assert ntk.scales == (float(np.sqrt(2.0 / 4.0)), float(np.sqrt(2.0 / 16.0)))
+        assert all(type(c) is float for c in ntk.scales)
+        # derived from the other fields: not an argument, not in repr or eq
+        assert "scales" not in repr(ntk)
+        with pytest.raises(TypeError):
+            NetConfig(widths=(4, 16, 1), activation="relu", scales=(1.0, 1.0))
+
+    @pytest.mark.parametrize("width", [8.9, 8.0, "8", True, np.bool_(True), np.float64(8.0)])
+    def test_rejects_widths_that_are_not_integers(self, width):
+        with pytest.raises(ValueError, match="widths must be integers"):
+            NetConfig(widths=(3, width, 1), activation="relu")
+
+    def test_numpy_integer_widths(self):
+        config = NetConfig(widths=np.array([3, 8, 1]), activation="relu")
+        assert config.widths == (3, 8, 1) and all(type(n) is int for n in config.widths)
 
 
 class TestInit:
@@ -274,7 +292,7 @@ class TestForwardBackward:
         def tail_out(h):
             cur = h
             for l in range(1, config.n_layers):
-                cur = config.layer_scale(l) * (weights[l] @ act(cur))
+                cur = config.scales[l] * (weights[l] @ act(cur))
             return cur
 
         eps = 1e-6
@@ -295,6 +313,81 @@ class TestForwardBackward:
         wl2 = [5.0 * wl[0]] + [w.copy() for w in wl[1:]]
         np.testing.assert_allclose(jacobian(lin, wl2, x), j_lin, atol=1e-12)
         assert j1.shape == (2, 6)
+
+
+def _reference_scale(config, l):
+    """The forward scale as it was computed on every call before NetConfig
+    kept scales."""
+    if config.parameterization == "standard":
+        return 1.0
+    return float(np.sqrt(config.sigma_w2 / config.widths[l]))
+
+
+def _reference_forward(config, weights, x):
+    hs, xs, cur = [], [], x
+    for l in range(config.n_layers):
+        h = _reference_scale(config, l) * (weights[l] @ cur)
+        hs.append(h)
+        if l < config.n_layers - 1:
+            cur = config.activation(h)
+            xs.append(cur)
+    return hs, xs
+
+
+def _reference_backprop(config, weights, hs, seed_grad):
+    gs = [seed_grad]
+    for l in range(config.n_layers - 1, 0, -1):
+        g = _reference_scale(config, l) * config.activation.deriv(hs[l - 1]) * (weights[l].T @ gs[0])
+        gs.insert(0, g)
+    return gs
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    widths=st.lists(st.integers(1, 7), min_size=2, max_size=5),
+    activation=st.sampled_from(["linear", "relu", "leaky_relu:0.2", "tanh"]),
+    parameterization=st.sampled_from(["standard", "ntk"]),
+    sigma_w2=st.floats(0.1, 4.0),
+    other_sigma_w2=st.floats(0.1, 4.0),
+    batch=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_passes_equal_the_per_call_reference_loop(
+    widths, activation, parameterization, sigma_w2, other_sigma_w2, batch, seed, data
+):
+    """forward, backprop (single input and column batch), backward and
+    jacobian equal, bit for bit, a loop that recomputes each layer's scale
+    per call, prepends each gradient and takes np.outer."""
+    config = NetConfig(tuple(widths), activation, parameterization=parameterization, sigma_w2=sigma_w2)
+    assert config.scales == tuple(_reference_scale(config, l) for l in range(config.n_layers))
+    other = dataclasses.replace(config, sigma_w2=other_sigma_w2)
+    assert other.scales == tuple(_reference_scale(other, l) for l in range(other.n_layers))
+    weights = init_weights(config, seed)
+    rng = np.random.default_rng(seed)
+    x, xb = rng.standard_normal(widths[0]), rng.standard_normal((widths[0], batch))
+    for inp in (x, xb):
+        trace = forward(config, weights, inp)
+        hs, xs = _reference_forward(config, weights, inp)
+        assert all(np.array_equal(a, b) for a, b in zip(trace.h, hs, strict=True))
+        assert all(np.array_equal(a, b) for a, b in zip(trace.x, xs, strict=True))
+        seed_grad = rng.standard_normal(trace.output.shape)
+        gs = _reference_backprop(config, weights, hs, seed_grad)
+        assert all(np.array_equal(a, b) for a, b in zip(backprop(config, weights, trace, seed_grad), gs, strict=True))
+    i = data.draw(st.integers(0, widths[-1] - 1), label="output_index")
+    trace = forward(config, weights, x)
+    hs, xs = _reference_forward(config, weights, x)
+    e_i = np.zeros_like(hs[-1])
+    e_i[i] = 1.0
+    gs = _reference_backprop(config, weights, hs, e_i)
+    grads = [_reference_scale(config, l) * np.outer(gs[l], [x, *xs][l]) for l in range(config.n_layers)]
+    bt = backward(config, weights, trace, i)
+    assert all(np.array_equal(a, b) for a, b in zip(bt.g, gs, strict=True))
+    assert all(np.array_equal(a, b) for a, b in zip(bt.grads, grads, strict=True))
+    j = np.eye(widths[1])
+    for l in range(1, config.n_layers):
+        j = (_reference_scale(config, l) * weights[l]) @ (config.activation.deriv(hs[l - 1])[:, None] * j)
+    assert np.array_equal(jacobian(config, weights, x), j)
 
 
 class TestWeightFiles:

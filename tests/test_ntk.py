@@ -2,6 +2,7 @@
 empirical kernels, closed-form linearized training, the bayesian posterior
 identity, the two-layer convergence monitor, and kernel-label alignment."""
 
+import dataclasses
 import math
 import warnings
 
@@ -199,6 +200,22 @@ class TestLinearizedTraining:
             _, _, x, y, sol = self._setup(kernel=kernel)
             pred = ntk.linearized_train(sol, x, math.inf)
             np.testing.assert_allclose(pred.f_lin, y, atol=1e-8)
+
+    def test_eigendecomposition_check_is_relative_to_the_gram(self):
+        """A decomposition that misses the gram by 1e-6 of lambda_max raises
+        at scale 1 and at 1e8; the exact one of the 1e8-scaled gram, whose
+        rounding error exceeds an absolute 1e-8, passes."""
+        _, _, _, _, sol = self._setup(kernel="empirical")
+        off = np.ones_like(sol.eigvals)
+        off[-1] += 1e-6
+        with pytest.raises(ValueError, match="eigendecomposition misses the gram"):
+            dataclasses.replace(sol, eigvals=sol.eigvals * off)
+        big = ntk.KernelGram(sol.gram.matrix * 1e8, tag=sol.gram.tag)
+        vals, vecs = np.linalg.eigh(big.matrix)
+        assert np.max(np.abs((vecs * vals) @ vecs.T - big.matrix)) > 1e-8
+        dataclasses.replace(sol, gram=big, eigvals=vals, eigvecs=vecs)
+        with pytest.raises(ValueError, match="eigendecomposition misses the gram"):
+            dataclasses.replace(sol, gram=big, eigvals=vals * off, eigvecs=vecs)
 
     def test_zero_time_is_initial_model(self):
         config, weights, x, y, sol = self._setup()

@@ -1,0 +1,31 @@
+"""Smoke test of tools/op_times.py: one component case, one run, alone and
+paired against the same checkout."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "op_times.py"
+
+
+def test_times_one_case_once():
+    proc = subprocess.run([sys.executable, str(TOOL), "--runs", "1", "--case", "forward_backward.w8"],
+                          capture_output=True, text=True, check=True)
+    (line,) = proc.stdout.splitlines()
+    doc = json.loads(line)
+    assert (doc["case"], doc["per"], doc["runs"]) == ("forward_backward.w8", "call", 1)
+    assert doc["calls"] >= 1
+    assert 0 < doc["min_us"] == doc["median_us"] == doc["max_us"]
+
+
+def test_pairs_two_trees():
+    proc = subprocess.run([sys.executable, str(TOOL), "--pair", str(ROOT), str(ROOT), "--rounds", "2",
+                           "--runs", "1", "--case", "nngp_recursion.relu"],
+                          capture_output=True, text=True, check=True)
+    (line,) = proc.stdout.splitlines()
+    doc = json.loads(line)
+    assert (doc["case"], doc["rounds"]) == ("nngp_recursion.relu", 2)
+    assert len(doc["a_us"]) == len(doc["b_us"]) == 2 and all(t > 0 for t in doc["a_us"] + doc["b_us"])
+    assert doc["b_lower_rounds"] in ("0/2", "1/2", "2/2")
