@@ -342,6 +342,10 @@ def _reference_backprop(config, weights, hs, seed_grad):
     return gs
 
 
+def _all_equal(arrays, reference):
+    return all(np.array_equal(a, b) for a, b in zip(arrays, reference, strict=True))
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     widths=st.lists(st.integers(1, 7), min_size=2, max_size=5),
@@ -369,21 +373,19 @@ def test_passes_equal_the_per_call_reference_loop(
     for inp in (x, xb):
         trace = forward(config, weights, inp)
         hs, xs = _reference_forward(config, weights, inp)
-        assert all(np.array_equal(a, b) for a, b in zip(trace.h, hs, strict=True))
-        assert all(np.array_equal(a, b) for a, b in zip(trace.x, xs, strict=True))
+        assert _all_equal(trace.h, hs) and _all_equal(trace.x, xs)
         seed_grad = rng.standard_normal(trace.output.shape)
-        gs = _reference_backprop(config, weights, hs, seed_grad)
-        assert all(np.array_equal(a, b) for a, b in zip(backprop(config, weights, trace, seed_grad), gs, strict=True))
-    i = data.draw(st.integers(0, widths[-1] - 1), label="output_index")
+        reference = _reference_backprop(config, weights, hs, seed_grad)
+        assert _all_equal(backprop(config, weights, trace, seed_grad), reference)
     trace = forward(config, weights, x)
     hs, xs = _reference_forward(config, weights, x)
+    i = data.draw(st.integers(0, widths[-1] - 1), label="output_index")
     e_i = np.zeros_like(hs[-1])
     e_i[i] = 1.0
-    gs = _reference_backprop(config, weights, hs, e_i)
-    grads = [_reference_scale(config, l) * np.outer(gs[l], [x, *xs][l]) for l in range(config.n_layers)]
+    gs, inputs = _reference_backprop(config, weights, hs, e_i), [x, *xs]
+    grads = [_reference_scale(config, l) * np.outer(gs[l], inputs[l]) for l in range(config.n_layers)]
     bt = backward(config, weights, trace, i)
-    assert all(np.array_equal(a, b) for a, b in zip(bt.g, gs, strict=True))
-    assert all(np.array_equal(a, b) for a, b in zip(bt.grads, grads, strict=True))
+    assert _all_equal(bt.g, gs) and _all_equal(bt.grads, grads)
     j = np.eye(widths[1])
     for l in range(1, config.n_layers):
         j = (_reference_scale(config, l) * weights[l]) @ (config.activation.deriv(hs[l - 1])[:, None] * j)
