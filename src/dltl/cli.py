@@ -299,8 +299,8 @@ def _run_spectrum(args: argparse.Namespace) -> Emission:
         init=args.init,
         sigma_w2=args.sigma_w2,
     )
-    emp = spectra.empirical_spectrum(config, replicates=args.replicates, seed=args.seed)
-    counts, edges = np.histogram(emp.eigenvalues, bins=args.bins, density=True)
+    eigenvalues = spectra.empirical_spectrum(config, replicates=args.replicates, seed=args.seed)
+    counts, edges = np.histogram(eigenvalues, bins=args.bins, density=True)
     rows = tuple(
         (edges[i], edges[i + 1], counts[i]) for i in range(counts.size)
     )
@@ -574,27 +574,32 @@ def _run_align(args: argparse.Namespace) -> Emission:
 def _read_contraction_spec(path: str) -> tuple[wick.ContractionSpec, int]:
     from . import wick
 
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    allowed = {"m", "depth", "contractions", "inputs"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
-    for key in ("m", "depth"):
-        if key not in doc:
-            raise ValueError(f"{path}: missing key {key!r}")
-    depth, contractions, inputs = doc["depth"], doc.get("contractions", []), doc.get("inputs", [])
-    if type(depth) is not int:
-        raise ValueError(f"{path}: depth must be an integer, got {depth!r}")
-    if not (isinstance(contractions, list) and isinstance(inputs, list)):
-        raise ValueError(f"{path}: contractions and inputs must be lists")
-    spec = wick.ContractionSpec(
-        m=doc["m"],
-        contractions=tuple(contractions),
-        inputs=tuple(np.asarray(v, dtype=float) for v in inputs),
-    )
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("expected a JSON object")
+        allowed = {"m", "depth", "contractions", "inputs"}
+        unknown = set(doc) - allowed
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(unknown)}")
+        for key in ("m", "depth"):
+            if key not in doc:
+                raise ValueError(f"missing key {key!r}")
+        depth, contractions, inputs = doc["depth"], doc.get("contractions", []), doc.get("inputs", [])
+        if type(depth) is not int:
+            raise ValueError(f"depth must be an integer, got {depth!r}")
+        if not (isinstance(contractions, list) and isinstance(inputs, list)):
+            raise ValueError("contractions and inputs must be lists")
+        arrays = []
+        for k, v in enumerate(inputs, 1):
+            try:
+                arrays.append(np.asarray(v, dtype=float))
+            except (TypeError, ValueError):
+                raise ValueError(f"input of factor {k} must be a number or a list of numbers, got {v!r}") from None
+        spec = wick.ContractionSpec(m=doc["m"], inputs=tuple(arrays), contractions=tuple(contractions))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return spec, depth
 
 

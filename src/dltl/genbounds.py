@@ -18,8 +18,7 @@ prior variance on a countable grid so the union bound stays valid
 
 Margins follow the binary convention: labels are +-1, a scalar score z
 classifies correctly when y z > 0, and the gamma-margin risk counts
-y z < gamma. The soft (ramp) variant is 1 for y z <= 0, 1 - y z / gamma
-inside the margin, 0 beyond it.
+y z < gamma.
 
 Datasets are (x, y) pairs with x of shape (m, n_0), one example per row,
 which is the natural orientation for risk sums; functions that evaluate a
@@ -64,18 +63,13 @@ _NORM_CHAIN_TOL = 1e-9
 
 @dataclass(frozen=True)
 class MarginStats:
-    """Per-example margins y_i f(x_i) with the hard and ramp risks at gamma."""
+    """The hard gamma-margin risk: the share of examples with y_i f(x_i) < gamma."""
 
-    gamma: float
-    margins: np.ndarray
     hard_risk: float
-    ramp_risk: float
 
     def __post_init__(self):
         if not 0.0 <= self.hard_risk <= 1.0:
             raise ValueError(f"hard margin risk {self.hard_risk} outside [0, 1]")
-        if not 0.0 <= self.ramp_risk <= 1.0:
-            raise ValueError(f"ramp risk {self.ramp_risk} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -676,11 +670,11 @@ def dziugaite_roy_optimize(
 
 
 def margin_stats(weights, config: NetConfig, dataset, gamma: float) -> MarginStats:
-    """Margins and margin risks of a scalar-output net on labeled data.
+    """The margin risk of a scalar-output net on labeled data.
 
-    The hard risk counts y f(x) < gamma (strictly); the ramp risk is 1 for
-    y f(x) <= 0, linear in between, 0 from gamma on. At gamma = 0 the hard
-    risk is the plain 0/1 risk.
+    The hard risk counts y f(x) < gamma (strictly). At gamma = 0 it is the
+    plain 0/1 risk. Scores that are not finite are an error: a nan margin
+    would count as correct.
     """
     gamma = float(gamma)
     if gamma < 0.0:
@@ -688,19 +682,8 @@ def margin_stats(weights, config: NetConfig, dataset, gamma: float) -> MarginSta
     if config.widths[-1] != 1:
         raise ValueError(f"margins need a scalar output, got width {config.widths[-1]}")
     x, y = _binary_dataset(dataset)
-    scores = forward(config, weights, x.T).output.ravel()
-    margins = y * scores
-    hard = float(np.mean(margins < gamma))
-    if gamma == 0.0:
-        ramp = (margins <= 0.0).astype(float)
-    else:
-        # the clip realizes all three ramp branches at once; a quotient that
-        # overflows at a tiny gamma is +-inf, which the clip maps to 1 or 0
-        with np.errstate(over="ignore"):
-            ramp = np.clip(1.0 - margins / gamma, 0.0, 1.0)
-    return MarginStats(
-        gamma=gamma,
-        margins=margins,
-        hard_risk=hard,
-        ramp_risk=float(np.mean(ramp)),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+        scores = forward(config, weights, x.T).output.ravel()
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("the net's scores are not finite on the data")
+    return MarginStats(hard_risk=float(np.mean(y * scores < gamma)))

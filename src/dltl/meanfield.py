@@ -58,11 +58,7 @@ NEWTON_STEPS = 200
 
 
 class DivergenceError(RuntimeError):
-    """An iteration left its basin; carries the last iterate seen."""
-
-    def __init__(self, message: str, last_value: float):
-        super().__init__(message)
-        self.last_value = last_value
+    """An iteration left its basin; the message names the last iterate seen."""
 
 
 @lru_cache(maxsize=8)
@@ -271,7 +267,7 @@ def length_map(q: float, sigma_w2: float, act: Activation, nodes: int = GH_NODES
         value = _length_moments(sigma_w2, nodes).value(q)
     if not math.isfinite(value):
         raise DivergenceError(
-            f"length map overflowed at q = {q:g} (next value {value:g})", last_value=value
+            f"length map overflowed at q = {q:g} (next value {value:g})"
         )
     return value
 
@@ -344,7 +340,7 @@ def length_fixed_point(sigma_w2: float, act: Activation, q0: float = 1.0) -> Fix
     kappa = 1 (e.g. relu at sigma_w^2 = 2) leaves every q fixed and returns
     q0 with marginal=True rather than inventing a unique answer; kappa < 1,
     or q0 = 0, gives q* = 0 exactly; kappa > 1 from q0 > 0 grows without
-    bound and raises DivergenceError with last_value inf.
+    bound and raises DivergenceError.
 
     For tanh at sigma_w^2 < 1, tanh(u)^2 < u^2 gives V(q) < sigma_w^2 q < q,
     so q* = 0 exactly; it is returned with iterations = 0, as no map is
@@ -361,7 +357,7 @@ def length_fixed_point(sigma_w2: float, act: Activation, q0: float = 1.0) -> Fix
     iteration only where dV/dq <= 1. A small step down ends it as before:
     V(q) <= q holds above the positive fixed point, and at q = 0, where
     q0 = 0 stays. Divergence (overflow or no convergence within
-    FIXED_POINT_ITERATIONS) raises DivergenceError carrying the last
+    FIXED_POINT_ITERATIONS) raises DivergenceError naming the last
     iterate.
     """
     if not 0.0 <= q0 < math.inf:
@@ -375,7 +371,7 @@ def length_fixed_point(sigma_w2: float, act: Activation, q0: float = 1.0) -> Fix
         if kappa < 1.0 or q0 == 0.0:
             return FixedPointResult(q_inf=0.0, iterations=0, marginal=False)
         raise DivergenceError(
-            f"length map V(q) = {kappa:g} q grows without bound from q0 = {q0:g}", last_value=math.inf
+            f"length map V(q) = {kappa:g} q grows without bound from q0 = {q0:g}"
         )
     if sigma_w2 < 1.0:
         return FixedPointResult(q_inf=0.0, iterations=0, marginal=False)
@@ -386,8 +382,7 @@ def length_fixed_point(sigma_w2: float, act: Activation, q0: float = 1.0) -> Fix
         q_next = length_value(q)
         if not isfinite(q_next) or q_next > 1e12:
             raise DivergenceError(
-                f"length map diverged after {k} iterations (last iterate {q_next:g})",
-                last_value=q_next,
+                f"length map diverged after {k} iterations (last iterate {q_next:g})"
             )
         if abs(q_next - q) <= FIXED_POINT_TOL and (q_next <= q or slope(q_next) <= 1.0):
             return FixedPointResult(q_inf=q_next, iterations=k, marginal=False)
@@ -398,8 +393,7 @@ def length_fixed_point(sigma_w2: float, act: Activation, q0: float = 1.0) -> Fix
                 q_star, extra = polished
                 return FixedPointResult(q_inf=q_star, iterations=k + extra, marginal=False)
     raise DivergenceError(
-        f"length map did not settle within {FIXED_POINT_ITERATIONS} iterations (last iterate {q:g})",
-        last_value=q,
+        f"length map did not settle within {FIXED_POINT_ITERATIONS} iterations (last iterate {q:g})"
     )
 
 
@@ -518,7 +512,6 @@ class MomentProfile:
     q_se: np.ndarray
     delta: np.ndarray
     delta_se: np.ndarray
-    replicates: int
 
 
 def simulate_moments(config: NetConfig, x: np.ndarray, replicates: int = 200, seed: int = 0) -> MomentProfile:
@@ -549,5 +542,4 @@ def simulate_moments(config: NetConfig, x: np.ndarray, replicates: int = 200, se
         q_se=qs.std(axis=0, ddof=1) / math.sqrt(replicates),
         delta=deltas.mean(axis=0),
         delta_se=deltas.std(axis=0, ddof=1) / math.sqrt(replicates),
-        replicates=replicates,
     )

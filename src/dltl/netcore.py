@@ -25,7 +25,6 @@ __all__ = [
     "Activation",
     "NetConfig",
     "ForwardTrace",
-    "BackwardTrace",
     "haar_orthogonal",
     "init_weights",
     "forward",
@@ -201,20 +200,12 @@ class ForwardTrace:
     """Preactivations h_1..h_{L+1}, activations x_1..x_L, and the input."""
 
     x0: np.ndarray
-    h: list[np.ndarray] = field(default_factory=list)    # h[l-1] is h_l
-    x: list[np.ndarray] = field(default_factory=list)    # x[l-1] is x_l
+    h: list[np.ndarray]    # h[l-1] is h_l
+    x: list[np.ndarray]    # x[l-1] is x_l
 
     @property
     def output(self) -> np.ndarray:
         return self.h[-1]
-
-
-@dataclass
-class BackwardTrace:
-    """Gradients g_1..g_{L+1} wrt preactivations and weight gradients."""
-
-    g: list[np.ndarray]        # g[l-1] is dL/dh_l
-    grads: list[np.ndarray]    # grads[l] is dL/dW_l
 
 
 def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -263,14 +254,14 @@ def forward(config: NetConfig, weights: list[np.ndarray], x: np.ndarray) -> Forw
     x = np.asarray(x, dtype=float)
     if x.shape[0] != config.widths[0]:
         raise ValueError(f"input has leading dim {x.shape[0]}, expected {config.widths[0]}")
-    trace = ForwardTrace(x0=x)
+    hs, xs = [], []
     act, cur = config.activation, x
     for c, w in zip(config.scales, weights):
-        if trace.h:
-            cur = act(trace.h[-1])
-            trace.x.append(cur)
-        trace.h.append(c * (w @ cur))
-    return trace
+        if hs:
+            cur = act(hs[-1])
+            xs.append(cur)
+        hs.append(c * (w @ cur))
+    return ForwardTrace(x0=x, h=hs, x=xs)
 
 
 def backprop(
@@ -299,10 +290,10 @@ def backprop(
 
 def backward(
     config: NetConfig, weights: list[np.ndarray], trace: ForwardTrace, output_index: int
-) -> BackwardTrace:
-    """The gradient of output output_index of a single-input trace:
-    backpropagate from h_{L+1} with the seed e_i. Weight gradients come out
-    as the scaled outer products grads[l] = c_l * outer(g_{l+1}, x_l).
+) -> list[np.ndarray]:
+    """The weight gradients of output output_index of a single-input trace:
+    backpropagate from h_{L+1} with the seed e_i, then take the scaled
+    outer products grads[l] = c_l * outer(g_{l+1}, x_l) = dL/dW_l.
     """
     if trace.h[-1].ndim != 1:
         raise ValueError("backward expects a single-input trace")
@@ -310,8 +301,7 @@ def backward(
     seed_grad[output_index] = 1.0
     gs = backprop(config, weights, trace, seed_grad)
     inputs = [trace.x0, *trace.x]
-    grads = [c * (g[:, None] * x[None, :]) for c, g, x in zip(config.scales, gs, inputs)]
-    return BackwardTrace(g=gs, grads=grads)
+    return [c * (g[:, None] * x[None, :]) for c, g, x in zip(config.scales, gs, inputs)]
 
 
 def jacobian(config: NetConfig, weights: list[np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -353,21 +343,35 @@ def load_weights(path) -> tuple[NetConfig, list[np.ndarray]]:
     """Read a weight file written by save_weights.
 
     The init scheme is a sampling-time concern and is not stored; the
-    returned config carries the default ("gaussian", sigma_w2 = 1).
+    returned config carries the default ("gaussian", sigma_w2 = 1). A file
+    that is not such a document raises a ValueError that names it.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("version") != 1:
-        raise ValueError(f"unsupported weight file version {doc.get('version')!r}")
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("expected a JSON object")
+        if doc.get("version") != 1:
+            raise ValueError(f"unsupported weight file version {doc.get('version')!r}")
+        for key, kind in (("widths", list), ("activation", str), ("parameterization", str), ("weights", list)):
+            if key not in doc:
+                raise ValueError(f"missing key {key!r}")
+            if not isinstance(doc[key], kind):
+                raise ValueError(f"{key} must be a {'list' if kind is list else 'string'}, got {doc[key]!r}")
+        sigma_w2 = doc.get("sigma_w2", 1.0)
+        if isinstance(sigma_w2, bool) or not isinstance(sigma_w2, (int, float)):
+            raise ValueError(f"sigma_w2 must be a number, got {sigma_w2!r}")
         config = NetConfig(
             widths=tuple(doc["widths"]),
             activation=Activation.parse(doc["activation"]),
             parameterization=doc["parameterization"],
-            sigma_w2=float(doc.get("sigma_w2", 1.0)),
+            sigma_w2=float(sigma_w2),
         )
+        try:
+            weights = [np.asarray(w, dtype=float) for w in doc["weights"]]
+        except (TypeError, ValueError):
+            raise ValueError("weights must be lists of numbers") from None
+        _check_shapes(config, weights)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    weights = [np.asarray(w, dtype=float) for w in doc["weights"]]
-    _check_shapes(config, weights)
     return config, weights

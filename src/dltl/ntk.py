@@ -420,9 +420,9 @@ class LinearizedSolution:
     config: NetConfig
     weights: list[np.ndarray] = field(repr=False)
     x_train: np.ndarray = field(repr=False)
-    kernel: str = "limiting"
-    nodes: int = GH_NODES
-    nngp_train: np.ndarray | None = field(default=None, repr=False)
+    kernel: str
+    nodes: int
+    nngp_train: np.ndarray | None = field(repr=False)
     _query_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -446,7 +446,6 @@ class LinearizedSolution:
 class LinearizedPrediction:
     """Point prediction and, for kernel-limit solutions, the GP moments."""
 
-    t: float
     f_lin: np.ndarray
     gp_mean: np.ndarray | None = None
     gp_cov: np.ndarray | None = None
@@ -538,7 +537,7 @@ def linearized_train(
     if sol.kernel == "empirical":
         theta_cross = _tangent_gram(config, sol.weights, x_query, sol.x_train)
         f_lin = f0_query + theta_cross @ b_t @ (sol.y - sol.f0_train)
-        return LinearizedPrediction(t=t, f_lin=f_lin)
+        return LinearizedPrediction(f_lin=f_lin)
 
     theta_cross, nngp_cross, nngp_query = _query_kernels(sol, x_query)
     if sol.kernel == "last_layer":
@@ -546,7 +545,7 @@ def linearized_train(
     if k > 1:
         theta_big = np.kron(theta_cross, np.eye(k))
         f_lin = f0_query + theta_big @ b_t @ (sol.y - sol.f0_train)
-        return LinearizedPrediction(t=t, f_lin=f_lin)
+        return LinearizedPrediction(f_lin=f_lin)
 
     f_lin = f0_query + theta_cross @ b_t @ (sol.y - sol.f0_train)
     gp_mean = theta_cross @ b_t @ sol.y
@@ -557,7 +556,7 @@ def linearized_train(
         - cross_term.T
         + theta_cross @ b_t @ sol.nngp_train @ b_t @ theta_cross.T
     )
-    return LinearizedPrediction(t=t, f_lin=f_lin, gp_mean=gp_mean, gp_cov=gp_cov)
+    return LinearizedPrediction(f_lin=f_lin, gp_mean=gp_mean, gp_cov=gp_cov)
 
 
 def _query_kernels(
@@ -770,7 +769,6 @@ class AlignmentReport:
     """
 
     eigvals: np.ndarray
-    eigvecs: np.ndarray
     projections: np.ndarray
     t: np.ndarray
     curve: np.ndarray
@@ -806,7 +804,6 @@ def alignment(h_inf: KernelGram, y: np.ndarray, u0: np.ndarray, points: int = 20
     curve = np.exp(-2.0 * np.outer(t_grid, eigvals)) @ (projections**2)
     return AlignmentReport(
         eigvals=eigvals,
-        eigvecs=eigvecs,
         projections=projections,
         t=t_grid,
         curve=curve,

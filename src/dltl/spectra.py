@@ -24,7 +24,6 @@ from .netcore import NetConfig, init_weights, jacobian
 
 __all__ = [
     "ParamSpectrum",
-    "EmpiricalSpectrum",
     "product_wishart_spectrum",
     "product_wishart_lambda_max",
     "empirical_spectrum",
@@ -105,24 +104,13 @@ def product_wishart_lambda_max(L: int) -> float:
     return float((L + 1) ** (L + 1) / L**L)
 
 
-@dataclass(frozen=True)
-class EmpiricalSpectrum:
-    """Pooled eigenvalues of sampled J J^T ensembles."""
-
-    eigenvalues: np.ndarray
-    n: int
-    depth: int
-    init: str
-    replicates: int
-    seed: int
-
-
 def empirical_spectrum(
     config: NetConfig,
     replicates: int = 50,
     seed: int = 0,
-) -> EmpiricalSpectrum:
-    """Sample weights, form J J^T, pool sorted eigenvalues over replicates.
+) -> np.ndarray:
+    """Sample weights, form J J^T, and return the sorted eigenvalues pooled
+    over replicates.
 
     Linear nets need no input; activations with data-dependent masks get
     them from a genuine forward pass, on a per-replicate standard-normal
@@ -139,12 +127,4 @@ def empirical_spectrum(
             x = np.random.default_rng([seed + r, 1]).standard_normal(config.widths[0])
         j = jacobian(config, weights, x)
         eigs.append(np.linalg.eigvalsh(j @ j.T))
-    pooled = np.sort(np.concatenate(eigs))
-    return EmpiricalSpectrum(
-        eigenvalues=pooled,
-        n=config.widths[1],
-        depth=config.depth,
-        init=config.init,
-        replicates=replicates,
-        seed=seed,
-    )
+    return np.sort(np.concatenate(eigs))

@@ -80,14 +80,14 @@ def _is_integer(value) -> bool:
 class ContractionSpec:
     """m derivative-tensor factors with pairwise-contracted indices.
 
-    contractions lists one (i, j) entry per contracted index pair, with
-    factors numbered 1..m; a factor's derivative order is the number of
-    entries naming it. inputs holds one vector (or scalar) per factor.
+    inputs holds one vector (or scalar) per factor, the factors numbered
+    1..m. contractions lists one (i, j) entry per contracted index pair; a
+    factor's derivative order is the number of entries naming it.
     """
 
     m: int
+    inputs: tuple
     contractions: tuple[tuple[int, int], ...] = ()
-    inputs: tuple = ()
 
     def __post_init__(self):
         if not _is_integer(self.m):
@@ -165,7 +165,6 @@ class DiagramCount:
     """The exact expansion: the collected polynomial and its diagram count."""
 
     spec: ContractionSpec
-    depth: int
     diagram_count: int
     terms: tuple[DiagramTerm, ...]
 
@@ -336,7 +335,7 @@ def exact_correlation(spec: ContractionSpec, L: int) -> DiagramCount:
     diagram_count = 0
 
     if spec.m % 2 == 1:
-        return DiagramCount(spec=spec, depth=L, diagram_count=0, terms=())
+        return DiagramCount(spec=spec, diagram_count=0, terms=())
 
     edges = spec.contractions
     if (L + 1) ** len(edges) > MAX_DIAGRAMS:
@@ -386,7 +385,7 @@ def exact_correlation(spec: ContractionSpec, L: int) -> DiagramCount:
     terms = tuple(
         DiagramTerm(power_of_inv_n=p, coefficient=c, monomial=mono) for (p, mono), c in sorted(tally.items())
     )
-    return DiagramCount(spec=spec, depth=L, diagram_count=diagram_count, terms=terms)
+    return DiagramCount(spec=spec, diagram_count=diagram_count, terms=terms)
 
 
 # -- Monte Carlo ---------------------------------------------------------------
@@ -401,7 +400,7 @@ def exact_correlation(spec: ContractionSpec, L: int) -> DiagramCount:
 
 def _grad_blocks(config: NetConfig, weights: list[np.ndarray], x: np.ndarray) -> list[np.ndarray]:
     trace = forward(config, weights, x)
-    return backward(config, weights, trace, output_index=0).grads
+    return backward(config, weights, trace, output_index=0)
 
 
 def _block_dot(a: list[np.ndarray], b: list[np.ndarray]) -> float:

@@ -849,6 +849,40 @@ class TestDomainHolesExitOne:
         argv = ["ntk-kernel", "--data", paths["data"], "--kind", "empirical", "--weights", net]
         self._assert_one_line(argv, f"{net}: widths must be integers, got {[3, width, 1]}")
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: {**doc, "widths": 5}, "widths must be a list, got 5"),
+        (lambda doc: {**doc, "widths": None}, "widths must be a list, got None"),
+        (lambda doc: {**doc, "activation": 5}, "activation must be a string, got 5"),
+        (lambda doc: {**doc, "weights": 5}, "weights must be a list, got 5"),
+        (lambda doc: {**doc, "weights": [[[1.0], 2.0]]}, "weights must be lists of numbers"),
+        (lambda doc: [1, 2], "expected a JSON object"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "widths"}, "missing key 'widths'"),
+    ])
+    def test_weight_file_of_the_wrong_shape(self, tmp_path, edit, message):
+        """A width, activation or weight list of the wrong JSON type, or a
+        top-level list, once gave a TypeError or AttributeError traceback,
+        and a missing key printed only the key."""
+        from test_golden import write_inputs
+
+        paths = write_inputs(tmp_path)
+        net = paths["ntk_relu"]
+        with open(net, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        with open(net, "w", encoding="utf-8") as fh:
+            json.dump(edit(doc), fh)
+        argv = ["ntk-kernel", "--data", paths["data"], "--kind", "empirical", "--weights", net]
+        self._assert_one_line(argv, f"{net}: {message}")
+
+    @pytest.mark.parametrize("inputs, message", [
+        ([{}, {}], "input of factor 1 must be a number or a list of numbers, got {}"),
+        ([1.0, "a"], "input of factor 2 must be a number or a list of numbers, got 'a'"),
+    ])
+    def test_wick_spec_input_of_the_wrong_type(self, tmp_path, inputs, message):
+        """An input that is a JSON object once gave a TypeError traceback."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"m": 2, "depth": 1, "inputs": inputs}), encoding="utf-8")
+        self._assert_one_line(["wick", "--spec", str(spec)], f"{spec}: {message}")
+
     @pytest.mark.parametrize("points", ["50", "2001"])
     def test_depth_30_analytic_spectrum_still_runs(self, points):
         """The deepest curves above fail in float64; depth 30 still fits."""
@@ -941,9 +975,10 @@ class TestDomainHolesExitOne:
         assert len(lines) == 1 and message in lines[0]
         assert proc.stdout == ""
 
-    def test_bounds_tiny_gamma_ramp_warns_nothing(self, signed_dataset, tmp_path):
-        """The ramp risk's margins / gamma overflows at gamma = 1e-310, and
-        the clip maps it to the right end; pacbayes does not read gamma."""
+    def test_bounds_tiny_gamma_warns_nothing(self, signed_dataset, tmp_path):
+        """A ramp risk once divided the margins by gamma, which overflows at
+        gamma = 1e-310; the hard risk only compares them, and pacbayes does
+        not read gamma."""
         net = tmp_path / "net.json"
         _save_net(net, (4, 6, 1), activation="relu", seed=30)
         proc = self._run("bounds", "--weights", str(net), "--data", signed_dataset[0], "--replicates", "2",

@@ -233,7 +233,7 @@ class TestForwardBackward:
     def test_weight_gradients_match_finite_differences(self, parameterization):
         config, weights, x = self._setup(parameterization)
         trace = forward(config, weights, x)
-        bt = backward(config, weights, trace, output_index=1)
+        grads = backward(config, weights, trace, output_index=1)
         h = 1e-6
         for l in range(config.n_layers):
             w = weights[l]
@@ -244,16 +244,16 @@ class TestForwardBackward:
                 bumped[l][idx] -= 2 * h
                 down = forward(config, bumped, x).output[1]
                 fd = (up - down) / (2 * h)
-                np.testing.assert_allclose(bt.grads[l][idx], fd, atol=1e-6)
+                np.testing.assert_allclose(grads[l][idx], fd, atol=1e-6)
 
     def test_backprop_is_linear_in_the_seed(self):
         config, weights, x = self._setup()
         trace = forward(config, weights, x)
-        b0 = backward(config, weights, trace, output_index=0)
-        b1 = backward(config, weights, trace, output_index=1)
+        g0 = backprop(config, weights, trace, np.array([1.0, 0.0]))
+        g1 = backprop(config, weights, trace, np.array([0.0, 1.0]))
         both = backprop(config, weights, trace, np.array([2.0, -1.0]))
         for l in range(config.n_layers):
-            np.testing.assert_allclose(both[l], 2.0 * b0.g[l] - b1.g[l], atol=1e-12)
+            np.testing.assert_allclose(both[l], 2.0 * g0[l] - g1[l], atol=1e-12)
 
     def test_backward_argument_validation(self):
         config, weights, x = self._setup()
@@ -267,7 +267,7 @@ class TestForwardBackward:
         kinds; the seeded input keeps every unit off the relu kink."""
         config, weights, x = self._setup(activation=activation)
         trace = forward(config, weights, x)
-        bt = backward(config, weights, trace, output_index=0)
+        grads = backward(config, weights, trace, output_index=0)
         h = 1e-6
         for l in range(config.n_layers):
             w = weights[l]
@@ -277,7 +277,7 @@ class TestForwardBackward:
                 up = forward(config, bumped, x).output[0]
                 bumped[l][idx] -= 2 * h
                 down = forward(config, bumped, x).output[0]
-                np.testing.assert_allclose(bt.grads[l][idx], (up - down) / (2 * h), atol=1e-6)
+                np.testing.assert_allclose(grads[l][idx], (up - down) / (2 * h), atol=1e-6)
 
     @pytest.mark.parametrize("activation", ["tanh", "leaky_relu:0.3", "linear", "relu"])
     def test_jacobian_matches_finite_differences(self, activation):
@@ -384,8 +384,8 @@ def test_passes_equal_the_per_call_reference_loop(
     e_i[i] = 1.0
     gs, inputs = _reference_backprop(config, weights, hs, e_i), [x, *xs]
     grads = [_reference_scale(config, l) * np.outer(gs[l], inputs[l]) for l in range(config.n_layers)]
-    bt = backward(config, weights, trace, i)
-    assert _all_equal(bt.g, gs) and _all_equal(bt.grads, grads)
+    assert _all_equal(backprop(config, weights, trace, e_i), gs)
+    assert _all_equal(backward(config, weights, trace, i), grads)
     j = np.eye(widths[1])
     for l in range(1, config.n_layers):
         j = (_reference_scale(config, l) * weights[l]) @ (config.activation.deriv(hs[l - 1])[:, None] * j)

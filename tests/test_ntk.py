@@ -178,7 +178,7 @@ class TestGrams:
         for i in range(2):
             trace = forward(config, weights, x[:, i])
             for a in range(2):
-                grads = backward(config, weights, trace, output_index=a).grads
+                grads = backward(config, weights, trace, output_index=a)
                 flat.append(np.concatenate([g.ravel() for g in grads]))
         expect = np.array([[gi @ gj for gj in flat] for gi in flat])
         np.testing.assert_allclose(gram.matrix, expect, atol=1e-12)

@@ -71,7 +71,7 @@ def _feature_rows(config, weights, x):
     for i in range(x.shape[1]):
         trace = forward(config, weights, x[:, i])
         for a in range(config.widths[-1]):
-            grads = backward(config, weights, trace, output_index=a).grads
+            grads = backward(config, weights, trace, output_index=a)
             rows.append(np.concatenate([g.ravel() for g in grads]))
     return np.array(rows)
 
@@ -1079,18 +1079,65 @@ svals_texts = st.lists(
 ).map(",".join)
 
 
+# Output fields that hold inf by definition, with the reason.
+INF_FIELDS = {
+    ("ntk-train", "t"): "t = inf asks for the end of training, the kernel-regression limit",
+    ("phase", "q_inf"): "a chaotic piecewise-linear length map grows without bound: q* = inf",
+}
+
+
+def _non_finite_fields(argv, text):
+    """(column or key, cell) of every nan or inf in a call's csv or json
+    output; the CLI writes a non-finite float as its repr in both."""
+    found = []
+    if "--format" in argv and argv[argv.index("--format") + 1] == "json":
+        def walk(value, key):
+            if isinstance(value, dict):
+                for k, v in value.items():
+                    walk(v, k)
+            elif isinstance(value, list):
+                for v in value:
+                    walk(v, key)
+            elif value in ("nan", "inf", "-inf") or isinstance(value, float) and not math.isfinite(value):
+                found.append((key, value))
+
+        walk(json.loads(text), None)
+        return found
+    rows = list(csv.reader(io.StringIO(text)))
+    for row in rows[1:]:
+        found += [(col, cell) for col, cell in zip(rows[0], row) if cell in ("nan", "inf", "-inf")]
+    return found
+
+
+def _inf_allowed(argv, field, cell):
+    if cell != "inf" or (argv[0], field) not in INF_FIELDS:
+        return False
+    return argv[0] != "phase" or argv[argv.index("--act") + 1] != "tanh"
+
+
 def _run_cli(argv):
-    """cli.main(argv) with stdout and stderr captured: (exit code, stderr,
-    the RuntimeWarnings raised during the call). A call that exits 1 or 2
-    must print its one-line message and nothing else, so the three fuzzes
-    below also assert that such a call raised no RuntimeWarning."""
+    """cli.main(argv) with stdout and stderr captured: (exit code, stderr).
+    A call that exits 1 or 2 must print its one-line message and nothing
+    else, and one that exits 0 must print a finite result, so the three
+    fuzzes below also assert that no call raised a RuntimeWarning, and that
+    the output of a call that exits 0 (its --out file, or stdout) holds no
+    nan and holds inf only where INF_FIELDS allows it: the t column of
+    ntk-train and the q_inf of a piecewise-linear phase."""
     with warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
         warnings.simplefilter("always", RuntimeWarning)
         code = cli.main(argv)
     runtime = [f"{w.filename}:{w.lineno}: {w.message}" for w in caught if issubclass(w.category, RuntimeWarning)]
     assert code in (0, 1, 2)
-    assert code == 0 or not runtime, runtime
+    assert not runtime, runtime
+    if code == 0:
+        if "--out" in argv:
+            with open(argv[argv.index("--out") + 1], encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = out.getvalue()
+        bad = [(field, cell) for field, cell in _non_finite_fields(argv, text) if not _inf_allowed(argv, field, cell)]
+        assert not bad, bad
     return code, err.getvalue()
 
 

@@ -19,7 +19,6 @@ import pytest
 from dltl.netcore import NetConfig
 from dltl.spectra import (
     _trapezoid,
-    EmpiricalSpectrum,
     empirical_spectrum,
     product_wishart_lambda_max,
     product_wishart_spectrum,
@@ -331,13 +330,13 @@ class TestEmpirical:
         config = NetConfig(
             widths=(64,) * 4, activation="linear", init="orthogonal", sigma_w2=1.0
         )
-        emp = empirical_spectrum(config, replicates=3, seed=0)
-        np.testing.assert_allclose(emp.eigenvalues, 1.0, atol=1e-8)
+        eigs = empirical_spectrum(config, replicates=3, seed=0)
+        np.testing.assert_allclose(eigs, 1.0, atol=1e-8)
 
     def test_linear_gaussian_matches_mp(self):
         config = NetConfig(widths=(128, 128, 128), activation="linear", sigma_w2=1.0)
-        emp = empirical_spectrum(config, replicates=10, seed=0)
-        w1 = _w1(emp.eigenvalues, _MARCHENKO_PASTUR)
+        eigs = empirical_spectrum(config, replicates=10, seed=0)
+        w1 = _w1(eigs, _MARCHENKO_PASTUR)
         assert w1 <= 0.1
 
     def test_relu_mean_eigenvalue_is_exact(self):
@@ -348,8 +347,8 @@ class TestEmpirical:
         with mean 0.00, sd 1.06 and max |z| 3.58."""
         L, sigma_w2, replicates = 3, 3.0, 40
         config = NetConfig(widths=(128,) * (L + 2), activation="relu", sigma_w2=sigma_w2)
-        singles = [empirical_spectrum(config, replicates=1, seed=r).eigenvalues for r in range(replicates)]
-        pooled = empirical_spectrum(config, replicates=replicates, seed=0).eigenvalues
+        singles = [empirical_spectrum(config, replicates=1, seed=r) for r in range(replicates)]
+        pooled = empirical_spectrum(config, replicates=replicates, seed=0)
         # replicate r draws its weights and mask input from seed + r
         assert np.array_equal(pooled, np.sort(np.concatenate(singles)))
         means = np.array([e.mean() for e in singles])
@@ -361,9 +360,9 @@ class TestEmpirical:
         had median 0.0071 and max 0.0088; to Marchenko-Pastur, the L = 1
         law, it was at least 0.31."""
         config = NetConfig(widths=(200,) * 4, activation="linear")
-        emp = empirical_spectrum(config, replicates=10, seed=0)
-        assert _w1(emp.eigenvalues, _curve_density(product_wishart_spectrum(2))) < 0.02
-        assert _w1(emp.eigenvalues, _MARCHENKO_PASTUR) > 0.2
+        eigs = empirical_spectrum(config, replicates=10, seed=0)
+        assert _w1(eigs, _curve_density(product_wishart_spectrum(2))) < 0.02
+        assert _w1(eigs, _MARCHENKO_PASTUR) > 0.2
 
     @pytest.mark.parametrize("activation", ["linear", "relu", "leaky_relu:0.3", "tanh"])
     def test_pooled_eigenvalues_of_every_activation(self, activation):
@@ -371,18 +370,11 @@ class TestEmpirical:
         nonnegative up to rounding, and the pool is the sorted union of
         the single replicates seed, seed + 1, ..."""
         config = NetConfig(widths=(16,) * 4, activation=activation, sigma_w2=1.5)
-        pooled = empirical_spectrum(config, replicates=3, seed=5).eigenvalues
-        singles = [empirical_spectrum(config, replicates=1, seed=5 + r).eigenvalues for r in range(3)]
+        pooled = empirical_spectrum(config, replicates=3, seed=5)
+        singles = [empirical_spectrum(config, replicates=1, seed=5 + r) for r in range(3)]
         assert pooled.size == 16 * 3
         assert np.array_equal(pooled, np.sort(np.concatenate(singles)))
         assert pooled[0] >= -1e-12 * pooled[-1]
-
-    def test_metadata(self):
-        config = NetConfig(widths=(32,) * 3, activation="linear")
-        emp = empirical_spectrum(config, replicates=2, seed=9)
-        assert isinstance(emp, EmpiricalSpectrum)
-        assert emp.n == 32 and emp.depth == 1 and emp.replicates == 2 and emp.seed == 9
-        assert emp.eigenvalues.size == 32 * 2
 
     @pytest.mark.parametrize("replicates", [-1, 0])
     def test_rejects_no_replicates(self, replicates):

@@ -43,7 +43,7 @@ class TestContractionSpec:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one factor"):
-            wick.ContractionSpec(m=0)
+            wick.ContractionSpec(m=0, inputs=())
         with pytest.raises(ValueError, match="outside"):
             wick.ContractionSpec(m=2, contractions=((1, 3),), inputs=(X1, X1))
         with pytest.raises(ValueError, match="need 2 inputs"):
