@@ -19,6 +19,9 @@ kinds of segment built on that reconstruction:
 * output segments: move the output itself along the convex combination
   H(t) = (1-t) H_A + t H_tilde, realized through W_0; convexity of the loss
   in the output caps the recorded loss by the chord.
+
+A path keeps its losses, not its networks: each grid point's weights are
+scored as they are built and then dropped.
 """
 
 from __future__ import annotations
@@ -138,14 +141,14 @@ def _first_layer_solver(config: NetConfig, weights, x_left: np.ndarray):
 
 @dataclass(frozen=True)
 class PathSegment:
-    """One leg of a path; t runs in path order, start_loss is the loss at the
-    leg's construction start (the B-side legs are built from the B endpoint
-    and then reversed, so their start sits at t = 1)."""
+    """One leg of a path: its losses, not its weights. t runs in path order,
+    start_loss is the loss at the leg's construction start (the B-side legs
+    are built from the B endpoint and then reversed, so their start sits at
+    t = 1)."""
 
     name: str
     t: np.ndarray
     losses: np.ndarray
-    weights: tuple
     start_loss: float
 
     def max_rise(self) -> float:
@@ -162,22 +165,13 @@ class PathTrace:
         return max(seg.max_rise() for seg in self.segments)
 
 
-def _segment(config, x, y, loss_fn, name, weight_list, start_loss, reverse=False):
-    losses = np.array([loss_fn(forward(config, w, x).h[-1], y) for w in weight_list])
-    if reverse:
-        weight_list = weight_list[::-1]
-        losses = losses[::-1]
-    t = np.linspace(0.0, 1.0, len(weight_list))
-    return PathSegment(
-        name=name,
-        t=t,
-        losses=losses,
-        weights=tuple(tuple(np.array(w) for w in ws) for ws in weight_list),
-        start_loss=start_loss,
-    )
+def _segment(name, losses, start_loss, reverse=False):
+    """The leg of the given losses, listed in construction order."""
+    losses = np.array(losses[::-1] if reverse else losses)
+    return PathSegment(name=name, t=np.linspace(0.0, 1.0, len(losses)), losses=losses, start_loss=start_loss)
 
 
-def _repair_full_rank(config, weights, x, y, loss_fn, rng):
+def _repair_full_rank(weights, score, rng):
     """Noise repair: perturb rank-deficient matrices at 1e-4 relative scale
     and report the measured loss change. X itself cannot be repaired.
 
@@ -186,7 +180,7 @@ def _repair_full_rank(config, weights, x, y, loss_fn, rng):
     the reconstruction amplify rounding error by its square. A 1e-6 nudge
     leaves kappa^2 eps ~ 1e-4, which trips the 1e-6 rise monitor on segments
     whose output is frozen exactly in exact arithmetic."""
-    before = loss_fn(forward(config, weights, x).h[-1], y)
+    before = score(weights)
     repaired = []
     changed = False
     for l, w in enumerate(weights):
@@ -199,16 +193,16 @@ def _repair_full_rank(config, weights, x, y, loss_fn, rng):
                 raise ValueError(f"rank repair failed for W_{l}")
             changed = True
         repaired.append(np.array(w, dtype=float))
-    after = loss_fn(forward(config, repaired, x).h[-1], y)
-    return repaired, (after - before) if changed else 0.0
+    return repaired, (score(repaired) - before) if changed else 0.0
 
 
-def _upper_waypoints(config, x_left, out, uppers_a, uppers_b, grid_points, rng, depth=0):
-    """Grid samples of the straight-line interpolation between two full-rank
-    upper-weight stacks, each completed by the first layer that realizes out
-    on X, subdividing through a random full-rank midpoint whenever some
-    W_l(t) drops rank. The rank check is the one right_inverse makes while
-    building each sample's first-layer solver."""
+def _upper_waypoints(config, x_left, out, uppers_a, uppers_b, grid_points, rng, score, depth=0):
+    """Scores of grid samples of the straight-line interpolation between two
+    full-rank upper-weight stacks, each completed by the first layer that
+    realizes out on X, subdividing through a random full-rank midpoint
+    whenever some W_l(t) drops rank (the scores of the interval's samples
+    so far are dropped with it). The rank check is the one right_inverse
+    makes while building each sample's first-layer solver."""
     ts = np.linspace(0.0, 1.0, grid_points)
     sampled = []
     for t in ts:
@@ -222,10 +216,10 @@ def _upper_waypoints(config, x_left, out, uppers_a, uppers_b, grid_points, rng, 
             for a, b in zip(uppers_a, uppers_b):
                 scale = 0.5 * (np.linalg.norm(a) + np.linalg.norm(b)) / np.sqrt(a.size)
                 mid.append(scale * rng.standard_normal(a.shape))
-            left = _upper_waypoints(config, x_left, out, uppers_a, mid, grid_points, rng, depth + 1)
-            right = _upper_waypoints(config, x_left, out, mid, uppers_b, grid_points, rng, depth + 1)
+            left = _upper_waypoints(config, x_left, out, uppers_a, mid, grid_points, rng, score, depth + 1)
+            right = _upper_waypoints(config, x_left, out, mid, uppers_b, grid_points, rng, score, depth + 1)
             return left + right[1:]
-        sampled.append([solve(out)] + stack)
+        sampled.append(score([solve(out)] + stack))
     return sampled
 
 
@@ -261,15 +255,17 @@ def constant_loss_path(
     loss_fn = _LOSSES[loss]
     rng = np.random.default_rng(seed)
 
+    def score(ws):
+        return loss_fn(forward(config, ws, x).h[-1], y)
+
     if len(weights_a) == len(weights_b) and all(
         a.shape == b.shape and np.array_equal(a, b) for a, b in zip(weights_a, weights_b)
     ):
-        l0 = loss_fn(forward(config, weights_a, x).h[-1], y)
-        point = _segment(config, x, y, loss_fn, "point", [weights_a], l0)
-        return PathTrace(segments=(point,), meeting_loss=l0)
+        l0 = score(weights_a)
+        return PathTrace(segments=(_segment("point", [l0], l0),), meeting_loss=l0)
 
-    wa, repair_a = _repair_full_rank(config, weights_a, x, y, loss_fn, rng)
-    wb, repair_b = _repair_full_rank(config, weights_b, x, y, loss_fn, rng)
+    wa, repair_a = _repair_full_rank(weights_a, score, rng)
+    wb, repair_b = _repair_full_rank(weights_b, score, rng)
     out_a = forward(config, wa, x).h[-1]
     out_b = forward(config, wb, x).h[-1]
     loss_a = loss_fn(out_a, y)
@@ -288,29 +284,28 @@ def constant_loss_path(
             raise RuntimeError("could not drive the loss below epsilon by scaling outputs")
 
     ts = np.linspace(0.0, 1.0, grid_points)
-    # X and each distinct upper stack are factorized once; _segment copies
-    # every weight it keeps, so the stacks below may share arrays
+    # X and each distinct upper stack are factorized once; each grid point
+    # is scored as it is built, so only its loss outlives it
     x_left = left_inverse(x, name="X")
     solve_a, solve_b = (_first_layer_solver(config, ws, x_left) for ws in (wa, wb))
 
     def first_layer_leg(ws, solve, out):
         w0_hat = solve(out)
-        return [[(1.0 - t) * ws[0] + t * w0_hat] + ws[1:] for t in ts]
+        return [score([(1.0 - t) * ws[0] + t * w0_hat] + ws[1:]) for t in ts]
 
     def output_leg(out_from):
-        return [[solve_b((1.0 - t) * out_from + t * h_tilde)] + wb[1:] for t in ts]
+        return [score([solve_b((1.0 - t) * out_from + t * h_tilde)] + wb[1:]) for t in ts]
 
-    carried = _upper_waypoints(config, x_left, out_a, wa[1:], wb[1:], grid_points, rng)
     # A side: first layer onto reconstructed form, uppers over to B, output to
     # target; then the B side, built from B and reversed into path order
-    legs = (
-        ("first_layer_a", first_layer_leg(wa, solve_a, out_a), loss_a, False),
-        ("upper_a", carried, loss_a, False),
-        ("output_a", output_leg(out_a), loss_a, False),
-        ("output_b", output_leg(out_b), loss_b, True),
-        ("first_layer_b", first_layer_leg(wb, solve_b, out_b), loss_b, True),
-    )
-    segments = [_segment(config, x, y, loss_fn, *leg) for leg in legs]
+    segments = [
+        _segment("first_layer_a", first_layer_leg(wa, solve_a, out_a), loss_a),
+        _segment("upper_a", _upper_waypoints(config, x_left, out_a, wa[1:], wb[1:], grid_points, rng, score),
+                 loss_a),
+        _segment("output_a", output_leg(out_a), loss_a),
+        _segment("output_b", output_leg(out_b), loss_b, reverse=True),
+        _segment("first_layer_b", first_layer_leg(wb, solve_b, out_b), loss_b, reverse=True),
+    ]
 
     meeting_loss = float(segments[2].losses[-1])
     trace = PathTrace(

@@ -344,7 +344,8 @@ def load_weights(path) -> tuple[NetConfig, list[np.ndarray]]:
 
     The init scheme is a sampling-time concern and is not stored; the
     returned config carries the default ("gaussian", sigma_w2 = 1). A file
-    that is not such a document raises a ValueError that names it.
+    that is not such a document, or whose weights are not all finite,
+    raises a ValueError that names it.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -372,6 +373,9 @@ def load_weights(path) -> tuple[NetConfig, list[np.ndarray]]:
         except (TypeError, ValueError):
             raise ValueError("weights must be lists of numbers") from None
         _check_shapes(config, weights)
+        for l, w in enumerate(weights):
+            if not np.isfinite(w).all():
+                raise ValueError(f"layer {l} holds a non-finite weight")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return config, weights

@@ -873,6 +873,24 @@ class TestDomainHolesExitOne:
         argv = ["ntk-kernel", "--data", paths["data"], "--kind", "empirical", "--weights", net]
         self._assert_one_line(argv, f"{net}: {message}")
 
+    @pytest.mark.parametrize("entry", [None, math.nan, math.inf, "nan"])
+    def test_weight_file_with_a_non_finite_entry(self, tmp_path, entry):
+        """A null, NaN, Infinity or "nan" weight once loaded as nan or inf:
+        the limiting kernel, which reads only the architecture, then exited
+        0, and the calls that run the net blamed the activations instead of
+        the file."""
+        from test_golden import write_inputs
+
+        paths = write_inputs(tmp_path)
+        net = paths["ntk_relu"]
+        with open(net, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["weights"][1][0][3] = entry
+        with open(net, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        argv = ["ntk-kernel", "--data", paths["data"], "--kind", "limiting", "--weights", net]
+        self._assert_one_line(argv, f"{net}: layer 1 holds a non-finite weight")
+
     @pytest.mark.parametrize("inputs, message", [
         ([{}, {}], "input of factor 1 must be a number or a list of numbers, got {}"),
         ([1.0, "a"], "input of factor 2 must be a number or a list of numbers, got 'a'"),

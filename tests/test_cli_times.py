@@ -15,3 +15,5 @@ def test_times_one_case_once():
     doc = json.loads(line)
     assert (doc["case"], doc["runs"]) == ("phase-relu", 1)
     assert 0 < doc["min_s"] == doc["median_s"] == doc["max_s"]
+    # the child's own peak: at least an interpreter with numpy, far below a GB
+    assert 10 < doc["max_rss_mb"] < 1000

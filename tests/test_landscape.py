@@ -118,6 +118,48 @@ class TestReconstruct:
             landscape.reconstruct_first_layer(config, weights, x, np.ones((1, 10)))
 
 
+def _scored_path(monkeypatch, config, wa, wb, x, y, **kwargs):
+    """constant_loss_path with the weights it scored: (trace, legs), where
+    legs[k][i] is the weight list whose loss is trace.segments[k].losses[i].
+
+    Every forward pass of the call is recorded; the legs' passes come last,
+    one per grid point in construction order (the B-side legs are built from
+    B and reversed). A path whose upper leg subdivides also records the
+    passes it drops, so this reads only paths that do not subdivide. Each
+    recorded list must reproduce its segment's loss bit for bit."""
+    scored = []
+
+    def recording_forward(config, weights, x):
+        scored.append([np.array(w) for w in weights])
+        return forward(config, weights, x)
+
+    monkeypatch.setattr(landscape, "forward", recording_forward)
+    trace = landscape.constant_loss_path(config, wa, wb, x, y, **kwargs)
+    monkeypatch.undo()
+    loss_fn = landscape._LOSSES[kwargs.get("loss", "square")]
+    legs, end = [], len(scored)
+    for seg in reversed(trace.segments):
+        leg = scored[end - len(seg.t):end]
+        end -= len(seg.t)
+        leg = leg[::-1] if seg.name.endswith("_b") else leg
+        losses = [loss_fn(forward(config, ws, x).h[-1], y) for ws in leg]
+        np.testing.assert_array_equal(losses, seg.losses)
+        legs.insert(0, leg)
+    return trace, legs
+
+
+def _assert_joined(legs, start=None, end=None):
+    """Consecutive legs share their junction weights (atol 1e-9), and the
+    path starts at start and ends at end (atol 1e-12) where they are given."""
+    for ws, ref in ((legs[0][0], start), (legs[-1][-1], end)):
+        if ref is not None:
+            for w, r in zip(ws, ref, strict=True):
+                np.testing.assert_allclose(w, r, atol=1e-12)
+    for prev, nxt in zip(legs[:-1], legs[1:]):
+        for w_end, w_start in zip(prev[-1], nxt[0], strict=True):
+            np.testing.assert_allclose(w_end, w_start, atol=1e-9)
+
+
 class TestConstantLossPath:
     WIDTHS = (6, 8, 4, 1)
 
@@ -139,20 +181,14 @@ class TestConstantLossPath:
         assert trace.meeting_loss == trace.segments[2].losses[-1]
         assert trace.repair_loss_change == (0.0, 0.0)
 
-    def test_square_path_endpoints_and_junctions(self):
+    def test_square_path_endpoints_and_junctions(self, monkeypatch):
         """The path starts at A, ends at B, and consecutive legs share their
         junction weights exactly."""
         config, wa = _net(self.WIDTHS, seed=12)
         _, wb = _net(self.WIDTHS, seed=13)
         x, y = self._data(seed=14)
-        trace = landscape.constant_loss_path(config, wa, wb, x, y)
-        for w, ref in zip(trace.segments[0].weights[0], wa):
-            np.testing.assert_allclose(w, ref, atol=1e-12)
-        for w, ref in zip(trace.segments[-1].weights[-1], wb):
-            np.testing.assert_allclose(w, ref, atol=1e-12)
-        for prev, nxt in zip(trace.segments[:-1], trace.segments[1:]):
-            for w_end, w_start in zip(prev.weights[-1], nxt.weights[0]):
-                np.testing.assert_allclose(w_end, w_start, atol=1e-9)
+        _, legs = _scored_path(monkeypatch, config, wa, wb, x, y)
+        _assert_joined(legs, start=wa, end=wb)
 
     def test_square_path_loss_frozen_on_first_leg(self):
         """With a linear activation the output is linear in W_0, so the
@@ -165,17 +201,18 @@ class TestConstantLossPath:
             seg = next(s for s in trace.segments if s.name == name)
             np.testing.assert_allclose(seg.losses, seg.losses[0], atol=1e-9)
 
-    def test_logistic_path(self):
+    def test_logistic_path(self, monkeypatch):
         """For +-1 labels the target output is a scaled sign pattern whose
         logistic loss sits below epsilon."""
         config, wa = _net(self.WIDTHS, seed=18)
         _, wb = _net(self.WIDTHS, seed=19)
         x, _ = self._data(seed=20)
         y = np.array([1.0, -1.0, 1.0, 1.0, -1.0])
-        trace = landscape.constant_loss_path(config, wa, wb, x, y, loss="logistic")
+        trace, legs = _scored_path(monkeypatch, config, wa, wb, x, y, loss="logistic")
         assert trace.max_rise() <= 1e-6
         assert trace.meeting_loss < 1e-6
         assert len(trace.segments) == 5
+        _assert_joined(legs, start=wa, end=wb)
 
     def test_identical_endpoints_collapse_to_point(self):
         config, wa = _net(self.WIDTHS, seed=21)
@@ -184,19 +221,22 @@ class TestConstantLossPath:
         assert len(trace.segments) == 1
         assert trace.segments[0].name == "point"
 
-    def test_rank_repair_reported(self):
+    def test_rank_repair_reported(self, monkeypatch):
         """A rank-deficient upper layer is nudged at 1e-4 scale and the loss
-        change is reported; the path itself still goes through."""
+        change is reported; the path itself still goes through, joined at
+        every junction."""
         config, wa = _net(self.WIDTHS, seed=23)
         _, wb = _net(self.WIDTHS, seed=24)
         wa[1][1] = wa[1][0]
         x, y = self._data(seed=25)
-        trace = landscape.constant_loss_path(config, wa, wb, x, y)
+        trace, legs = _scored_path(monkeypatch, config, wa, wb, x, y)
         assert trace.repair_loss_change[0] != 0.0
         assert abs(trace.repair_loss_change[0]) < 1e-3
         assert trace.repair_loss_change[1] == 0.0
         assert trace.max_rise() <= 1e-6
         assert trace.meeting_loss < 1e-6
+        # the path starts at the repaired A, so only the B end is pinned
+        _assert_joined(legs, end=wb)
 
     def test_upper_leg_subdivides_where_rank_is_lost(self):
         """W_B's top layer is -W_A's, so the straight line passes through

@@ -1222,15 +1222,15 @@ def datasets(draw, d, max_rows=5, signed=False):
 
 
 @st.composite
-def weight_files(draw, n0, acts=("linear", "relu", "tanh", "leaky_relu:0.2"), decreasing=False):
-    """("net", config, seed) for a small net on n0 inputs, one output
-    three times in four."""
+def weight_files(draw, n0, acts=st.sampled_from(["linear", "relu", "tanh", "leaky_relu:0.2"]), decreasing=False):
+    """("net", config, seed) for a small net on n0 inputs with an activation
+    drawn from acts, one output three times in four."""
     hidden = draw(st.lists(st.integers(2, 6), max_size=2))
     if decreasing:
         hidden = sorted(set(hidden), reverse=True)
     config = NetConfig(
         widths=(n0, *hidden, draw(mostly(st.just(1), st.just(2)))),
-        activation=draw(st.sampled_from(acts)),
+        activation=draw(acts),
         parameterization=draw(st.sampled_from(["ntk", "standard"])),
         sigma_w2=draw(st.floats(0.5, 2.5)),
     )
@@ -1300,14 +1300,18 @@ def file_subcommands(draw):
                 f"--q0={draw(floats_in(0.0, 10.0))}", "--depth", draw(ints_in(1, 40)),
                 "--nodes", draw(ints_in(4, 80))], {}
     if sub == "path":
-        files = {"data": draw(datasets(d, max_rows=d)),
-                 "a": draw(weight_files(d, ("linear", "leaky_relu:0.2", "relu"), decreasing=True))}
+        # a linear net and labels that fit the loss three times in four each,
+        # so that a good share of path calls can exit 0
+        loss = draw(st.sampled_from(["square", "logistic"]))
+        signed = loss == "logistic" and draw(mostly(st.just(True), st.just(False)))
+        files = {"data": draw(datasets(d, max_rows=d, signed=signed)),
+                 "a": draw(weight_files(d, mostly(st.just("linear"), st.sampled_from(["leaky_relu:0.2", "relu"])),
+                                        decreasing=True))}
         files["b"] = draw(mostly(
             st.integers(0, 2**32 - 1).map(lambda s: ("net", files["a"][1], s)),
             weight_files(d, decreasing=True),
         ))
-        return ["path", "--weights-a", "{a}", "--weights-b", "{b}", "--data", "{data}",
-                "--loss", draw(st.sampled_from(["square", "logistic"])),
+        return ["path", "--weights-a", "{a}", "--weights-b", "{b}", "--data", "{data}", "--loss", loss,
                 f"--epsilon={draw(floats_in(1e-6, 1.0))}", "--grid-points", draw(ints_in(2, 12))], files
     if sub == "ntk-kernel":
         files = {"data": draw(datasets(d)), "net": draw(weight_files(draw(other_d)))}

@@ -256,7 +256,6 @@ ALLOWED_MEMBERS = {
     ("ntk", "KernelRecursionState", "q11"): "the per-layer oracle of the pair recursion reads it",
     ("ntk", "KernelRecursionState", "q22"): "the per-layer oracle of the pair recursion reads it",
     ("meanfield", "MomentProfile", "delta_se"): "the 4-SE oracle of the backward moments reads it",
-    ("landscape", "PathSegment", "weights"): "the path-connectivity oracle reads it",
     ("meanfield", "FixedPointResult", "iterations"): "the iteration count that the diagnostics channel (roadmap item 6) will report",
 }
 

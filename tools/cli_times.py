@@ -7,9 +7,12 @@ as `python -m dltl.cli <flags> --format csv --out FILE` in a fresh
 interpreter with PYTHONPATH=src and DLTL_THREADS=1 (BLAS on one thread),
 on the seeded input files that test_golden.write_inputs writes to a
 temporary directory. The time includes interpreter start and imports.
+Each child's peak resident set size is read from its own resource usage
+(os.wait4, ru_maxrss in KB, as perfbench/worker.py reads its own).
 
 Prints one JSON line per case: {"case", "runs", "median_s", "min_s",
-"max_s"}. A case that exits non-zero stops the script with exit 1.
+"max_s", "max_rss_mb"}, where max_rss_mb is the largest peak RSS of the
+case's runs. A case that exits non-zero stops the script with exit 1.
 """
 
 from __future__ import annotations
@@ -40,15 +43,22 @@ def child_env() -> dict:
 def time_case(name: str, paths: dict[str, str], runs: int, out: str) -> dict:
     argv = [tok.format(**paths) for tok in CASES[name].split()]
     cmd = [sys.executable, "-m", "dltl.cli", *argv, "--format", "csv", "--out", out]
-    times = []
+    times, rss_kb = [], []
     for _ in range(runs):
         t0 = time.perf_counter()
-        proc = subprocess.run(cmd, cwd=ROOT, env=child_env(), capture_output=True, text=True)
+        proc = subprocess.Popen(cmd, cwd=ROOT, env=child_env(), stdout=subprocess.DEVNULL,
+                                stderr=subprocess.PIPE, text=True)
+        stderr = proc.stderr.read()  # to EOF first, so a full pipe cannot stall the child
+        _, status, usage = os.wait4(proc.pid, 0)
         times.append(time.perf_counter() - t0)
+        proc.stderr.close()
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+        rss_kb.append(usage.ru_maxrss)
         if proc.returncode != 0:
-            raise SystemExit(f"{name} exited {proc.returncode}: {proc.stderr.strip()}")
+            raise SystemExit(f"{name} exited {proc.returncode}: {stderr.strip()}")
     return {"case": name, "runs": runs, "median_s": round(statistics.median(times), 4),
-            "min_s": round(min(times), 4), "max_s": round(max(times), 4)}
+            "min_s": round(min(times), 4), "max_s": round(max(times), 4),
+            "max_rss_mb": round(max(rss_kb) / 1024.0, 1)}
 
 
 def main(argv=None) -> int:
