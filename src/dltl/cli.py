@@ -29,6 +29,7 @@ import io
 import json
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -36,8 +37,8 @@ import numpy as np
 # The other numerical modules are imported by the handlers that call them,
 # so a subcommand loads only what it runs.
 from . import meanfield
-from .meanfield import GH_NODES
-from .netcore import Activation, NetConfig, forward, load_weights
+from .meanfield import GH_NODES, check_nodes
+from .netcore import Activation, NetConfig, forward, json_floats, load_weights
 
 __all__ = ["UsageError", "build_parser", "main"]
 
@@ -51,10 +52,15 @@ MAX_RANGE_POINTS = 100_000  # grid points a lo:hi:step range may expand to
 
 @dataclass(frozen=True)
 class Emission:
-    """One run's output: a table for csv mode, a document for json mode."""
+    """One run's output: a table for csv mode, a document for json mode.
+
+    rows may be a one-pass iterable, read only by the csv renderer; its
+    cells are plain None, int, float or str values, which csv.writer writes
+    as an empty field, str(int) and repr(float). The document may hold
+    numpy arrays and scalars, which _json_ready converts."""
 
     header: tuple
-    rows: tuple
+    rows: Iterable
     document: dict
     extra_files: tuple = field(default=())
 
@@ -143,24 +149,11 @@ def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def render_csv(header: tuple, rows) -> str:
+def render_csv(header: tuple, rows: Iterable) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -170,7 +163,7 @@ def _json_ready(value):
     if isinstance(value, (list, tuple)):
         return [_json_ready(v) for v in value]
     if isinstance(value, np.ndarray):
-        return [_json_ready(v) for v in value.tolist()]
+        return _json_ready(value.tolist())
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (np.integer,)):
@@ -239,29 +232,22 @@ def _check_weights_on(path: str, config: NetConfig, weights: list[np.ndarray], x
                 raise ValueError(f"{path}: the squared norm of the activations of layer {layer} overflows on the data")
 
 
-def _nodes(args: argparse.Namespace) -> int:
-    """--nodes, checked where it enters: the piecewise-linear kinds never
-    reach the quadrature rule that would reject it."""
-    if args.nodes < 1:
-        raise ValueError(f"nodes must be a positive integer, got {args.nodes}")
-    return args.nodes
-
-
 def _run_phase(args: argparse.Namespace) -> Emission:
     act = Activation.parse(args.act)
     header = ("sigma_w2", "q_inf", "chi1", "phase", "marginal")
-    rows = []
+    rows, points = [], []
     for sigma_w2 in parse_range(args.sigma_w2):
         p = meanfield.phase_classify(sigma_w2, act, q0=args.q0, tol=args.tol)
-        rows.append((p.sigma_w2, p.q_inf, p.chi1, p.phase, p.marginal))
-    doc = {"activation": str(act), "q0": args.q0, "points": _records(header, rows)}
-    return Emission(header, tuple(rows), doc)
+        points.append(asdict(p))
+        rows.append((p.sigma_w2, p.q_inf, p.chi1, p.phase, int(p.marginal)))
+    doc = {"activation": str(act), "q0": args.q0, "points": points}
+    return Emission(header, rows, doc)
 
 
 def _run_lengthmap(args: argparse.Namespace) -> Emission:
     act = Activation.parse(args.act)
     sigma_w2 = args.sigma_w2
-    nodes = _nodes(args)
+    nodes = check_nodes(args.nodes)
     depth = args.depth
     if depth < 1:
         raise ValueError(f"depth {depth} must be >= 1")
@@ -289,7 +275,7 @@ def _run_spectrum(args: argparse.Namespace) -> Emission:
             "lambda_max": spectrum.lambda_max,
             "mass": spectrum.mass(),
             "mean": spectrum.mean(),
-            "points": [[l, r] for l, r in rows],
+            "points": rows,
         }
         return Emission(("lam", "rho"), rows, doc)
 
@@ -301,9 +287,7 @@ def _run_spectrum(args: argparse.Namespace) -> Emission:
     )
     eigenvalues = spectra.empirical_spectrum(config, replicates=args.replicates, seed=args.seed)
     counts, edges = np.histogram(eigenvalues, bins=args.bins, density=True)
-    rows = tuple(
-        (edges[i], edges[i + 1], counts[i]) for i in range(counts.size)
-    )
+    rows = tuple(zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
     doc = {
         "depth": depth,
         "width": args.width,
@@ -343,16 +327,16 @@ def _run_lindyn(args: argparse.Namespace) -> Emission:
         tol_loss=args.tol_loss,
         max_steps=args.max_steps,
     )
-    rows = tuple((k, loss) for k, loss in enumerate(run.losses.tolist()))
+    rows = tuple(enumerate(run.losses.tolist()))
     doc = {
         "depth": depth,
         "width": width,
         "eta": run.eta,
         "u0": u0,
-        "targets": run.targets.tolist(),
+        "targets": run.targets,
         "steps_to_tol": run.steps_to_tol,
-        "losses": run.losses.tolist(),
-        "final_modes": run.u[-1].tolist(),
+        "losses": run.losses,
+        "final_modes": run.u[-1],
         "seed": args.seed,
     }
     return Emission(("step", "loss"), rows, doc)
@@ -394,14 +378,14 @@ def _run_path(args: argparse.Namespace) -> Emission:
         "loss": args.loss,
         "meeting_loss": trace.meeting_loss,
         "max_rise": trace.max_rise(),
-        "repair_loss_change": list(trace.repair_loss_change),
+        "repair_loss_change": trace.repair_loss_change,
         "segments": [
             {
                 "name": seg.name,
                 "start_loss": seg.start_loss,
                 "max_rise": seg.max_rise(),
-                "t": seg.t.tolist(),
-                "losses": seg.losses.tolist(),
+                "t": seg.t,
+                "losses": seg.losses,
             }
             for seg in trace.segments
         ],
@@ -426,7 +410,7 @@ def _kernel_config(args: argparse.Namespace) -> tuple[NetConfig, list[np.ndarray
 def _run_ntk_kernel(args: argparse.Namespace) -> Emission:
     from . import ntk
 
-    nodes = _nodes(args)
+    nodes = check_nodes(args.nodes)
     x, _ = read_dataset(args.data)
     kind = args.kind
     config, weights = _kernel_config(args)
@@ -444,16 +428,13 @@ def _run_ntk_kernel(args: argparse.Namespace) -> Emission:
         gram = ntk.limiting_ntk(columns, config, nodes=nodes)
     else:
         gram = ntk.nngp_gram(columns, config, nodes=nodes)
-    rows = tuple(
-        (i, j, gram.matrix[i, j])
-        for i in range(gram.size)
-        for j in range(gram.size)
-    )
+    # read row by row, and only by the csv renderer
+    rows = ((i, j, v) for i, row in enumerate(gram.matrix) for j, v in enumerate(row.tolist()))
     doc = {
         "tag": gram.tag,
         "size": gram.size,
         "lambda_min": gram.lambda_min(),
-        "matrix": gram.matrix.tolist(),
+        "matrix": gram.matrix,
     }
     return Emission(("i", "j", "value"), rows, doc)
 
@@ -461,7 +442,7 @@ def _run_ntk_kernel(args: argparse.Namespace) -> Emission:
 def _run_ntk_train(args: argparse.Namespace) -> Emission:
     from . import ntk
 
-    nodes = _nodes(args)
+    nodes = check_nodes(args.nodes)
     config, weights = load_weights(args.weights)
     x, y = read_dataset(args.data)
     times = parse_float_list(args.times)
@@ -480,26 +461,12 @@ def _run_ntk_train(args: argparse.Namespace) -> Emission:
         pred = ntk.linearized_train(sol, x_query, t)
         f_lin = pred.f_lin.tolist()
         gp_mean = None if pred.gp_mean is None else pred.gp_mean.tolist()
-        gp_sd = (
-            None
-            if pred.gp_cov is None
-            else np.sqrt(np.clip(np.diag(pred.gp_cov), 0.0, None)).tolist()
-        )
-        for i, value in enumerate(f_lin):
-            rows.append(
-                (
-                    t,
-                    i,
-                    value,
-                    None if gp_mean is None else gp_mean[i],
-                    None if gp_sd is None else gp_sd[i],
-                )
-            )
-        snapshots.append(
-            {"t": t, "f_lin": f_lin, "gp_mean": gp_mean, "gp_sd": gp_sd}
-        )
+        gp_sd = None if pred.gp_cov is None else np.sqrt(np.clip(np.diag(pred.gp_cov), 0.0, None)).tolist()
+        blank = [None] * len(f_lin)
+        rows.extend((t, i, *cells) for i, cells in enumerate(zip(f_lin, gp_mean or blank, gp_sd or blank)))
+        snapshots.append({"t": t, "f_lin": f_lin, "gp_mean": gp_mean, "gp_sd": gp_sd})
     doc = {"kernel": kernel, "eta": args.eta, "predictions": snapshots}
-    return Emission(("t", "index", "f_lin", "gp_mean", "gp_sd"), tuple(rows), doc)
+    return Emission(("t", "index", "f_lin", "gp_mean", "gp_sd"), rows, doc)
 
 
 def _du_inputs(args: argparse.Namespace) -> tuple[np.ndarray, np.ndarray]:
@@ -563,10 +530,10 @@ def _run_align(args: argparse.Namespace) -> Emission:
     report = ntk.alignment(h_inf, y, u0, points=args.points)
     rows = tuple(zip(report.t.tolist(), report.curve.tolist()))
     doc = {
-        "eigenvalues": report.eigvals.tolist(),
-        "projections_sq": (report.projections**2).tolist(),
-        "t": report.t.tolist(),
-        "curve": report.curve.tolist(),
+        "eigenvalues": report.eigvals,
+        "projections_sq": report.projections**2,
+        "t": report.t,
+        "curve": report.curve,
     }
     return Emission(("t", "residual"), rows, doc)
 
@@ -591,13 +558,8 @@ def _read_contraction_spec(path: str) -> tuple[wick.ContractionSpec, int]:
             raise ValueError(f"depth must be an integer, got {depth!r}")
         if not (isinstance(contractions, list) and isinstance(inputs, list)):
             raise ValueError("contractions and inputs must be lists")
-        arrays = []
-        for k, v in enumerate(inputs, 1):
-            try:
-                arrays.append(np.asarray(v, dtype=float))
-            except (TypeError, ValueError):
-                raise ValueError(f"input of factor {k} must be a number or a list of numbers, got {v!r}") from None
-        spec = wick.ContractionSpec(m=doc["m"], inputs=tuple(arrays), contractions=tuple(contractions))
+        arrays = tuple(json_floats(v, f"input of factor {k}") for k, v in enumerate(inputs, 1))
+        spec = wick.ContractionSpec(m=doc["m"], inputs=arrays, contractions=tuple(contractions))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return spec, depth
@@ -629,29 +591,21 @@ def _run_wick(args: argparse.Namespace) -> Emission:
         report = wick.mc_scaling_check(
             spec, depth, widths, replicates=args.replicates, seed=args.seed
         )
-        exacts = report.exacts if report.exacts is not None else [None] * len(widths)
-        mc_rows = tuple(
-            (w, m_, se, var, ex)
-            for w, m_, se, var, ex in zip(
-                report.widths, report.means, report.std_errs, report.variances, exacts
-            )
-        )
         doc["mc"] = {
-            "widths": list(report.widths),
-            "means": list(report.means),
-            "std_errs": list(report.std_errs),
-            "variances": list(report.variances),
-            "exacts": None if report.exacts is None else list(report.exacts),
+            "widths": report.widths,
+            "means": report.means,
+            "std_errs": report.std_errs,
+            "variances": report.variances,
+            "exacts": report.exacts,
             "slope_mean": report.slope_mean,
             "slope_variance": report.slope_variance,
             "replicates": args.replicates,
             "seed": args.seed,
         }
         if args.mc_out is not None:
-            mc_csv = render_csv(
-                ("width", "mc_mean", "mc_se", "mc_variance", "exact"), mc_rows
-            )
-            extra = ((args.mc_out, mc_csv),)
+            # exact_correlation ran above, so report.exacts is set
+            mc_rows = zip(report.widths, report.means, report.std_errs, report.variances, report.exacts)
+            extra = ((args.mc_out, render_csv(("width", "mc_mean", "mc_se", "mc_variance", "exact"), mc_rows)),)
     return Emission(header, rows, doc, extra_files=extra)
 
 

@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 GH_NODES = 64          # default node count per axis
+GH_MAX_NODES = 370     # numpy's hermgauss (2.4) gives weights that are not finite from 371 on
 MARGINAL_TOL = 1e-12   # |slope - 1| below this means every q is a fixed point
 # The tanh fixed-point iteration: a step |V(q) - q| of at most FIXED_POINT_TOL
 # ends it, it gives up after FIXED_POINT_ITERATIONS plain steps, and its
@@ -61,12 +62,24 @@ class DivergenceError(RuntimeError):
     """An iteration left its basin; the message names the last iterate seen."""
 
 
+def check_nodes(nodes: int) -> int:
+    """nodes, if it is a count that gauss_hermite builds a rule for. The CLI
+    checks --nodes where it enters: the piecewise-linear kinds never reach
+    the rule."""
+    if nodes < 1:
+        raise ValueError(f"nodes must be a positive integer, got {nodes}")
+    if nodes > GH_MAX_NODES:
+        raise ValueError(f"nodes must be at most {GH_MAX_NODES}, got {nodes}")
+    return nodes
+
+
 @lru_cache(maxsize=8)
 def gauss_hermite(nodes: int = GH_NODES) -> tuple[np.ndarray, np.ndarray]:
     """Physicists' Gauss-Hermite nodes and weights (cached)."""
-    if nodes < 1:
-        raise ValueError(f"nodes must be a positive integer, got {nodes}")
-    t, w = np.polynomial.hermite.hermgauss(nodes)
+    with np.errstate(all="ignore"):  # a rule that overflows fails the check below
+        t, w = np.polynomial.hermite.hermgauss(check_nodes(nodes))
+    if not (np.isfinite(w).all() and (w > 0).all()):
+        raise ValueError(f"the {nodes}-node Gauss-Hermite rule has weights that are not finite and positive")
     return t, w
 
 

@@ -339,13 +339,33 @@ def save_weights(path, config: NetConfig, weights: list[np.ndarray]) -> None:
         fh.write("\n")
 
 
+def json_floats(value, what: str) -> np.ndarray:
+    """value, a number or nested lists of numbers as json reads them, as a
+    float array. numpy alone would also take true as 1.0, "0.5" as 0.5 and
+    null as nan; here any entry that is not an int or a float raises a
+    ValueError that names what holds it, and so do an int beyond float
+    range and a ragged list."""
+    entries = [value]
+    while entries and all(type(v) is list for v in entries):
+        entries = [u for v in entries for u in v]
+    if not set(map(type, entries)) <= {int, float}:
+        bad = next(v for v in entries if type(v) not in (int, float))
+        raise ValueError(f"{what} holds {json.dumps(bad)}, not a number")
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{what} holds an integer beyond float range") from None
+    except ValueError:
+        raise ValueError(f"{what} is a ragged list") from None
+
+
 def load_weights(path) -> tuple[NetConfig, list[np.ndarray]]:
     """Read a weight file written by save_weights.
 
     The init scheme is a sampling-time concern and is not stored; the
     returned config carries the default ("gaussian", sigma_w2 = 1). A file
-    that is not such a document, or whose weights are not all finite,
-    raises a ValueError that names it.
+    that is not such a document, or whose weights are not all finite
+    numbers, raises a ValueError that names it.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -368,10 +388,7 @@ def load_weights(path) -> tuple[NetConfig, list[np.ndarray]]:
             parameterization=doc["parameterization"],
             sigma_w2=float(sigma_w2),
         )
-        try:
-            weights = [np.asarray(w, dtype=float) for w in doc["weights"]]
-        except (TypeError, ValueError):
-            raise ValueError("weights must be lists of numbers") from None
+        weights = [json_floats(w, f"layer {l}") for l, w in enumerate(doc["weights"])]
         _check_shapes(config, weights)
         for l, w in enumerate(weights):
             if not np.isfinite(w).all():

@@ -1,7 +1,9 @@
 """Tests for the dltl command line: flag parsing, dataset and weight file
 IO, per-subcommand output shapes, exit codes, and byte-level determinism."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -147,10 +149,18 @@ class TestParsers:
             read_dataset(str(short_row))
 
     def test_render_csv_cells(self):
-        """Floats via repr, None empty, bools as 0/1, LF endings."""
-        text = cli.render_csv(("a", "b", "c"), [(0.1, None, True), (2, 1e-17, False)])
-        assert text == "a,b,c\n0.1,,1\n2,1e-17,0\n"
+        """Floats via repr, None empty, LF endings; phase writes its bool
+        marginal column as 0/1 in csv and true/false in json."""
+        text = cli.render_csv(("a", "b", "c"), [(0.1, None, "x"), (2, 1e-17, None)])
+        assert text == "a,b,c\n0.1,,x\n2,1e-17,\n"
         assert "\r" not in text
+        argv = ["phase", "--act", "linear", "--sigma-w2", "1:1.5:0.5"]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0
+        assert [row[-1] for row in csv.reader(io.StringIO(out.getvalue()))] == ["marginal", "1", "0"]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv + ["--format", "json"]) == 0
+        assert [p["marginal"] for p in json.loads(out.getvalue())["points"]] == [True, False]
 
     def test_render_json_shape(self):
         text = cli.render_json({"b": 1.5, "a": [1, 2], "inf": math.inf,
@@ -740,6 +750,18 @@ class TestDomainHolesExitOne:
         assert proc.stderr.splitlines() == ["error: nodes must be a positive integer, got 0"]
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("nodes", ["400", "100000"])
+    @pytest.mark.parametrize("argv", [
+        ["lengthmap", "--act", "tanh", "--sigma-w2", "1.5"],
+        ["ntk-kernel", "--data", "{data}", "--widths", "3,4,1", "--act", "relu"],
+    ])
+    def test_nodes_beyond_the_rule_numpy_builds(self, dataset, argv, nodes):
+        """numpy's hermgauss gives weights that are not finite from 371
+        nodes on: tanh printed its RuntimeWarnings and then blamed the
+        length map, and 100000 nodes asked for a 74.5 GiB matrix."""
+        argv = [tok.format(data=dataset[0]) for tok in argv]
+        self._assert_one_line([*argv, "--nodes", nodes], f"nodes must be at most 370, got {nodes}")
+
     @pytest.mark.parametrize("sigma", ["1e200", "1e308"])
     def test_pacbayes_kl_out_of_float_range(self, tmp_path, sigma):
         """A posterior scale whose variance leaves float range once printed
@@ -854,7 +876,8 @@ class TestDomainHolesExitOne:
         (lambda doc: {**doc, "widths": None}, "widths must be a list, got None"),
         (lambda doc: {**doc, "activation": 5}, "activation must be a string, got 5"),
         (lambda doc: {**doc, "weights": 5}, "weights must be a list, got 5"),
-        (lambda doc: {**doc, "weights": [[[1.0], 2.0]]}, "weights must be lists of numbers"),
+        (lambda doc: {**doc, "weights": [[[1.0], 2.0]]}, "layer 0 holds [1.0], not a number"),
+        (lambda doc: {**doc, "weights": [[[1.0], [2.0, 3.0]]]}, "layer 0 is a ragged list"),
         (lambda doc: [1, 2], "expected a JSON object"),
         (lambda doc: {k: v for k, v in doc.items() if k != "widths"}, "missing key 'widths'"),
     ])
@@ -873,12 +896,22 @@ class TestDomainHolesExitOne:
         argv = ["ntk-kernel", "--data", paths["data"], "--kind", "empirical", "--weights", net]
         self._assert_one_line(argv, f"{net}: {message}")
 
-    @pytest.mark.parametrize("entry", [None, math.nan, math.inf, "nan"])
-    def test_weight_file_with_a_non_finite_entry(self, tmp_path, entry):
-        """A null, NaN, Infinity or "nan" weight once loaded as nan or inf:
-        the limiting kernel, which reads only the architecture, then exited
-        0, and the calls that run the net blamed the activations instead of
-        the file."""
+    @pytest.mark.parametrize("entry, message", [
+        (None, "layer 1 holds null, not a number"),
+        (math.nan, "layer 1 holds a non-finite weight"),
+        (math.inf, "layer 1 holds a non-finite weight"),
+        ("nan", 'layer 1 holds "nan", not a number'),
+        ("0.5", 'layer 1 holds "0.5", not a number'),
+        (True, "layer 1 holds true, not a number"),
+        (10**400, "layer 1 holds an integer beyond float range"),
+    ])
+    def test_weight_file_with_a_non_finite_entry(self, tmp_path, entry, message):
+        """A null, NaN, Infinity or "nan" weight once loaded as nan or inf,
+        and "0.5" or true as 0.5 or 1.0: the limiting kernel, which reads
+        only the architecture, then exited 0, and the calls that run the net
+        blamed the activations instead of the file (or, for "0.5" and true,
+        ran on the wrong weights). An integer beyond float range was not
+        blamed on the file."""
         from test_golden import write_inputs
 
         paths = write_inputs(tmp_path)
@@ -889,16 +922,20 @@ class TestDomainHolesExitOne:
         with open(net, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         argv = ["ntk-kernel", "--data", paths["data"], "--kind", "limiting", "--weights", net]
-        self._assert_one_line(argv, f"{net}: layer 1 holds a non-finite weight")
+        self._assert_one_line(argv, f"{net}: {message}")
 
     @pytest.mark.parametrize("inputs, message", [
-        ([{}, {}], "input of factor 1 must be a number or a list of numbers, got {}"),
-        ([1.0, "a"], "input of factor 2 must be a number or a list of numbers, got 'a'"),
+        ([{}, {}], "input of factor 1 holds {}, not a number"),
+        ([1.0, "a"], 'input of factor 2 holds "a", not a number'),
+        (["1.2", [True], 1.2, [1.2]], 'input of factor 1 holds "1.2", not a number'),
+        ([1.2, [True], 1.2, [1.2]], "input of factor 2 holds true, not a number"),
     ])
     def test_wick_spec_input_of_the_wrong_type(self, tmp_path, inputs, message):
-        """An input that is a JSON object once gave a TypeError traceback."""
+        """An input that is a JSON object once gave a TypeError traceback,
+        and a quoted number or a bool read as a float: four such inputs
+        exited 0 with terms in x1 and x2."""
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"m": 2, "depth": 1, "inputs": inputs}), encoding="utf-8")
+        spec.write_text(json.dumps({"m": len(inputs), "depth": 1, "inputs": inputs}), encoding="utf-8")
         self._assert_one_line(["wick", "--spec", str(spec)], f"{spec}: {message}")
 
     @pytest.mark.parametrize("points", ["50", "2001"])

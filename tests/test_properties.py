@@ -12,7 +12,8 @@ and the pair-kernel grams against the per-pair recursion; linearized
 training on a solution queried many times against fresh solutions; the
 Dziugaite-Roy optimizer's KL against gaussian_kl, and its
 one evaluation per point against the loop that evaluated each accepted
-point twice. Also a fuzz of the CLI's count, list, range and tolerance
+point twice; the CLI's CSV renderer against the per-cell formatter it
+replaced. Also a fuzz of the CLI's count, list, range and tolerance
 flags and of every subcommand that reads input files: every value exits
 0, 1 or 2, and a rejected one warns nothing."""
 
@@ -1070,6 +1071,52 @@ def test_dziugaite_roy_equals_two_evaluator_loop(data, d, m, b, c, delta, steps,
             assert type(got.details[key]) is type(value) and got.details[key] == value, key
 
 
+# -- CSV rendering: csv.writer against the per-cell formatter it replaced --------
+
+
+def _cell(value) -> str:
+    """The formatter render_csv once called on every cell."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return str(int(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def _render_csv_by_cells(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_cell(v) for v in row])
+    return buf.getvalue()
+
+
+# the plain values a handler's rows hold: every float (nan, +-inf, -0.0,
+# subnormals) and floats near 1e16, where repr switches to an exponent; ints,
+# None, and strings with the characters csv quotes
+csv_cells = st.one_of(
+    st.floats(),
+    st.floats(1e15, 1e17),
+    st.floats(-1e17, -1e15),
+    st.integers(-(10**30), 10**30),
+    st.none(),
+    st.text(st.sampled_from(',"\n\r x1.')),
+    st.text(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.lists(csv_cells, min_size=1, max_size=5), max_size=6))
+def test_render_csv_equals_the_per_cell_path(rows):
+    header = ("a", "b", "c")
+    assert cli.render_csv(header, rows) == _render_csv_by_cells(header, rows)
+
+
 # -- CLI fuzz -------------------------------------------------------------------
 
 
@@ -1223,8 +1270,9 @@ def datasets(draw, d, max_rows=5, signed=False):
 
 @st.composite
 def weight_files(draw, n0, acts=st.sampled_from(["linear", "relu", "tanh", "leaky_relu:0.2"]), decreasing=False):
-    """("net", config, seed) for a small net on n0 inputs with an activation
-    drawn from acts, one output three times in four."""
+    """("net", config, seed, entry) for a small net on n0 inputs with an
+    activation drawn from acts, one output three times in four. Now and then
+    entry is a bool or a quoted number that replaces the first weight."""
     hidden = draw(st.lists(st.integers(2, 6), max_size=2))
     if decreasing:
         hidden = sorted(set(hidden), reverse=True)
@@ -1234,7 +1282,8 @@ def weight_files(draw, n0, acts=st.sampled_from(["linear", "relu", "tanh", "leak
         parameterization=draw(st.sampled_from(["ntk", "standard"])),
         sigma_w2=draw(st.floats(0.5, 2.5)),
     )
-    return ("net", config, draw(st.integers(0, 2**32 - 1)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return ("net", config, seed, draw(mostly(st.none(), st.sampled_from([None, True, "0.5"]))))
 
 
 @st.composite
@@ -1243,7 +1292,7 @@ def wick_specs(draw):
     factor = mostly(st.integers(1, max(m, 1)), st.integers(0, max(m, 0) + 1))
     scalar = draw(st.booleans())
     n_inputs = draw(mostly(st.just(m), st.integers(0, 5)))
-    entry = mostly(st.floats(-2, 2), st.sampled_from([math.nan, math.inf]))
+    entry = mostly(st.floats(-2, 2), st.sampled_from([math.nan, math.inf, True, "0.5"]))
     doc = {
         "m": m,
         "depth": draw(mostly(st.integers(1, 2), st.integers(-1, 3))),
@@ -1259,14 +1308,41 @@ def wick_specs(draw):
     return ("spec", doc)
 
 
+@st.composite
+def valid_wick_specs(draw):
+    """A spec that exact_correlation and mc_scaling_check both take: two or
+    four factors, contractions that name each factor at most once (chains),
+    inputs away from 0, vectors only at depth 1."""
+    m = draw(st.sampled_from([2, 4]))
+    order = draw(st.permutations(range(1, m + 1)))
+    pairs = [list(order[k:k + 2]) for k in range(0, m, 2)]
+    scalar = draw(st.booleans())
+    entry = st.floats(0.25, 2.0) | st.floats(-2.0, -0.25)
+    return ("spec", {
+        "m": m,
+        "depth": draw(st.integers(1, 2)) if scalar else 1,
+        "contractions": pairs[:draw(st.integers(0, len(pairs)))],
+        "inputs": [[draw(entry)] if scalar else [1.0, draw(entry)] for _ in range(m)],
+    })
+
+
 def _bad_spec(doc):
     """A spec whose m, depth or contraction entry is not an integer, or
-    whose inputs hold a non-finite number: it must never exit 0."""
+    whose inputs hold a value that is not a finite int or float: it must
+    never exit 0."""
     return (
         any(type(doc[key]) is not int for key in ("m", "depth"))
         or any(len(c) != 2 or any(type(v) is not int for v in c) for c in doc["contractions"])
-        or not all(np.isfinite(x).all() for x in doc["inputs"])
+        or not all(type(v) in (int, float) and math.isfinite(v) for x in doc["inputs"] for v in x)
     )
+
+
+def _bad_file(entry):
+    """A dataset with an inf or nan feature or label, or a weight file with
+    an entry of the wrong JSON type: a call that reads it must never exit 0."""
+    if entry[0] == "data":
+        return not (np.isfinite(entry[1]).all() and np.isfinite(entry[2]).all())
+    return entry[0] == "net" and entry[3] is not None
 
 
 def _write_inputs(root, files):
@@ -1282,6 +1358,12 @@ def _write_inputs(root, files):
                 writer.writerows([repr(float(yi))] + [repr(float(v)) for v in xi] for xi, yi in zip(x, y))
         elif entry[0] == "net":
             save_weights(path, entry[1], init_weights(entry[1], seed=entry[2]))
+            if entry[3] is not None:
+                with open(path, encoding="utf-8") as fh:
+                    doc = json.load(fh)
+                doc["weights"][0][0][0] = entry[3]
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(doc, fh)
         else:
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(entry[1], fh)
@@ -1308,7 +1390,7 @@ def file_subcommands(draw):
                  "a": draw(weight_files(d, mostly(st.just("linear"), st.sampled_from(["leaky_relu:0.2", "relu"])),
                                         decreasing=True))}
         files["b"] = draw(mostly(
-            st.integers(0, 2**32 - 1).map(lambda s: ("net", files["a"][1], s)),
+            st.integers(0, 2**32 - 1).map(lambda s: ("net", files["a"][1], s, None)),
             weight_files(d, decreasing=True),
         ))
         return ["path", "--weights-a", "{a}", "--weights-b", "{b}", "--data", "{data}", "--loss", loss,
@@ -1346,7 +1428,7 @@ def file_subcommands(draw):
         mc = draw(st.sampled_from([[], ["--mc", "--mc-out", "{mc}"], ["--mc"]]))
         widths = ",".join(draw(st.lists(ints_in(1, 6), min_size=draw(mostly(st.just(3), st.just(2))), max_size=4)))
         return ["wick", "--spec", "{spec}", *mc, f"--widths={widths}", "--replicates", draw(ints_in(2, 8))], \
-            {"spec": draw(wick_specs())}
+            {"spec": draw(st.one_of(valid_wick_specs(), wick_specs()))}
     files = {"data": draw(datasets(d, max_rows=8, signed=draw(mostly(st.just(True), st.just(False))))),
              "net": draw(weight_files(draw(other_d)))}
     return ["bounds", "--weights", "{net}", "--data", "{data}",
@@ -1363,14 +1445,13 @@ def test_cli_file_subcommands_exit_cleanly(case, fmt):
     """As above, over generated datasets, weight files and contraction
     specs: every call exits 0, 1 or 2, raises nothing, and warns nothing
     when it exits 1 or 2. A call that reads a data file holding an inf or
-    nan feature or label never exits 0, and neither does an ntk-train call
-    with a rate that is not positive and finite or with a nan time, nor a
-    wick call on a spec with a non-integer count or a non-finite input."""
+    nan feature or label, or a weight file with a bool or a quoted number
+    for a weight, never exits 0, and neither does an ntk-train call with a
+    rate that is not positive and finite or with a nan time, nor a wick
+    call on a spec with a non-integer count or an input that is not a
+    finite number."""
     argv, files = case
-    poisoned = any(
-        "{" + name + "}" in argv and not (np.isfinite(entry[1]).all() and np.isfinite(entry[2]).all())
-        for name, entry in files.items() if entry[0] == "data"
-    )
+    poisoned = any("{" + name + "}" in argv and _bad_file(entry) for name, entry in files.items())
     if argv[0] == "wick":
         poisoned |= _bad_spec(files["spec"][1])
     if argv[0] == "ntk-train":

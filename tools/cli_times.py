@@ -7,6 +7,12 @@ as `python -m dltl.cli <flags> --format csv --out FILE` in a fresh
 interpreter with PYTHONPATH=src and DLTL_THREADS=1 (BLAS on one thread),
 on the seeded input files that test_golden.write_inputs writes to a
 temporary directory. The time includes interpreter start and imports.
+
+The golden cases are dominated by start-up. Two cases at scale run only
+when named with --case: ntk-kernel-m1000 and ntk-kernel-m2000 run
+`ntk-kernel --kind nngp --widths 3,64,1 --act relu` on m = 1000 or 2000
+rows drawn from default_rng(0), x = standard_normal((m, 3)) and then
+y = standard_normal(m), and write the m^2-row gram table.
 Each child's peak resident set size is read from its own resource usage
 (os.wait4, ru_maxrss in KB, as perfbench/worker.py reads its own).
 
@@ -30,7 +36,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from test_golden import CASES, write_inputs  # noqa: E402
+import numpy as np  # noqa: E402
+from test_golden import CASES, _write_dataset, write_inputs  # noqa: E402
+
+SCALE_ROWS = {"ntk-kernel-m1000": 1000, "ntk-kernel-m2000": 2000}
 
 
 def child_env() -> dict:
@@ -40,8 +49,19 @@ def child_env() -> dict:
     return env
 
 
-def time_case(name: str, paths: dict[str, str], runs: int, out: str) -> dict:
-    argv = [tok.format(**paths) for tok in CASES[name].split()]
+def case_argv(name: str, paths: dict[str, str], tmp: str) -> list[str]:
+    """The flags of a golden case, or of a case at scale with its dataset
+    written to tmp."""
+    if name not in SCALE_ROWS:
+        return [tok.format(**paths) for tok in CASES[name].split()]
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((SCALE_ROWS[name], 3))
+    data = os.path.join(tmp, f"{name}.csv")
+    _write_dataset(data, x, rng.standard_normal(x.shape[0]))
+    return ["ntk-kernel", "--data", data, "--kind", "nngp", "--widths", "3,64,1", "--act", "relu"]
+
+
+def time_case(name: str, argv: list[str], runs: int, out: str) -> dict:
     cmd = [sys.executable, "-m", "dltl.cli", *argv, "--format", "csv", "--out", out]
     times, rss_kb = [], []
     for _ in range(runs):
@@ -64,15 +84,16 @@ def time_case(name: str, paths: dict[str, str], runs: int, out: str) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Time the dltl CLI end to end on the golden flag sets.")
     parser.add_argument("--runs", type=int, default=5, help="fresh interpreters per case (default 5)")
-    parser.add_argument("--case", action="extend", nargs="+", choices=sorted(CASES),
-                        help="time only these cases (repeatable; default: every case)")
+    parser.add_argument("--case", action="extend", nargs="+", choices=sorted(CASES) + sorted(SCALE_ROWS),
+                        help="time only these cases (repeatable; default: every golden case)")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
     with tempfile.TemporaryDirectory() as tmp:
         paths = write_inputs(Path(tmp))
         for name in args.case or sorted(CASES):
-            print(json.dumps(time_case(name, paths, args.runs, os.path.join(tmp, "out"))), flush=True)
+            argv = case_argv(name, paths, tmp)
+            print(json.dumps(time_case(name, argv, args.runs, os.path.join(tmp, "out"))), flush=True)
     return 0
 
 
