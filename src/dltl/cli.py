@@ -24,6 +24,7 @@ rounding); lists are comma-separated. Defaults are documented per flag in
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -163,6 +164,9 @@ def _json_ready(value):
     if isinstance(value, (list, tuple)):
         return [_json_ready(v) for v in value]
     if isinstance(value, np.ndarray):
+        # the list of an all-finite float array holds plain floats already
+        if value.dtype.kind == "f" and np.isfinite(value).all():
+            return value.tolist()
         return _json_ready(value.tolist())
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
@@ -174,25 +178,32 @@ def _json_ready(value):
     return value
 
 
-def render_json(document: dict) -> str:
-    return json.dumps(_json_ready(document), indent=2, sort_keys=True) + "\n"
+def render_json(document: dict, fh) -> None:
+    """Write the document to fh with sorted keys and an indent of 2, chunk
+    by chunk as json.dump encodes it, so the whole text is never held."""
+    json.dump(_json_ready(document), fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
+def _open_out(path: str | None):
+    """The file at path, opened for writing, or stdout when path is None."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    # newline="" keeps the LF endings byte-exact on every platform
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def _write_text(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
-    # newline="" keeps the LF endings byte-exact on every platform
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_out(path) as fh:
         fh.write(text)
 
 
 def _emit(emission: Emission, args: argparse.Namespace) -> None:
     if args.fmt == "csv":
-        text = render_csv(emission.header, emission.rows)
+        _write_text(args.out, render_csv(emission.header, emission.rows))
     else:
-        text = render_json(emission.document)
-    _write_text(args.out, text)
+        with _open_out(args.out) as fh:
+            render_json(emission.document, fh)
     for path, text in emission.extra_files:
         _write_text(path, text)
 

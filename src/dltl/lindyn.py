@@ -12,9 +12,9 @@ with t counted in GD steps. The module serves three things:
 
 - mode_time: the closed-form arrival time (exact for L = 1, the
   u^2-exponent approximation for deep nets), always next to a numerical
-  integration of the exact exponent (RK4 in ln u, which is composite
-  Simpson since the integrand does not depend on t), so the approximation
-  gap is measured rather than trusted;
+  integration of the exact exponent (RK4 in the logit ln(u/(s-u)),
+  which is composite Simpson since the integrand does not depend on t), so
+  the approximation gap is measured rather than trusted;
 - opt_schedule: the learning rate 1 / max lambda1 set by the peak mode
   Hessian eigenvalue, and the arrival time it gives;
 - simulate_deep_linear_gd: discrete full-matrix GD built from genuine
@@ -68,7 +68,8 @@ def _log_ratio(u0: float, uf: float, s: float) -> float:
 @dataclass(frozen=True)
 class ModeTimeResult:
     """Closed-form arrival time next to the numerically integrated value for
-    the exact ODE (t_rk4: RK4 in ln u, that is composite Simpson)."""
+    the exact ODE (t_rk4: RK4 in the logit ln(u/(s-u)), that is composite
+    Simpson)."""
 
     t_formula: float
     t_rk4: float
@@ -81,7 +82,7 @@ def mode_time(u0: float, uf: float, s: float, eta: float, L: int) -> ModeTimeRes
     L >= 2: the u^{2L/(L+1)} ~ u^2 approximation,
     t = (1/((L+1) s eta)) (1/u0 - 1/uf + (1/s) ln(uf (u0-s) / (u0 (uf-s)))).
     Both come with the arrival time for the exact exponent, integrated
-    numerically in ln u (t_rk4).
+    numerically in the logit ln(u/(s-u)) (t_rk4).
     """
     _check_positive("learning rate", eta)
     _check_mode_args(u0, uf, s, L)
@@ -95,12 +96,16 @@ def mode_time(u0: float, uf: float, s: float, eta: float, L: int) -> ModeTimeRes
     return ModeTimeResult(t_formula=t_formula, t_rk4=_arrival_time_rk4(u0, uf, s, eta, L))
 
 
-RK4_STEPS = 4096  # steps in ln u from u0 to uf
+RK4_STEPS = 4096  # steps in the logit v = ln(u / (s - u)) from u0 to uf
 
 
 def _arrival_time_rk4(u0: float, uf: float, s: float, eta: float, L: int) -> float:
-    """Integrate dt/dv for v = ln u; the integrand u^{(1-L)/(1+L)} / ((L+1) eta (s-u))
-    stays smooth in v all the way down to small u0.
+    """Integrate dt/dv for the logit v = ln(u / (s - u)), which maps
+    0 < u < s onto the whole line. With u = s / (1 + e^{-v}) and
+    du/dv = u (s - u) / s, the integrand is u^{(1-L)/(1+L)} / ((L+1) eta s):
+    it stays smooth in v down to small u0, as it would in ln u, and unlike
+    the 1/(s - u) of ln u it stays bounded as uf nears s. At L = 1 it is
+    the constant 1/(2 eta s).
 
     The integrand does not depend on t, so each RK4 step is a Simpson panel
     and k4 of one step is k1 of the next: the integrand is evaluated once on
@@ -109,13 +114,16 @@ def _arrival_time_rk4(u0: float, uf: float, s: float, eta: float, L: int) -> flo
     (cumsum, not the pairwise sum), so the rounding is that of RK4 stepping.
     """
     ex = (1.0 - L) / (1.0 + L)
+    log_s = math.log(s)
 
     def g(v: np.ndarray) -> np.ndarray:
-        u = np.exp(v)
-        return u**ex / (eta * (L + 1) * (s - u))
+        # u^ex through ln u = ln s + v - ln(1 + e^v), which stays finite for
+        # the v of a tiny u0, where e^v underflows to 0
+        return np.exp(ex * (log_s + v - np.log1p(np.exp(v)))) / (eta * (L + 1) * s)
 
-    h = (math.log(uf) - math.log(u0)) / RK4_STEPS
-    v = np.cumsum(np.concatenate(([math.log(u0)], np.full(RK4_STEPS, h))))
+    v0 = math.log(u0) - math.log(s - u0)
+    h = (math.log(uf) - math.log(s - uf) - v0) / RK4_STEPS
+    v = np.cumsum(np.concatenate(([v0], np.full(RK4_STEPS, h))))
     k = g(v)
     panels = (h / 6.0) * (k[:-1] + 4.0 * g(v[:-1] + 0.5 * h) + k[1:])
     return float(np.cumsum(panels)[-1])

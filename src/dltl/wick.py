@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import NetConfig, backward, forward, init_weights
+from .netcore import NetConfig, backprop, backward, forward, init_weights
 
 __all__ = [
     "ContractionSpec",
@@ -395,7 +395,10 @@ def exact_correlation(spec: ContractionSpec, L: int) -> DiagramCount:
 # the forward pass carries prod_l n_l^{-1/2}). That normalization divides by
 # sqrt(n_0) once more than the expansion above assumes, so inputs are fed in
 # scaled by sqrt(n_0), which makes the sampled f agree with
-# n^{-L/2} W_L ... W_0 x identically in the weights.
+# n^{-L/2} W_L ... W_0 x identically in the weights. A chain's ends are
+# weight gradients (netcore.backward); each interior factor is a
+# Hessian-vector product, which on a linear net costs one forward and one
+# backward pass plus a partial pass per weight block (_hessian_vec).
 
 
 def _grad_blocks(config: NetConfig, weights: list[np.ndarray], x: np.ndarray) -> list[np.ndarray]:
@@ -410,16 +413,36 @@ def _block_dot(a: list[np.ndarray], b: list[np.ndarray]) -> float:
 def _hessian_vec(
     config: NetConfig, weights: list[np.ndarray], v: list[np.ndarray], x: np.ndarray
 ) -> list[np.ndarray]:
-    """H(x) v for the multilinear chain: substitute v into one block at a
-    time, backpropagate, and drop the substituted block's own gradient."""
+    """H(x) v for the multilinear chain of a linear net, the only kind
+    mc_scaling_check builds: block q sums, over the blocks p != q, the
+    gradient of W_q at the weights with W_p replaced by v_p.
+
+    W_p enters neither the layer inputs x_0..x_p nor the preactivation
+    gradients g_{p+1}..g_{L+1}, and with phi' = 1 no gradient reads a
+    preactivation. So one forward pass and one backpropagation (seed e_0)
+    at the weights serve every p, and per p only the inputs above p and the
+    gradients below it are recomputed, with forward's and backprop's own
+    expressions: each block equals that of a full pass at the substituted
+    weights bit for bit."""
+    trace = forward(config, weights, x)
+    seed = np.zeros(trace.output.shape)
+    seed[0] = 1.0
+    grads = backprop(config, weights, trace, seed)
+    inputs = [trace.x0, *trace.x]
+    c = config.scales
     out = [np.zeros_like(w) for w in weights]
     for p in range(len(weights)):
         sub = list(weights)
         sub[p] = v[p]
-        grads = _grad_blocks(config, sub, x)
+        xs = inputs[: p + 1]
+        for l in range(p, len(weights) - 1):
+            xs.append(c[l] * (sub[l] @ xs[l]))
+        gs = grads[p:]
+        for l in range(p, 0, -1):
+            gs.insert(0, c[l] * (sub[l].T @ gs[0]))
         for q in range(len(weights)):
             if q != p:
-                out[q] += grads[q]
+                out[q] += c[q] * (gs[q][:, None] * xs[q][None, :])
     return out
 
 

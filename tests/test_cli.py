@@ -163,12 +163,23 @@ class TestParsers:
         assert [p["marginal"] for p in json.loads(out.getvalue())["points"]] == [True, False]
 
     def test_render_json_shape(self):
-        text = cli.render_json({"b": 1.5, "a": [1, 2], "inf": math.inf,
-                                "nan": math.nan})
+        buf = io.StringIO()
+        cli.render_json({"b": 1.5, "a": [1, 2], "inf": math.inf, "nan": math.nan}, buf)
+        text = buf.getvalue()
         doc = json.loads(text)
         assert doc == {"a": [1, 2], "b": 1.5, "inf": "inf", "nan": "nan"}
         assert text.index('"a"') < text.index('"b"')
         assert text.endswith("\n")
+
+    def test_render_json_arrays(self):
+        """An all-finite float array is written from its own list; one with
+        inf or nan, an integer and a bool array are converted per entry."""
+        buf = io.StringIO()
+        cli.render_json({"f": np.array([[0.1, -0.0], [1e-300, 2.0]]), "i": np.arange(2),
+                         "b": np.array([True, False]), "n": np.array([1.5, math.inf, -math.nan])}, buf)
+        assert json.loads(buf.getvalue()) == {"b": [True, False], "f": [[0.1, -0.0], [1e-300, 2.0]],
+                                              "i": [0, 1], "n": [1.5, "inf", "nan"]}
+        assert "-0.0" in buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -108,10 +108,22 @@ class TestModeTime:
         traj = _integrate_mode_ode(u0, s, eta, L, np.linspace(0.0, r.t_rk4, 201))
         np.testing.assert_allclose(traj[-1], uf, atol=1e-8)
 
+    @pytest.mark.parametrize("L", [1, 2, 4])
+    @pytest.mark.parametrize("uf", [0.999, 0.9999, 1 - 1e-8])
+    def test_rk4_arrival_lands_on_uf_near_the_target(self, L, uf):
+        """Integrating the mode ODE for exactly t_rk4 reaches uf as uf nears
+        s = 1: the gap s - u left at t_rk4 is s - uf to 1e-6. At L = 1 the
+        integrand of t_rk4 is constant, so its agreement with the closed form
+        checks only the sum; this trajectory is the independent check."""
+        u0, s, eta = 0.01, 1.0, 0.05
+        r = lindyn.mode_time(u0, uf, s, eta, L)
+        traj = _integrate_mode_ode(u0, s, eta, L, np.linspace(0.0, r.t_rk4, 201))
+        np.testing.assert_allclose(s - traj[-1], s - uf, rtol=1e-6)
+
     @pytest.mark.parametrize("u0, uf, s, eta", [
         (0.01, 0.5, 0.6, 0.3),
         (0.2, 2.9, 3.0, 0.01),
-        (1e-3, 0.97, 1.0, 1.0),
+        (1e-3, 0.999, 1.0, 1.0),
         (0.5, 0.51, 0.8, 0.05),
     ])
     def test_shallow_formula_is_exact_across_targets(self, u0, uf, s, eta):

@@ -184,6 +184,39 @@ class TestGrams:
         np.testing.assert_allclose(gram.matrix, expect, atol=1e-12)
 
 
+class TestFiniteWidthConvergence:
+    WIDTHS = (64, 256, 1024)
+    SEEDS = range(16)
+
+    @pytest.mark.parametrize("act, sigma_w2", [("relu", 2.0), ("tanh", 1.5)])
+    def test_empirical_ntk_approaches_the_limit_at_rate_one_half(self, act, sigma_w2):
+        """The empirical NTK of random (4, n, n, 1) nets approaches
+        limiting_ntk with a relative Frobenius error that falls like n^(-1/2)
+        (Jacot et al., arXiv:1806.07572). The median error over 16 seeds,
+        fitted against n on a log-log scale, has a slope within 3 standard
+        errors of -1/2. The standard error of each log median is 1.2533
+        times the spread of the 16 log errors over sqrt(16), and the band
+        must be narrow enough (3 SE at most 0.25) to tell -1/2 from 0 and
+        from -1."""
+        x = np.random.default_rng(0).standard_normal((4, 6))
+        log_medians, log_ses = [], []
+        for n in self.WIDTHS:
+            config = NetConfig((4, n, n, 1), act, parameterization="ntk", sigma_w2=sigma_w2)
+            limit = ntk.limiting_ntk(x, config).matrix
+            errors = np.array([
+                np.linalg.norm(ntk.empirical_ntk(config, init_weights(config, seed), x).matrix - limit)
+                for seed in self.SEEDS
+            ]) / np.linalg.norm(limit)
+            log_medians.append(math.log(np.median(errors)))
+            log_ses.append(1.2533 * np.std(np.log(errors), ddof=1) / math.sqrt(len(errors)))
+        # equally spaced log widths: the least-squares slope is the end-to-end one
+        span = math.log(self.WIDTHS[-1] / self.WIDTHS[0])
+        slope = (log_medians[-1] - log_medians[0]) / span
+        se = math.hypot(log_ses[0], log_ses[-1]) / span
+        assert 3 * se <= 0.25
+        assert abs(slope + 0.5) <= 3 * se
+
+
 class TestLinearizedTraining:
     def _setup(self, kernel="limiting", seed=11, widths=(3, 16, 1)):
         config = _relu_config(widths)

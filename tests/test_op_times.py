@@ -20,6 +20,14 @@ def test_times_one_case_once():
     assert 0 < doc["min_us"] == doc["median_us"] == doc["max_us"]
 
 
+def test_times_the_hessian_vector_products_per_call():
+    proc = subprocess.run([sys.executable, str(TOOL), "--runs", "1", "--case", "hessian_vec.L1", "hessian_vec.L3"],
+                          capture_output=True, text=True, check=True)
+    docs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(d["case"], d["per"]) for d in docs] == [("hessian_vec.L1", "call"), ("hessian_vec.L3", "call")]
+    assert all(d["median_us"] > 0 for d in docs)
+
+
 def test_pairs_two_trees():
     proc = subprocess.run([sys.executable, str(TOOL), "--pair", str(ROOT), str(ROOT), "--rounds", "2",
                            "--runs", "1", "--case", "nngp_recursion.relu"],

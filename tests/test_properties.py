@@ -200,13 +200,15 @@ def test_stacked_gd_equals_per_layer_loop(data, width, L, eta, u0, seed, max_ste
 
 
 def _reference_arrival_time(u0, uf, s, eta, L, steps=4096):
+    """RK4 steps in the logit v = ln(u / (s - u)), one at a time."""
     ex = (1.0 - L) / (1.0 + L)
 
     def g(v):
-        u = math.exp(v)
-        return u**ex / (eta * (L + 1) * (s - u))
+        u = s / (1.0 + math.exp(-v))
+        return u**ex / (eta * (L + 1) * s)
 
-    v, h = math.log(u0), (math.log(uf) - math.log(u0)) / steps
+    v = math.log(u0) - math.log(s - u0)
+    h = (math.log(uf) - math.log(s - uf) - v) / steps
     t = 0.0
     for _ in range(steps):
         k1 = g(v)

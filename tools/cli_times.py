@@ -8,11 +8,13 @@ interpreter with PYTHONPATH=src and DLTL_THREADS=1 (BLAS on one thread),
 on the seeded input files that test_golden.write_inputs writes to a
 temporary directory. The time includes interpreter start and imports.
 
-The golden cases are dominated by start-up. Two cases at scale run only
-when named with --case: ntk-kernel-m1000 and ntk-kernel-m2000 run
-`ntk-kernel --kind nngp --widths 3,64,1 --act relu` on m = 1000 or 2000
-rows drawn from default_rng(0), x = standard_normal((m, 3)) and then
-y = standard_normal(m), and write the m^2-row gram table.
+The golden cases are dominated by start-up. Three cases at scale run only
+when named with --case: ntk-kernel-m1000, ntk-kernel-m2000 and
+ntk-kernel-m1000-json run `ntk-kernel --kind nngp --widths 3,64,1 --act
+relu` on m = 1000 or 2000 rows drawn from default_rng(0),
+x = standard_normal((m, 3)) and then y = standard_normal(m). The first two
+write the m^2-row gram table (--format csv), the third the JSON document
+that holds the m x m gram (--format json).
 Each child's peak resident set size is read from its own resource usage
 (os.wait4, ru_maxrss in KB, as perfbench/worker.py reads its own).
 
@@ -39,7 +41,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import numpy as np  # noqa: E402
 from test_golden import CASES, _write_dataset, write_inputs  # noqa: E402
 
-SCALE_ROWS = {"ntk-kernel-m1000": 1000, "ntk-kernel-m2000": 2000}
+# case at scale -> (rows m, output format)
+SCALE_CASES = {"ntk-kernel-m1000": (1000, "csv"), "ntk-kernel-m2000": (2000, "csv"),
+               "ntk-kernel-m1000-json": (1000, "json")}
 
 
 def child_env() -> dict:
@@ -51,18 +55,19 @@ def child_env() -> dict:
 
 def case_argv(name: str, paths: dict[str, str], tmp: str) -> list[str]:
     """The flags of a golden case, or of a case at scale with its dataset
-    written to tmp."""
-    if name not in SCALE_ROWS:
-        return [tok.format(**paths) for tok in CASES[name].split()]
+    written to tmp, --format included."""
+    if name not in SCALE_CASES:
+        return [tok.format(**paths) for tok in CASES[name].split()] + ["--format", "csv"]
+    m, fmt = SCALE_CASES[name]
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((SCALE_ROWS[name], 3))
-    data = os.path.join(tmp, f"{name}.csv")
+    x = rng.standard_normal((m, 3))
+    data = os.path.join(tmp, f"rows{m}.csv")
     _write_dataset(data, x, rng.standard_normal(x.shape[0]))
-    return ["ntk-kernel", "--data", data, "--kind", "nngp", "--widths", "3,64,1", "--act", "relu"]
+    return ["ntk-kernel", "--data", data, "--kind", "nngp", "--widths", "3,64,1", "--act", "relu", "--format", fmt]
 
 
 def time_case(name: str, argv: list[str], runs: int, out: str) -> dict:
-    cmd = [sys.executable, "-m", "dltl.cli", *argv, "--format", "csv", "--out", out]
+    cmd = [sys.executable, "-m", "dltl.cli", *argv, "--out", out]
     times, rss_kb = [], []
     for _ in range(runs):
         t0 = time.perf_counter()
@@ -84,7 +89,7 @@ def time_case(name: str, argv: list[str], runs: int, out: str) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Time the dltl CLI end to end on the golden flag sets.")
     parser.add_argument("--runs", type=int, default=5, help="fresh interpreters per case (default 5)")
-    parser.add_argument("--case", action="extend", nargs="+", choices=sorted(CASES) + sorted(SCALE_ROWS),
+    parser.add_argument("--case", action="extend", nargs="+", choices=sorted(CASES) + sorted(SCALE_CASES),
                         help="time only these cases (repeatable; default: every golden case)")
     args = parser.parse_args(argv)
     if args.runs < 1:

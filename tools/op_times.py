@@ -10,8 +10,10 @@ warm up and once more to pick how many calls make one run (at least RUN_S
 of work), then timed over N runs. Every run is bracketed by perfbench/speed.py's
 probe and rescaled by it, as the benchmark rescales its passes. The case's
 time is per unit: one call, one Monte Carlo replicate or one network layer,
-as its "per" field says. Prints one JSON line per case: {"case", "per",
-"calls", "runs", "median_us", "min_us", "max_us"}.
+as its "per" field says. The hessian_vec.L1 and hessian_vec.L3 cases time
+one Hessian-vector product of mc_scaling_check's chain at depth 1 and 3,
+per call, through wick's private _hessian_vec. Prints one JSON line per
+case: {"case", "per", "calls", "runs", "median_us", "min_us", "max_us"}.
 
 The second form alternates two source trees, K rounds of one fresh
 interpreter per tree (TREE_A first in even rounds, TREE_B first in odd
@@ -53,6 +55,20 @@ def _forward_backward(width):
         backward(config, weights, forward(config, weights, x), 0)
 
     return call, "call"
+
+
+def _hessian_vec(depth):
+    """One Hessian-vector product of mc_scaling_check's chain: a linear net
+    of width 16 and the given depth, v the weight gradient at another input."""
+    import numpy as np
+
+    from dltl import wick
+    from dltl.netcore import NetConfig, init_weights
+
+    config = NetConfig((1,) + (16,) * depth + (1,), "linear", parameterization="ntk")
+    weights = init_weights(config, 1)
+    v, x = wick._grad_blocks(config, weights, np.array([0.7])), np.array([1.1])
+    return (lambda: wick._hessian_vec(config, weights, v, x)), "call"
 
 
 def _mc_replicate():
@@ -130,6 +146,8 @@ CASES = {
     "forward_backward.w8": lambda: _forward_backward(8),
     "forward_backward.w16": lambda: _forward_backward(16),
     "forward_backward.w32": lambda: _forward_backward(32),
+    "hessian_vec.L1": lambda: _hessian_vec(1),
+    "hessian_vec.L3": lambda: _hessian_vec(3),
     "mc_scaling_check.replicate": _mc_replicate,
     "tangent_gram": _tangent_gram,
     "length_map.relu": lambda: _length_map("relu"),
