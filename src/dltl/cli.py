@@ -6,7 +6,9 @@ Shared conventions:
   flags (including --seed) produces byte-identical output files;
 - --format csv emits a single table with a header row, LF line endings and
   '.' decimal points; --format json pretty-prints one document with sorted
-  keys; --out writes to a file, stdout otherwise;
+  keys; --out writes to a file, stdout otherwise; a file is written in
+  full under a temporary name and then renamed, so a failed call leaves
+  no partial file;
 - exit codes: 0 on success, 1 on domain errors (invalid values, singular
   kernels, diverging iterations, arithmetic overflow, unreadable files), 2
   on usage errors (unknown flags or subcommands, malformed ranges, missing
@@ -26,9 +28,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
@@ -58,7 +60,8 @@ class Emission:
     rows may be a one-pass iterable, read only by the csv renderer; its
     cells are plain None, int, float or str values, which csv.writer writes
     as an empty field, str(int) and repr(float). The document may hold
-    numpy arrays and scalars, which _json_ready converts."""
+    numpy arrays and scalars, which _json_ready converts. extra_files holds
+    (path, header, rows) tables written as CSV in either mode."""
 
     header: tuple
     rows: Iterable
@@ -150,12 +153,11 @@ def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def render_csv(header: tuple, rows: Iterable) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def render_csv(header: tuple, rows: Iterable, fh) -> None:
+    """Write the table to fh row by row, so the whole text is never held."""
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
 
 
 def _json_ready(value):
@@ -185,27 +187,43 @@ def render_json(document: dict, fh) -> None:
     fh.write("\n")
 
 
+@contextlib.contextmanager
 def _open_out(path: str | None):
-    """The file at path, opened for writing, or stdout when path is None."""
+    """stdout when path is None; otherwise a temporary file next to path,
+    renamed over it after the last byte, so a call that fails midway leaves
+    neither a partial file nor the temporary one. A path that exists and is
+    not a regular file (a pipe, /dev/null) is written in place."""
     if path is None:
-        return contextlib.nullcontext(sys.stdout)
+        yield sys.stdout
+        return
     # newline="" keeps the LF endings byte-exact on every platform
-    return open(path, "w", encoding="utf-8", newline="")
-
-
-def _write_text(path: str | None, text: str) -> None:
-    with _open_out(path) as fh:
-        fh.write(text)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, "x", encoding="utf-8", newline="")
+    except OSError as exc:  # name the file asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _emit(emission: Emission, args: argparse.Namespace) -> None:
-    if args.fmt == "csv":
-        _write_text(args.out, render_csv(emission.header, emission.rows))
-    else:
-        with _open_out(args.out) as fh:
+    with _open_out(args.out) as fh:
+        if args.fmt == "csv":
+            render_csv(emission.header, emission.rows, fh)
+        else:
             render_json(emission.document, fh)
-    for path, text in emission.extra_files:
-        _write_text(path, text)
+    for path, header, rows in emission.extra_files:
+        with _open_out(path) as fh:
+            render_csv(header, rows, fh)
 
 
 def _records(header: tuple, rows) -> list[dict]:
@@ -616,7 +634,7 @@ def _run_wick(args: argparse.Namespace) -> Emission:
         if args.mc_out is not None:
             # exact_correlation ran above, so report.exacts is set
             mc_rows = zip(report.widths, report.means, report.std_errs, report.variances, report.exacts)
-            extra = ((args.mc_out, render_csv(("width", "mc_mean", "mc_se", "mc_variance", "exact"), mc_rows)),)
+            extra = ((args.mc_out, ("width", "mc_mean", "mc_se", "mc_variance", "exact"), mc_rows),)
     return Emission(header, rows, doc, extra_files=extra)
 
 

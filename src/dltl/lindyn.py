@@ -61,8 +61,17 @@ def _check_mode_args(u0: float, uf: float, s: float, L: int) -> None:
 
 
 def _log_ratio(u0: float, uf: float, s: float) -> float:
-    # ln( uf (u0 - s) / (u0 (uf - s)) ), positive for 0 < u0 <= uf < s
-    return math.log(uf * (s - u0) / (u0 * (s - uf)))
+    # ln( uf (u0 - s) / (u0 (uf - s)) ), positive for 0 < u0 <= uf < s, as a
+    # sum of logs: the quotient overflows for a subnormal u0
+    return math.log(uf) + math.log(s - u0) - math.log(u0) - math.log(s - uf)
+
+
+def _finite_time(t: float, u0: float) -> float:
+    """t, or a ValueError where it leaves float range: 1/u0 does for a
+    subnormal u0, and so can the division by a small rate."""
+    if t == math.inf:
+        raise ValueError(f"the arrival time from u0 = {u0} leaves float range")
+    return t
 
 
 @dataclass(frozen=True)
@@ -92,7 +101,7 @@ def mode_time(u0: float, uf: float, s: float, eta: float, L: int) -> ModeTimeRes
     if L == 1:
         t_formula = lr / (2.0 * s * eta)
     else:
-        t_formula = (1.0 / u0 - 1.0 / uf + lr / s) / ((L + 1) * s * eta)
+        t_formula = _finite_time((1.0 / u0 - 1.0 / uf + lr / s) / ((L + 1) * s * eta), u0)
     return ModeTimeResult(t_formula=t_formula, t_rk4=_arrival_time_rk4(u0, uf, s, eta, L))
 
 
@@ -146,7 +155,7 @@ def opt_schedule(u0: float, uf: float, s: float, L: int) -> OptSchedule:
         eta_opt = 1.0 / ((L + 1) * s ** (2.0 * L / (L + 1)))
     except OverflowError:
         raise ValueError(f"target s = {s} is too large: s^(2L/(L+1)) overflows") from None
-    t_opt = s ** ((L - 1.0) / (L + 1.0)) * (1.0 / u0 - 1.0 / uf + _log_ratio(u0, uf, s) / s)
+    t_opt = _finite_time(s ** ((L - 1.0) / (L + 1.0)) * (1.0 / u0 - 1.0 / uf + _log_ratio(u0, uf, s) / s), u0)
     return OptSchedule(eta_opt=eta_opt, t_opt=t_opt)
 
 

@@ -220,7 +220,8 @@ def init_weights(config: NetConfig, seed: int) -> list[np.ndarray]:
     """Sample a weight list per the config's init scheme.
 
     Replicate streams are derived as seed + replicate_index by callers; this
-    function consumes exactly one Generator seeded with `seed`.
+    function consumes exactly one Generator seeded with `seed`. Each drawn
+    matrix is scaled in place, and not at all by the ntk scale of 1.
     """
     rng = np.random.default_rng(seed)
     weights = []
@@ -231,10 +232,12 @@ def init_weights(config: NetConfig, seed: int) -> list[np.ndarray]:
                 raise ValueError(
                     f"orthogonal init needs square layers, got {fan_out}x{fan_in} at layer {l}"
                 )
-            w = np.sqrt(config.sigma_w2) * haar_orthogonal(fan_in, rng)
+            w = haar_orthogonal(fan_in, rng)
+            w *= np.sqrt(config.sigma_w2)
         else:
-            var = 1.0 if config.parameterization == "ntk" else config.sigma_w2 / fan_in
-            w = rng.standard_normal((fan_out, fan_in)) * np.sqrt(var)
+            w = rng.standard_normal((fan_out, fan_in))
+            if config.parameterization != "ntk":
+                w *= np.sqrt(config.sigma_w2 / fan_in)
         weights.append(w)
     return weights
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import NetConfig, backprop, backward, forward, init_weights
+from .netcore import ForwardTrace, NetConfig, backprop, forward, init_weights
 
 __all__ = [
     "ContractionSpec",
@@ -395,40 +395,49 @@ def exact_correlation(spec: ContractionSpec, L: int) -> DiagramCount:
 # the forward pass carries prod_l n_l^{-1/2}). That normalization divides by
 # sqrt(n_0) once more than the expansion above assumes, so inputs are fed in
 # scaled by sqrt(n_0), which makes the sampled f agree with
-# n^{-L/2} W_L ... W_0 x identically in the weights. A chain's ends are
-# weight gradients (netcore.backward); each interior factor is a
-# Hessian-vector product, which on a linear net costs one forward and one
-# backward pass plus a partial pass per weight block (_hessian_vec).
+# n^{-L/2} W_L ... W_0 x identically in the weights. Every factor of a
+# replicate sits at the same weights, so each distinct input gets one
+# forward pass, and one backpropagation (seed e_0) if it feeds a chain. A
+# chain's ends are weight gradients read off those passes; each interior
+# factor is a Hessian-vector product, which on a linear net costs a partial
+# pass per weight block on top of them (_hessian_vec).
 
 
-def _grad_blocks(config: NetConfig, weights: list[np.ndarray], x: np.ndarray) -> list[np.ndarray]:
-    trace = forward(config, weights, x)
-    return backward(config, weights, trace, output_index=0)
+# one input's pass: its layer inputs x_0..x_L and preactivation gradients
+# g_1..g_{L+1} of output 0
+_Pass = tuple[list[np.ndarray], list[np.ndarray]]
+
+
+def _pass(config: NetConfig, weights: list[np.ndarray], trace: ForwardTrace) -> _Pass:
+    """The pass of a forward trace: backprop from the seed e_0."""
+    seed = np.zeros(trace.output.shape)
+    seed[0] = 1.0
+    return [trace.x0, *trace.x], backprop(config, weights, trace, seed)
+
+
+def _grad_blocks(config: NetConfig, pass_: _Pass) -> list[np.ndarray]:
+    """The weight gradients of output 0, with netcore.backward's expression."""
+    inputs, grads = pass_
+    return [c * (g[:, None] * x[None, :]) for c, g, x in zip(config.scales, grads, inputs)]
 
 
 def _block_dot(a: list[np.ndarray], b: list[np.ndarray]) -> float:
     return float(sum(np.vdot(u, v) for u, v in zip(a, b)))
 
 
-def _hessian_vec(
-    config: NetConfig, weights: list[np.ndarray], v: list[np.ndarray], x: np.ndarray
-) -> list[np.ndarray]:
+def _hessian_vec(config: NetConfig, weights: list[np.ndarray], v: list[np.ndarray], pass_: _Pass) -> list[np.ndarray]:
     """H(x) v for the multilinear chain of a linear net, the only kind
-    mc_scaling_check builds: block q sums, over the blocks p != q, the
-    gradient of W_q at the weights with W_p replaced by v_p.
+    mc_scaling_check builds, from the pass at x: block q sums, over the
+    blocks p != q, the gradient of W_q at the weights with W_p replaced by
+    v_p.
 
     W_p enters neither the layer inputs x_0..x_p nor the preactivation
     gradients g_{p+1}..g_{L+1}, and with phi' = 1 no gradient reads a
-    preactivation. So one forward pass and one backpropagation (seed e_0)
-    at the weights serve every p, and per p only the inputs above p and the
-    gradients below it are recomputed, with forward's and backprop's own
-    expressions: each block equals that of a full pass at the substituted
-    weights bit for bit."""
-    trace = forward(config, weights, x)
-    seed = np.zeros(trace.output.shape)
-    seed[0] = 1.0
-    grads = backprop(config, weights, trace, seed)
-    inputs = [trace.x0, *trace.x]
+    preactivation. So the one pass at the weights serves every p, and per p
+    only the inputs above p and the gradients below it are recomputed, with
+    forward's and backprop's own expressions: each block equals that of a
+    full pass at the substituted weights bit for bit."""
+    inputs, grads = pass_
     c = config.scales
     out = [np.zeros_like(w) for w in weights]
     for p in range(len(weights)):
@@ -531,6 +540,12 @@ def mc_scaling_check(
     components = _chain_components(spec)
     d = spec.input_dim
     scaled = [x * math.sqrt(d) for x in spec.inputs]
+    # first[i]: the first factor whose scaled input has the bits of factor
+    # i + 1's, whose passes both read (+0.0 and -0.0 differ, as their passes
+    # may in the sign of a zero)
+    seen: dict[bytes, int] = {}
+    first = [seen.setdefault(x.tobytes(), k) for k, x in enumerate(scaled)]
+    chained = {first[f - 1] for kind, comp in components if kind == "chain" for f in comp}
     try:
         exact = exact_correlation(spec, L)
     except ValueError:
@@ -548,15 +563,18 @@ def mc_scaling_check(
         with np.errstate(all="ignore"):  # an overflow fails the check below
             for r in range(replicates):
                 weights = init_weights(config, seed=seed + 7919 * w_idx + r)
+                traces = {k: forward(config, weights, scaled[k]) for k in seen.values()}
+                passes = {k: _pass(config, weights, traces[k]) for k in chained}
                 value = 1.0
                 for kind, comp in components:
                     if kind == "point":
-                        value *= float(forward(config, weights, scaled[comp[0] - 1]).output[0])
+                        value *= float(traces[first[comp[0] - 1]].output[0])
                     else:
-                        v = _grad_blocks(config, weights, scaled[comp[0] - 1])
-                        for mid in comp[1:-1]:
-                            v = _hessian_vec(config, weights, v, scaled[mid - 1])
-                        value *= _block_dot(v, _grad_blocks(config, weights, scaled[comp[-1] - 1]))
+                        head, *middles, tail = (passes[first[f - 1]] for f in comp)
+                        v = _grad_blocks(config, head)
+                        for mid in middles:
+                            v = _hessian_vec(config, weights, v, mid)
+                        value *= _block_dot(v, _grad_blocks(config, tail))
                 samples[r] = value
             mean, variance = float(samples.mean()), float(samples.var(ddof=1))
         # a sample that is not finite makes the mean so too

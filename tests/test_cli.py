@@ -1,6 +1,7 @@
 """Tests for the dltl command line: flag parsing, dataset and weight file
 IO, per-subcommand output shapes, exit codes, and byte-level determinism."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -151,7 +152,9 @@ class TestParsers:
     def test_render_csv_cells(self):
         """Floats via repr, None empty, LF endings; phase writes its bool
         marginal column as 0/1 in csv and true/false in json."""
-        text = cli.render_csv(("a", "b", "c"), [(0.1, None, "x"), (2, 1e-17, None)])
+        buf = io.StringIO()
+        cli.render_csv(("a", "b", "c"), [(0.1, None, "x"), (2, 1e-17, None)], buf)
+        text = buf.getvalue()
         assert text == "a,b,c\n0.1,,x\n2,1e-17,\n"
         assert "\r" not in text
         argv = ["phase", "--act", "linear", "--sigma-w2", "1:1.5:0.5"]
@@ -161,6 +164,29 @@ class TestParsers:
         with contextlib.redirect_stdout(io.StringIO()) as out:
             assert main(argv + ["--format", "json"]) == 0
         assert [p["marginal"] for p in json.loads(out.getvalue())["points"]] == [True, False]
+
+    def test_failed_render_leaves_no_file(self, tmp_path):
+        """--out and --mc-out are written to a temporary file that replaces
+        the target after the last byte: a row generator that raises leaves
+        neither a partial target nor the temporary file, and an existing
+        target as it was."""
+        def rows():
+            yield (1, 2.5)
+            raise ValueError("row 2 failed")
+
+        out, extra = tmp_path / "out.csv", tmp_path / "mc.csv"
+        extra.write_text("kept\n", encoding="utf-8")
+        for emission in (cli.Emission(("a", "b"), rows(), {}),
+                         cli.Emission(("a", "b"), [(1, 2.5)], {}, extra_files=((str(extra), ("a", "b"), rows()),))):
+            with pytest.raises(ValueError, match="row 2 failed"):
+                cli._emit(emission, argparse.Namespace(fmt="csv", out=str(out)))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mc.csv", "out.csv"]
+        assert out.read_text(encoding="utf-8") == "a,b\n1,2.5\n"
+        assert extra.read_text(encoding="utf-8") == "kept\n"
+        out.unlink()
+        with pytest.raises(ValueError, match="row 2 failed"):
+            cli._emit(cli.Emission(("a", "b"), rows(), {}), argparse.Namespace(fmt="csv", out=str(out)))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mc.csv"]
 
     def test_render_json_shape(self):
         buf = io.StringIO()

@@ -152,6 +152,23 @@ class TestModeTime:
         traj = _integrate_mode_ode(u0, s, eta, L, np.linspace(0.0, r.t_rk4, 201))
         np.testing.assert_allclose(traj[-1], uf, atol=1e-8)
 
+    @pytest.mark.parametrize("u0", [1e-320, 5e-324])
+    def test_shallow_formula_at_a_subnormal_u0(self, u0):
+        """The ratio ln(uf (s - u0) / (u0 (s - uf))) overflowed as a quotient
+        and gave t_formula inf; as a sum of logs it matches t_rk4."""
+        r = lindyn.mode_time(u0, 0.5, 1.0, 0.05, 1)
+        np.testing.assert_allclose(r.t_formula, r.t_rk4, rtol=1e-12)
+
+    def test_arrival_time_beyond_float_range_raises(self):
+        """1/u0 leaves float range at a subnormal u0, and so does the deep
+        formula's time just above it: a ValueError, not an infinite time."""
+        for call in (lambda: lindyn.mode_time(1e-310, 0.5, 1.0, 0.05, 2),
+                     lambda: lindyn.mode_time(5.6e-309, 0.5, 1.0, 0.05, 2),
+                     lambda: lindyn.opt_schedule(1e-320, 0.5, 1.0, 2),
+                     lambda: lindyn.opt_schedule(1e-320, 0.5, 1.0, 1)):
+            with pytest.raises(ValueError, match=r"^the arrival time from u0 = \S+ leaves float range$"):
+                call()
+
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="hidden layer"):
             lindyn.mode_time(0.01, 0.99, 1.0, 0.05, 0)

@@ -418,6 +418,20 @@ class TestSimulatedMoments:
         prof = simulate_moments(config, np.ones(n), replicates=100, seed=1)
         assert np.all(np.abs(prof.q - 2.0) <= 3 * prof.q_se)
 
+    @pytest.mark.parametrize("sigma_w2", [0.8, 1.5, 3.0])
+    def test_tanh_matches_the_iterated_length_map(self, sigma_w2):
+        """Away from the fixed point q changes from layer to layer: tanh nets
+        of width 256 and depth 5 on x = 2 * ones start at q_1 = 4 sigma_w^2,
+        and every layer's sampled q over 100 replicates lies within 3
+        standard errors of q_1 pushed through length_map."""
+        n, L = 256, 5
+        config = NetConfig(widths=(n,) * (L + 2), activation="tanh", sigma_w2=sigma_w2)
+        prof = simulate_moments(config, 2.0 * np.ones(n), replicates=100, seed=0)
+        q = [4.0 * sigma_w2]
+        for _ in range(L):
+            q.append(length_map(q[-1], sigma_w2, TANH))
+        assert np.all(np.abs(prof.q - q) <= 3 * prof.q_se)
+
     def test_backward_moments_flat_at_edge(self):
         n, L = 128, 4
         config = NetConfig(widths=(n,) * (L + 2), activation="relu", sigma_w2=2.0)

@@ -217,6 +217,25 @@ class TestFiniteWidthConvergence:
         assert abs(slope + 0.5) <= 3 * se
 
 
+class TestSampledNNGP:
+    @pytest.mark.parametrize("act, sigma_w2", [("relu", 2.0), ("tanh", 1.5)])
+    def test_output_covariance_of_wide_nets_is_the_nngp(self, act, sigma_w2):
+        """The outputs of random (4, 256, 256, 1) nets, seeds 0-999, have
+        the covariance nngp_gram predicts on 4 inputs (Lee et al.,
+        arXiv:1711.00165; Matthews et al., arXiv:1804.11271): every entry of
+        the mean of f(x_i) f(x_j) lies within 3 standard errors of the
+        gram's, each standard error the spread of that product over the
+        replicates over sqrt(1000). The O(1/n) finite-width bias is well
+        below it."""
+        x = np.random.default_rng(0).standard_normal((4, 4))
+        config = NetConfig((4, 256, 256, 1), act, parameterization="ntk", sigma_w2=sigma_w2)
+        f = np.array([forward(config, init_weights(config, seed), x).output[0] for seed in range(1000)])
+        products = f[:, :, None] * f[:, None, :]
+        se = products.std(axis=0, ddof=1) / math.sqrt(len(f))
+        gram = ntk.nngp_gram(x, config).matrix
+        assert np.all(np.abs(products.mean(axis=0) - gram) <= 3 * se)
+
+
 class TestLinearizedTraining:
     def _setup(self, kernel="limiting", seed=11, widths=(3, 16, 1)):
         config = _relu_config(widths)

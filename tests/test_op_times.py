@@ -37,3 +37,14 @@ def test_pairs_two_trees():
     assert (doc["case"], doc["rounds"]) == ("nngp_recursion.relu", 2)
     assert len(doc["a_us"]) == len(doc["b_us"]) == 2 and all(t > 0 for t in doc["a_us"] + doc["b_us"])
     assert doc["b_lower_rounds"] in ("0/2", "1/2", "2/2")
+
+
+def test_times_both_monte_carlo_replicates():
+    """The shared-pass chain (one input) and the golden wick-mc spec (two
+    inputs), each per replicate: 20 at each of three widths."""
+    proc = subprocess.run([sys.executable, str(TOOL), "--runs", "1", "--case", "mc_scaling_check.replicate",
+                           "mc_scaling_check.replicate_vec"], capture_output=True, text=True, check=True)
+    docs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(d["case"], d["per"]) for d in docs] == [("mc_scaling_check.replicate", 60),
+                                                     ("mc_scaling_check.replicate_vec", 60)]
+    assert all(d["median_us"] > 0 for d in docs)

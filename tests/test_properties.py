@@ -1116,7 +1116,9 @@ csv_cells = st.one_of(
 @given(rows=st.lists(st.lists(csv_cells, min_size=1, max_size=5), max_size=6))
 def test_render_csv_equals_the_per_cell_path(rows):
     header = ("a", "b", "c")
-    assert cli.render_csv(header, rows) == _render_csv_by_cells(header, rows)
+    buf = io.StringIO()
+    cli.render_csv(header, rows, buf)
+    assert buf.getvalue() == _render_csv_by_cells(header, rows)
 
 
 # -- CLI fuzz -------------------------------------------------------------------

@@ -6,11 +6,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dltl import wick
-from dltl.netcore import NetConfig, init_weights
+from dltl.netcore import NetConfig, backward, forward, init_weights
 
 
 X1 = np.array([1.2])
@@ -314,7 +314,7 @@ def _reference_hessian_vec(config, weights, v, x):
     for p in range(len(weights)):
         sub = list(weights)
         sub[p] = v[p]
-        grads = wick._grad_blocks(config, sub, x)
+        grads = backward(config, sub, forward(config, sub, x), 0)
         for q in range(len(weights)):
             if q != p:
                 out[q] += grads[q]
@@ -347,8 +347,104 @@ def test_hessian_vec_equals_substituted_passes(widths, parameterization, sigma_w
     v = [_with_zeros(rng, rng.standard_normal(w.shape)) if block == "drawn" else np.full(w.shape, block)
          for w, block in zip(weights, blocks)]
     x = _with_zeros(rng, rng.standard_normal(d))
-    got = wick._hessian_vec(config, weights, v, x)
+    got = wick._hessian_vec(config, weights, v, wick._pass(config, weights, forward(config, weights, x)))
     want = _reference_hessian_vec(config, weights, v, x)
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _reference_samples(spec, L, n, replicates, seed, w_idx):
+    """mc_scaling_check's samples at width n as it drew them before factors
+    shared passes: a fresh forward and backward pass per factor, and each
+    Hessian-vector product from the substitute-one-block passes."""
+    d = spec.input_dim
+    scaled = [x * math.sqrt(d) for x in spec.inputs]
+    config = NetConfig(widths=(d,) + (n,) * L + (1,), activation="linear", parameterization="ntk")
+    samples = np.empty(replicates)
+    with np.errstate(all="ignore"):
+        for r in range(replicates):
+            weights = init_weights(config, seed=seed + 7919 * w_idx + r)
+
+            def grads(f):
+                return backward(config, weights, forward(config, weights, scaled[f - 1]), 0)
+
+            value = 1.0
+            for kind, comp in wick._chain_components(spec):
+                if kind == "point":
+                    value *= float(forward(config, weights, scaled[comp[0] - 1]).output[0])
+                else:
+                    v = grads(comp[0])
+                    for mid in comp[1:-1]:
+                        v = _reference_hessian_vec(config, weights, v, scaled[mid - 1])
+                    value *= wick._block_dot(v, grads(comp[-1]))
+            samples[r] = value
+    return samples
+
+
+@st.composite
+def _mc_specs(draw):
+    """A spec of 1-6 factors split into points and chains, each factor's
+    input one of 1-3 vectors of dimension 1-3, so that inputs repeat; about a
+    third of the entries are +0.0 or -0.0."""
+    m = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(1, m + 1)))
+    contractions, start = [], 0
+    while start < m:
+        size = draw(st.integers(1, m - start))
+        group = order[start : start + size]
+        contractions += list(zip(group, group[1:]))
+        start += size
+    d = draw(st.integers(1, 3))
+    magnitude = st.floats(0.25, 2.0)
+    entry = st.one_of(magnitude, magnitude.map(lambda a: -a), st.sampled_from([0.0, -0.0]))
+    pool = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=1, max_size=3))
+    inputs = tuple(np.array(draw(st.sampled_from(pool))) for _ in range(m))
+    return wick.ContractionSpec(m=m, inputs=inputs, contractions=tuple(contractions))
+
+
+@settings(max_examples=60, deadline=None)
+# inputs of opposite zeros, which hold different bits, at width 1
+@example(spec=wick.ContractionSpec(m=2, inputs=(0.0, -0.0)), L=1, widths=[1, 2, 3], replicates=3, seed=0)
+@given(
+    spec=_mc_specs(),
+    L=st.integers(1, 3),
+    widths=st.lists(st.integers(1, 5), min_size=3, max_size=3, unique=True),
+    replicates=st.integers(2, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_mc_scaling_check_equals_a_fresh_pass_per_factor(spec, L, widths, replicates, seed):
+    """Factors that share an input share its passes, and the report equals,
+    field for field and bit for bit, that of a fresh forward and backward
+    pass per factor; where those samples cannot be fitted, both raise the
+    same error."""
+    try:
+        got = wick.mc_scaling_check(spec, L, widths, replicates=replicates, seed=seed)
+    except ValueError as exc:
+        got = str(exc)
+    try:
+        exact = wick.exact_correlation(spec, L)
+    except ValueError:
+        exact = None
+    means, variances, want = [], [], None
+    for w_idx, n in enumerate(widths):
+        samples = _reference_samples(spec, L, n, replicates, seed, w_idx)
+        with np.errstate(all="ignore"):
+            mean, variance = float(samples.mean()), float(samples.var(ddof=1))
+        if not (math.isfinite(mean) and math.isfinite(variance) and abs(mean) >= wick._TINY and variance >= wick._TINY):
+            want = f"the Monte Carlo samples at width {n} have mean {mean} and variance {variance}"
+            break
+        means.append(mean)
+        variances.append(variance)
+    if want is not None:
+        assert isinstance(got, str) and got.startswith(want)
+        return
+    assert got == wick.ScalingReport(
+        widths=tuple(widths),
+        means=tuple(means),
+        std_errs=tuple(math.sqrt(v / replicates) for v in variances),
+        variances=tuple(variances),
+        exacts=None if exact is None else tuple(exact.evaluate(n) for n in widths),
+        slope_mean=wick._fit_slope(tuple(widths), np.array(means)),
+        slope_variance=wick._fit_slope(tuple(widths), np.array(variances)),
+    )

@@ -12,7 +12,10 @@ probe and rescaled by it, as the benchmark rescales its passes. The case's
 time is per unit: one call, one Monte Carlo replicate or one network layer,
 as its "per" field says. The hessian_vec.L1 and hessian_vec.L3 cases time
 one Hessian-vector product of mc_scaling_check's chain at depth 1 and 3,
-per call, through wick's private _hessian_vec. Prints one JSON line per
+per call, through wick's private _hessian_vec. mc_scaling_check.replicate
+runs the benchmark's chain, whose four factors share one input and so one
+pass per replicate; mc_scaling_check.replicate_vec runs the golden wick-mc
+spec, whose two inputs take two passes per replicate. Prints one JSON line per
 case: {"case", "per", "calls", "runs", "median_us", "min_us", "max_us"}.
 
 The second form alternates two source trees, K rounds of one fresh
@@ -58,17 +61,22 @@ def _forward_backward(width):
 
 
 def _hessian_vec(depth):
-    """One Hessian-vector product of mc_scaling_check's chain: a linear net
-    of width 16 and the given depth, v the weight gradient at another input."""
+    """One Hessian-vector product of mc_scaling_check's chain, from the
+    pass at its input: a linear net of width 16 and the given depth, v the
+    weight gradient at another input."""
     import numpy as np
 
     from dltl import wick
-    from dltl.netcore import NetConfig, init_weights
+    from dltl.netcore import NetConfig, forward, init_weights
 
     config = NetConfig((1,) + (16,) * depth + (1,), "linear", parameterization="ntk")
     weights = init_weights(config, 1)
-    v, x = wick._grad_blocks(config, weights, np.array([0.7])), np.array([1.1])
-    return (lambda: wick._hessian_vec(config, weights, v, x)), "call"
+
+    def pass_at(x):
+        return wick._pass(config, weights, forward(config, weights, np.array([x])))
+
+    v, at = wick._grad_blocks(config, pass_at(0.7)), pass_at(1.1)
+    return (lambda: wick._hessian_vec(config, weights, v, at)), "call"
 
 
 def _mc_replicate():
@@ -81,6 +89,20 @@ def _mc_replicate():
 
     spec = wick.ContractionSpec(m=4, contractions=((1, 2), (2, 3), (3, 4)), inputs=(np.array([1.1]),) * 4)
     return (lambda: wick.mc_scaling_check(spec, 1, widths=[8, 16, 32], replicates=20, seed=5)), 60
+
+
+def _mc_replicate_vec():
+    """mc_scaling_check on the golden wick-mc spec, per replicate: two
+    distinct 2-D inputs, a contracted pair and two points, so each replicate
+    runs two forward and two backprop passes; 20 replicates at each of
+    widths 4, 8, 16."""
+    import numpy as np
+
+    from dltl import wick
+
+    x, y = np.array([1.0, 0.5]), np.array([0.3, -1.0])
+    spec = wick.ContractionSpec(m=4, contractions=((1, 2),), inputs=(x, y, x, y))
+    return (lambda: wick.mc_scaling_check(spec, 1, widths=[4, 8, 16], replicates=20, seed=2)), 60
 
 
 def _tangent_gram():
@@ -149,6 +171,7 @@ CASES = {
     "hessian_vec.L1": lambda: _hessian_vec(1),
     "hessian_vec.L3": lambda: _hessian_vec(3),
     "mc_scaling_check.replicate": _mc_replicate,
+    "mc_scaling_check.replicate_vec": _mc_replicate_vec,
     "tangent_gram": _tangent_gram,
     "length_map.relu": lambda: _length_map("relu"),
     "length_map.tanh": lambda: _length_map("tanh"),
