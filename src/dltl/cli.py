@@ -341,11 +341,10 @@ def _run_lindyn(args: argparse.Namespace) -> Emission:
     u0 = args.u0
     eta = args.eta
     if eta is None and svals:
-        # near-optimal rate for the slowest mode; uf only enters the arrival
-        # time, not the rate, so any valid target works here; an empty list
-        # is left for simulate_deep_linear_gd to reject
-        s_max = max(svals)
-        eta = lindyn.opt_schedule(u0, 0.99 * s_max, s_max, depth).eta_opt
+        # near-optimal rate for the slowest mode; an empty list is left for
+        # simulate_deep_linear_gd to reject
+        lindyn._check_start(u0)
+        eta = lindyn._opt_rate(max(svals), depth)
     run = lindyn.simulate_deep_linear_gd(
         width,
         depth,

@@ -93,7 +93,7 @@ _LOSSES = {"square": square_loss, "logistic": logistic_loss}
 
 
 def _check_reconstruct_shapes(config: NetConfig) -> None:
-    if not config.activation.invertible:
+    if config.activation.kind not in ("linear", "leaky_relu"):
         raise ValueError(
             f"activation {config.activation} is not bijective on R; reconstruction needs "
             "linear or leaky_relu"

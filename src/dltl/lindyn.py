@@ -48,13 +48,23 @@ def _check_positive(what: str, value: float) -> None:
         raise ValueError(f"{what} must be positive and finite, got {value}")
 
 
-def _check_mode_args(u0: float, uf: float, s: float, L: int) -> None:
+def _check_depth_and_target(s: float, L: int) -> None:
     if L < 1:
         raise ValueError(f"need at least one hidden layer, got L = {L}")
     _check_positive("target singular value", s)
+
+
+def _check_start(u0: float) -> None:
     if u0 == 0:
         raise ValueError("u0 = 0 sits at the degenerate fixed point; the mode never moves")
-    if not 0 < u0 <= uf:
+    if not u0 > 0:
+        raise ValueError(f"u0 must be positive, got {u0}")
+
+
+def _check_mode_args(u0: float, uf: float, s: float, L: int) -> None:
+    _check_depth_and_target(s, L)
+    _check_start(u0)
+    if not u0 <= uf:
         raise ValueError(f"need 0 < u0 <= uf, got u0 = {u0}, uf = {uf}")
     if uf >= s:
         raise ValueError(f"uf = {uf} is not reachable in finite time (target s = {s})")
@@ -66,11 +76,12 @@ def _log_ratio(u0: float, uf: float, s: float) -> float:
     return math.log(uf) + math.log(s - u0) - math.log(u0) - math.log(s - uf)
 
 
-def _finite_time(t: float, u0: float) -> float:
-    """t, or a ValueError where it leaves float range: 1/u0 does for a
-    subnormal u0, and so can the division by a small rate."""
+def _finite_time(t: float, u0: float, eta: float | None = None) -> float:
+    """t, or a ValueError where it leaves float range, naming the rate eta
+    when given (the caller found it the cause) and u0 otherwise."""
     if t == math.inf:
-        raise ValueError(f"the arrival time from u0 = {u0} leaves float range")
+        cause = f"at learning rate {eta}" if eta is not None else f"from u0 = {u0}"
+        raise ValueError(f"the arrival time {cause} leaves float range")
     return t
 
 
@@ -99,10 +110,16 @@ def mode_time(u0: float, uf: float, s: float, eta: float, L: int) -> ModeTimeRes
         return ModeTimeResult(t_formula=0.0, t_rk4=0.0)
     lr = _log_ratio(u0, uf, s)
     if L == 1:
-        t_formula = lr / (2.0 * s * eta)
+        n, d = lr, 2.0 * s * eta
     else:
-        t_formula = _finite_time((1.0 / u0 - 1.0 / uf + lr / s) / ((L + 1) * s * eta), u0)
-    return ModeTimeResult(t_formula=t_formula, t_rk4=_arrival_time_rk4(u0, uf, s, eta, L))
+        n, d = 1.0 / u0 - 1.0 / uf + lr / s, (L + 1) * s * eta
+    with np.errstate(over="ignore", divide="ignore"):  # an infinite time raises below
+        t_formula = n / d if d else math.inf
+        t_rk4 = _arrival_time_rk4(u0, uf, s, eta, L)
+    # both times scale as n / d, about 1/(u0 eta) for L >= 2 and ln(1/u0)/eta
+    # for L = 1; where one leaves float range, the larger of n and 1/d is the cause
+    cause = eta if n * d < 1 else None
+    return ModeTimeResult(_finite_time(t_formula, u0, cause), _finite_time(t_rk4, u0, cause))
 
 
 RK4_STEPS = 4096  # steps in the logit v = ln(u / (s - u)) from u0 to uf
@@ -151,12 +168,23 @@ def opt_schedule(u0: float, uf: float, s: float, L: int) -> OptSchedule:
     + (1/s) ln(uf (u0-s)/(u0 (uf-s)))), which loses its L-dependence as L
     grows."""
     _check_mode_args(u0, uf, s, L)
-    try:
-        eta_opt = 1.0 / ((L + 1) * s ** (2.0 * L / (L + 1)))
-    except OverflowError:
-        raise ValueError(f"target s = {s} is too large: s^(2L/(L+1)) overflows") from None
+    eta_opt = _opt_rate(s, L)
     t_opt = _finite_time(s ** ((L - 1.0) / (L + 1.0)) * (1.0 / u0 - 1.0 / uf + _log_ratio(u0, uf, s) / s), u0)
     return OptSchedule(eta_opt=eta_opt, t_opt=t_opt)
+
+
+def _opt_rate(s: float, L: int) -> float:
+    """eta_opt = 1 / ((L+1) s^{2L/(L+1)}) for the mode of target s; it reads
+    neither u0 nor uf."""
+    _check_depth_and_target(s, L)
+    try:
+        peak = (L + 1) * s ** (2.0 * L / (L + 1))
+    except OverflowError:
+        raise ValueError(f"target s = {s} is too large: s^(2L/(L+1)) overflows") from None
+    eta = 1.0 / peak if peak else math.inf  # peak underflows to 0 for a tiny s
+    if eta == math.inf:
+        raise ValueError(f"target s = {s} is too small: 1 / ((L+1) s^(2L/(L+1))) overflows")
+    return eta
 
 
 @dataclass(frozen=True)

@@ -114,10 +114,6 @@ class Activation:
         t *= t
         return np.subtract(1.0, t, out=t)[()]
 
-    @property
-    def invertible(self) -> bool:
-        return self.kind in ("linear", "leaky_relu", "tanh")
-
     def inverse(self, y):
         if self.kind == "linear":
             return np.asarray(y, dtype=float).copy()

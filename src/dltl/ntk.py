@@ -326,24 +326,9 @@ def nngp_gram(x: np.ndarray, config: NetConfig, nodes: int = GH_NODES) -> Kernel
 def limiting_ntk(x: np.ndarray, config: NetConfig, nodes: int = GH_NODES) -> KernelGram:
     """Deterministic limit kernel Theta_0 on a column dataset, one entry per
     pair of columns (the scalar-output kernel)."""
-    return _limit_grams(x, config, nodes, False, None)[0]
-
-
-def _limit_grams(
-    x: np.ndarray, config: NetConfig, nodes: int, last_layer_only: bool, outputs: int | None
-) -> tuple[KernelGram, np.ndarray]:
-    """The Theta_0 gram (q_{L+1} with last_layer_only) and the q_{L+1} gram.
-
-    Multi-output kernels are diagonal: outputs=k gives the scalar gram kron
-    identity, indexed with the example major and the output component
-    minor, the layout of linearize's labels."""
     if config.parameterization != "ntk":
         raise ValueError("the limit kernel is defined for the ntk parameterization")
-    theta, nngp = _pair_kernels(x, None, config, nodes)
-    gram = nngp if last_layer_only else theta
-    if outputs is not None:
-        gram = np.kron(gram, np.eye(outputs))
-    return KernelGram(gram, tag="nngp" if last_layer_only else "limiting_ntk"), nngp
+    return KernelGram(_pair_kernels(x, None, config, nodes)[0], tag="limiting_ntk")
 
 
 # -- empirical kernel ----------------------------------------------------------
@@ -402,7 +387,7 @@ class LinearizedSolution:
 
     gram is the train-set kernel (empirical or limiting), eigvals/eigvecs its
     eigendecomposition, f0_train the initial outputs, y the labels, eta the
-    learning rate, and m the train size appearing in exp(-eta Theta t / m).
+    learning rate; x_train's column count is the m of exp(-eta Theta t / m).
     nngp_train is the train-set q_{L+1} gram of a limit-kernel solution
     (None for the empirical kernel). weights holds read-only views of the
     arrays passed to linearize, not copies: writing into those arrays
@@ -416,7 +401,6 @@ class LinearizedSolution:
     f0_train: np.ndarray
     y: np.ndarray
     eta: float
-    m: int
     config: NetConfig
     weights: list[np.ndarray] = field(repr=False)
     x_train: np.ndarray = field(repr=False)
@@ -425,20 +409,13 @@ class LinearizedSolution:
     nngp_train: np.ndarray | None = field(repr=False)
     _query_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        recon = (self.eigvecs * self.eigvals) @ self.eigvecs.T
-        err = float(np.max(np.abs(recon - self.gram.matrix)))
-        # relative to the gram's scale: eigh is accurate to rounding of |lambda|_max
-        if err > 1e-8 * max(1.0, float(np.abs(self.eigvals).max())):
-            raise ValueError(f"eigendecomposition misses the gram by {err:.3e}")
-
     def solve_factor(self, t: float) -> np.ndarray:
         """B_t = Theta^{-1} (I - E_t), E_t = exp(-eta Theta t / m), evaluated
         spectrally. An overflowing exponent is the t -> infinity limit,
         expm1(-inf) = -1, so the overflow warning is silenced."""
         lam = self.eigvals
         with np.errstate(over="ignore"):
-            coeff = -np.expm1(-self.eta * lam * t / self.m) / lam
+            coeff = -np.expm1(-self.eta * lam * t / self.x_train.shape[1]) / lam
         return (self.eigvecs * coeff) @ self.eigvecs.T
 
 
@@ -452,12 +429,17 @@ class LinearizedPrediction:
 
 
 def _invertible_eigh(gram: KernelGram, role: str) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of a gram that is about to be inverted; role names it in the error."""
+    """eigh of a gram that is about to be inverted; role names it in the error.
+    lambda_min must clear SINGULAR_TOL, and the decomposition must rebuild the
+    gram to 1e-8 relative to lambda_max, to whose rounding eigh is accurate."""
     eigvals, eigvecs = np.linalg.eigh(gram.matrix)
     if eigvals[0] <= SINGULAR_TOL:
         raise ValueError(
             f"{role} gram is singular: lambda_min = {eigvals[0]:.3e} <= {SINGULAR_TOL}"
         )
+    err = float(np.max(np.abs((eigvecs * eigvals) @ eigvecs.T - gram.matrix)))
+    if err > 1e-8 * max(1.0, float(eigvals[-1])):
+        raise ValueError(f"eigendecomposition misses the gram by {err:.3e}")
     return eigvals, eigvecs
 
 
@@ -490,9 +472,12 @@ def linearize(
     if kernel == "empirical":
         gram, nngp_train = empirical_ntk(config, weights, x_train), None
     else:
-        gram, nngp_train = _limit_grams(
-            x_train, config, nodes, kernel == "last_layer", k if k > 1 else None
-        )
+        if config.parameterization != "ntk":
+            raise ValueError("the limit kernel is defined for the ntk parameterization")
+        theta, nngp_train = _pair_kernels(x_train, None, config, nodes)
+        train, tag = (nngp_train, "nngp") if kernel == "last_layer" else (theta, "limiting_ntk")
+        # k outputs: the scalar gram kron identity, example major, output minor
+        gram = KernelGram(np.kron(train, np.eye(k)) if k > 1 else train, tag=tag)
     eigvals, eigvecs = _invertible_eigh(gram, "train")
     f0 = forward(config, weights, x_train).output.T.ravel()
     return LinearizedSolution(
@@ -502,7 +487,6 @@ def linearize(
         f0_train=f0,
         y=y,
         eta=eta,
-        m=m,
         config=config,
         weights=[np.broadcast_to(w, np.shape(w)) for w in weights],  # read-only views
         x_train=x_train.copy(),
@@ -535,27 +519,19 @@ def linearized_train(
     f0_query = forward(config, sol.weights, x_query).output.T.ravel()
     b_t = sol.solve_factor(t)
     if sol.kernel == "empirical":
-        theta_cross = _tangent_gram(config, sol.weights, x_query, sol.x_train)
-        f_lin = f0_query + theta_cross @ b_t @ (sol.y - sol.f0_train)
+        cross, nngp_query = _tangent_gram(config, sol.weights, x_query, sol.x_train), None
+    else:
+        theta_cross, nngp_cross, nngp_query = _query_kernels(sol, x_query)
+        cross = nngp_cross if sol.kernel == "last_layer" else theta_cross
+        if k > 1:
+            cross = np.kron(cross, np.eye(k))
+    weighted = cross @ b_t
+    f_lin = f0_query + weighted @ (sol.y - sol.f0_train)
+    if nngp_query is None:  # the empirical kernel or k outputs: no GP moments
         return LinearizedPrediction(f_lin=f_lin)
-
-    theta_cross, nngp_cross, nngp_query = _query_kernels(sol, x_query)
-    if sol.kernel == "last_layer":
-        theta_cross = nngp_cross
-    if k > 1:
-        theta_big = np.kron(theta_cross, np.eye(k))
-        f_lin = f0_query + theta_big @ b_t @ (sol.y - sol.f0_train)
-        return LinearizedPrediction(f_lin=f_lin)
-
-    f_lin = f0_query + theta_cross @ b_t @ (sol.y - sol.f0_train)
-    gp_mean = theta_cross @ b_t @ sol.y
-    cross_term = theta_cross @ b_t @ nngp_cross.T
-    gp_cov = (
-        nngp_query
-        - cross_term
-        - cross_term.T
-        + theta_cross @ b_t @ sol.nngp_train @ b_t @ theta_cross.T
-    )
+    gp_mean = weighted @ sol.y
+    cross_term = weighted @ nngp_cross.T
+    gp_cov = nngp_query - cross_term - cross_term.T + weighted @ sol.nngp_train @ b_t @ cross.T
     return LinearizedPrediction(f_lin=f_lin, gp_mean=gp_mean, gp_cov=gp_cov)
 
 
@@ -607,9 +583,8 @@ def bayes_posterior(
     inv = (eigvecs / eigvals) @ eigvecs.T
     _, q_cross = _pair_kernels(x_query, x_train, config, GH_NODES)
     _, q_query = _pair_kernels(x_query, None, config, GH_NODES)
-    mean = q_cross @ inv @ y
-    cov = q_query - q_cross @ inv @ q_cross.T
-    return mean, cov
+    weighted = q_cross @ inv
+    return weighted @ y, q_query - weighted @ q_cross.T
 
 
 # -- the Du two-layer setting --------------------------------------------------

@@ -362,6 +362,18 @@ class TestLindyn:
         assert rows[0] == ["step", "loss"]
         assert rows[1][0] == "0"
 
+    def test_default_rate_at_a_subnormal_u0(self, tmp_path):
+        """The default rate once came from opt_schedule with an invented
+        target, whose arrival time from u0 = 1e-320 leaves float range, so
+        the call exited 1; the rate reads neither u0 nor a target."""
+        out = tmp_path / "gd.json"
+        code = main(["lindyn", "--depth", "1", "--svals", "1.0,0.5", "--u0", "1e-320",
+                     "--max-steps", "3000", "--format", "json", "--out", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert doc["eta"] == 0.5
+        assert doc["steps_to_tol"] == 1655
+
     def test_divergent_rate_is_domain_error(self, capsys):
         code = main(["lindyn", "--depth", "2", "--svals", "1.0",
                      "--eta", "5.0", "--max-steps", "50"])
@@ -401,6 +413,23 @@ class TestPath:
                      "--data", str(data)])
         assert code == 1
         assert "architecture" in capsys.readouterr().err
+
+    def test_tanh_nets_are_rejected_where_they_enter(self, tmp_path, capsys):
+        """tanh is not bijective on R; the call once reached the reconstruction
+        and failed there with "tanh inverse needs values inside (-1, 1)"."""
+        wa = tmp_path / "a.json"
+        wb = tmp_path / "b.json"
+        _save_net(wa, (6, 8, 4, 1), activation="tanh", seed=11)
+        _save_net(wb, (6, 8, 4, 1), activation="tanh", seed=12)
+        rng = np.random.default_rng(13)
+        data = tmp_path / "d.csv"
+        _write_dataset(data, rng.standard_normal((5, 6)), rng.standard_normal(5))
+        code = main(["path", "--weights-a", str(wa), "--weights-b", str(wb),
+                     "--data", str(data)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "activation tanh is not bijective on R; reconstruction needs linear or leaky_relu" in err
 
     def test_logistic_needs_signed_labels(self, tmp_path, capsys):
         wa = tmp_path / "a.json"
@@ -737,6 +766,9 @@ class TestDomainHolesExitOne:
         (["spectrum", "--empirical", "--replicates", "0"], "replicates must be at least 1"),
         (["lindyn", "--svals", ",,"], "target_svals must be a nonempty 1-D sequence"),
         (["lindyn", "--svals", "1e300"], "too large"),
+        (["lindyn", "--depth", "2", "--svals", "5e-297"], "too small"),
+        (["lindyn", "--u0", "0"], "u0 = 0 sits at the degenerate fixed point"),
+        (["lindyn", "--u0", "-1"], "u0 must be positive, got -1.0"),
         (["lindyn", "--svals", "1", "--max-steps", "-1"], "max_steps must be >= 0"),
         (["lindyn", "--eta", "nan"], "learning rate must be positive and finite"),
         (["lindyn", "--eta", "inf"], "learning rate must be positive and finite"),

@@ -3,6 +3,7 @@ integration of the mode ODE, the optimal learning rate against the mode
 Hessian, and full-matrix GD against both."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,16 @@ class TestModeTime:
             with pytest.raises(ValueError, match=r"^the arrival time from u0 = \S+ leaves float range$"):
                 call()
 
+    @pytest.mark.parametrize("L", [1, 2])
+    @pytest.mark.parametrize("u0, uf, s, eta", [(1e-3, 0.5, 1.0, 1e-320), (1e-201, 5e-201, 1e-200, 1e-200)])
+    def test_time_beyond_float_range_at_a_tiny_rate_names_the_rate(self, u0, uf, s, eta, L):
+        """A tiny rate once gave inf times with an overflow warning (L = 1),
+        blamed u0 (L = 2), or divided by an underflowed s eta (ZeroDivisionError)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^the arrival time at learning rate {eta} leaves float range$"):
+                lindyn.mode_time(u0, uf, s, eta, L)
+
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="hidden layer"):
             lindyn.mode_time(0.01, 0.99, 1.0, 0.05, 0)
@@ -286,6 +297,20 @@ class TestOptSchedule:
         so deeper networks take no longer in ODE time."""
         times = [lindyn.opt_schedule(0.01, 0.99, 1.0, L).t_opt for L in (2, 8, 32)]
         np.testing.assert_allclose(times, times[0], rtol=1e-12)
+
+    def test_rate_reads_only_the_target_and_depth(self):
+        """_opt_rate, the CLI's default rate, is opt_schedule's eta_opt, with
+        the same checks on s and L."""
+        for s, L in [(1.0, 1), (1.3, 7), (0.8, 16)]:
+            assert lindyn._opt_rate(s, L) == lindyn.opt_schedule(0.01, 0.99 * s, s, L).eta_opt
+        with pytest.raises(ValueError, match="too large"):
+            lindyn._opt_rate(1e300, 8)
+        with pytest.raises(ValueError, match="too small"):  # once a ZeroDivisionError
+            lindyn.opt_schedule(1e-298, 4e-297, 5e-297, 2)
+        with pytest.raises(ValueError, match="hidden layer"):
+            lindyn._opt_rate(1.0, 0)
+        with pytest.raises(ValueError, match="target singular value must be positive and finite"):
+            lindyn._opt_rate(math.nan, 2)
 
     def test_overflowing_target_is_domain_error(self):
         with pytest.raises(ValueError, match="too large"):

@@ -2,7 +2,6 @@
 empirical kernels, closed-form linearized training, the bayesian posterior
 identity, the two-layer convergence monitor, and kernel-label alignment."""
 
-import dataclasses
 import math
 import warnings
 
@@ -253,21 +252,44 @@ class TestLinearizedTraining:
             pred = ntk.linearized_train(sol, x, math.inf)
             np.testing.assert_allclose(pred.f_lin, y, atol=1e-8)
 
-    def test_eigendecomposition_check_is_relative_to_the_gram(self):
-        """A decomposition that misses the gram by 1e-6 of lambda_max raises
-        at scale 1 and at 1e8; the exact one of the 1e8-scaled gram, whose
-        rounding error exceeds an absolute 1e-8, passes."""
-        _, _, _, _, sol = self._setup(kernel="empirical")
-        off = np.ones_like(sol.eigvals)
-        off[-1] += 1e-6
-        with pytest.raises(ValueError, match="eigendecomposition misses the gram"):
-            dataclasses.replace(sol, eigvals=sol.eigvals * off)
-        big = ntk.KernelGram(sol.gram.matrix * 1e8, tag=sol.gram.tag)
-        vals, vecs = np.linalg.eigh(big.matrix)
-        assert np.max(np.abs((vecs * vals) @ vecs.T - big.matrix)) > 1e-8
-        dataclasses.replace(sol, gram=big, eigvals=vals, eigvecs=vecs)
-        with pytest.raises(ValueError, match="eigendecomposition misses the gram"):
-            dataclasses.replace(sol, gram=big, eigvals=vals * off, eigvecs=vecs)
+    @staticmethod
+    def _eigh_off_at_the_top(monkeypatch):
+        """Make np.linalg.eigh return a largest eigenvalue 1e-6 relative off."""
+        exact = np.linalg.eigh
+
+        def off(a):
+            vals, vecs = exact(a)
+            vals[-1] *= 1 + 1e-6
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", off)
+
+    def test_eigendecomposition_check_is_relative_to_the_gram(self, monkeypatch):
+        """A decomposition that misses the train gram by 1e-6 of lambda_max
+        raises at scale 1 and at 1e8; the exact one of the 1e8-scaled gram,
+        whose rounding error exceeds an absolute 1e-8, passes."""
+        config, weights, x, y, sol = self._setup(kernel="empirical")
+        big_x = x * 1e4  # relu without biases: the gram scales by 1e8
+        big = ntk.linearize(config, weights, big_x, y, eta=1.0, kernel="empirical")
+        assert big.eigvals[-1] > 1e7 * sol.eigvals[-1]
+        assert np.max(np.abs((big.eigvecs * big.eigvals) @ big.eigvecs.T - big.gram.matrix)) > 1e-8
+        self._eigh_off_at_the_top(monkeypatch)
+        for data in (x, big_x):
+            with pytest.raises(ValueError, match="eigendecomposition misses the gram"):
+                ntk.linearize(config, weights, data, y, eta=1.0, kernel="empirical")
+
+    def test_prior_gram_eigendecomposition_is_checked(self, monkeypatch):
+        """bayes_posterior inverts its prior gram through the same check: the
+        exact decompositions pass at scale 1 and at 1e8, and one whose
+        largest eigenvalue is 1e-6 relative off raises at both."""
+        config, _, x, y, _ = self._setup()
+        xq = np.random.default_rng(13).standard_normal((3, 3))
+        for scale in (1.0, 1e4):
+            ntk.bayes_posterior(None, x * scale, y, xq, config)
+        self._eigh_off_at_the_top(monkeypatch)
+        for scale in (1.0, 1e4):
+            with pytest.raises(ValueError, match="eigendecomposition misses the gram"):
+                ntk.bayes_posterior(None, x * scale, y, xq, config)
 
     def test_zero_time_is_initial_model(self):
         config, weights, x, y, sol = self._setup()
@@ -290,8 +312,8 @@ class TestLinearizedTraining:
         dt, T = 1e-4, 2.0
         for _ in range(int(T / dt)):
             resid = f - y
-            fq = fq - dt * (sol.eta / sol.m) * theta_cross @ resid
-            f = f - dt * (sol.eta / sol.m) * theta @ resid
+            fq = fq - dt * (sol.eta / x.shape[1]) * theta_cross @ resid
+            f = f - dt * (sol.eta / x.shape[1]) * theta @ resid
         np.testing.assert_allclose(ntk.linearized_train(sol, x, T).f_lin, f, atol=1e-4)
         np.testing.assert_allclose(ntk.linearized_train(sol, xq, T).f_lin, fq, atol=1e-4)
 

@@ -94,9 +94,21 @@ def _public(tree: ast.Module) -> list[str]:
     return []
 
 
-def _walk() -> tuple[dict, set, list]:
+# Public names that only BENCHMARK.json's per_layer names keep public: the
+# walk without the per_layer seeds reaches none of them. The benchmark
+# change that drops their per_layer names (roadmap item 1) may delete them.
+PINNED_BY_PER_LAYER = {
+    ("meanfield", "gauss_ev"): "_length_moments evaluates its expression in place, and the pair moments use gauss_ev2",
+    ("wick", "double_line_loops"): "exact_correlation sums the loops of all diagrams at once through per-level transfer matrices",
+    ("landscape", "reconstruct_first_layer"): "constant_loss_path calls _first_layer_solver directly, once per weight set",
+    ("netcore", "backward"): "backprop serves every gradient; tools/op_times.py's forward_backward control cases are its only other caller",
+}
+
+
+def _walk(per_layer_seeds: bool = True) -> tuple[dict, set, list]:
     """The parsed modules, the reached (module, name) pairs, and the walked
-    scopes as (nodes, module or None, imports) triples."""
+    scopes as (nodes, module or None, imports) triples. per_layer_seeds=False
+    leaves out the functions that BENCHMARK.json's per_layer names seed."""
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
     defs = {name: _top_level(tree) for name, tree in trees.items()}
     imports = {name: _imports(tree) for name, tree in trees.items()}
@@ -112,7 +124,7 @@ def _walk() -> tuple[dict, set, list]:
     for nodes, module, scope_imports in scopes:
         todo |= _references(nodes, module, defs, scope_imports)
     per_layer = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
-    for metric in per_layer:
+    for metric in per_layer if per_layer_seeds else []:
         parts = metric["name"].split(".")
         if len(parts) == 3:
             todo.add((parts[0], parts[1]))
@@ -130,16 +142,25 @@ def _walk() -> tuple[dict, set, list]:
     return trees, reached, scopes
 
 
-def test_every_public_name_is_served():
-    trees, reached, _ = _walk()
-    unserved = [
-        f"{module}.{name}"
+def _unserved(trees: dict, reached: set) -> list[tuple[str, str]]:
+    return [
+        (module, name)
         for module, tree in trees.items()
         if module != "__init__"
         for name in _public(tree)
         if (module, name) not in reached and (module, name) not in ALLOWED
     ]
+
+
+def test_every_public_name_is_served():
+    unserved = [".".join(key) for key in _unserved(*_walk()[:2])]
     assert not unserved, f"public but reached by no CLI handler and no benchmark op: {unserved}"
+
+
+def test_per_layer_pins_exactly_the_listed_names():
+    """A change that strands another name behind a per_layer metric, or
+    serves a listed one again, updates PINNED_BY_PER_LAYER."""
+    assert sorted(_unserved(*_walk(per_layer_seeds=False)[:2])) == sorted(PINNED_BY_PER_LAYER)
 
 
 def test_allowlist_is_needed():
@@ -252,7 +273,7 @@ def test_parameter_allowlist_is_needed():
 # Members of public classes that no walked scope reads, kept on purpose,
 # with the reason.
 ALLOWED_MEMBERS = {
-    ("ntk", "LinearizedSolution", "gram"): "the eigendecomposition check in __post_init__ reads it",
+    ("ntk", "LinearizedSolution", "gram"): "the train gram whose lambda_min, lambda_max and condition number the diagnostics channel (roadmap item 6) will report from KernelGram.eigvals",
     ("ntk", "KernelRecursionState", "q11"): "the per-layer oracle of the pair recursion reads it",
     ("ntk", "KernelRecursionState", "q22"): "the per-layer oracle of the pair recursion reads it",
     ("meanfield", "MomentProfile", "delta_se"): "the 4-SE oracle of the backward moments reads it",
