@@ -340,10 +340,10 @@ def _run_lindyn(args: argparse.Namespace) -> Emission:
     width = args.width if args.width is not None else len(svals)
     u0 = args.u0
     eta = args.eta
+    lindyn._check_start(u0)
     if eta is None and svals:
         # near-optimal rate for the slowest mode; an empty list is left for
         # simulate_deep_linear_gd to reject
-        lindyn._check_start(u0)
         eta = lindyn._opt_rate(max(svals), depth)
     run = lindyn.simulate_deep_linear_gd(
         width,

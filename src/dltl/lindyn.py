@@ -237,7 +237,7 @@ def simulate_deep_linear_gd(
     targets = np.zeros(width)
     targets[: svals.size] = svals
     u_init = np.broadcast_to(np.asarray(u0, dtype=float), (width,)).copy()
-    if np.any(u_init < 0):
+    if not np.all(u_init >= 0):
         raise ValueError("initial mode products must be nonnegative")
     if tol_loss is None:
         tol_loss = 1e-4 * sum_sq

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .netcore import Activation, NetConfig, backprop, forward, init_weights
+from .netcore import Activation, NetConfig, forward, init_weights, output_grads
 
 __all__ = [
     "DivergenceError",
@@ -540,12 +540,10 @@ def simulate_moments(config: NetConfig, x: np.ndarray, replicates: int = 200, se
     n_levels = config.n_layers
     qs = np.empty((replicates, n_levels))
     deltas = np.empty((replicates, n_levels))
-    unit = np.zeros(config.widths[-1])
-    unit[0] = 1.0
     for r in range(replicates):
         weights = init_weights(config, seed + r)
         trace = forward(config, weights, x)
-        gs = backprop(config, weights, trace, unit)
+        gs = output_grads(config, weights, trace, 0)
         for l in range(n_levels):
             n_l = config.widths[l + 1]
             qs[r, l] = float(trace.h[l] @ trace.h[l]) / n_l

@@ -29,6 +29,8 @@ __all__ = [
     "init_weights",
     "forward",
     "backprop",
+    "output_grads",
+    "weight_grads",
     "backward",
     "jacobian",
     "save_weights",
@@ -36,59 +38,48 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
 class Activation:
     """Elementwise activation with value, derivative and (where defined) inverse.
 
     Kinds: "linear", "relu", "leaky_relu" (with slope alpha on the negative
     half-line), "tanh". All satisfy phi(0) = 0. The derivative at 0 is taken
-    from the left: relu -> 0, leaky_relu -> alpha.
+    from the left: relu -> 0, leaky_relu -> alpha. slopes holds the
+    (positive, negative) half-line slopes of the piecewise-linear kinds,
+    None for tanh; the maps' closed forms all read this pair.
     """
 
     KINDS = ("linear", "relu", "leaky_relu", "tanh")
 
-    def __init__(self, kind: str, alpha: float | None = None):
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown activation kind {kind!r}")
-        if kind == "leaky_relu":
-            if alpha is None:
-                raise ValueError("leaky_relu requires a slope alpha")
-            if not 0.0 < alpha < 1.0:
-                raise ValueError(f"leaky_relu slope must be in (0, 1), got {alpha}")
-        elif alpha is not None:
-            raise ValueError(f"{kind} takes no slope parameter")
-        self.kind = kind
-        self.alpha = alpha
-        # (positive, negative) half-line slopes of the piecewise-linear
-        # kinds, None for tanh; the maps' closed forms all read this pair
-        self.slopes: tuple[float, float] | None = {
-            "linear": (1.0, 1.0), "relu": (1.0, 0.0), "leaky_relu": (1.0, alpha)
-        }.get(kind)
+    kind: str
+    alpha: float | None = None
+    slopes: tuple[float, float] | None = field(init=False, repr=False, compare=False)
 
-    @classmethod
-    def parse(cls, text: str) -> "Activation":
+    def __post_init__(self):
+        if self.kind not in self.KINDS:
+            raise ValueError(f"unknown activation kind {self.kind!r}")
+        if self.kind == "leaky_relu":
+            if self.alpha is None:
+                raise ValueError("leaky_relu requires a slope alpha")
+            if not 0.0 < self.alpha < 1.0:
+                raise ValueError(f"leaky_relu slope must be in (0, 1), got {self.alpha}")
+        elif self.alpha is not None:
+            raise ValueError(f"{self.kind} takes no slope parameter")
+        slopes = {"linear": (1.0, 1.0), "relu": (1.0, 0.0), "leaky_relu": (1.0, self.alpha)}.get(self.kind)
+        object.__setattr__(self, "slopes", slopes)
+
+    @staticmethod
+    def parse(text: str) -> "Activation":
         """Parse "relu" | "linear" | "tanh" | "leaky_relu:<alpha>"."""
         if ":" in text:
             kind, _, arg = text.partition(":")
-            return cls(kind, float(arg))
-        return cls(text)
+            return Activation(kind, float(arg))
+        return Activation(text)
 
     def __str__(self) -> str:
         if self.kind == "leaky_relu":
             return f"leaky_relu:{self.alpha!r}"
         return self.kind
-
-    def __repr__(self) -> str:
-        return f"Activation({str(self)!r})"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Activation)
-            and self.kind == other.kind
-            and self.alpha == other.alpha
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.alpha))
 
     def __call__(self, z):
         z = np.asarray(z, dtype=float)
@@ -115,17 +106,11 @@ class Activation:
         return np.subtract(1.0, t, out=t)[()]
 
     def inverse(self, y):
+        """phi^{-1}(y) of the kinds bijective on R, linear and leaky_relu."""
+        y = np.asarray(y, dtype=float)
         if self.kind == "linear":
-            return np.asarray(y, dtype=float).copy()
-        if self.kind == "leaky_relu":
-            y = np.asarray(y, dtype=float)
-            return np.where(y > 0, y, y / self.alpha)
-        if self.kind == "tanh":
-            y = np.asarray(y, dtype=float)
-            if np.any(np.abs(y) >= 1.0):
-                raise ValueError("tanh inverse needs values inside (-1, 1)")
-            return np.arctanh(y)
-        raise ValueError(f"{self.kind} is not invertible")
+            return y.copy()
+        return np.where(y > 0, y, y / self.alpha)
 
     @property
     def homogeneous(self) -> bool:
@@ -202,6 +187,11 @@ class ForwardTrace:
     @property
     def output(self) -> np.ndarray:
         return self.h[-1]
+
+    @property
+    def inputs(self) -> list[np.ndarray]:
+        """The layer inputs x_0..x_L, inputs[l] the input of W_l."""
+        return [self.x0, *self.x]
 
 
 def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -287,20 +277,30 @@ def backprop(
     return gs
 
 
-def backward(
+def output_grads(
     config: NetConfig, weights: list[np.ndarray], trace: ForwardTrace, output_index: int
 ) -> list[np.ndarray]:
-    """The weight gradients of output output_index of a single-input trace:
-    backpropagate from h_{L+1} with the seed e_i, then take the scaled
-    outer products grads[l] = c_l * outer(g_{l+1}, x_l) = dL/dW_l.
-    """
+    """The preactivation gradients g_1..g_{L+1} of output output_index of a
+    single-input trace: backprop from h_{L+1} with the seed e_i."""
     if trace.h[-1].ndim != 1:
         raise ValueError("backward expects a single-input trace")
     seed_grad = np.zeros(trace.h[-1].shape)
     seed_grad[output_index] = 1.0
-    gs = backprop(config, weights, trace, seed_grad)
-    inputs = [trace.x0, *trace.x]
-    return [c * (g[:, None] * x[None, :]) for c, g, x in zip(config.scales, gs, inputs)]
+    return backprop(config, weights, trace, seed_grad)
+
+
+def weight_grads(config: NetConfig, inputs: list[np.ndarray], grads: list[np.ndarray]) -> list[np.ndarray]:
+    """The weight gradients of a single-input pass from its layer inputs
+    x_0..x_L and preactivation gradients g_1..g_{L+1}: the scaled outer
+    products c_l * outer(g_{l+1}, x_l) = dL/dW_l."""
+    return [c * (g[:, None] * x[None, :]) for c, g, x in zip(config.scales, grads, inputs)]
+
+
+def backward(
+    config: NetConfig, weights: list[np.ndarray], trace: ForwardTrace, output_index: int
+) -> list[np.ndarray]:
+    """The weight gradients of output output_index of a single-input trace."""
+    return weight_grads(config, trace.inputs, output_grads(config, weights, trace, output_index))
 
 
 def jacobian(config: NetConfig, weights: list[np.ndarray], x: np.ndarray) -> np.ndarray:

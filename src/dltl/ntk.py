@@ -355,7 +355,7 @@ def _tangent_gram(
         x = np.repeat(_as_columns(x, config.widths[0]), k, axis=1)
         trace = forward(config, weights, x)
         seeds = np.tile(np.eye(k), x.shape[1] // k)
-        return [trace.x0, *trace.x], backprop(config, weights, trace, seeds)
+        return trace.inputs, backprop(config, weights, trace, seeds)
 
     xs_a, gs_a = layer_factors(x_a)
     xs_b, gs_b = (xs_a, gs_a) if x_b is None else layer_factors(x_b)

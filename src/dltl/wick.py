@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import ForwardTrace, NetConfig, backprop, forward, init_weights
+from .netcore import NetConfig, forward, init_weights, output_grads, weight_grads
 
 __all__ = [
     "ContractionSpec",
@@ -181,13 +181,13 @@ class DiagramCount:
         return -min(term.power_of_inv_n for term in self.terms)
 
     def monomial_value(self, monomial: tuple) -> float:
-        reps = {label: self.spec.inputs[label - 1] for label in self.spec.input_labels()}
+        inputs = self.spec.inputs
         value = 1.0
         for entry in monomial:
             if isinstance(entry, tuple):
-                value *= float(reps[entry[0]] @ reps[entry[1]])
+                value *= float(inputs[entry[0] - 1] @ inputs[entry[1] - 1])
             else:
-                value *= float(reps[entry][0])
+                value *= float(inputs[entry - 1][0])
         return value
 
     def evaluate(self, n: int) -> float:
@@ -403,33 +403,18 @@ def exact_correlation(spec: ContractionSpec, L: int) -> DiagramCount:
 # pass per weight block on top of them (_hessian_vec).
 
 
-# one input's pass: its layer inputs x_0..x_L and preactivation gradients
-# g_1..g_{L+1} of output 0
-_Pass = tuple[list[np.ndarray], list[np.ndarray]]
-
-
-def _pass(config: NetConfig, weights: list[np.ndarray], trace: ForwardTrace) -> _Pass:
-    """The pass of a forward trace: backprop from the seed e_0."""
-    seed = np.zeros(trace.output.shape)
-    seed[0] = 1.0
-    return [trace.x0, *trace.x], backprop(config, weights, trace, seed)
-
-
-def _grad_blocks(config: NetConfig, pass_: _Pass) -> list[np.ndarray]:
-    """The weight gradients of output 0, with netcore.backward's expression."""
-    inputs, grads = pass_
-    return [c * (g[:, None] * x[None, :]) for c, g, x in zip(config.scales, grads, inputs)]
-
-
 def _block_dot(a: list[np.ndarray], b: list[np.ndarray]) -> float:
     return float(sum(np.vdot(u, v) for u, v in zip(a, b)))
 
 
-def _hessian_vec(config: NetConfig, weights: list[np.ndarray], v: list[np.ndarray], pass_: _Pass) -> list[np.ndarray]:
+def _hessian_vec(
+    config: NetConfig, weights: list[np.ndarray], v: list[np.ndarray], inputs: list[np.ndarray], grads: list[np.ndarray]
+) -> list[np.ndarray]:
     """H(x) v for the multilinear chain of a linear net, the only kind
-    mc_scaling_check builds, from the pass at x: block q sums, over the
-    blocks p != q, the gradient of W_q at the weights with W_p replaced by
-    v_p.
+    mc_scaling_check builds, from the pass at x: its layer inputs x_0..x_L
+    and the preactivation gradients g_1..g_{L+1} of output 0. Block q sums,
+    over the blocks p != q, the gradient of W_q at the weights with W_p
+    replaced by v_p.
 
     W_p enters neither the layer inputs x_0..x_p nor the preactivation
     gradients g_{p+1}..g_{L+1}, and with phi' = 1 no gradient reads a
@@ -437,7 +422,6 @@ def _hessian_vec(config: NetConfig, weights: list[np.ndarray], v: list[np.ndarra
     only the inputs above p and the gradients below it are recomputed, with
     forward's and backprop's own expressions: each block equals that of a
     full pass at the substituted weights bit for bit."""
-    inputs, grads = pass_
     c = config.scales
     out = [np.zeros_like(w) for w in weights]
     for p in range(len(weights)):
@@ -564,17 +548,17 @@ def mc_scaling_check(
             for r in range(replicates):
                 weights = init_weights(config, seed=seed + 7919 * w_idx + r)
                 traces = {k: forward(config, weights, scaled[k]) for k in seen.values()}
-                passes = {k: _pass(config, weights, traces[k]) for k in chained}
+                passes = {k: (traces[k].inputs, output_grads(config, weights, traces[k], 0)) for k in chained}
                 value = 1.0
                 for kind, comp in components:
                     if kind == "point":
                         value *= float(traces[first[comp[0] - 1]].output[0])
                     else:
                         head, *middles, tail = (passes[first[f - 1]] for f in comp)
-                        v = _grad_blocks(config, head)
+                        v = weight_grads(config, *head)
                         for mid in middles:
-                            v = _hessian_vec(config, weights, v, mid)
-                        value *= _block_dot(v, _grad_blocks(config, tail))
+                            v = _hessian_vec(config, weights, v, *mid)
+                        value *= _block_dot(v, weight_grads(config, *tail))
                 samples[r] = value
             mean, variance = float(samples.mean()), float(samples.var(ddof=1))
         # a sample that is not finite makes the mean so too

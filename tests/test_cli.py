@@ -774,6 +774,10 @@ class TestDomainHolesExitOne:
         (["lindyn", "--eta", "inf"], "learning rate must be positive and finite"),
         (["lindyn", "--tol-loss", "nan"], "tol_loss must be finite"),
         (["lindyn", "--svals", "nan"], "target singular value must be positive and finite, got nan"),
+        # a given rate once skipped the u0 check: nan was blamed on the rate,
+        # and 0 ran every --max-steps step before failing the tolerance
+        (["lindyn", "--u0", "nan", "--eta", "0.3"], "u0 must be positive, got nan"),
+        (["lindyn", "--u0", "0", "--eta", "0.3"], "u0 = 0 sits at the degenerate fixed point"),
         (["phase", "--act", "tanh", "--sigma-w2", "0.5:2:0.5", "--tol", "nan"], "tol must be finite"),
         (["phase", "--act", "relu", "--sigma-w2", "0.5:2:0.5", "--tol", "-1"], "tol must be finite"),
         (["phase", "--act", "relu", "--sigma-w2", "1:3:1", "--q0", "nan"], "must be finite and nonnegative"),

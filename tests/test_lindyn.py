@@ -410,6 +410,9 @@ class TestDeepLinearGD:
             lindyn.simulate_deep_linear_gd(2, 2, (1.0,), -0.1)
         with pytest.raises(ValueError, match="nonnegative"):
             lindyn.simulate_deep_linear_gd(2, 2, (1.0,), 0.1, u0=-0.5)
+        # nan passes a test for negative entries
+        with pytest.raises(ValueError, match="nonnegative"):
+            lindyn.simulate_deep_linear_gd(2, 2, (1.0,), 0.1, u0=math.nan)
 
     @pytest.mark.parametrize("svals", [(1.0, math.nan), (math.inf,), (1e300,)])
     def test_rejects_nonfinite_targets(self, svals):

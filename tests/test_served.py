@@ -101,7 +101,7 @@ PINNED_BY_PER_LAYER = {
     ("meanfield", "gauss_ev"): "_length_moments evaluates its expression in place, and the pair moments use gauss_ev2",
     ("wick", "double_line_loops"): "exact_correlation sums the loops of all diagrams at once through per-level transfer matrices",
     ("landscape", "reconstruct_first_layer"): "constant_loss_path calls _first_layer_solver directly, once per weight set",
-    ("netcore", "backward"): "backprop serves every gradient; tools/op_times.py's forward_backward control cases are its only other caller",
+    ("netcore", "backward"): "it composes output_grads and weight_grads, which serve every single-input gradient; tools/op_times.py's forward_backward control cases are its only other caller",
 }
 
 

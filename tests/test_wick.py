@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dltl import wick
-from dltl.netcore import NetConfig, backward, forward, init_weights
+from dltl.netcore import NetConfig, backward, forward, init_weights, output_grads
 
 
 X1 = np.array([1.2])
@@ -347,7 +347,8 @@ def test_hessian_vec_equals_substituted_passes(widths, parameterization, sigma_w
     v = [_with_zeros(rng, rng.standard_normal(w.shape)) if block == "drawn" else np.full(w.shape, block)
          for w, block in zip(weights, blocks)]
     x = _with_zeros(rng, rng.standard_normal(d))
-    got = wick._hessian_vec(config, weights, v, wick._pass(config, weights, forward(config, weights, x)))
+    trace = forward(config, weights, x)
+    got = wick._hessian_vec(config, weights, v, trace.inputs, output_grads(config, weights, trace, 0))
     want = _reference_hessian_vec(config, weights, v, x)
     assert len(got) == len(want)
     for a, b in zip(got, want):

@@ -67,16 +67,17 @@ def _hessian_vec(depth):
     import numpy as np
 
     from dltl import wick
-    from dltl.netcore import NetConfig, forward, init_weights
+    from dltl.netcore import NetConfig, forward, init_weights, output_grads, weight_grads
 
     config = NetConfig((1,) + (16,) * depth + (1,), "linear", parameterization="ntk")
     weights = init_weights(config, 1)
 
     def pass_at(x):
-        return wick._pass(config, weights, forward(config, weights, np.array([x])))
+        trace = forward(config, weights, np.array([x]))
+        return trace.inputs, output_grads(config, weights, trace, 0)
 
-    v, at = wick._grad_blocks(config, pass_at(0.7)), pass_at(1.1)
-    return (lambda: wick._hessian_vec(config, weights, v, at)), "call"
+    v, at = weight_grads(config, *pass_at(0.7)), pass_at(1.1)
+    return (lambda: wick._hessian_vec(config, weights, v, *at)), "call"
 
 
 def _mc_replicate():

@@ -1,0 +1,120 @@
+"""List the lines of src/dltl that the served traffic does not run.
+
+    python3 tools/served_lines.py [--case NAME ...] [--workload W ...] [--seeds A-B]
+
+Run it from any directory. The served traffic is what reaches dltl from
+outside: the golden flag sets of tests/test_golden.py, each run through
+cli.main once with --format csv and once with --format json on the seeded
+inputs of test_golden.write_inputs, and one pass over every operation of
+perfbench/workloads.py's `build`, in order, for each workload and seed.
+All of it runs in this interpreter under sys.settrace, which records the
+lines of src/dltl that execute; dltl is imported under the trace too, so
+module-level lines count. perfbench/ is only read.
+
+A line can run when some compiled code object of its module maps an
+instruction to it (co_lines). Prints `module.py:line: source` for every such
+line that no call ran, in file order, then one `module.py: N of M lines not
+run` count per module. --case and --workload default to every golden case
+and every workload, --seeds to seed 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import linecache
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+from op_fields import WORKLOADS, seed_range
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "dltl"
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
+
+
+def code_lines(path: Path) -> set[int]:
+    """Every line of the file that an instruction of its compiled code maps to."""
+    todo, lines = [compile(path.read_text(encoding="utf-8"), str(path), "exec")], set()
+    while todo:
+        code = todo.pop()
+        lines.update(line for _, _, line in code.co_lines() if line)  # a module starts at line 0
+        todo.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
+    return lines
+
+
+def trace_lines(run) -> set[tuple[str, int]]:
+    """The (file, line) pairs of src/dltl that run() executes."""
+    prefix, ran = str(PACKAGE) + os.sep, set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return local
+
+    def calls(frame, event, arg):
+        if not frame.f_code.co_filename.startswith(prefix):
+            return None
+        # the call event stands for the line of the def (its RESUME)
+        ran.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+        return local
+
+    sys.settrace(calls)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return ran
+
+
+def serve(cases: list[str], workloads: list[str], seeds: list[int]) -> None:
+    """Run the golden cases and the workloads' operations."""
+    from test_golden import FORMATS, run_case, write_inputs
+
+    import workloads as bench
+
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_inputs(Path(tmp))
+        for name in cases:
+            for fmt in FORMATS:
+                run_case(name, fmt, paths, os.path.join(tmp, "out"))
+    for name in workloads:
+        for seed in seeds:
+            state = {}
+            for op in bench.build(name, seed):
+                op.call(state)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="List the lines of src/dltl that the served traffic does not run.")
+    parser.add_argument("--case", action="extend", nargs="+",
+                        help="run only these golden cases (repeatable; default: every golden case)")
+    parser.add_argument("--workload", action="extend", nargs="+", choices=WORKLOADS,
+                        help="run only these workloads (repeatable; default: all three)")
+    parser.add_argument("--seeds", type=seed_range, default=seed_range("0"),
+                        help="workload input seeds, A-B inclusive or one seed (default 0)")
+    args = parser.parse_args(argv)
+
+    def run():
+        from test_golden import CASES
+
+        unknown = sorted(set(args.case or ()) - set(CASES))
+        if unknown:
+            parser.error(f"unknown golden cases {unknown}")
+        serve(args.case or sorted(CASES), args.workload or list(WORKLOADS), args.seeds)
+
+    ran = trace_lines(run)
+    counts = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = code_lines(path)
+        missed = sorted(line for line in lines if (str(path), line) not in ran)
+        for line in missed:
+            print(f"{path.name}:{line}: {linecache.getline(str(path), line).strip()}")
+        counts.append(f"{path.name}: {len(missed)} of {len(lines)} lines not run")
+    print("\n".join(counts))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
