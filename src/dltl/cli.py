@@ -172,8 +172,6 @@ def _json_ready(value):
         return _json_ready(value.tolist())
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
     if isinstance(value, (float, np.floating)):
         value = float(value)
         return value if math.isfinite(value) else repr(value)
@@ -375,12 +373,7 @@ def _run_path(args: argparse.Namespace) -> Emission:
 
     config_a, weights_a = load_weights(args.weights_a)
     config_b, weights_b = load_weights(args.weights_b)
-    same = (
-        config_a.widths == config_b.widths
-        and str(config_a.activation) == str(config_b.activation)
-        and config_a.parameterization == config_b.parameterization
-    )
-    if not same:
+    if config_a != config_b:
         raise ValueError("the two weight files disagree on the architecture")
     x, y = read_dataset(args.data)
     if args.loss == "logistic" and not np.all(np.abs(y) == 1.0):
@@ -631,7 +624,6 @@ def _run_wick(args: argparse.Namespace) -> Emission:
             "seed": args.seed,
         }
         if args.mc_out is not None:
-            # exact_correlation ran above, so report.exacts is set
             mc_rows = zip(report.widths, report.means, report.std_errs, report.variances, report.exacts)
             extra = ((args.mc_out, ("width", "mc_mean", "mc_se", "mc_variance", "exact"), mc_rows),)
     return Emission(header, rows, doc, extra_files=extra)

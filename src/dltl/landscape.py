@@ -250,6 +250,9 @@ def constant_loss_path(
         raise ValueError(f"grid_points must be at least 2, got {grid_points}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    outputs, m = config.widths[-1], x.shape[-1]
+    if y.size != outputs * m:
+        raise ValueError(f"need a label per output and column, {outputs} x {m}, got {y.size} labels")
     if not (isinstance(loss, str) and loss in _LOSSES):
         raise ValueError(f"unknown loss {loss!r}; pick from {sorted(_LOSSES)}")
     loss_fn = _LOSSES[loss]

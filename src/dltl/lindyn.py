@@ -64,14 +64,14 @@ def _check_start(u0: float) -> None:
 def _check_mode_args(u0: float, uf: float, s: float, L: int) -> None:
     _check_depth_and_target(s, L)
     _check_start(u0)
-    if not u0 <= uf:
-        raise ValueError(f"need 0 < u0 <= uf, got u0 = {u0}, uf = {uf}")
+    if not u0 < uf:
+        raise ValueError(f"need 0 < u0 < uf, got u0 = {u0}, uf = {uf}")
     if uf >= s:
         raise ValueError(f"uf = {uf} is not reachable in finite time (target s = {s})")
 
 
 def _log_ratio(u0: float, uf: float, s: float) -> float:
-    # ln( uf (u0 - s) / (u0 (uf - s)) ), positive for 0 < u0 <= uf < s, as a
+    # ln( uf (u0 - s) / (u0 (uf - s)) ), positive for 0 < u0 < uf < s, as a
     # sum of logs: the quotient overflows for a subnormal u0
     return math.log(uf) + math.log(s - u0) - math.log(u0) - math.log(s - uf)
 
@@ -106,8 +106,6 @@ def mode_time(u0: float, uf: float, s: float, eta: float, L: int) -> ModeTimeRes
     """
     _check_positive("learning rate", eta)
     _check_mode_args(u0, uf, s, L)
-    if u0 == uf:
-        return ModeTimeResult(t_formula=0.0, t_rk4=0.0)
     lr = _log_ratio(u0, uf, s)
     if L == 1:
         n, d = lr, 2.0 * s * eta

@@ -114,12 +114,12 @@ def gauss_ev2(f, c, q11, q22, nodes: int = GH_NODES):
     c, q11 and q22 are scalars or same-shape arrays of pairs. A scalar call
     returns a float, an array call an array of that shape, whose entries are
     bit for bit the scalar calls: a pair's value does not depend on the pairs
-    beside it. f must act elementwise on arrays of any shape.
+    beside it. f is an Activation or its deriv.
 
     When f is a tanh or linear Activation or its deriv, f is odd or even, so
     f(u) f(v) is even in (u, v), and the tensor grid's mirror half is copied
     instead of evaluated (see _tensor_rule); the value is the same to the
-    bit. Any other callable is evaluated on the full grid.
+    bit. The other kinds are evaluated on the full grid.
     """
     c, q11, q22 = (np.asarray(v, dtype=float) for v in (c, q11, q22))
     shape = c.shape
@@ -150,16 +150,11 @@ def gauss_ev2(f, c, q11, q22, nodes: int = GH_NODES):
 
 
 def _has_parity(f) -> bool:
-    """Whether f is odd or even to the bit: tanh and linear are odd (IEEE
-    negation and numpy's tanh are sign-symmetric), so their derivatives are
-    even. Piecewise-linear kinds with a kink and plain callables report
+    """Whether f, an Activation or its deriv, is odd or even to the bit: tanh
+    and linear are odd (IEEE negation and numpy's tanh are sign-symmetric),
+    so their derivatives are even. Piecewise-linear kinds with a kink report
     False."""
-    if isinstance(f, Activation):
-        act = f
-    elif getattr(f, "__func__", None) is Activation.deriv:
-        act = f.__self__
-    else:
-        return False
+    act = f if isinstance(f, Activation) else f.__self__
     return act.kind in ("tanh", "linear")
 
 
@@ -295,8 +290,6 @@ def corr_map(c: float, q11: float, q22: float, sigma_w2: float, act: Activation)
         _check_pair(c, q11, q22)
         c = min(1.0, max(-1.0, c))
         scale = math.sqrt(q11 * q22)
-        if act.kind == "linear":
-            return sigma_w2 * c * scale
         # piecewise-linear pair moment in closed form. phi = ((1+a) z +
         # (1-a)|z|)/2 and E u|v| = 0, so only the uv and |u||v| terms
         # survive; E|u||v| = (2/pi)(sqrt(1-c^2) + c asin c) on unit
@@ -314,8 +307,6 @@ def chi_map(c: float, q11: float, q22: float, sigma_w2: float, act: Activation) 
         raise ValueError(f"sigma_w2 must be positive and finite, got {sigma_w2}")
     if act.slopes is not None:
         _check_pair(c, q11, q22)
-        if act.kind == "linear":
-            return sigma_w2
         c = min(1.0, max(-1.0, c))
         # phi' is a two-level step, so the expectation reduces to orthant
         # probabilities: P(++) = P(--) = (pi - theta)/(2 pi), theta = acos c

@@ -275,8 +275,6 @@ def _recursion(rows_a, rows_b, q11, q22, config: NetConfig, nodes: int) -> tuple
 
 def _as_columns(x: np.ndarray, n0: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
     if x.ndim != 2 or x.shape[0] != n0:
         raise ValueError(f"dataset must have shape ({n0}, m), got {x.shape}")
     return x
@@ -456,19 +454,21 @@ def linearize(
 
     kernel selects the train gram: "empirical" (gradient features of the
     given weights), "limiting" (Theta_0), or "last_layer" (q_{L+1}, the
-    kernel of output-layer-only training). The gram must be invertible;
-    a smallest eigenvalue at or below 1e-10 is an error.
+    kernel of output-layer-only training). The net has one output, trained
+    on one label per column. The gram must be invertible; a smallest
+    eigenvalue at or below 1e-10 is an error.
     """
+    if config.widths[-1] != 1:
+        raise ValueError(f"linearized training needs a scalar output, got width {config.widths[-1]}")
     if not 0 < eta < math.inf:
         raise ValueError(f"eta must be positive and finite, got {eta}")
     if kernel not in ("empirical", "limiting", "last_layer"):
         raise ValueError(f"unknown kernel choice {kernel!r}")
     x_train = _as_columns(x_train, config.widths[0])
     m = x_train.shape[1]
-    k = config.widths[-1]
     y = np.asarray(y, dtype=float).ravel()
-    if y.size != m * k:
-        raise ValueError(f"need {m * k} label entries, got {y.size}")
+    if y.size != m:
+        raise ValueError(f"need {m} label entries, got {y.size}")
     if kernel == "empirical":
         gram, nngp_train = empirical_ntk(config, weights, x_train), None
     else:
@@ -476,10 +476,9 @@ def linearize(
             raise ValueError("the limit kernel is defined for the ntk parameterization")
         theta, nngp_train = _pair_kernels(x_train, None, config, nodes)
         train, tag = (nngp_train, "nngp") if kernel == "last_layer" else (theta, "limiting_ntk")
-        # k outputs: the scalar gram kron identity, example major, output minor
-        gram = KernelGram(np.kron(train, np.eye(k)) if k > 1 else train, tag=tag)
+        gram = KernelGram(train, tag=tag)
     eigvals, eigvecs = _invertible_eigh(gram, "train")
-    f0 = forward(config, weights, x_train).output.T.ravel()
+    f0 = forward(config, weights, x_train).output.ravel()
     return LinearizedSolution(
         gram=gram,
         eigvals=eigvals,
@@ -504,7 +503,7 @@ def linearized_train(
     f_lin,t(x) = f_0(x) - Theta(x, X) Theta^{-1} (I - E_t) (f_0(X) - y),
     E_t = exp(-eta Theta t / m); t = inf gives the fully trained model.
     Solutions built on a limit kernel also return the GP moments mu_lin,t
-    and q_lin,t of the trained infinite-width model (scalar output only).
+    and q_lin,t of the trained infinite-width model.
 
     f_0(x) is evaluated from sol.weights on every call. The limit kernels
     Theta(x, X), q(x, X) and q(x, x) depend on neither t nor the weights, so
@@ -515,19 +514,16 @@ def linearized_train(
         raise ValueError(f"t must be nonnegative, got {t}")
     config = sol.config
     x_query = _as_columns(x_query, config.widths[0])
-    k = config.widths[-1]
-    f0_query = forward(config, sol.weights, x_query).output.T.ravel()
+    f0_query = forward(config, sol.weights, x_query).output.ravel()
     b_t = sol.solve_factor(t)
     if sol.kernel == "empirical":
         cross, nngp_query = _tangent_gram(config, sol.weights, x_query, sol.x_train), None
     else:
         theta_cross, nngp_cross, nngp_query = _query_kernels(sol, x_query)
         cross = nngp_cross if sol.kernel == "last_layer" else theta_cross
-        if k > 1:
-            cross = np.kron(cross, np.eye(k))
     weighted = cross @ b_t
     f_lin = f0_query + weighted @ (sol.y - sol.f0_train)
-    if nngp_query is None:  # the empirical kernel or k outputs: no GP moments
+    if nngp_query is None:  # the empirical kernel: no GP moments
         return LinearizedPrediction(f_lin=f_lin)
     gp_mean = weighted @ sol.y
     cross_term = weighted @ nngp_cross.T
@@ -537,9 +533,9 @@ def linearized_train(
 
 def _query_kernels(
     sol: LinearizedSolution, x_query: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Theta(x, X), q(x, X) and, for a scalar output, q(x, x) of a limit-kernel
-    solution on query columns.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Theta(x, X), q(x, X) and q(x, x) of a limit-kernel solution on query
+    columns.
 
     The solution keeps one entry, for its most recent query set, keyed by
     the columns' shape and bytes rather than the array's identity, so a
@@ -549,10 +545,7 @@ def _query_kernels(
     kernels = sol._query_memo.get(key)
     if kernels is None:
         theta_cross, nngp_cross = _pair_kernels(x_query, sol.x_train, sol.config, sol.nodes)
-        nngp_query = None
-        if sol.config.widths[-1] == 1:
-            nngp_query = _pair_kernels(x_query, None, sol.config, sol.nodes)[1]
-        kernels = (theta_cross, nngp_cross, nngp_query)
+        kernels = (theta_cross, nngp_cross, _pair_kernels(x_query, None, sol.config, sol.nodes)[1])
         sol._query_memo.clear()
         sol._query_memo[key] = kernels
     return kernels

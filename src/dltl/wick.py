@@ -287,8 +287,6 @@ def double_line_loops(
 
 def render_monomial(monomial: tuple) -> str:
     """Human-readable input monomial: "x1.x2*x3.x4" or "x1*x2" for scalars."""
-    if not monomial:
-        return "1"
     parts = []
     for entry in monomial:
         if isinstance(entry, tuple):
@@ -485,15 +483,14 @@ class ScalingReport:
     """Per-width Monte Carlo estimates next to the exact values.
 
     slope_mean fits log |mean| against log width; slope_variance does the
-    same for the replicate variance. exacts is None when the polynomial
-    engine does not cover the requested geometry.
+    same for the replicate variance.
     """
 
     widths: tuple[int, ...]
     means: tuple[float, ...]
     std_errs: tuple[float, ...]
     variances: tuple[float, ...]
-    exacts: tuple[float, ...] | None
+    exacts: tuple[float, ...]
     slope_mean: float
     slope_variance: float
 
@@ -512,7 +509,9 @@ def mc_scaling_check(
     replicates: int = 2000,
     seed: int = 0,
 ) -> ScalingReport:
-    """Estimate the correlation on finite nets and fit its width scaling."""
+    """Estimate the correlation on finite nets, next to exact_correlation's
+    value at each width, and fit its width scaling. A spec that
+    exact_correlation refuses raises its error."""
     if len(widths) < 3:
         raise ValueError("need at least three widths to fit a slope")
     if len(set(widths)) < 2:
@@ -530,10 +529,7 @@ def mc_scaling_check(
     seen: dict[bytes, int] = {}
     first = [seen.setdefault(x.tobytes(), k) for k, x in enumerate(scaled)]
     chained = {first[f - 1] for kind, comp in components if kind == "chain" for f in comp}
-    try:
-        exact = exact_correlation(spec, L)
-    except ValueError:
-        exact = None
+    exact = exact_correlation(spec, L)
 
     means, ses, variances, exacts = [], [], [], []
     for w_idx, n in enumerate(widths):
@@ -576,15 +572,14 @@ def mc_scaling_check(
         means.append(mean)
         variances.append(variance)
         ses.append(math.sqrt(variance / replicates))
-        if exact is not None:
-            exacts.append(exact.evaluate(n))
+        exacts.append(exact.evaluate(n))
 
     return ScalingReport(
         widths=tuple(int(n) for n in widths),
         means=tuple(means),
         std_errs=tuple(ses),
         variances=tuple(variances),
-        exacts=tuple(exacts) if exact is not None else None,
+        exacts=tuple(exacts),
         slope_mean=_fit_slope(tuple(widths), np.array(means)),
         slope_variance=_fit_slope(tuple(widths), np.array(variances)),
     )

@@ -127,6 +127,13 @@ class TestParsers:
         np.testing.assert_allclose(x_read, x, rtol=1e-15)
         np.testing.assert_allclose(y_read, y, rtol=1e-15)
 
+    def test_read_dataset_skips_blank_rows(self, tmp_path):
+        plain, blank = tmp_path / "p.csv", tmp_path / "b.csv"
+        plain.write_text("y,x1\n1,2\n3,4\n", encoding="utf-8")
+        blank.write_text("y,x1\n\n1,2\n\n3,4\n\n", encoding="utf-8")
+        for got, want in zip(read_dataset(str(blank)), read_dataset(str(plain)), strict=True):
+            np.testing.assert_array_equal(got, want)
+
     def test_read_dataset_errors(self, tmp_path):
         bad_header = tmp_path / "h.csv"
         bad_header.write_text("y,a,b\n1,2,3\n", encoding="utf-8")
@@ -302,6 +309,13 @@ class TestPhase:
         captured = capsys.readouterr().out
         assert captured.splitlines()[0] == "sigma_w2,q_inf,chi1,phase,marginal"
 
+    def test_out_to_a_device_is_written_in_place(self, capsys):
+        """A path that exists and is not a regular file is written, not
+        renamed over: os.devnull stays a device."""
+        assert main(["phase", "--act", "linear", "--sigma-w2", "1:1:1", "--out", os.devnull]) == 0
+        assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+        assert capsys.readouterr().out == ""
+
 
 class TestLengthmap:
     def test_relu_critical_point_is_fixed(self, tmp_path):
@@ -338,6 +352,21 @@ class TestSpectrum:
         rows = _read_rows(out)
         assert rows[0] == ["bin_left", "bin_right", "density"]
         assert len(rows) == 9
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 18: the histogram spreads the rounding noise of "
+                                           "J J^T = I over every bin")
+    def test_orthogonal_linear_spectrum_is_one_bin(self, tmp_path):
+        """A linear net with scaled orthogonal layers has J J^T =
+        sigma_w^(2L) I exactly (dynamical isometry), so all the mass sits in
+        one bin at sigma_w^(2L), here 1."""
+        out = tmp_path / "hist.json"
+        code = main(["spectrum", "--empirical", "--width", "8", "--replicates", "3", "--bins", "6",
+                     "--seed", "7", "--init", "orthogonal", "--format", "json", "--out", str(out)])
+        assert code == 0
+        full = [b for b in json.loads(out.read_text(encoding="utf-8"))["bins"] if b["density"] > 0]
+        assert len(full) == 1
+        assert full[0]["left"] <= 1.0 <= full[0]["right"]
+        assert full[0]["density"] * (full[0]["right"] - full[0]["left"]) == pytest.approx(1.0)
 
 
 class TestLindyn:
@@ -401,18 +430,27 @@ class TestPath:
             "first_layer_a", "upper_a", "output_a", "output_b", "first_layer_b",
         ]
 
-    def test_architecture_mismatch_is_domain_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("net_a, net_b, message", [
+        ({"widths": (6, 8, 4, 1)}, {"widths": (6, 4, 1)}, "disagree on the architecture"),
+        # B's weights once ran under A's forward scale, and exit 0
+        ({"widths": (6, 8, 4, 1), "parameterization": "ntk", "sigma_w2": 1.0},
+         {"widths": (6, 8, 4, 1), "parameterization": "ntk", "sigma_w2": 4.0}, "disagree on the architecture"),
+        # every output was once scored against the one label column, and exit 0
+        ({"widths": (6, 8, 4, 2)}, {"widths": (6, 8, 4, 2)}, "need a label per output and column, 2 x 5, got 5 labels"),
+    ])
+    def test_mismatch_is_domain_error(self, tmp_path, capsys, net_a, net_b, message):
         wa = tmp_path / "a.json"
         wb = tmp_path / "b.json"
-        _save_net(wa, (6, 8, 4, 1), seed=11)
-        _save_net(wb, (6, 4, 1), seed=12)
+        _save_net(wa, seed=11, **net_a)
+        _save_net(wb, seed=12, **net_b)
         rng = np.random.default_rng(13)
         data = tmp_path / "d.csv"
         _write_dataset(data, rng.standard_normal((5, 6)), rng.standard_normal(5))
         code = main(["path", "--weights-a", str(wa), "--weights-b", str(wb),
                      "--data", str(data)])
         assert code == 1
-        assert "architecture" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
 
     def test_tanh_nets_are_rejected_where_they_enter(self, tmp_path, capsys):
         """tanh is not bijective on R; the call once reached the reconstruction
@@ -496,6 +534,14 @@ class TestNtkTrain:
         assert rows[0] == ["t", "index", "f_lin", "gp_mean", "gp_sd"]
         assert rows[1][0] == "inf"
 
+    def test_data_of_another_width_meets_the_handlers_check(self, ntk_net, tmp_path, capsys):
+        """The weight check's forward pass leaves data of the wrong width
+        alone, so the message is that of the training call."""
+        data = tmp_path / "d.csv"
+        _write_dataset(data, np.ones((4, 2)), np.zeros(4))
+        assert main(["ntk-train", "--weights", ntk_net, "--data", str(data)]) == 1
+        assert capsys.readouterr().err == "error: dataset must have shape (3, m), got (2, 4)\n"
+
 
 class TestDuMonitor:
     def test_synthetic_run_shape(self, tmp_path):
@@ -510,6 +556,18 @@ class TestDuMonitor:
         assert len(rows) == 6
         losses = [float(r[1]) for r in rows[1:]]
         assert losses[-1] < losses[0]
+
+    def test_data_file_columns_are_normalized(self, tmp_path):
+        """--data puts each example on the unit sphere: a file and the same
+        file with every row scaled by 2 give the same trajectory."""
+        rng = np.random.default_rng(6)
+        x, y = rng.standard_normal((4, 3)), rng.uniform(-0.9, 0.9, size=4)
+        datas, outs = [tmp_path / "a.csv", tmp_path / "b.csv"], [tmp_path / "a.out", tmp_path / "b.out"]
+        for data, out, scale in zip(datas, outs, (1.0, 2.0)):
+            _write_dataset(data, scale * x, y)
+            assert main(["du-monitor", "--data", str(data), "--n", "32", "--t-max", "1", "--out", str(out)]) == 0
+        assert _read_rows(outs[0]) == _read_rows(outs[1])
+        assert len(_read_rows(outs[0])) > 2
 
     def test_zero_input_rejected(self, tmp_path, capsys):
         data = tmp_path / "z.csv"

@@ -187,6 +187,8 @@ class TestModeTime:
             lindyn.mode_time(0.01, 0.99, 1.0, -0.05, 2)
         with pytest.raises(ValueError, match="u0"):
             lindyn.mode_time(0.5, 0.2, 1.0, 0.05, 2)
+        with pytest.raises(ValueError, match="^need 0 < u0 < uf, got u0 = 0.5, uf = 0.5$"):
+            lindyn.mode_time(0.5, 0.5, 1.0, 0.05, 2)
         with pytest.raises(ValueError, match="not reachable"):
             lindyn.mode_time(0.01, 1.0, 1.0, 0.05, 2)
         with pytest.raises(ValueError, match="target singular value"):

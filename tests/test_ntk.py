@@ -145,15 +145,6 @@ class TestGrams:
         np.testing.assert_allclose(frozen.gram.matrix, nngp.matrix, atol=1e-12)
         assert frozen.gram.tag == nngp.tag == "nngp"
 
-    def test_multi_output_is_kron(self):
-        """linearize trains k outputs on the scalar gram kron identity."""
-        config = _relu_config((3, 8, 2))
-        x = np.random.default_rng(6).standard_normal((3, 3))
-        y = np.random.default_rng(7).standard_normal(6)
-        scalar = ntk.limiting_ntk(x, config)
-        block = ntk.linearize(config, init_weights(config, seed=6), x, y, eta=1.0).gram
-        np.testing.assert_allclose(block.matrix, np.kron(scalar.matrix, np.eye(2)), atol=1e-12)
-
     def test_empirical_matches_hand_gradients(self):
         """For f = W_1 W_0 x the tangent kernel is
         ||W_1||^2 x.x' + (W_0 x).(W_0 x')."""
@@ -347,16 +338,6 @@ class TestLinearizedTraining:
                 with pytest.raises(ValueError, match="read-only"):
                     kept[0, 0] = 1.0
 
-    def test_multi_output_interpolation(self):
-        config = _relu_config((3, 8, 2))
-        weights = init_weights(config, seed=15)
-        rng = np.random.default_rng(16)
-        x = rng.standard_normal((3, 3))
-        y = rng.standard_normal(6)
-        sol = ntk.linearize(config, weights, x, y, eta=1.0)
-        pred = ntk.linearized_train(sol, x, math.inf)
-        np.testing.assert_allclose(pred.f_lin, y, atol=1e-8)
-
     def test_singular_gram_rejected(self):
         config = _relu_config((3, 8, 1))
         weights = init_weights(config, seed=17)
@@ -374,6 +355,9 @@ class TestLinearizedTraining:
             ntk.linearize(config, sol.weights, x, y, eta=1.0, kernel="mystery")
         with pytest.raises(ValueError, match="label entries"):
             ntk.linearize(config, sol.weights, x, y[:-1], eta=1.0)
+        two = _relu_config((3, 8, 2))
+        with pytest.raises(ValueError, match="^linearized training needs a scalar output, got width 2$"):
+            ntk.linearize(two, init_weights(two, seed=15), x, np.concatenate([y, y]), eta=1.0)
         for t in (-1.0, math.nan):
             with pytest.raises(ValueError, match="nonnegative"):
                 ntk.linearized_train(sol, x, t)

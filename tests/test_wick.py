@@ -211,7 +211,6 @@ class TestExactCorrelation:
 
 class TestRenderMonomial:
     def test_forms(self):
-        assert wick.render_monomial(()) == "1"
         assert wick.render_monomial(((1, 2), (3, 4))) == "x1.x2*x3.x4"
         assert wick.render_monomial((1, 1, 2, 2)) == "x1*x1*x2*x2"
 
@@ -221,7 +220,6 @@ class TestMonteCarloScaling:
         """Sampled f^4 agrees with the exact polynomial at every width."""
         rep = wick.mc_scaling_check(_scalar_spec(4), 1, widths=[8, 16, 32],
                                     replicates=3000, seed=0)
-        assert rep.exacts is not None
         for mean, se, exact in zip(rep.means, rep.std_errs, rep.exacts):
             assert abs(mean - exact) <= 3 * se
 
@@ -239,16 +237,6 @@ class TestMonteCarloScaling:
                                     replicates=3000, seed=2)
         for mean, se, exact in zip(rep.means, rep.std_errs, rep.exacts):
             assert abs(mean - exact) <= 3 * se
-
-    def test_vector_inputs_at_depth_two_have_no_exact_values(self):
-        """exact_correlation refuses vector inputs at L = 2, so exacts is None;
-        E f(x) f(x') = x . x' at every width and depth still checks the means."""
-        x1, x2 = np.array([1.0, 0.5, -0.3]), np.array([0.2, -1.0, 0.8])
-        spec = wick.ContractionSpec(m=2, inputs=(x1, x2))
-        rep = wick.mc_scaling_check(spec, 2, widths=[4, 8, 16], replicates=1000, seed=0)
-        assert rep.exacts is None
-        for mean, se in zip(rep.means, rep.std_errs):
-            assert abs(mean - x1 @ x2) <= 4 * se
 
     def test_overflowing_inputs_rejected_without_warnings(self):
         """Finite inputs whose products leave float range: the exact value
@@ -418,15 +406,17 @@ def test_mc_scaling_check_equals_a_fresh_pass_per_factor(spec, L, widths, replic
     """Factors that share an input share its passes, and the report equals,
     field for field and bit for bit, that of a fresh forward and backward
     pass per factor; where those samples cannot be fitted, both raise the
-    same error."""
+    same error, and where exact_correlation refuses the spec, the check
+    raises exact_correlation's error."""
     try:
         got = wick.mc_scaling_check(spec, L, widths, replicates=replicates, seed=seed)
     except ValueError as exc:
         got = str(exc)
     try:
         exact = wick.exact_correlation(spec, L)
-    except ValueError:
-        exact = None
+    except ValueError as exc:
+        assert got == str(exc)
+        return
     means, variances, want = [], [], None
     for w_idx, n in enumerate(widths):
         samples = _reference_samples(spec, L, n, replicates, seed, w_idx)
@@ -445,7 +435,7 @@ def test_mc_scaling_check_equals_a_fresh_pass_per_factor(spec, L, widths, replic
         means=tuple(means),
         std_errs=tuple(math.sqrt(v / replicates) for v in variances),
         variances=tuple(variances),
-        exacts=None if exact is None else tuple(exact.evaluate(n) for n in widths),
+        exacts=tuple(exact.evaluate(n) for n in widths),
         slope_mean=wick._fit_slope(tuple(widths), np.array(means)),
         slope_variance=wick._fit_slope(tuple(widths), np.array(variances)),
     )

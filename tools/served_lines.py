@@ -5,17 +5,20 @@
 Run it from any directory. The served traffic is what reaches dltl from
 outside: the golden flag sets of tests/test_golden.py, each run through
 cli.main once with --format csv and once with --format json on the seeded
-inputs of test_golden.write_inputs, and one pass over every operation of
-perfbench/workloads.py's `build`, in order, for each workload and seed.
-All of it runs in this interpreter under sys.settrace, which records the
-lines of src/dltl that execute; dltl is imported under the trace too, so
+inputs of test_golden.write_inputs, and one pass over the operations of
+perfbench/workloads.py's `build` for each workload and seed, through
+perfbench/worker.py's Runner as the benchmark runs it: every operation's
+reference fields, reference check, oracle and counters run too. All of it
+runs in this interpreter under sys.settrace, which records the lines of
+src/dltl that execute; dltl is imported under the trace too, so
 module-level lines count. perfbench/ is only read.
 
 A line can run when some compiled code object of its module maps an
 instruction to it (co_lines). Prints `module.py:line: source` for every such
 line that no call ran, in file order, then one `module.py: N of M lines not
 run` count per module. --case and --workload default to every golden case
-and every workload, --seeds to seed 0.
+and every workload, --seeds to seed 0. Exits 1, after the listing, if a
+benchmark operation raised or failed its check; the failures go to stderr.
 """
 
 from __future__ import annotations
@@ -68,10 +71,12 @@ def trace_lines(run) -> set[tuple[str, int]]:
     return ran
 
 
-def serve(cases: list[str], workloads: list[str], seeds: list[int]) -> None:
-    """Run the golden cases and the workloads' operations."""
+def serve(cases: list[str], workloads: list[str], seeds: list[int]) -> list[str]:
+    """Run the golden cases and the workloads' checked passes; the failed
+    operations, as `workload seed N: op: message` lines."""
     from test_golden import FORMATS, run_case, write_inputs
 
+    import worker
     import workloads as bench
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -79,11 +84,13 @@ def serve(cases: list[str], workloads: list[str], seeds: list[int]) -> None:
         for name in cases:
             for fmt in FORMATS:
                 run_case(name, fmt, paths, os.path.join(tmp, "out"))
+    failures = []
     for name in workloads:
         for seed in seeds:
-            state = {}
-            for op in bench.build(name, seed):
-                op.call(state)
+            runner = worker.Runner(bench.build(name, seed), worker.load_refs(name, seed))
+            runner.run_pass()
+            failures += [f"{name} seed {seed}: {error}" for error in runner.errors]
+    return failures
 
 
 def main(argv=None) -> int:
@@ -96,13 +103,15 @@ def main(argv=None) -> int:
                         help="workload input seeds, A-B inclusive or one seed (default 0)")
     args = parser.parse_args(argv)
 
+    failures = []
+
     def run():
         from test_golden import CASES
 
         unknown = sorted(set(args.case or ()) - set(CASES))
         if unknown:
             parser.error(f"unknown golden cases {unknown}")
-        serve(args.case or sorted(CASES), args.workload or list(WORKLOADS), args.seeds)
+        failures.extend(serve(args.case or sorted(CASES), args.workload or list(WORKLOADS), args.seeds))
 
     ran = trace_lines(run)
     counts = []
@@ -113,7 +122,9 @@ def main(argv=None) -> int:
             print(f"{path.name}:{line}: {linecache.getline(str(path), line).strip()}")
         counts.append(f"{path.name}: {len(missed)} of {len(lines)} lines not run")
     print("\n".join(counts))
-    return 0
+    for failure in failures:
+        print(failure, file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
