@@ -313,7 +313,14 @@ def _run_spectrum(args: argparse.Namespace) -> Emission:
         sigma_w2=args.sigma_w2,
     )
     eigenvalues = spectra.empirical_spectrum(config, replicates=args.replicates, seed=args.seed)
-    counts, edges = np.histogram(eigenvalues, bins=args.bins, density=True)
+    lo, hi, bins, value_range = float(eigenvalues[0]), float(eigenvalues[-1]), args.bins, None
+    if bins > 0 and hi - lo <= 1e-12 * abs(hi) < math.inf:
+        # Eigenvalues within 1e-12 relative of each other are one value spread
+        # by rounding, as J J^T = sigma_w^(2L) I for linear orthogonal layers:
+        # the bins span |hi|, and the middle one, centered on them, holds all.
+        first = lo + 0.5 * (hi - lo) - (bins // 2 + 0.5) * abs(hi) / bins
+        value_range = (first, first + abs(hi))
+    counts, edges = np.histogram(eigenvalues, bins=bins, range=value_range, density=True)
     rows = tuple(zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
     doc = {
         "depth": depth,

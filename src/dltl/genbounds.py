@@ -375,8 +375,9 @@ def neyshabur_bound(
     )
 
 
-def gaussian_kl(posterior: GaussianPosterior) -> float:
-    """KL(N(mu, diag(exp(lam))) || N(mu*, exp(lam*) I)) for diagonal gaussians.
+def gaussian_kl(mean: np.ndarray, log_var: np.ndarray, prior_mean: np.ndarray, prior_log_var: float) -> float:
+    """KL(N(mu, diag(exp(lam))) || N(mu*, exp(lam*) I)) for diagonal gaussians,
+    on a GaussianPosterior's mean, log_var, prior_mean and prior_log_var:
 
     KL = (1/2) (exp(-lam*) (sum(exp(lam)) + |mu - mu*|^2)
           + d lam* - sum(lam) - d).
@@ -384,26 +385,17 @@ def gaussian_kl(posterior: GaussianPosterior) -> float:
     The exp(-lam*) factor multiplies both the variance sum and the mean
     shift, and the - sum(lam) - d part makes KL vanish exactly when the
     posterior equals the prior. A posterior variance exp(lam) or a mean
-    shift whose square overflows gives a KL that is not finite, which raises
-    ValueError; a prior precision exp(-lam*) that overflows raises
-    OverflowError.
+    shift whose square overflows, or a non-finite entry, gives a KL that is
+    not finite, which raises ValueError; a prior precision exp(-lam*) that
+    overflows raises OverflowError.
     """
-    return _gaussian_kl(
-        posterior.mean, posterior.log_var, posterior.prior_mean, posterior.prior_log_var
-    )
-
-
-def _gaussian_kl(mean: np.ndarray, lam: np.ndarray, prior_mean: np.ndarray, lam_star: float) -> float:
-    """gaussian_kl on the posterior's arrays, without building and validating
-    a GaussianPosterior; a non-finite entry gives a non-finite KL, which
-    raises the same ValueError."""
     shift = mean - prior_mean
     d = mean.size
     with np.errstate(over="ignore", invalid="ignore"):
         kl = 0.5 * (
-            math.exp(-lam_star) * (float(np.sum(np.exp(lam))) + float(shift @ shift))
-            + d * lam_star
-            - float(np.sum(lam))
+            math.exp(-prior_log_var) * (float(np.sum(np.exp(log_var))) + float(shift @ shift))
+            + d * prior_log_var
+            - float(np.sum(log_var))
             - d
         )
     if not math.isfinite(kl):
@@ -432,7 +424,7 @@ def pacbayes_mcallester(
     standard error of that estimate is reported alongside.
     """
     m, delta = _check_m_delta(m, delta)
-    kl = gaussian_kl(posterior)
+    kl = gaussian_kl(posterior.mean, posterior.log_var, posterior.prior_mean, posterior.prior_log_var)
     penalty = _mcallester_penalty(kl, m, delta)
 
     samples = int(samples)
@@ -578,7 +570,7 @@ def dziugaite_roy_optimize(
         lam*), and the (loss, KL, penalty) it sums; raises where the KL does."""
         loss, surrogate_grads = surrogate(mu, lam)
         j_cont = b * (log_c - lam_star)
-        kl = _gaussian_kl(mu, lam, mu_star, lam_star)
+        kl = gaussian_kl(mu, lam, mu_star, lam_star)
         penalty = math.sqrt((log_grid_const + 2.0 * math.log(j_cont) + kl) / denom)
 
         def grads():

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netcore import NetConfig, forward
+from .netcore import NetConfig, _check_at_least, forward
 
 __all__ = [
     "PathSegment",
@@ -246,8 +246,7 @@ def constant_loss_path(
     _check_reconstruct_shapes(config)
     if not epsilon >= 1e-8:
         raise ValueError(f"epsilon must be at least 1e-8, got {epsilon}")
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be at least 2, got {grid_points}")
+    _check_at_least("grid_points", grid_points, 2)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     outputs, m = config.widths[-1], x.shape[-1]

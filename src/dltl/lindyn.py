@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import haar_orthogonal
+from .netcore import _check_positive, haar_orthogonal
 
 __all__ = [
     "ModeTimeResult",
@@ -41,11 +41,6 @@ __all__ = [
     "opt_schedule",
     "simulate_deep_linear_gd",
 ]
-
-
-def _check_positive(what: str, value: float) -> None:
-    if not 0 < value < math.inf:
-        raise ValueError(f"{what} must be positive and finite, got {value}")
 
 
 def _check_depth_and_target(s: float, L: int) -> None:

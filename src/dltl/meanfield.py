@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .netcore import Activation, NetConfig, forward, init_weights, output_grads
+from .netcore import Activation, NetConfig, _check_nonnegative, _check_positive, forward, init_weights, output_grads
 
 __all__ = [
     "DivergenceError",
@@ -85,8 +85,7 @@ def gauss_hermite(nodes: int = GH_NODES) -> tuple[np.ndarray, np.ndarray]:
 
 def gauss_ev(f, q: float, nodes: int = GH_NODES) -> float:
     """E_{z ~ N(0,1)} f(sqrt(q) z) by Gauss-Hermite quadrature."""
-    if not 0.0 <= q < math.inf:
-        raise ValueError(f"variance must be finite and nonnegative, got {q}")
+    _check_nonnegative("variance", q)
     t, w = gauss_hermite(nodes)
     z = math.sqrt(2.0 * q) * t
     return float(w @ f(z)) / math.sqrt(math.pi)
@@ -264,10 +263,8 @@ def length_map(q: float, sigma_w2: float, act: Activation, nodes: int = GH_NODES
     reads, and chi_1 for the piecewise-linear kinds, whose phi phi'' vanishes
     almost everywhere (phi(0) = 0 kills the relu kink's point mass).
     """
-    if not 0.0 <= q < math.inf:
-        raise ValueError(f"q must be finite and nonnegative, got {q}")
-    if not 0.0 < sigma_w2 < math.inf:
-        raise ValueError(f"sigma_w2 must be positive and finite, got {sigma_w2}")
+    _check_nonnegative("q", q)
+    _check_positive("sigma_w2", sigma_w2)
     if act.homogeneous:
         # V is exactly linear in q, with slope chi_1
         value = sigma_w2 * q * _second_moment_unit(act)
@@ -284,8 +281,7 @@ def corr_map(c: float, q11: float, q22: float, sigma_w2: float, act: Activation)
     """C(c, q11, q22 | sigma_w^2) = sigma_w^2 * E phi(u) phi(v), the next
     layer's covariance for inputs with current variances q11, q22 and
     correlation c."""
-    if not 0.0 < sigma_w2 < math.inf:
-        raise ValueError(f"sigma_w2 must be positive and finite, got {sigma_w2}")
+    _check_positive("sigma_w2", sigma_w2)
     if act.slopes is not None:
         _check_pair(c, q11, q22)
         c = min(1.0, max(-1.0, c))
@@ -303,8 +299,7 @@ def corr_map(c: float, q11: float, q22: float, sigma_w2: float, act: Activation)
 
 def chi_map(c: float, q11: float, q22: float, sigma_w2: float, act: Activation) -> float:
     """sigma_w^2 * E phi'(u) phi'(v), the derivative-correlation multiplier."""
-    if not 0.0 < sigma_w2 < math.inf:
-        raise ValueError(f"sigma_w2 must be positive and finite, got {sigma_w2}")
+    _check_positive("sigma_w2", sigma_w2)
     if act.slopes is not None:
         _check_pair(c, q11, q22)
         c = min(1.0, max(-1.0, c))
@@ -320,10 +315,8 @@ def chi_map(c: float, q11: float, q22: float, sigma_w2: float, act: Activation) 
 
 def chi1(sigma_w2: float, q: float, act: Activation, nodes: int = GH_NODES) -> float:
     """chi_1 = sigma_w^2 * E (phi'(sqrt(q) z))^2 at variance q."""
-    if not 0.0 < sigma_w2 < math.inf:
-        raise ValueError(f"sigma_w2 must be positive and finite, got {sigma_w2}")
-    if not 0.0 <= q < math.inf:
-        raise ValueError(f"q must be finite and nonnegative, got {q}")
+    _check_positive("sigma_w2", sigma_w2)
+    _check_nonnegative("q", q)
     if act.homogeneous:
         return sigma_w2 * _second_moment_unit(act)
     return _length_moments(sigma_w2, nodes).chi1(q)
@@ -364,10 +357,8 @@ def length_fixed_point(sigma_w2: float, act: Activation, q0: float = 1.0) -> Fix
     FIXED_POINT_ITERATIONS) raises DivergenceError naming the last
     iterate.
     """
-    if not 0.0 <= q0 < math.inf:
-        raise ValueError(f"q0 must be finite and nonnegative, got {q0}")
-    if not 0.0 < sigma_w2 < math.inf:
-        raise ValueError(f"sigma_w2 must be positive and finite, got {sigma_w2}")
+    _check_nonnegative("q0", q0)
+    _check_positive("sigma_w2", sigma_w2)
     if act.homogeneous:
         kappa = sigma_w2 * _second_moment_unit(act)
         if abs(kappa - 1.0) <= MARGINAL_TOL:

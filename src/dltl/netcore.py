@@ -38,6 +38,22 @@ __all__ = [
 ]
 
 
+# The argument checks every layer shares; nan fails each comparison.
+def _check_positive(what: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{what} must be positive and finite, got {value}")
+
+
+def _check_nonnegative(what: str, value: float) -> None:
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{what} must be finite and nonnegative, got {value}")
+
+
+def _check_at_least(what: str, value: int, low: int) -> None:
+    if not value >= low:
+        raise ValueError(f"{what} must be at least {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class Activation:
     """Elementwise activation with value, derivative and (where defined) inverse.
@@ -157,8 +173,7 @@ class NetConfig:
             raise ValueError(f"unknown parameterization {self.parameterization!r}")
         if self.init not in INIT_SCHEMES:
             raise ValueError(f"unknown init scheme {self.init!r}")
-        if not 0.0 < self.sigma_w2 < math.inf:
-            raise ValueError(f"sigma_w2 must be positive and finite, got {self.sigma_w2}")
+        _check_positive("sigma_w2", self.sigma_w2)
         if self.init == "orthogonal" and self.parameterization == "ntk":
             raise ValueError("orthogonal init is defined for the standard parameterization only")
         ntk = self.parameterization == "ntk"

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .meanfield import GH_NODES, gauss_ev2, length_map
-from .netcore import Activation, NetConfig, backprop, forward
+from .netcore import Activation, NetConfig, _check_at_least, _check_positive, backprop, forward
 
 __all__ = [
     "KernelGram",
@@ -460,8 +460,7 @@ def linearize(
     """
     if config.widths[-1] != 1:
         raise ValueError(f"linearized training needs a scalar output, got width {config.widths[-1]}")
-    if not 0 < eta < math.inf:
-        raise ValueError(f"eta must be positive and finite, got {eta}")
+    _check_positive("eta", eta)
     if kernel not in ("empirical", "limiting", "last_layer"):
         raise ValueError(f"unknown kernel choice {kernel!r}")
     x_train = _as_columns(x_train, config.widths[0])
@@ -606,8 +605,7 @@ def h_infinity_gram(
             theta = np.arccos(np.clip(cosines, -1.0, 1.0))
             h = grams * (math.pi - theta) / (2 * math.pi)
         elif method == "mc":
-            if mc_samples < 1:
-                raise ValueError(f"mc_samples must be at least 1, got {mc_samples}")
+            _check_at_least("mc_samples", mc_samples, 1)
             rng = np.random.default_rng(seed)
             w = rng.standard_normal((mc_samples, x.shape[0]))
             masks = (w @ x > 0).astype(float)
@@ -663,8 +661,7 @@ def du_convergence_monitor(
         raise ValueError("the dataset has no examples")
     if y.size != m:
         raise ValueError("one label per column")
-    if n < 1:
-        raise ValueError(f"hidden width n must be at least 1, got {n}")
+    _check_at_least("hidden width n", n, 1)
     with np.errstate(over="ignore"):  # an overflowing norm fails the ball check
         norms = np.linalg.norm(x, axis=0)
     if np.any(norms > 1 + 1e-12):
@@ -750,18 +747,21 @@ def alignment(h_inf: KernelGram, y: np.ndarray, u0: np.ndarray, points: int = 20
     20 / lambda_min over the positive eigenvalues, well after the slowest
     mode has died.
     """
-    if points < 2:
-        raise ValueError(f"points must be at least 2, got {points}")
+    _check_at_least("points", points, 2)
     k = h_inf.matrix
     y = np.asarray(y, dtype=float).ravel()
     u0 = np.asarray(u0, dtype=float).ravel()
     if y.shape != u0.shape or y.size != k.shape[0]:
         raise ValueError("y and u0 must match the gram size")
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = y - u0
+        energy = float(resid @ resid)
+    if not math.isfinite(energy):
+        raise ValueError(f"the squared residual |y - u0|^2 = {energy} is not finite")
     eigvals, eigvecs = np.linalg.eigh(k)
-    resid = y - u0
     projections = eigvecs.T @ resid
     total = float(projections @ projections)
-    if abs(total - float(resid @ resid)) > 1e-8 * max(1.0, float(resid @ resid)):
+    if abs(total - energy) > 1e-8 * max(1.0, energy):
         raise ValueError("projection energies do not add up to the residual norm")
     lam_max = float(eigvals[-1])
     if not 0 < lam_max < math.inf:

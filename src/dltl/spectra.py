@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import NetConfig, init_weights, jacobian
+from .netcore import NetConfig, _check_at_least, init_weights, jacobian
 
 __all__ = [
     "ParamSpectrum",
@@ -116,8 +116,7 @@ def empirical_spectrum(
     them from a genuine forward pass, on a per-replicate standard-normal
     input from a dedicated substream.
     """
-    if replicates < 1:
-        raise ValueError(f"replicates must be at least 1, got {replicates}")
+    _check_at_least("replicates", replicates, 1)
     eigs = []
     for r in range(replicates):
         weights = init_weights(config, seed + r)

@@ -16,7 +16,7 @@ import pytest
 
 from dltl import cli
 from dltl.cli import main, parse_float_list, parse_int_list, parse_range, read_dataset
-from dltl.netcore import NetConfig, init_weights, save_weights
+from dltl.netcore import NetConfig, forward, init_weights, load_weights, save_weights
 
 
 # ---------------------------------------------------------------------------
@@ -353,19 +353,21 @@ class TestSpectrum:
         assert rows[0] == ["bin_left", "bin_right", "density"]
         assert len(rows) == 9
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 18: the histogram spreads the rounding noise of "
-                                           "J J^T = I over every bin")
-    def test_orthogonal_linear_spectrum_is_one_bin(self, tmp_path):
+    @pytest.mark.parametrize("flags, value", [([], 1.0), (["--depth", "3", "--sigma-w2", "2"], 8.0)],
+                             ids=["depth-1", "depth-3-sigma-w2-2"])
+    def test_orthogonal_linear_spectrum_is_one_bin(self, tmp_path, flags, value):
         """A linear net with scaled orthogonal layers has J J^T =
         sigma_w^(2L) I exactly (dynamical isometry), so all the mass sits in
-        one bin at sigma_w^(2L), here 1."""
+        one bin at sigma_w^(2L): 1 at sigma_w^2 = 1, and 2^3 = 8 at depth
+        L = 3 and sigma_w^2 = 2, where the eigenvalues spread over 3.7e-15
+        relative."""
         out = tmp_path / "hist.json"
         code = main(["spectrum", "--empirical", "--width", "8", "--replicates", "3", "--bins", "6",
-                     "--seed", "7", "--init", "orthogonal", "--format", "json", "--out", str(out)])
+                     "--seed", "7", "--init", "orthogonal", *flags, "--format", "json", "--out", str(out)])
         assert code == 0
         full = [b for b in json.loads(out.read_text(encoding="utf-8"))["bins"] if b["density"] > 0]
         assert len(full) == 1
-        assert full[0]["left"] <= 1.0 <= full[0]["right"]
+        assert full[0]["left"] <= value <= full[0]["right"]
         assert full[0]["density"] * (full[0]["right"] - full[0]["left"]) == pytest.approx(1.0)
 
 
@@ -909,6 +911,25 @@ class TestDomainHolesExitOne:
             "error: KL divergence nan is not finite: a posterior variance or the mean shift overflows"
         ]
         assert proc.stdout == ""
+
+    def test_align_residual_out_of_float_range(self, tmp_path):
+        """The golden u0 net with its output layer scaled so that |u0|
+        peaks at 1e154 on the golden data, against labels -sign(u0) 1e154:
+        every output and label is finite, and so is each squared output,
+        but |y - u0|^2 is not. align once exited 0 with inf in its curve
+        and projections, after numpy's overflow warnings."""
+        from test_golden import write_inputs
+
+        paths = write_inputs(tmp_path)
+        config, weights = load_weights(paths["u0_net"])
+        x, _ = read_dataset(paths["data"])
+        u0 = forward(config, weights, x.T).output.ravel()
+        weights[-1] *= 1e154 / np.max(np.abs(u0))
+        net, data = tmp_path / "big_u0.json", tmp_path / "big_y.csv"
+        save_weights(net, config, weights)
+        _write_dataset(data, x, -np.sign(u0) * 1e154)
+        self._assert_one_line(["align", "--data", str(data), "--u0-weights", str(net), "--points", "3"],
+                              "the squared residual |y - u0|^2 = inf is not finite")
 
     # the golden calls that read weight files and check them on the data
     WEIGHT_FILE_CASES = ["path", "ntk-kernel-linear-empirical", "ntk-train-limiting",

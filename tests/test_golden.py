@@ -98,6 +98,12 @@ CASES = {
     "spectrum-empirical-leaky": (
         "spectrum --empirical --width 8 --replicates 3 --bins 6 --seed 7 --act leaky_relu:0.2"
     ),
+    "spectrum-empirical-orthogonal": (
+        "spectrum --empirical --width 8 --replicates 3 --bins 6 --seed 7 --init orthogonal"
+    ),
+    "spectrum-empirical-orthogonal-deep": (
+        "spectrum --empirical --width 8 --replicates 3 --bins 6 --seed 7 --init orthogonal --depth 3 --sigma-w2 2"
+    ),
     "lindyn": "lindyn --depth 2 --svals 1.0,0.7 --max-steps 2000 --seed 3",
     "path": "path --weights-a {net_a} --weights-b {net_b} --data {path_data} --grid-points 8",
     "ntk-kernel-relu-limiting": "ntk-kernel --data {data} --widths 3,16,16,1 --act relu --sigma-w2 2",

@@ -3,12 +3,14 @@ against finite differences and a per-call reference loop, weight-file round
 trips."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dltl import landscape, meanfield, ntk, spectra
 from dltl.netcore import (
     Activation,
     NetConfig,
@@ -423,3 +425,56 @@ class TestWeightFiles:
         path.write_text('{"version": 2}')
         with pytest.raises(ValueError):
             load_weights(path)
+
+
+# -- the shared argument checks, at every entry point behind one ----------------
+
+_RELU, _TANH = Activation("relu"), Activation("tanh")
+_NTK_NET = NetConfig((3, 4, 1), "relu", parameterization="ntk")
+_PATH_NET = NetConfig((6, 8, 4, 1), "linear")
+_POSITIVE = "sigma_w2 must be positive and finite"
+
+# (call(value), the first value out of range, the message up to ", got value")
+# for every argument that netcore's _check_positive, _check_nonnegative or
+# _check_at_least guards
+BOUNDARY_CALLS = [
+    pytest.param(lambda v: meanfield.length_map(1.0, v, _RELU), 0.0, _POSITIVE, id="length_map.sigma_w2"),
+    pytest.param(lambda v: meanfield.length_map(v, 1.0, _TANH), -1e-300, "q must be finite and nonnegative",
+                 id="length_map.q"),
+    pytest.param(lambda v: meanfield.corr_map(0.5, 1.0, 1.0, v, _RELU), 0.0, _POSITIVE, id="corr_map.sigma_w2"),
+    pytest.param(lambda v: meanfield.chi_map(0.5, 1.0, 1.0, v, _TANH), 0.0, _POSITIVE, id="chi_map.sigma_w2"),
+    pytest.param(lambda v: meanfield.chi1(v, 1.0, _TANH), 0.0, _POSITIVE, id="chi1.sigma_w2"),
+    pytest.param(lambda v: meanfield.chi1(1.0, v, _TANH), -1e-300, "q must be finite and nonnegative", id="chi1.q"),
+    pytest.param(lambda v: meanfield.length_fixed_point(v, _TANH), 0.0, _POSITIVE,
+                 id="length_fixed_point.sigma_w2"),
+    pytest.param(lambda v: meanfield.length_fixed_point(1.5, _TANH, q0=v), -1e-300,
+                 "q0 must be finite and nonnegative", id="length_fixed_point.q0"),
+    pytest.param(lambda v: meanfield.gauss_ev(np.tanh, v), -1e-300, "variance must be finite and nonnegative",
+                 id="gauss_ev.q"),
+    pytest.param(lambda v: NetConfig((3, 1), "relu", sigma_w2=v), 0.0, _POSITIVE, id="NetConfig.sigma_w2"),
+    pytest.param(lambda v: ntk.linearize(_NTK_NET, init_weights(_NTK_NET, seed=0), np.eye(3), np.zeros(3), eta=v),
+                 0.0, "eta must be positive and finite", id="linearize.eta"),
+    pytest.param(lambda v: ntk.h_infinity_gram(np.eye(2), method="mc", mc_samples=v), 0,
+                 "mc_samples must be at least 1", id="h_infinity_gram.mc_samples"),
+    pytest.param(lambda v: ntk.du_convergence_monitor(0.5 * np.eye(2), [0.1, -0.1], n=v, eta=0.1, T=1.0), 0,
+                 "hidden width n must be at least 1", id="du_convergence_monitor.n"),
+    pytest.param(lambda v: ntk.alignment(ntk.h_infinity_gram(np.eye(2)), np.ones(2), np.zeros(2), points=v), 1,
+                 "points must be at least 2", id="alignment.points"),
+    pytest.param(lambda v: spectra.empirical_spectrum(NetConfig((2, 2), "linear"), replicates=v), 0,
+                 "replicates must be at least 1", id="empirical_spectrum.replicates"),
+    pytest.param(lambda v: landscape.constant_loss_path(_PATH_NET, init_weights(_PATH_NET, seed=1),
+                                                        init_weights(_PATH_NET, seed=2), np.ones((6, 2)),
+                                                        np.zeros(2), grid_points=v),
+                 1, "grid_points must be at least 2", id="constant_loss_path.grid_points"),
+]
+
+
+@pytest.mark.parametrize("call, first, message", BOUNDARY_CALLS)
+@pytest.mark.parametrize("value", ["first", math.nan], ids=["first_out_of_range", "nan"])
+def test_shared_check_rejects_at_its_boundary(call, first, message, value):
+    """nan and the first value out of range each raise the shared check's
+    exact message, which names the argument and the value."""
+    value = first if value == "first" else value
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    assert str(exc.value) == f"{message}, got {value}"

@@ -10,12 +10,11 @@ scalar calls and against the full-grid tensor rule it mirrors half of;
 the NNGP recursion's pair moments against meanfield's correlation maps,
 and the pair-kernel grams against the per-pair recursion; linearized
 training on a solution queried many times against fresh solutions; the
-Dziugaite-Roy optimizer's KL against gaussian_kl, and its
-one evaluation per point against the loop that evaluated each accepted
-point twice; the CLI's CSV renderer against the per-cell formatter it
-replaced. Also a fuzz of the CLI's count, list, range and tolerance
-flags and of every subcommand that reads input files: every value exits
-0, 1 or 2, and a rejected one warns nothing."""
+Dziugaite-Roy optimizer's one evaluation per point against the loop that
+evaluated each accepted point twice; the CLI's CSV renderer against the
+per-cell formatter it replaced. Also a fuzz of the CLI's count, list,
+range and tolerance flags and of every subcommand that reads input files:
+every value exits 0, 1 or 2, and a rejected one warns nothing."""
 
 import contextlib
 import csv
@@ -860,39 +859,6 @@ def test_linearized_train_computes_query_kernels_once_per_query_set():
     ).f_lin.tolist()
 
 
-# -- PAC-Bayes KL: the optimizer's array path against gaussian_kl ----------------
-
-
-def _kl_or_error_type(kl):
-    try:
-        return kl()
-    except (OverflowError, ValueError) as exc:
-        return type(exc)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    d=st.integers(1, 5),
-    data=st.data(),
-    prior_log_var=st.one_of(st.floats(-5.0, 5.0), st.floats(-800.0, 800.0)),
-)
-def test_optimizer_kl_equals_gaussian_kl(d, data, prior_log_var):
-    """The KL the Dziugaite-Roy optimizer evaluates on its arrays equals
-    gaussian_kl on the same posterior, bit for bit; a draw whose variance,
-    mean shift or prior precision overflows raises the same error type."""
-    def entries(lo, hi):
-        draws = st.one_of(st.floats(-3.0, 3.0), st.floats(lo, hi))
-        return np.array(data.draw(st.lists(draws, min_size=d, max_size=d)))
-
-    mean, log_var, prior_mean = entries(-1e200, 1e200), entries(-800.0, 800.0), entries(-1e200, 1e200)
-    posterior = genbounds.GaussianPosterior(
-        mean=mean, log_var=log_var, prior_mean=prior_mean, prior_log_var=prior_log_var
-    )
-    want = _kl_or_error_type(lambda: genbounds.gaussian_kl(posterior))
-    got = _kl_or_error_type(lambda: genbounds._gaussian_kl(mean, log_var, prior_mean, prior_log_var))
-    assert got == want
-
-
 # -- Dziugaite-Roy: one evaluator per point against the two-evaluator loop -------
 
 
@@ -932,7 +898,7 @@ def _reference_dziugaite_roy(post, x, y, b, c, delta, steps):
 
     def penalty_parts(mu, lam, lam_star):
         j_cont = b * (log_c - lam_star)
-        kl = genbounds._gaussian_kl(mu, lam, mu_star, lam_star)
+        kl = genbounds.gaussian_kl(mu, lam, mu_star, lam_star)
         log_term = log_grid_const + 2.0 * math.log(j_cont)
         return j_cont, kl, math.sqrt((log_term + kl) / denom)
 
@@ -1358,7 +1324,10 @@ def _write_inputs(root, files):
                 writer.writerow(["y"] + [f"x{i}" for i in range(1, x.shape[1] + 1)])
                 writer.writerows([repr(float(yi))] + [repr(float(v)) for v in xi] for xi, yi in zip(x, y))
         elif entry[0] == "net":
-            save_weights(path, entry[1], init_weights(entry[1], seed=entry[2]))
+            weights = init_weights(entry[1], seed=entry[2])
+            if len(entry) > 4:
+                weights[-1] *= entry[4]
+            save_weights(path, entry[1], weights)
             if entry[3] is not None:
                 with open(path, encoding="utf-8") as fh:
                     doc = json.load(fh)
@@ -1421,7 +1390,10 @@ def file_subcommands(draw):
         return ["du-monitor", *source, "--n", draw(ints_in(1, 16)), f"--eta={draw(rates)}",
                 f"--t-max={horizon}"], files
     if sub == "align":
+        # now and then the u0 net's output layer times 10^k, whose outputs
+        # can pass the squared-activation check and still overflow |y - u0|^2
         files = {"data": draw(datasets(d)), "u0": draw(weight_files(draw(other_d)))}
+        files["u0"] += (10.0 ** draw(mostly(st.just(0), st.integers(1, 160))),)
         return ["align", "--data", "{data}", "--points", draw(ints_in(2, 40)),
                 "--method", draw(st.sampled_from(["angle", "mc"])), "--mc-samples", draw(ints_in(1, 300)),
                 *draw(st.sampled_from([[], ["--u0-weights", "{u0}"]]))], files
@@ -1442,6 +1414,11 @@ def file_subcommands(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(case=file_subcommands(), fmt=st.sampled_from(["csv", "json"]))
+# four unit rows and a (1, 1) net of weight 1.053 scaled by 1e154: each
+# output squares to 1.1e308, and |y - u0|^2 overflows
+@example(case=(["align", "--data", "{data}", "--points", "3", "--u0-weights", "{u0}"],
+               {"data": ("data", np.ones((4, 1)), np.zeros(4)),
+                "u0": ("net", NetConfig((1, 1), "linear"), 6, None, 1e154)}), fmt="json")
 def test_cli_file_subcommands_exit_cleanly(case, fmt):
     """As above, over generated datasets, weight files and contraction
     specs: every call exits 0, 1 or 2, raises nothing, and warns nothing
