@@ -767,8 +767,11 @@ def alignment(h_inf: KernelGram, y: np.ndarray, u0: np.ndarray, points: int = 20
     if not 0 < lam_max < math.inf:
         raise ValueError(f"kernel needs a positive finite top eigenvalue, got {lam_max}")
     positive = eigvals[eigvals > 1e-12 * lam_max]
-    lam_min = float(positive[0])
-    t_grid = np.logspace(math.log10(0.01 / lam_max), math.log10(20.0 / lam_min), points)
+    t_first, t_last = 0.01 / lam_max, 20.0 / float(positive[0])
+    if not math.isfinite(t_first) or not math.isfinite(t_last):
+        raise ValueError(f"the time grid from 0.01 / lambda_max = {t_first} to 20 / lambda_min = {t_last} "
+                         "leaves float range")
+    t_grid = np.logspace(math.log10(t_first), math.log10(t_last), points)
     curve = np.exp(-2.0 * np.outer(t_grid, eigvals)) @ (projections**2)
     return AlignmentReport(
         eigvals=eigvals,

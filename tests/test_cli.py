@@ -931,6 +931,18 @@ class TestDomainHolesExitOne:
         self._assert_one_line(["align", "--data", str(data), "--u0-weights", str(net), "--points", "3"],
                               "the squared residual |y - u0|^2 = inf is not finite")
 
+    def test_align_time_grid_out_of_float_range(self, tmp_path):
+        """Inputs near 1e-160 give an H-infinity gram of subnormal
+        eigenvalues near 2.5e-320, so 0.01 / lambda_max overflows. align
+        once printed numpy's invalid-value warning and exited 0 with nan
+        and inf in its times and curve."""
+        data = tmp_path / "tiny.csv"
+        _write_dataset(data, np.array([[1e-160, 2e-160], [3e-160, -1e-160], [-2e-160, 1e-160]]),
+                       np.array([0.5, -0.3, 0.2]))
+        self._assert_one_line(["align", "--data", str(data), "--points", "3", "--format", "json"],
+                              "the time grid from 0.01 / lambda_max = inf to 20 / lambda_min = inf "
+                              "leaves float range")
+
     # the golden calls that read weight files and check them on the data
     WEIGHT_FILE_CASES = ["path", "ntk-kernel-linear-empirical", "ntk-train-limiting",
                          "ntk-train-empirical", "align-mc-u0", "bounds"]

@@ -1,5 +1,6 @@
-"""The ledger of unrun lines: every line of src/dltl that the served
-traffic leaves unrun is error handling or has an entry in UNRUN.
+"""The ledgers of unrun lines and unread fields: every line of src/dltl
+that the served traffic leaves unrun is error handling or has an entry in
+UNRUN, and every public dataclass field it never reads one in UNREAD_FIELDS.
 
 tools/served_lines.py runs every golden case and one checked pass of each
 benchmark workload at seed 0, in a fresh interpreter so that module-level
@@ -20,6 +21,9 @@ move a test's value or tolerance. A branch that no served input reaches is
 deleted instead. Keyed by function, the ledger does not churn when lines
 move. An entry whose lines happen to run does not fail: some sit at
 rounding thresholds that another CPU can cross.
+
+An unread field is deleted, or its entry names the test that reads it and
+why; an entry whose field is read fails. Methods and properties are lines.
 """
 
 import ast
@@ -30,6 +34,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_served import ALLOWED, PINNED_BY_PER_LAYER
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dltl"
@@ -51,8 +56,8 @@ UNRUN = {
     ),
     ("cli", "_json_ready"): (
         "tests/test_cli.py::TestParsers::test_render_json_arrays",
-        "an array holding inf or nan: `align` prints one on data whose gram is subnormal, where "
-        "0.01 / lambda_max overflows; every golden array is finite",
+        "an array with inf or nan, or of ints or bools, which no served document holds since `align` rejects "
+        "a subnormal gram; without the branch such an array is written as invalid JSON, and this test moves",
     ),
     ("cli", "_open_out"): (
         "tests/test_cli.py::TestPhase::test_out_to_a_device_is_written_in_place",
@@ -134,6 +139,10 @@ UNRUN = {
         "tests/test_netcore.py::TestForwardBackward::test_weight_gradients_match_finite_differences",
         "PINNED_BY_PER_LAYER",
     ),
+    ("netcore", "save_weights"): (
+        "tests/test_netcore.py::TestWeightFiles::test_round_trip",
+        ALLOWED[("netcore", "save_weights")],
+    ),
     ("netcore", "json_floats"): (
         "tests/test_cli.py::TestDomainHolesExitOne::test_weight_file_with_a_non_finite_entry",
         "error handling: the entry named by the error raised next",
@@ -154,6 +163,29 @@ UNRUN = {
         "tests/test_cli.py::TestDomainHolesExitOne::test_wick_mc_odd_m_still_runs",
         "`wick --spec` on a spec with an odd m, whose polynomial is zero",
     ),
+}
+
+# (module, class, field) -> (test node id, why no golden case or workload reads it)
+UNREAD_FIELDS = {
+    ("meanfield", "FixedPointResult", "iterations"): (
+        "tests/test_properties.py::test_tanh_fixed_point_matches_iterated_length_map",
+        "the iteration count that the diagnostics channel (ROADMAP item 6) will report",
+    ),
+    ("meanfield", "MomentProfile", "delta_se"): (
+        "tests/test_meanfield.py::TestSimulatedMoments::test_backward_moments_flat_at_edge",
+        "the 4-SE oracle of the backward moments reads it",
+    ),
+    ("ntk", "KernelRecursionState", "q11"): (
+        "tests/test_ntk.py::TestRecursion::test_relu_matches_arccos_maps",
+        "the per-layer oracle of the pair recursion reads it",
+    ),
+    ("ntk", "KernelRecursionState", "q22"): (
+        "tests/test_ntk.py::TestRecursion::test_relu_matches_arccos_maps",
+        "the per-layer oracle of the pair recursion reads it",
+    ),
+    ("ntk", "LinearizedSolution", "gram"): (
+        "tests/test_ntk.py::TestGrams::test_last_layer_collapses_to_nngp",
+        "the train gram whose spectrum the diagnostics channel (ROADMAP item 6) will report"),
 }
 
 
@@ -192,20 +224,25 @@ def _trees() -> dict[str, ast.Module]:
 
 
 @pytest.fixture(scope="module")
-def unrun() -> dict[tuple[str, str], list[str]]:
-    """(module, function) -> its unrun `module.py:line: source` lines that
-    are not error handling."""
+def listing() -> list[str]:
     env = dict(os.environ, DLTL_THREADS="1")
     proc = subprocess.run([sys.executable, str(TOOL)], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+@pytest.fixture(scope="module")
+def unrun(listing) -> dict[tuple[str, str], list[str]]:
+    """(module, function) -> its unrun `module.py:line: source` lines that
+    are not error handling."""
     trees = _trees()
     skip = {module: _error_handling(tree) for module, tree in trees.items()}
     owners = {module: _owners(tree)[0] for module, tree in trees.items()}
     found = {}
-    for line in proc.stdout.splitlines():
+    for line in listing:
         match = re.match(r"(\w+)\.py:(\d+): ", line)
         if match is None:
-            assert re.fullmatch(r"\w+\.py: \d+ of \d+ lines not run", line), line
+            assert re.fullmatch(r"\w+\.py: \d+ of \d+ lines not run|unread field: [\w.]+", line), line
             continue
         module, number = match.group(1), int(match.group(2))
         if number not in skip[module]:
@@ -216,6 +253,15 @@ def unrun() -> dict[tuple[str, str], list[str]]:
 def test_every_unrun_line_has_an_entry(unrun):
     missing = {key: lines for key, lines in unrun.items() if key not in UNRUN}
     assert not missing, f"unrun lines with no UNRUN entry: delete them, or add an entry: {missing}"
+
+
+def test_every_unread_field_has_an_entry(listing):
+    unread = {tuple(line.split()[-1].split(".")) for line in listing if line.startswith("unread field: ")}
+    assert sorted(unread - set(UNREAD_FIELDS)) == [], "fields that no served code reads: delete them, or add an entry"
+
+
+def test_every_field_entry_is_still_unread(listing):
+    assert sorted(key for key in UNREAD_FIELDS if f"unread field: {'.'.join(key)}" not in listing) == []
 
 
 def test_every_entry_names_a_function():
@@ -240,11 +286,9 @@ def test_every_entry_names_a_test():
             body = node.body
         return True
 
-    assert [test for test, _ in UNRUN.values() if not exists(test)] == []
+    assert [test for test, _ in [*UNRUN.values(), *UNREAD_FIELDS.values()] if not exists(test)] == []
 
 
 def test_pinned_entries_name_pinned_functions():
-    from test_served import PINNED_BY_PER_LAYER
-
     pinned = {key for key, (_, why) in UNRUN.items() if why == "PINNED_BY_PER_LAYER"}
     assert pinned <= set(PINNED_BY_PER_LAYER)

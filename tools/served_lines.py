@@ -1,4 +1,5 @@
-"""List the lines of src/dltl that the served traffic does not run.
+"""List the lines of src/dltl that the served traffic does not run, and the
+fields of its public classes that it does not read.
 
     python3 tools/served_lines.py [--case NAME ...] [--workload W ...] [--seeds A-B]
 
@@ -10,8 +11,9 @@ perfbench/workloads.py's `build` for each workload and seed, through
 perfbench/worker.py's Runner as the benchmark runs it: every operation's
 reference fields, reference check, oracle and counters run too. All of it
 runs in this interpreter under sys.settrace, which records the lines of
-src/dltl that execute; dltl is imported under the trace too, so
-module-level lines count. perfbench/ is only read.
+src/dltl that execute; dltl is imported under it first, so module-level
+lines count, and the inputs, which only tests write, are written outside it.
+perfbench/ is only read.
 
 A line can run when some compiled code object of its module maps an
 instruction to it (co_lines). Prints `module.py:line: source` for every such
@@ -19,11 +21,18 @@ line that no call ran, in file order, then one `module.py: N of M lines not
 run` count per module. --case and --workload default to every golden case
 and every workload, --seeds to seed 0. Exits 1, after the listing, if a
 benchmark operation raised or failed its check; the failures go to stderr.
+Over the same window, a __getattribute__ recorder on each dataclass in a
+module's __all__ notes the fields read outside the class's own __init__ and
+__post_init__, and prints `unread field: module.Class.field` for the rest.
+Any other public class must be an exception without attributes of its own.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
+import importlib
 import linecache
 import os
 import sys
@@ -71,19 +80,51 @@ def trace_lines(run) -> set[tuple[str, int]]:
     return ran
 
 
-def serve(cases: list[str], workloads: list[str], seeds: list[int]) -> list[str]:
+# All that vars() holds of an exception class without attributes of its own.
+BARE_EXCEPTION = {"__module__", "__qualname__", "__doc__", "__weakref__", "__firstlineno__", "__static_attributes__"}
+
+
+@contextlib.contextmanager
+def unread_fields():
+    """Yields the `module.Class.field` names of the public dataclasses of the
+    imported dltl modules; one leaves the set once the block reads it
+    outside its class's __init__ and __post_init__."""
+    unread, recorded = set(), {}
+
+    def __getattribute__(self, name):
+        names, own = recorded[type(self)]
+        if name in names and sys._getframe(1).f_code not in own:
+            unread.discard(names[name])
+        return object.__getattribute__(self, name)
+
+    try:
+        for module in [module for name, module in sys.modules.items() if name.startswith("dltl.")]:
+            for cls in [vars(module)[name] for name in module.__all__ if isinstance(vars(module)[name], type)]:
+                key = f"{module.__name__.removeprefix('dltl.')}.{cls.__name__}"
+                if dataclasses.is_dataclass(cls):
+                    names = {f.name: f"{key}.{f.name}" for f in dataclasses.fields(cls)}
+                    unread.update(names.values())
+                    recorded[cls] = names, {vars(cls)[m].__code__ for m in ("__init__", "__post_init__") if m in vars(cls)}
+                    cls.__getattribute__ = __getattribute__
+                elif not (issubclass(cls, BaseException) and vars(cls).keys() <= BARE_EXCEPTION):
+                    raise TypeError(f"{key} is public but neither a dataclass nor an exception without attributes")
+        yield unread
+    finally:
+        for cls in recorded:
+            del cls.__getattribute__
+
+
+def serve(cases: list[str], workloads: list[str], seeds: list[int], paths: dict, out: str) -> list[str]:
     """Run the golden cases and the workloads' checked passes; the failed
     operations, as `workload seed N: op: message` lines."""
-    from test_golden import FORMATS, run_case, write_inputs
+    from test_golden import FORMATS, run_case
 
     import worker
     import workloads as bench
 
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = write_inputs(Path(tmp))
-        for name in cases:
-            for fmt in FORMATS:
-                run_case(name, fmt, paths, os.path.join(tmp, "out"))
+    for name in cases:
+        for fmt in FORMATS:
+            run_case(name, fmt, paths, out)
     failures = []
     for name in workloads:
         for seed in seeds:
@@ -94,7 +135,7 @@ def serve(cases: list[str], workloads: list[str], seeds: list[int]) -> list[str]
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="List the lines of src/dltl that the served traffic does not run.")
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--case", action="extend", nargs="+",
                         help="run only these golden cases (repeatable; default: every golden case)")
     parser.add_argument("--workload", action="extend", nargs="+", choices=WORKLOADS,
@@ -103,17 +144,18 @@ def main(argv=None) -> int:
                         help="workload input seeds, A-B inclusive or one seed (default 0)")
     args = parser.parse_args(argv)
 
+    ran = trace_lines(lambda: [importlib.import_module(f"dltl.{path.stem}") for path in PACKAGE.glob("[!_]*.py")])
+    from test_golden import CASES, write_inputs
+
+    unknown = sorted(set(args.case or ()) - set(CASES))
+    if unknown:
+        parser.error(f"unknown golden cases {unknown}")
     failures = []
-
-    def run():
-        from test_golden import CASES
-
-        unknown = sorted(set(args.case or ()) - set(CASES))
-        if unknown:
-            parser.error(f"unknown golden cases {unknown}")
-        failures.extend(serve(args.case or sorted(CASES), args.workload or list(WORKLOADS), args.seeds))
-
-    ran = trace_lines(run)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_inputs(Path(tmp))
+        with unread_fields() as unread:
+            ran |= trace_lines(lambda: failures.extend(serve(
+                args.case or sorted(CASES), args.workload or list(WORKLOADS), args.seeds, paths, os.path.join(tmp, "out"))))
     counts = []
     for path in sorted(PACKAGE.glob("*.py")):
         lines = code_lines(path)
@@ -122,6 +164,8 @@ def main(argv=None) -> int:
             print(f"{path.name}:{line}: {linecache.getline(str(path), line).strip()}")
         counts.append(f"{path.name}: {len(missed)} of {len(lines)} lines not run")
     print("\n".join(counts))
+    for name in sorted(unread):
+        print(f"unread field: {name}")
     for failure in failures:
         print(failure, file=sys.stderr)
     return 1 if failures else 0
