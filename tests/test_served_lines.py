@@ -1,11 +1,24 @@
-"""The ledgers of unrun lines and unread fields: every line of src/dltl
-that the served traffic leaves unrun is error handling or has an entry in
-UNRUN, and every public dataclass field it never reads one in UNREAD_FIELDS.
+"""The served run's ledgers. tools/served_lines.py runs every golden case
+and one checked pass of each benchmark workload at seed 0, in a fresh
+interpreter so that module-level lines count, with DLTL_THREADS=1 as the
+benchmark runs its workers. Over that one window it records four things of
+src/dltl, and each thing it finds unused is accounted for here:
 
-tools/served_lines.py runs every golden case and one checked pass of each
-benchmark workload at seed 0, in a fresh interpreter so that module-level
-lines count, with DLTL_THREADS=1 as the benchmark runs its workers. Each
-line it lists is mapped with `ast` to the function that holds it: a
+- lines: every unrun line is error handling or has an entry in UNRUN;
+- fields: every public dataclass field never read has one in UNREAD_FIELDS;
+- names: every public function never called is in ALLOWED or in
+  PINNED_BY_PER_LAYER, and the pins are exactly the uncalled names that
+  BENCHMARK.json's per_layer metrics name;
+- parameters: every defaulted parameter of a top-level function or of a
+  public dataclass's __init__ that no call spells out has an entry in
+  ALLOWED_PARAMETERS.
+
+An entry whose field is read, whose name is called or whose parameter is
+set fails; an UNRUN entry whose lines run does not (below). Neither the
+names nor the parameters cover public exception classes, so some dltl code
+must raise or catch each of them.
+
+Each unrun line is mapped with `ast` to the function that holds it: a
 qualified name such as `DiagramCount.evaluate`, with a nested function
 folded into the one that defines it, and `<module>` for module-level code.
 Lines inside a raise statement, and except clauses whose body ends in a
@@ -14,19 +27,22 @@ raise, are error handling and need no entry.
 Every other unrun line needs an entry for its function: the test that
 holds its lines, and why no golden case or workload reaches them. An entry
 is valid for error handling, for a name that only BENCHMARK.json's
-per_layer metrics keep public (test_served.PINNED_BY_PER_LAYER), for a
-branch that some CLI flag set or benchmark input reaches but no golden case
-does (the reason names the flags), and for a branch whose deletion would
-move a test's value or tolerance. A branch that no served input reaches is
+per_layer metrics keep public (PINNED_BY_PER_LAYER), for a branch that some
+CLI flag set or benchmark input reaches but no golden case does (the
+reason names the flags), and for a branch whose deletion would move a
+test's value or tolerance. A branch that no served input reaches is
 deleted instead. Keyed by function, the ledger does not churn when lines
 move. An entry whose lines happen to run does not fail: some sit at
 rounding thresholds that another CPU can cross.
 
 An unread field is deleted, or its entry names the test that reads it and
-why; an entry whose field is read fails. Methods and properties are lines.
+why. Methods and properties are lines. An uncalled public function, like an
+option only tests pass, is deleted or moved into tests/ next to its test.
 """
 
 import ast
+import importlib
+import json
 import os
 import re
 import subprocess
@@ -34,11 +50,35 @@ import sys
 from pathlib import Path
 
 import pytest
-from test_served import ALLOWED, PINNED_BY_PER_LAYER
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dltl"
 TOOL = ROOT / "tools" / "served_lines.py"
+
+# Public and uncalled on purpose, with the reason.
+ALLOWED = {
+    ("netcore", "save_weights"): "writes the weight-file format that the CLI's --weights options read",
+}
+
+# Public names that only BENCHMARK.json's per_layer names keep public: the
+# served run calls none of them. The benchmark change that drops their
+# per_layer names (roadmap item 1) may delete them.
+PINNED_BY_PER_LAYER = {
+    ("meanfield", "gauss_ev"): "_length_moments evaluates its expression in place, and the pair moments use gauss_ev2",
+    ("wick", "double_line_loops"): "exact_correlation sums the loops of all diagrams at once through per-level transfer matrices",
+    ("landscape", "reconstruct_first_layer"): "constant_loss_path calls _first_layer_solver directly, once per weight set",
+    ("netcore", "backward"): "it composes output_grads and weight_grads, which serve every single-input gradient; tools/op_times.py's forward_backward control cases are its only other caller",
+}
+
+# Defaulted parameters that no served call spells out, kept on purpose,
+# with the reason.
+ALLOWED_PARAMETERS = {
+    ("cli", "main", "argv"): "the seam through which tests run the CLI in-process; the dltl script passes "
+    "nothing, and the golden cases call tests/test_golden.py's own binding, imported before the wrappers go in",
+    ("landscape", "_upper_waypoints", "depth"): "set by its own recursion when interpolated upper layers lose "
+    "rank, which no served input does (the UNRUN `_upper_waypoints` entry)",
+    ("meanfield", "gauss_ev", "nodes"): "gauss_ev is public only for a per_layer name; roadmap item 1 decides its fate",
+}
 
 # (module, function) -> (test node id, why no golden case or workload runs it)
 UNRUN = {
@@ -242,7 +282,7 @@ def unrun(listing) -> dict[tuple[str, str], list[str]]:
     for line in listing:
         match = re.match(r"(\w+)\.py:(\d+): ", line)
         if match is None:
-            assert re.fullmatch(r"\w+\.py: \d+ of \d+ lines not run|unread field: [\w.]+", line), line
+            assert re.fullmatch(r"\w+\.py: \d+ of \d+ lines not run|(unread field|uncalled|unset parameter): [\w.]+", line), line
             continue
         module, number = match.group(1), int(match.group(2))
         if number not in skip[module]:
@@ -255,13 +295,56 @@ def test_every_unrun_line_has_an_entry(unrun):
     assert not missing, f"unrun lines with no UNRUN entry: delete them, or add an entry: {missing}"
 
 
+def _reported(listing: list[str], kind: str) -> set[tuple[str, ...]]:
+    """The dotted names of the listing's `kind: name` lines, split at the dots."""
+    return {tuple(line.removeprefix(f"{kind}: ").split(".")) for line in listing if line.startswith(f"{kind}: ")}
+
+
 def test_every_unread_field_has_an_entry(listing):
-    unread = {tuple(line.split()[-1].split(".")) for line in listing if line.startswith("unread field: ")}
+    unread = _reported(listing, "unread field")
     assert sorted(unread - set(UNREAD_FIELDS)) == [], "fields that no served code reads: delete them, or add an entry"
 
 
 def test_every_field_entry_is_still_unread(listing):
-    assert sorted(key for key in UNREAD_FIELDS if f"unread field: {'.'.join(key)}" not in listing) == []
+    assert sorted(set(UNREAD_FIELDS) - _reported(listing, "unread field")) == []
+
+
+def test_every_public_function_is_called(listing):
+    uncalled = _reported(listing, "uncalled") - set(ALLOWED) - set(PINNED_BY_PER_LAYER)
+    assert sorted(uncalled) == [], "public but called by no CLI handler and no benchmark op"
+
+
+def test_per_layer_pins_exactly_the_uncalled_names_it_names(listing):
+    """A change that strands another name behind a per_layer metric, or
+    calls a pinned one again, updates PINNED_BY_PER_LAYER."""
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    named = {tuple(metric["name"].split(".")[:2]) for metric in per_layer if metric["name"].count(".") == 2}
+    assert sorted(_reported(listing, "uncalled") & named) == sorted(PINNED_BY_PER_LAYER)
+
+
+def test_every_allowed_name_is_uncalled(listing):
+    assert sorted(set(ALLOWED) - _reported(listing, "uncalled")) == []
+
+
+def test_every_unset_parameter_has_an_entry(listing):
+    unset = _reported(listing, "unset parameter") - set(ALLOWED_PARAMETERS)
+    assert sorted(unset) == [], "defaulted parameters that no served call sets: delete them, or add an entry"
+
+
+def test_every_parameter_entry_is_still_unset(listing):
+    assert sorted(set(ALLOWED_PARAMETERS) - _reported(listing, "unset parameter")) == []
+
+
+def test_every_public_exception_is_raised_or_caught():
+    """Neither record covers a public exception class, so some dltl code
+    must name it in a raise statement or an except clause."""
+    modules = [importlib.import_module(f"dltl.{path.stem}") for path in PACKAGE.glob("[!_]*.py")]
+    public = {name for module in modules for name in module.__all__
+              if isinstance(cls := vars(module)[name], type) and issubclass(cls, BaseException)}
+    named = [node.exc if isinstance(node, ast.Raise) else node.type
+             for tree in _trees().values() for node in ast.walk(tree) if isinstance(node, (ast.Raise, ast.ExceptHandler))]
+    used = {n.id for root in named if root is not None for n in ast.walk(root) if isinstance(n, ast.Name)}
+    assert sorted(public - used) == []
 
 
 def test_every_entry_names_a_function():

@@ -1,5 +1,6 @@
-"""List the lines of src/dltl that the served traffic does not run, and the
-fields of its public classes that it does not read.
+"""List what of src/dltl the served traffic does not use: the lines it
+does not run, the fields of public dataclasses it does not read, the public
+functions it does not call and the defaulted parameters it does not set.
 
     python3 tools/served_lines.py [--case NAME ...] [--workload W ...] [--seeds A-B]
 
@@ -10,21 +11,35 @@ inputs of test_golden.write_inputs, and one pass over the operations of
 perfbench/workloads.py's `build` for each workload and seed, through
 perfbench/worker.py's Runner as the benchmark runs it: every operation's
 reference fields, reference check, oracle and counters run too. All of it
-runs in this interpreter under sys.settrace, which records the lines of
-src/dltl that execute; dltl is imported under it first, so module-level
-lines count, and the inputs, which only tests write, are written outside it.
-perfbench/ is only read.
+runs in this interpreter under sys.settrace; dltl is imported under it
+first, so module-level lines count, and the inputs, which only tests write,
+are written outside it. perfbench/ is only read.
 
-A line can run when some compiled code object of its module maps an
-instruction to it (co_lines). Prints `module.py:line: source` for every such
-line that no call ran, in file order, then one `module.py: N of M lines not
-run` count per module. --case and --workload default to every golden case
-and every workload, --seeds to seed 0. Exits 1, after the listing, if a
-benchmark operation raised or failed its check; the failures go to stderr.
-Over the same window, a __getattribute__ recorder on each dataclass in a
-module's __all__ notes the fields read outside the class's own __init__ and
-__post_init__, and prints `unread field: module.Class.field` for the rest.
-Any other public class must be an exception without attributes of its own.
+Four records are taken over that one window, and printed in this order:
+
+- lines: a line can run when some compiled code object of its module maps
+  an instruction to it (co_lines); the trace's line events show which did.
+  Prints `module.py:line: source` for every such line that no call ran, in
+  file order, then one `module.py: N of M lines not run` count per module.
+- fields: a __getattribute__ recorder on each dataclass in a module's
+  __all__ notes the fields read outside the class's own __init__ and
+  __post_init__. Prints `unread field: module.Class.field` for the rest.
+  Any other public class must be an exception without attributes of its own.
+- names: the trace's call events show which code objects ran. Prints
+  `uncalled: module.name` for each function in a module's __all__ whose
+  code never ran, however it was reached (a dict of functions too).
+- parameters: every top-level function of each dltl module is wrapped
+  at every binding site in the dltl namespaces (a module that did `from .meanfield import length_map` holds
+  its own binding), and so is the __init__ of each public dataclass. Each
+  call records the names its arguments bind; the originals go back after
+  the window. Prints `unset parameter: module.function.param` for every
+  defaulted parameter that no call spelled out. A caller outside dltl that
+  imported a function before the window, as tests/test_golden.py imports
+  cli.main, calls it unrecorded.
+
+--case and --workload default to every golden case and every workload,
+--seeds to seed 0. Exits 1, after the listing, if a benchmark operation
+raised or failed its check; the failures go to stderr.
 """
 
 from __future__ import annotations
@@ -32,7 +47,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import importlib
+import inspect
 import linecache
 import os
 import sys
@@ -56,9 +73,10 @@ def code_lines(path: Path) -> set[int]:
     return lines
 
 
-def trace_lines(run) -> set[tuple[str, int]]:
-    """The (file, line) pairs of src/dltl that run() executes."""
-    prefix, ran = str(PACKAGE) + os.sep, set()
+def trace_lines(run, ran: set, called: set) -> None:
+    """Adds to `ran` the (file, line) pairs of src/dltl that run() executes,
+    and to `called` the code objects of src/dltl that it calls."""
+    prefix = str(PACKAGE) + os.sep
 
     def local(frame, event, arg):
         if event == "line":
@@ -68,6 +86,7 @@ def trace_lines(run) -> set[tuple[str, int]]:
     def calls(frame, event, arg):
         if not frame.f_code.co_filename.startswith(prefix):
             return None
+        called.add(frame.f_code)
         # the call event stands for the line of the def (its RESUME)
         ran.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
         return local
@@ -77,7 +96,17 @@ def trace_lines(run) -> set[tuple[str, int]]:
         run()
     finally:
         sys.settrace(None)
-    return ran
+
+
+def modules() -> list:
+    return [module for name, module in sys.modules.items() if name.startswith("dltl.")]
+
+
+def functions(module) -> dict:
+    """Name -> each top-level function that the module defines, decorated
+    (lru_cache, contextmanager) or not."""
+    return {name: value for name, value in vars(module).items()
+            if getattr(value, "__module__", None) == module.__name__ and inspect.isfunction(inspect.unwrap(value))}
 
 
 # All that vars() holds of an exception class without attributes of its own.
@@ -98,7 +127,7 @@ def unread_fields():
         return object.__getattribute__(self, name)
 
     try:
-        for module in [module for name, module in sys.modules.items() if name.startswith("dltl.")]:
+        for module in modules():
             for cls in [vars(module)[name] for name in module.__all__ if isinstance(vars(module)[name], type)]:
                 key = f"{module.__name__.removeprefix('dltl.')}.{cls.__name__}"
                 if dataclasses.is_dataclass(cls):
@@ -112,6 +141,51 @@ def unread_fields():
     finally:
         for cls in recorded:
             del cls.__getattribute__
+
+
+@contextlib.contextmanager
+def unset_parameters():
+    """Yields the `module.function.param` names of the defaulted parameters
+    of the imported dltl modules' top-level functions and of their public
+    dataclasses' __init__; one leaves the set once a call in the block
+    binds it. Enter it inside unread_fields, which tells a dataclass's own
+    reads by the code of its unwrapped __init__."""
+    unset, wrappers, bindings = set(), {}, []
+
+    def wrap(key, fn):
+        signature = inspect.signature(fn)
+        names = {p.name: f"{key}.{p.name}" for p in signature.parameters.values() if p.default is not p.empty}
+        unset.update(names.values())
+
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            if names:
+                for name in signature.bind_partial(*args, **kwargs).arguments.keys() & names.keys():
+                    unset.discard(names.pop(name))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    try:
+        for module in modules():
+            prefix = module.__name__.removeprefix("dltl.")
+            for name, fn in functions(module).items():
+                wrappers[id(fn)] = fn, wrap(f"{prefix}.{name}", fn)
+            for cls in map(vars(module).get, module.__all__):
+                if not (isinstance(cls, type) and dataclasses.is_dataclass(cls)):
+                    continue
+                bindings.append((cls, "__init__", cls.__init__))
+                cls.__init__ = wrap(f"{prefix}.{cls.__name__}", cls.__init__)
+        for module in modules():
+            for attr, value in list(vars(module).items()):
+                fn, wrapper = wrappers.get(id(value), (None, None))
+                if fn is value:
+                    bindings.append((module, attr, value))
+                    setattr(module, attr, wrapper)
+        yield unset
+    finally:
+        for target, attr, original in reversed(bindings):
+            setattr(target, attr, original)
 
 
 def serve(cases: list[str], workloads: list[str], seeds: list[int], paths: dict, out: str) -> list[str]:
@@ -144,7 +218,8 @@ def main(argv=None) -> int:
                         help="workload input seeds, A-B inclusive or one seed (default 0)")
     args = parser.parse_args(argv)
 
-    ran = trace_lines(lambda: [importlib.import_module(f"dltl.{path.stem}") for path in PACKAGE.glob("[!_]*.py")])
+    ran, called = set(), set()
+    trace_lines(lambda: [importlib.import_module(f"dltl.{path.stem}") for path in PACKAGE.glob("[!_]*.py")], ran, called)
     from test_golden import CASES, write_inputs
 
     unknown = sorted(set(args.case or ()) - set(CASES))
@@ -153,9 +228,10 @@ def main(argv=None) -> int:
     failures = []
     with tempfile.TemporaryDirectory() as tmp:
         paths = write_inputs(Path(tmp))
-        with unread_fields() as unread:
-            ran |= trace_lines(lambda: failures.extend(serve(
-                args.case or sorted(CASES), args.workload or list(WORKLOADS), args.seeds, paths, os.path.join(tmp, "out"))))
+        with unread_fields() as unread, unset_parameters() as unset:
+            trace_lines(lambda: failures.extend(serve(
+                args.case or sorted(CASES), args.workload or list(WORKLOADS), args.seeds, paths, os.path.join(tmp, "out"))),
+                ran, called)
     counts = []
     for path in sorted(PACKAGE.glob("*.py")):
         lines = code_lines(path)
@@ -166,6 +242,12 @@ def main(argv=None) -> int:
     print("\n".join(counts))
     for name in sorted(unread):
         print(f"unread field: {name}")
+    for name in sorted(f"{module.__name__.removeprefix('dltl.')}.{attr}" for module in modules()
+                       for attr, fn in functions(module).items()
+                       if attr in module.__all__ and inspect.unwrap(fn).__code__ not in called):
+        print(f"uncalled: {name}")
+    for name in sorted(unset):
+        print(f"unset parameter: {name}")
     for failure in failures:
         print(failure, file=sys.stderr)
     return 1 if failures else 0
