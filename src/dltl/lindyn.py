@@ -27,6 +27,7 @@ Hessian of the mode loss and the GD simulation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,6 +221,9 @@ def simulate_deep_linear_gd(
         sum_sq = float(np.sum(svals**2))
     if not math.isfinite(sum_sq):
         raise ValueError("target_svals must be finite, with a finite sum of squares")
+    # the tolerance and the loss would underflow with it, to a step-0 "convergence"
+    if sum_sq < sys.float_info.min and svals.any():
+        raise ValueError(f"target_svals are too small: their sum of squares {sum_sq:g} underflows")
     if L < 0:
         raise ValueError(f"depth L must be >= 0, got {L}")
     _check_positive("learning rate", eta)

@@ -23,6 +23,7 @@ shape (n_0, m) with one example per column.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,9 @@ SINGULAR_TOL = 1e-10
 # du_convergence_monitor allocates its records up front and runs one eigvalsh
 # per step; T / eta above this many steps is rejected (lindyn's default cap).
 DU_MAX_STEPS = 200_000
+# The smallest normal float: a pair's variance product below it has lost
+# bits to underflow, or all of them.
+_TINY = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -223,7 +227,7 @@ def nngp_recursion(x: np.ndarray, x_prime: np.ndarray, config: NetConfig) -> Ker
     if x.size != n0:
         raise ValueError(f"inputs have dimension {x.size}, config expects {n0}")
     q11, q22 = _diagonals(x[None], config, GH_NODES), _diagonals(xp[None], config, GH_NODES)
-    _check_variance_products(q11, q22)
+    _check_variance_products(x[None], q11, xp[None], q22)
     q12, chi = _recursion(x[None], xp[None], q11, q22, config, GH_NODES)
     return KernelRecursionState(q11=q11[:, 0], q12=q12[:, 0], q22=q22[:, 0], chi=chi[:, 0])
 
@@ -239,18 +243,31 @@ def _diagonals(rows: np.ndarray, config: NetConfig, nodes: int) -> np.ndarray:
     return q
 
 
-def _check_variance_products(diag_a: np.ndarray, diag_b: np.ndarray) -> None:
-    """Reject inputs whose layer variances overflow a pair's product
-    q_l(x, x) q_l(x', x'), which would read the pair as uncorrelated. Every
-    pair list pairs each column of diag_a with each of diag_b (a gram's
-    i <= j triangle holds every diagonal pair), so the largest product is
-    that of the two largest variances of each layer."""
-    for l, (i, j) in enumerate(zip(diag_a.argmax(axis=1).tolist(), diag_b.argmax(axis=1).tolist())):
+def _check_variance_products(rows_a: np.ndarray, diag_a: np.ndarray, rows_b: np.ndarray, diag_b: np.ndarray) -> None:
+    """Reject inputs whose layer variances overflow or underflow a pair's
+    product q_l(x, x) q_l(x', x'), either of which would read the pair as
+    uncorrelated. Every pair list pairs each row of rows_a with each of
+    rows_b (a gram's i <= j triangle holds every diagonal pair), so the
+    extreme products are those of each layer's two largest variances and
+    of its two smallest over the nonzero rows. With phi(0) = 0 a zero row
+    has zero variances and nothing to lose; a nonzero row's are positive,
+    so a zero variance there has underflowed."""
+    # a side with no nonzero row reads inf as its smallest, and passes
+    low_a, low_b = (np.where(rows.any(axis=1), diag, np.inf) for rows, diag in ((rows_a, diag_a), (rows_b, diag_b)))
+    largest = zip(diag_a.argmax(axis=1).tolist(), diag_b.argmax(axis=1).tolist())
+    smallest = zip(low_a.argmin(axis=1).tolist(), low_b.argmin(axis=1).tolist())
+    for l, ((i, j), (s, t)) in enumerate(zip(largest, smallest)):
         a, b = float(diag_a[l, i]), float(diag_b[l, j])
         if not math.isfinite(a * b):
             raise ValueError(
                 f"input columns {i} and {j} are too large: their layer-{l + 1} variances "
                 f"{a:g} and {b:g} overflow in their product"
+            )
+        a, b = float(low_a[l, s]), float(low_b[l, t])
+        if a * b < _TINY:
+            raise ValueError(
+                f"input columns {s} and {t} are too small: their layer-{l + 1} variances "
+                f"{a:g} and {b:g} underflow in their product"
             )
 
 
@@ -297,7 +314,7 @@ def _pair_kernels(
     rows_b = rows_a if x_b is None else np.ascontiguousarray(_as_columns(x_b, n0).T)
     diag_a = _diagonals(rows_a, config, nodes)
     diag_b = diag_a if x_b is None else _diagonals(rows_b, config, nodes)
-    _check_variance_products(diag_a, diag_b)
+    _check_variance_products(rows_a, diag_a, rows_b, diag_b)
     shape = (len(rows_a), len(rows_b))
     pair_i, pair_j = np.triu_indices(shape[0]) if x_b is None else np.indices(shape).reshape(2, -1)
     theta = np.empty(shape)

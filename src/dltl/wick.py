@@ -396,9 +396,12 @@ def exact_correlation(spec: ContractionSpec, L: int) -> DiagramCount:
 # n^{-L/2} W_L ... W_0 x identically in the weights. Every factor of a
 # replicate sits at the same weights, so each distinct input gets one
 # forward pass, and one backpropagation (seed e_0) if it feeds a chain. A
-# chain's ends are weight gradients read off those passes; each interior
-# factor is a Hessian-vector product, which on a linear net costs a partial
-# pass per weight block on top of them (_hessian_vec).
+# chain's ends are weight gradients, built once per replicate for each
+# distinct input that ends a chain, next to its pass, and read by every end
+# at that input: the benchmark's chain of four factors on one input reads
+# one list at both ends. Each interior factor is a Hessian-vector product,
+# which on a linear net costs a partial pass per weight block on top of
+# the passes (_hessian_vec).
 
 
 def _block_dot(a: list[np.ndarray], b: list[np.ndarray]) -> float:
@@ -419,9 +422,13 @@ def _hessian_vec(
     preactivation. So the one pass at the weights serves every p, and per p
     only the inputs above p and the gradients below it are recomputed, with
     forward's and backprop's own expressions: each block equals that of a
-    full pass at the substituted weights bit for bit."""
+    full pass at the substituted weights bit for bit.
+
+    A block starts as its first contribution plus 0.0 in place, the bits a
+    zero start would give (a -0.0 entry becomes +0.0), and takes the later
+    contributions, which only depths L >= 2 have, in the order of p."""
     c = config.scales
-    out = [np.zeros_like(w) for w in weights]
+    out: list[np.ndarray | None] = [None] * len(weights)
     for p in range(len(weights)):
         sub = list(weights)
         sub[p] = v[p]
@@ -432,8 +439,14 @@ def _hessian_vec(
         for l in range(p, 0, -1):
             gs.insert(0, c[l] * (sub[l].T @ gs[0]))
         for q in range(len(weights)):
-            if q != p:
-                out[q] += c[q] * (gs[q][:, None] * xs[q][None, :])
+            if q == p:
+                continue
+            block = c[q] * (gs[q][:, None] * xs[q][None, :])
+            if out[q] is None:
+                block += 0.0
+                out[q] = block
+            else:
+                out[q] += block
     return out
 
 
@@ -529,6 +542,7 @@ def mc_scaling_check(
     seen: dict[bytes, int] = {}
     first = [seen.setdefault(x.tobytes(), k) for k, x in enumerate(scaled)]
     chained = {first[f - 1] for kind, comp in components if kind == "chain" for f in comp}
+    ends = {first[comp[k] - 1] for kind, comp in components if kind == "chain" for k in (0, -1)}
     exact = exact_correlation(spec, L)
 
     means, ses, variances, exacts = [], [], [], []
@@ -545,16 +559,17 @@ def mc_scaling_check(
                 weights = init_weights(config, seed=seed + 7919 * w_idx + r)
                 traces = {k: forward(config, weights, scaled[k]) for k in seen.values()}
                 passes = {k: (traces[k].inputs, output_grads(config, weights, traces[k], 0)) for k in chained}
+                grads = {k: weight_grads(config, *passes[k]) for k in ends}
                 value = 1.0
                 for kind, comp in components:
                     if kind == "point":
                         value *= float(traces[first[comp[0] - 1]].output[0])
                     else:
-                        head, *middles, tail = (passes[first[f - 1]] for f in comp)
-                        v = weight_grads(config, *head)
+                        head, *middles, tail = (first[f - 1] for f in comp)
+                        v = grads[head]
                         for mid in middles:
-                            v = _hessian_vec(config, weights, v, *mid)
-                        value *= _block_dot(v, weight_grads(config, *tail))
+                            v = _hessian_vec(config, weights, v, *passes[mid])
+                        value *= _block_dot(v, grads[tail])
                 samples[r] = value
             mean, variance = float(samples.mean()), float(samples.var(ddof=1))
         # a sample that is not finite makes the mean so too

@@ -827,6 +827,12 @@ class TestDomainHolesExitOne:
         (["lindyn", "--svals", ",,"], "target_svals must be a nonempty 1-D sequence"),
         (["lindyn", "--svals", "1e300"], "too large"),
         (["lindyn", "--depth", "2", "--svals", "5e-297"], "too small"),
+        # tolerance and loss underflowed together: 1e-300 "converged" at step
+        # 0, and 1e-160 ran every step before failing a tolerance of 0
+        (["lindyn", "--depth", "1", "--svals", "1e-300", "--u0", "1e-301"],
+         "target_svals are too small: their sum of squares 0 underflows"),
+        (["lindyn", "--depth", "1", "--svals", "1e-160", "--u0", "1e-170"],
+         "target_svals are too small: their sum of squares 9.99989e-321 underflows"),
         (["lindyn", "--u0", "0"], "u0 = 0 sits at the degenerate fixed point"),
         (["lindyn", "--u0", "-1"], "u0 must be positive, got -1.0"),
         (["lindyn", "--svals", "1", "--max-steps", "-1"], "max_steps must be >= 0"),
@@ -1221,6 +1227,24 @@ class TestDomainHolesExitOne:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: input columns 0 and 0 are too large: their layer-1 variances")
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("kind", ["limiting", "nngp"])
+    @pytest.mark.parametrize("act", ["relu", "tanh"])
+    def test_ntk_kernel_variance_product_underflow(self, tmp_path, kind, act):
+        """Rows whose layer variances underflow in q(x, x) q(x', x') once
+        read every pair as uncorrelated: with relu, the nngp gram printed all
+        zeros and the limiting kernel kept only its first-layer term, both
+        with exit 0."""
+        data = tmp_path / "tiny.csv"
+        _write_dataset(data, np.random.default_rng(0).standard_normal((6, 3)) * 1e-100, np.zeros(6))
+        proc = self._run("ntk-kernel", "--widths", "3,16,16,1", "--kind", kind, "--act", act, "--format", "json",
+                         "--data", str(data))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: input columns 1 and 1 are too small: their layer-1 variances")
         assert proc.stdout == ""
 
     @pytest.mark.parametrize("points", ["0", "1", "-3"])

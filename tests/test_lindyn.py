@@ -422,6 +422,14 @@ class TestDeepLinearGD:
         with pytest.raises(ValueError, match="finite"):
             lindyn.simulate_deep_linear_gd(2, 2, svals, 0.1)
 
+    @pytest.mark.parametrize("svals, u0", [((1e-300,), 1e-301), ((1e-160,), 1e-170), ((1e-200, -1e-200), 1e-201)])
+    def test_rejects_targets_whose_squares_underflow(self, svals, u0):
+        """The loss and the default tolerance 1e-4 sum s^2 underflowed
+        together: 1e-300 "converged" at step 0 with losses [0.0], and 1e-160
+        ran all 200,000 steps against a tolerance of 0."""
+        with pytest.raises(ValueError, match="^target_svals are too small: their sum of squares .* underflows$"):
+            lindyn.simulate_deep_linear_gd(len(svals), 1, svals, 0.5, u0=u0)
+
     def test_rejects_negative_step_cap(self):
         with pytest.raises(ValueError, match="max_steps"):
             lindyn.simulate_deep_linear_gd(2, 2, (1.0,), 0.1, max_steps=-1)

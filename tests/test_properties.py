@@ -10,13 +10,15 @@ scalar calls and against the full-grid tensor rule it mirrors half of;
 the NNGP recursion's pair moments against meanfield's correlation maps,
 and the pair-kernel grams against the per-pair recursion; the tanh grams of
 inputs spread over two decades as valid kernels (a strict xfail until
-ROADMAP item 3 mends the tanh moments); linearized
-training on a solution queried many times against fresh solutions; the
-Dziugaite-Roy optimizer's one evaluation per point against the loop that
-evaluated each accepted point twice; the CLI's CSV renderer against the
-per-cell formatter it replaced. Also a fuzz of the CLI's count, list,
-range and tolerance flags and of every subcommand that reads input files:
-every value exits 0, 1 or 2, and a rejected one warns nothing."""
+ROADMAP item 3 mends the tanh moments); the NNGP diagonal of inputs down
+to 10^-200 against the length-map iterates, unless the variances underflow
+and the gram is refused; linearized training on a solution queried many
+times against fresh solutions; the Dziugaite-Roy optimizer's one
+evaluation per point against the loop that evaluated each accepted point
+twice; the CLI's CSV renderer against the per-cell formatter it replaced.
+Also a fuzz of the CLI's count, list, range and tolerance flags and of
+every subcommand that reads input files: every value exits 0, 1 or 2, and
+a rejected one warns nothing."""
 
 import contextlib
 import csv
@@ -25,6 +27,8 @@ import itertools
 import json
 import math
 import os
+import re
+import sys
 import tempfile
 import warnings
 from collections import Counter
@@ -814,6 +818,46 @@ def test_tanh_grams_of_spread_inputs_are_valid_kernels(x, sigma_w2, depth):
                        parameterization="ntk", sigma_w2=sigma_w2)
     for gram in (ntk.limiting_ntk(x, config), ntk.nngp_gram(x, config)):
         assert gram.eigvals[0] >= ntk.EIG_FLOOR
+
+
+@st.composite
+def small_columns(draw):
+    """A dataset of nonzero 2-3-D columns, each at its own scale 10^-k,
+    k in 0..200."""
+    n0, m = draw(st.integers(2, 3)), draw(st.integers(1, 6))
+    k = np.array(draw(st.lists(st.integers(0, 200), min_size=m, max_size=m)))
+    return _columns(draw, n0, m) * 10.0 ** -k
+
+
+def _length_iterates(x, config):
+    """q_1..q_{L+1}(x, x): the first-layer variance, then length_map."""
+    q = [config.sigma_w2 / config.widths[0] * float(x @ x)]
+    for _ in range(config.depth):
+        q.append(meanfield.length_map(q[-1], config.sigma_w2, config.activation))
+    return q
+
+
+@settings(max_examples=80, deadline=None)
+# 6 rows of 3 at 1e-100: every relu nngp entry was 0.0, with exit 0
+@example(x=np.random.default_rng(0).standard_normal((6, 3)).T * 1e-100, act="relu", sigma_w2=2.0, depth=2)
+@given(x=small_columns(), act=st.sampled_from(["relu", "tanh"]), sigma_w2=st.floats(0.5, 2.5), depth=st.integers(1, 3))
+def test_grams_of_small_inputs_keep_their_diagonal(x, act, sigma_w2, depth):
+    """nngp_gram either rejects inputs whose layer variances underflow in a
+    pair's product, or returns every diagonal entry within 1e-12 relative of
+    the length-map iterates; it rejects only when some column's variance
+    squared is below the smallest normal float."""
+    config = NetConfig(widths=(x.shape[0], *(8,) * depth, 1), activation=act, parameterization="ntk",
+                       sigma_w2=sigma_w2)
+    iterates = [_length_iterates(np.ascontiguousarray(col), config) for col in x.T]
+    try:
+        gram = ntk.nngp_gram(x, config)
+    except ValueError as exc:
+        assert re.fullmatch(r"input columns \d+ and \d+ are too small: their layer-\d+ variances .* underflow in "
+                            r"their product", str(exc))
+        assert min(q * q for qs in iterates for q in qs) < sys.float_info.min
+        return
+    for i, qs in enumerate(iterates):
+        assert abs(gram.matrix[i, i] - qs[-1]) <= REL_TOL * qs[-1]
 
 
 # -- linearized training: one solution queried many times, against fresh ones ----

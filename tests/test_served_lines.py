@@ -195,6 +195,10 @@ UNRUN = {
         "tests/test_cli.py::TestDomainHolesExitOne::test_wick_mc_odd_m_still_runs",
         "`wick --spec` on a spec with an odd m, whose polynomial is zero",
     ),
+    ("wick", "_hessian_vec"): (
+        "tests/test_wick.py::test_hessian_vec_equals_substituted_passes",
+        "a block's second contribution, which only depth L >= 2 has; golden `wick-mc` and the benchmark run L = 1",
+    ),
     ("wick", "double_line_loops"): (
         "tests/test_wick.py::TestDoubleLineLoops::test_depth_two_parallel_matchings",
         "PINNED_BY_PER_LAYER",

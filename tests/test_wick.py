@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dltl import wick
-from dltl.netcore import NetConfig, backward, forward, init_weights, output_grads
+from dltl.netcore import NetConfig, backward, forward, init_weights, output_grads, weight_grads
 
 
 X1 = np.array([1.2])
@@ -237,6 +237,20 @@ class TestMonteCarloScaling:
                                     replicates=3000, seed=2)
         for mean, se, exact in zip(rep.means, rep.std_errs, rep.exacts):
             assert abs(mean - exact) <= 3 * se
+
+    def test_chain_ends_share_one_weight_gradient_per_replicate(self, monkeypatch):
+        """The benchmark's chain, four factors on one input, builds its weight
+        gradients once per replicate and width and reads them at both ends."""
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return weight_grads(*args)
+
+        monkeypatch.setattr(wick, "weight_grads", counted)
+        spec = _scalar_spec(4, ((1, 2), (2, 3), (3, 4)))
+        wick.mc_scaling_check(spec, 1, widths=[4, 8, 16], replicates=5, seed=3)
+        assert len(calls) == 5 * 3
 
     def test_overflowing_inputs_rejected_without_warnings(self):
         """Finite inputs whose products leave float range: the exact value

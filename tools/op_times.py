@@ -14,8 +14,9 @@ as its "per" field says. The hessian_vec.L1 and hessian_vec.L3 cases time
 one Hessian-vector product of mc_scaling_check's chain at depth 1 and 3,
 per call, through wick's private _hessian_vec. mc_scaling_check.replicate
 runs the benchmark's chain, whose four factors share one input and so one
-pass per replicate; mc_scaling_check.replicate_vec runs the golden wick-mc
-spec, whose two inputs take two passes per replicate. Prints one JSON line per
+pass and one weight-gradient list per replicate, read at both ends of the
+chain; mc_scaling_check.replicate_vec runs the golden wick-mc spec, whose two
+inputs take two passes per replicate. Prints one JSON line per
 case: {"case", "per", "calls", "runs", "median_us", "min_us", "max_us"}.
 
 The second form alternates two source trees, K rounds of one fresh
