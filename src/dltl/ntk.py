@@ -152,11 +152,15 @@ def _theta(q12, chi):
 # by Gauss-Legendre exactly.
 #
 # The polar rule runs on whole arrays: the four sign-quadrant arcs of every
-# pair form one (pairs, 4, 32) array of nodes. Each arc's weighted sum is
-# taken by np.matmul on a (1, 32) @ (32, 1) stack, one dot product per arc (a
-# gemv, rows @ weights, rounds some sums differently in the last bit), and
-# the arcs are accumulated one by one in their fixed quadrant order, an empty
-# arc adding 0.0, so a pair's value does not depend on the pairs beside it.
+# pair form one (pairs, 4, 32) grid of nodes. _recursion allocates two such
+# grids per call, and every layer rewrites them in place: the first holds the
+# nodes a, then a + d, then the integrand sin(a + d) cos(a); the second holds
+# cos(a). Fresh grids per layer cost more to allocate and fault in than the
+# trigonometry does. Each arc's weighted sum is taken by np.matmul on a
+# (1, 32) @ (32, 1) stack, one dot product per arc (a gemv, rows @ weights,
+# rounds some sums differently in the last bit), and the arcs are
+# accumulated one by one in their fixed quadrant order, an empty arc adding
+# 0.0, so a pair's value does not depend on the pairs beside it.
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _GL_WEIGHT_COLUMN = _GL_WEIGHTS[:, None]
@@ -164,13 +168,15 @@ _GL_WEIGHT_COLUMN = _GL_WEIGHTS[:, None]
 # -d, for the sign quadrants (+, +), (+, -), (-, +), (-, -) in this order.
 _ARC_U = np.array([0.0, 0.0, math.pi, math.pi])
 _ARC_V = np.array([math.pi / 2, 3 * math.pi / 2, math.pi / 2, 3 * math.pi / 2])
-# Pairs go through the recursion in chunks whose node arrays and layer-1 row
-# copies stay near this many bytes each.
+# Pairs go through the recursion in chunks of about this many bytes per
+# (pairs, n0) layer-1 row copy and per (pairs, 4, 32) node grid, whichever is
+# larger; a piecewise-linear chunk holds two grids, so twice this in all.
 _CHUNK_BYTES = 256 * 1024
 
 
-def _polar_moments(c: np.ndarray, q11: np.ndarray, q22: np.ndarray, slopes: tuple[float, float]):
-    """(E phi(u) phi(v), E phi'(u) phi'(v)) for piecewise-linear phi, on 1-D arrays.
+def _polar_moments(c: np.ndarray, q11: np.ndarray, q22: np.ndarray, slopes: tuple[float, float], scratch: np.ndarray):
+    """(E phi(u) phi(v), E phi'(u) phi'(v)) for piecewise-linear phi, on 1-D
+    arrays of pairs, with scratch a (2, pairs, 4, 32) array it overwrites.
 
     With u = sqrt(q11) r cos(a), v = sqrt(q22) r sin(a + d) where
     sin(d) = c, the radial integral is exact and each sign quadrant
@@ -187,8 +193,14 @@ def _polar_moments(c: np.ndarray, q11: np.ndarray, q22: np.ndarray, slopes: tupl
     hi = _ARC_U + np.minimum(math.pi / 2, delta + math.pi / 2)
     weight = np.outer(slopes, slopes).ravel()
     half = 0.5 * (hi - lo)
-    a = (0.5 * (hi + lo))[..., None] + half[..., None] * _GL_NODES
-    sums = np.matmul((np.cos(a) * np.sin(a + d[..., None]))[..., None, :], _GL_WEIGHT_COLUMN)[..., 0, 0]
+    a, cos_a = scratch
+    np.multiply(half[..., None], _GL_NODES, out=a)
+    a += (0.5 * (hi + lo))[..., None]
+    np.cos(a, out=cos_a)
+    a += d[..., None]
+    np.sin(a, out=a)
+    a *= cos_a
+    sums = np.matmul(a[..., None, :], _GL_WEIGHT_COLUMN)[..., 0, 0]
     m_phi = m_deriv = 0.0
     for k in range(len(weight)):
         arc = hi[:, k] > lo[:, k]
@@ -197,13 +209,14 @@ def _polar_moments(c: np.ndarray, q11: np.ndarray, q22: np.ndarray, slopes: tupl
     return np.sqrt(q11 * q22) * m_phi, m_deriv
 
 
-def _pair_moments(c, q11, q22, sigma_w2: float, act: Activation, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def _pair_moments(c, q11, q22, sigma_w2: float, act: Activation, nodes: int, scratch) -> tuple[np.ndarray, np.ndarray]:
     """(sigma_w^2 E phi phi, sigma_w^2 E phi' phi') for gaussian pairs,
-    elementwise over same-shape c, q11 and q22."""
+    elementwise over same-shape c, q11 and q22; scratch is the polar rule's
+    (2, c.size, 4, 32) work array, None for the smooth kinds."""
     shape = np.shape(c)
     c, q11, q22 = (np.asarray(v, dtype=float).ravel() for v in (c, q11, q22))
     if act.slopes is not None:
-        m_phi, m_deriv = (sigma_w2 * m for m in _polar_moments(c, q11, q22, act.slopes))
+        m_phi, m_deriv = (sigma_w2 * m for m in _polar_moments(c, q11, q22, act.slopes, scratch))
     else:
         m_phi = sigma_w2 * gauss_ev2(act, c, q11, q22, nodes)
         m_deriv = sigma_w2 * gauss_ev2(act.deriv, c, q11, q22, nodes)
@@ -277,6 +290,8 @@ def _recursion(rows_a, rows_b, q11, q22, config: NetConfig, nodes: int) -> tuple
     checking every layer's cross covariance against the Cauchy-Schwarz bound."""
     depth, (pairs, n0) = config.depth, rows_a.shape
     q12, chi = np.empty((depth + 1, pairs)), np.empty((depth, pairs))
+    # the polar rule's two node grids, rewritten by every layer
+    scratch = np.empty((2, pairs, _ARC_U.size, _GL_NODES.size)) if config.activation.slopes is not None else None
     # one BLAS dot per pair, as 1-D x @ x' is; a gemm or einsum rounds otherwise
     q12[0] = config.sigma_w2 / n0 * np.matmul(rows_a[:, None, :], rows_b[:, :, None])[:, 0, 0]
     for l in range(depth + 1):
@@ -286,7 +301,7 @@ def _recursion(rows_a, rows_b, q11, q22, config: NetConfig, nodes: int) -> tuple
         if l == depth:
             break
         c = np.clip(np.where(denom > 0, q12[l] / np.where(denom > 0, denom, 1.0), 0.0), -1.0, 1.0)
-        q12[l + 1], chi[l] = _pair_moments(c, q11[l], q22[l], config.sigma_w2, config.activation, nodes)
+        q12[l + 1], chi[l] = _pair_moments(c, q11[l], q22[l], config.sigma_w2, config.activation, nodes, scratch)
     return q12, chi
 
 

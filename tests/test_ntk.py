@@ -145,6 +145,22 @@ class TestGrams:
         np.testing.assert_allclose(frozen.gram.matrix, nngp.matrix, atol=1e-12)
         assert frozen.gram.tag == nngp.tag == "nngp"
 
+    @pytest.mark.parametrize("depth", [1, 3, 4])
+    def test_relu_diagonals_at_sigma_w2_two_are_exact(self, depth):
+        """At sigma_w^2 = 2 a ReLU layer keeps the variance, q_{l+1}(x, x) =
+        q_l(x, x), and chi_l(x, x) = 1, so the gram diagonals are
+        q_{L+1}(x, x) = q_1(x, x) and Theta(x, x) = (L + 1) q_1(x, x). Each
+        diagonal pair runs through the polar rule at c = 1."""
+        config = _relu_config((10, *[16] * depth, 1))
+        x = np.random.default_rng(11).standard_normal((10, 60))
+        q1 = 2.0 / 10 * np.einsum("im,im->m", x, x)
+        np.testing.assert_allclose(np.diag(ntk.nngp_gram(x, config).matrix), q1, rtol=1e-13, atol=0)
+        # chi_l(x, x) drifts by about 1e-8 per layer next to c = 1 (ROADMAP
+        # item 2); the closed forms that replace the polar rule tighten this
+        # to a few ulp
+        theta = np.diag(ntk.limiting_ntk(x, config).matrix)
+        np.testing.assert_allclose(theta, (depth + 1) * q1, rtol=1e-7, atol=0)
+
     def test_empirical_matches_hand_gradients(self):
         """For f = W_1 W_0 x the tangent kernel is
         ||W_1||^2 x.x' + (W_0 x).(W_0 x')."""

@@ -48,3 +48,14 @@ def test_times_both_monte_carlo_replicates():
     assert [(d["case"], d["per"]) for d in docs] == [("mc_scaling_check.replicate", 60),
                                                      ("mc_scaling_check.replicate_vec", 60)]
     assert all(d["median_us"] > 0 for d in docs)
+
+
+def test_times_the_limit_grams_per_pair_and_layer():
+    """kernel-limit's two limiting_ntk grams: 120 ReLU columns make 7,260
+    pairs and 32 tanh columns 528, each through the 4 layers of
+    (10, 512, 512, 512, 1)."""
+    proc = subprocess.run([sys.executable, str(TOOL), "--runs", "1", "--case", "pair_kernels.relu",
+                           "pair_kernels.tanh"], capture_output=True, text=True, check=True)
+    docs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(d["case"], d["per"]) for d in docs] == [("pair_kernels.relu", 7260 * 4), ("pair_kernels.tanh", 528 * 4)]
+    assert all(d["median_us"] > 0 for d in docs)

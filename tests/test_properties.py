@@ -565,21 +565,27 @@ variances = st.floats(1e-3, 1e3)
     act=st.one_of(st.sampled_from(["linear", "relu"]), st.floats(0.05, 0.95).map(lambda a: f"leaky_relu:{a!r}")),
     c=correlations, q11=variances, q22=variances, sigma_w2=st.floats(0.1, 4.0),
 )
+@example(act="relu", c=1.0, q11=1e3, q22=1e-3, sigma_w2=2.0)
+@example(act="relu", c=-1.0, q11=1.0, q22=1.0, sigma_w2=2.0)
+@example(act="leaky_relu:0.2", c=0.0, q11=1e-3, q22=1e-3, sigma_w2=4.0)
+@example(act="linear", c=1.0 - 1e-15, q11=2.0, q22=0.5, sigma_w2=0.1)
+@example(act="relu", c=1.0 - 1e-15, q11=1e3, q22=1e3, sigma_w2=1.0)
 def test_polar_pair_moments_match_closed_forms(act, c, q11, q22, sigma_w2):
     """The polar rule of ntk and the arc-cosine closed forms of meanfield
-    compute the same two moments for the piecewise-linear kinds."""
+    compute the same two moments for the piecewise-linear kinds, to 1e-13
+    of their scales sigma_w^2 sqrt(q11 q22) and sigma_w^2."""
     act = Activation.parse(act)
-    m_phi, m_deriv = ntk._pair_moments(c, q11, q22, sigma_w2, act, meanfield.GH_NODES)
+    m_phi, m_deriv = ntk._pair_moments(c, q11, q22, sigma_w2, act, meanfield.GH_NODES, np.empty((2, 1, 4, 32)))
     scale = sigma_w2 * math.sqrt(q11 * q22)
-    assert abs(m_phi - meanfield.corr_map(c, q11, q22, sigma_w2, act)) <= 1e-12 * scale
-    assert abs(m_deriv - meanfield.chi_map(c, q11, q22, sigma_w2, act)) <= 1e-12 * sigma_w2
+    assert abs(m_phi - meanfield.corr_map(c, q11, q22, sigma_w2, act)) <= 1e-13 * scale
+    assert abs(m_deriv - meanfield.chi_map(c, q11, q22, sigma_w2, act)) <= 1e-13 * sigma_w2
 
 
 @settings(max_examples=30, deadline=None)
 @given(c=correlations, q11=variances, q22=variances, sigma_w2=st.floats(0.1, 4.0))
 def test_smooth_pair_moments_are_the_correlation_maps(c, q11, q22, sigma_w2):
     act = Activation("tanh")
-    got = ntk._pair_moments(c, q11, q22, sigma_w2, act, meanfield.GH_NODES)
+    got = ntk._pair_moments(c, q11, q22, sigma_w2, act, meanfield.GH_NODES, None)
     assert got == (meanfield.corr_map(c, q11, q22, sigma_w2, act), meanfield.chi_map(c, q11, q22, sigma_w2, act))
 
 

@@ -9,15 +9,18 @@ thread). Each case of CASES is built from fixed seeds and called once to
 warm up and once more to pick how many calls make one run (at least RUN_S
 of work), then timed over N runs. Every run is bracketed by perfbench/speed.py's
 probe and rescaled by it, as the benchmark rescales its passes. The case's
-time is per unit: one call, one Monte Carlo replicate or one network layer,
-as its "per" field says. The hessian_vec.L1 and hessian_vec.L3 cases time
-one Hessian-vector product of mc_scaling_check's chain at depth 1 and 3,
-per call, through wick's private _hessian_vec. mc_scaling_check.replicate
-runs the benchmark's chain, whose four factors share one input and so one
-pass and one weight-gradient list per replicate, read at both ends of the
-chain; mc_scaling_check.replicate_vec runs the golden wick-mc spec, whose two
-inputs take two passes per replicate. Prints one JSON line per
-case: {"case", "per", "calls", "runs", "median_us", "min_us", "max_us"}.
+time is per unit: one call, one Monte Carlo replicate, one network layer or
+one pair's network layer, as its "per" field says. The hessian_vec.L1 and
+hessian_vec.L3 cases time one Hessian-vector product of mc_scaling_check's
+chain at depth 1 and 3, per call, through wick's private _hessian_vec.
+mc_scaling_check.replicate runs the benchmark's chain, whose four factors
+share one input and so one pass and one weight-gradient list per replicate,
+read at both ends of the chain; mc_scaling_check.replicate_vec runs the
+golden wick-mc spec, whose two inputs take two passes per replicate.
+pair_kernels.relu and pair_kernels.tanh run the benchmark's two limiting_ntk
+grams (120 ReLU and 32 tanh columns), per pair and network layer. Prints one
+JSON line per case:
+{"case", "per", "calls", "runs", "median_us", "min_us", "max_us"}.
 
 The second form alternates two source trees, K rounds of one fresh
 interpreter per tree (TREE_A first in even rounds, TREE_B first in odd
@@ -147,6 +150,20 @@ def _nngp_recursion(act):
     return (lambda: nngp_recursion(x, x_prime, config)), config.n_layers
 
 
+def _pair_kernels(act, m, sigma_w2):
+    """A limiting_ntk gram of kernel-limit, widths (10, 512, 512, 512, 1), per
+    pair and layer: each of its m (m + 1) / 2 pairs runs the recursion
+    through every layer."""
+    import numpy as np
+
+    from dltl.ntk import limiting_ntk
+    from dltl.netcore import NetConfig
+
+    config = NetConfig((10, 512, 512, 512, 1), act, parameterization="ntk", sigma_w2=sigma_w2)
+    x = np.random.default_rng(10).standard_normal((10, m))
+    return (lambda: limiting_ntk(x, config)), m * (m + 1) // 2 * config.n_layers
+
+
 def _product_wishart():
     """The depth-2 product-Wishart curve at the CLI's default 2001 points."""
     from dltl.spectra import product_wishart_spectrum
@@ -181,6 +198,8 @@ CASES = {
     "corr_map.tanh": lambda: _corr_map("tanh"),
     "nngp_recursion.relu": lambda: _nngp_recursion("relu"),
     "nngp_recursion.tanh": lambda: _nngp_recursion("tanh"),
+    "pair_kernels.relu": lambda: _pair_kernels("relu", 120, 2.0),
+    "pair_kernels.tanh": lambda: _pair_kernels("tanh", 32, 1.5),
     "product_wishart.depth2": _product_wishart,
     "exact_correlation.8x2": _exact_correlation,
 }
