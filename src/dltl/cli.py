@@ -474,6 +474,8 @@ def _run_ntk_train(args: argparse.Namespace) -> Emission:
     config, weights = load_weights(args.weights)
     x, y = read_dataset(args.data)
     times = parse_float_list(args.times)
+    if not times:
+        raise ValueError(f"times must list at least one time, got {args.times!r}")
     if not all(t >= 0 for t in times):
         raise ValueError("times must be nonnegative")
     _check_weights_on(args.weights, config, weights, x)
@@ -912,7 +914,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError, RuntimeError, OverflowError, np.linalg.LinAlgError) as exc:
+    except (ValueError, KeyError, OSError, RuntimeError, OverflowError, MemoryError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 RANK_RTOL = 1e-8
+MAX_GRID_POINTS = 100_000  # as the CLI's MAX_RANGE_POINTS; each point is a forward pass per leg
 
 
 def _assert_full_rank(mat: np.ndarray, name: str) -> None:
@@ -247,6 +248,8 @@ def constant_loss_path(
     if not epsilon >= 1e-8:
         raise ValueError(f"epsilon must be at least 1e-8, got {epsilon}")
     _check_at_least("grid_points", grid_points, 2)
+    if grid_points > MAX_GRID_POINTS:
+        raise ValueError(f"grid_points must be at most {MAX_GRID_POINTS}, got {grid_points}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     outputs, m = config.widths[-1], x.shape[-1]

@@ -55,6 +55,8 @@ def _check_start(u0: float) -> None:
         raise ValueError("u0 = 0 sits at the degenerate fixed point; the mode never moves")
     if not u0 > 0:
         raise ValueError(f"u0 must be positive, got {u0}")
+    if u0 == math.inf:
+        raise ValueError(f"u0 must be finite, got {u0}")
 
 
 def _check_mode_args(u0: float, uf: float, s: float, L: int) -> None:
@@ -236,6 +238,8 @@ def simulate_deep_linear_gd(
     u_init = np.broadcast_to(np.asarray(u0, dtype=float), (width,)).copy()
     if not np.all(u_init >= 0):
         raise ValueError("initial mode products must be nonnegative")
+    if not np.isfinite(u_init).all():
+        raise ValueError("initial mode products must be finite")
     if tol_loss is None:
         tol_loss = 1e-4 * sum_sq
 
@@ -269,6 +273,8 @@ def simulate_deep_linear_gd(
             losses.append(loss)
             u_hist.append(p.diagonal().copy())
             if not math.isfinite(loss):
+                if k == 0:
+                    raise ValueError(f"u0 = {u_init.max():g} is too large: the loss at step 0 is {loss}")
                 raise RuntimeError(f"GD diverged at step {k} with eta = {eta}: the loss is {loss}")
             if loss <= tol_loss:
                 steps_to_tol = k

@@ -12,8 +12,8 @@ point is
     chi_1 = sigma_w^2 * E (phi'(sqrt(q*) z))^2.
 
 chi_1 < 1 is the ordered phase, chi_1 > 1 the chaotic one, chi_1 = 1 the
-edge. Homogeneous activations (linear, relu, leaky_relu) get closed forms;
-everything else goes through Gauss-Hermite quadrature with 64 nodes per axis
+edge. The piecewise-linear activations (linear, relu, leaky_relu) get closed
+forms; tanh goes through Gauss-Hermite quadrature with 64 nodes per axis
 (tests hold a 256-node oracle against these defaults).
 """
 
@@ -113,13 +113,12 @@ def gauss_ev2(f, c, q11, q22, nodes: int = GH_NODES):
     c, q11 and q22 are scalars or same-shape arrays of pairs. A scalar call
     returns a float, an array call an array of that shape, whose entries are
     bit for bit the scalar calls: a pair's value does not depend on the pairs
-    beside it. f is an Activation or its deriv.
-
-    When f is a tanh or linear Activation or its deriv, f is odd or even, so
-    f(u) f(v) is even in (u, v), and the tensor grid's mirror half is copied
-    instead of evaluated (see _tensor_rule); the value is the same to the
-    bit. The other kinds are evaluated on the full grid.
+    beside it. f is a tanh Activation or its deriv; the piecewise-linear
+    kinds have closed forms in corr_map and chi_map and raise here.
     """
+    act = f if isinstance(f, Activation) else f.__self__
+    if act.slopes is not None:
+        raise ValueError(f"gauss_ev2 integrates tanh only; {act} has closed forms in corr_map and chi_map")
     c, q11, q22 = (np.asarray(v, dtype=float) for v in (c, q11, q22))
     shape = c.shape
     if not shape == q11.shape == q22.shape:
@@ -135,26 +134,16 @@ def gauss_ev2(f, c, q11, q22, nodes: int = GH_NODES):
     t, w = gauss_hermite(nodes)
     z = math.sqrt(2.0) * t
     edge = np.abs(c) >= 1.0  # |c| = 1 once clipped into [-1, 1]
-    mirror = _has_parity(f)
     if not edge.any():
-        out = _tensor_rule(f, c, q11, q22, z, w, mirror)
+        out = _tensor_rule(f, c, q11, q22, z, w)
     elif edge.all():
         out = _axis_rule(f, c, q11, q22, z, w)
     else:
         out = np.empty(c.size)
         out[edge] = _axis_rule(f, c[edge], q11[edge], q22[edge], z, w)
         inner = ~edge
-        out[inner] = _tensor_rule(f, c[inner], q11[inner], q22[inner], z, w, mirror)
+        out[inner] = _tensor_rule(f, c[inner], q11[inner], q22[inner], z, w)
     return float(out[0]) if not shape else out.reshape(shape)
-
-
-def _has_parity(f) -> bool:
-    """Whether f, an Activation or its deriv, is odd or even to the bit: tanh
-    and linear are odd (IEEE negation and numpy's tanh are sign-symmetric),
-    so their derivatives are even. Piecewise-linear kinds with a kink report
-    False."""
-    act = f if isinstance(f, Activation) else f.__self__
-    return act.kind in ("tanh", "linear")
 
 
 def _axis_rule(f, c, q11, q22, z, w) -> np.ndarray:
@@ -164,7 +153,7 @@ def _axis_rule(f, c, q11, q22, z, w) -> np.ndarray:
     return np.matmul(vals[:, None, :], w[:, None])[:, 0, 0] / math.sqrt(math.pi)
 
 
-def _tensor_rule(f, c, q11, q22, z, w, mirror: bool) -> np.ndarray:
+def _tensor_rule(f, c, q11, q22, z, w) -> np.ndarray:
     """gauss_ev2 at |c| < 1 on the n x n tensor grid, in blocks of pairs of
     _BLOCK_BYTES. Each block's grid of values is built in place in one
     (k, n, n) buffer, and each pair's sum w @ vals @ w is one gemv and one
@@ -172,13 +161,12 @@ def _tensor_rule(f, c, q11, q22, z, w, mirror: bool) -> np.ndarray:
     (k, n) @ (n,) gemv would round some sums differently.
 
     The nodes satisfy z[::-1] == -z exactly, and IEEE products, sums and
-    negation are sign-symmetric, so for an odd or even f (mirror) the
-    integrand f(u) f(v) gives vals[n-1-i, n-1-j] == vals[i, j]. Then only
-    the first ceil(n/2) rows are evaluated and the rest are their reversed
-    copy; the sums still run over the full grid. Otherwise every row is
-    evaluated."""
+    negation are sign-symmetric, as numpy's tanh is, so tanh (odd) and tanh'
+    (even) give an integrand f(u) f(v) with vals[n-1-i, n-1-j] ==
+    vals[i, j]. So only the first ceil(n/2) rows are evaluated and the rest
+    are their reversed copy; the sums still run over the full grid."""
     n = z.size
-    rows = n - n // 2 if mirror else n
+    rows = n - n // 2
     step = max(1, _BLOCK_BYTES // (8 * n * n))
     buf = np.empty((min(step, c.size), n, n))
     z1, z2 = z[:rows, None], z[None, :]
@@ -192,7 +180,7 @@ def _tensor_rule(f, c, q11, q22, z, w, mirror: bool) -> np.ndarray:
         v = np.add(c3[block] * z1, s3[block] * z2, out=vals[:, :rows])
         v *= root_q22[block]
         np.multiply(f(root_q11[block] * z1), f(v), out=v)
-        if rows < n:
+        if rows < n:  # n = 1 has no second half
             vals[:, rows:] = vals[:, n - rows - 1 :: -1, ::-1]
         np.matmul(np.matmul(w_row, vals), w_col, out=sums[block])
     return sums[:, 0, 0] / math.pi
@@ -265,7 +253,7 @@ def length_map(q: float, sigma_w2: float, act: Activation, nodes: int = GH_NODES
     """
     _check_nonnegative("q", q)
     _check_positive("sigma_w2", sigma_w2)
-    if act.homogeneous:
+    if act.slopes is not None:
         # V is exactly linear in q, with slope chi_1
         value = sigma_w2 * q * _second_moment_unit(act)
     else:
@@ -317,7 +305,7 @@ def chi1(sigma_w2: float, q: float, act: Activation, nodes: int = GH_NODES) -> f
     """chi_1 = sigma_w^2 * E (phi'(sqrt(q) z))^2 at variance q."""
     _check_positive("sigma_w2", sigma_w2)
     _check_nonnegative("q", q)
-    if act.homogeneous:
+    if act.slopes is not None:
         return sigma_w2 * _second_moment_unit(act)
     return _length_moments(sigma_w2, nodes).chi1(q)
 
@@ -359,7 +347,7 @@ def length_fixed_point(sigma_w2: float, act: Activation, q0: float = 1.0) -> Fix
     """
     _check_nonnegative("q0", q0)
     _check_positive("sigma_w2", sigma_w2)
-    if act.homogeneous:
+    if act.slopes is not None:
         kappa = sigma_w2 * _second_moment_unit(act)
         if abs(kappa - 1.0) <= MARGINAL_TOL:
             return FixedPointResult(q_inf=float(q0), iterations=0, marginal=True)
@@ -447,10 +435,10 @@ def phase_classify(
     try:
         fp = length_fixed_point(sigma_w2, act, q0=q0)
     except DivergenceError:
-        if not act.homogeneous:
+        if act.slopes is None:
             raise
         fp = FixedPointResult(q_inf=math.inf, iterations=0, marginal=False)
-    chi = chi1(sigma_w2, q0 if act.homogeneous else fp.q_inf, act)
+    chi = chi1(sigma_w2, q0 if act.slopes is not None else fp.q_inf, act)
     if chi < 1.0 - tol:
         phase = "ordered"
     elif chi > 1.0 + tol:
@@ -477,7 +465,7 @@ def edge_of_chaos(act: Activation, q0: float = 1.0) -> float:
     f_lo = phase_classify(lo, act, q0=q0).chi1 - 1.0
     if abs(f_lo) <= tol:
         return lo
-    if act.homogeneous:
+    if act.slopes is not None:
         return 1.0 / _second_moment_unit(act)
     for _ in range(200):
         if hi - lo <= tol:

@@ -62,7 +62,8 @@ class Activation:
     half-line), "tanh". All satisfy phi(0) = 0. The derivative at 0 is taken
     from the left: relu -> 0, leaky_relu -> alpha. slopes holds the
     (positive, negative) half-line slopes of the piecewise-linear kinds,
-    None for tanh; the maps' closed forms all read this pair.
+    None for tanh. It alone chooses between the maps' closed forms, which
+    read this pair, and quadrature, which only tanh takes.
     """
 
     KINDS = ("linear", "relu", "leaky_relu", "tanh")
@@ -127,11 +128,6 @@ class Activation:
         if self.kind == "linear":
             return y.copy()
         return np.where(y > 0, y, y / self.alpha)
-
-    @property
-    def homogeneous(self) -> bool:
-        """True when phi(c z) = c phi(z) for c > 0 (linear, relu, leaky)."""
-        return self.slopes is not None
 
 
 INIT_SCHEMES = ("gaussian", "orthogonal")

@@ -141,8 +141,8 @@ def _theta(q12, chi):
 # -- two-dimensional gaussian moments -----------------------------------------
 #
 # The recursion needs E phi(u) phi(v) and E phi'(u) phi'(v) for a centered
-# gaussian pair. Smooth activations take meanfield.gauss_ev2, the tensor
-# Gauss-Hermite rule of meanfield's correlation maps for E f(u) f(v), on a
+# gaussian pair. tanh takes meanfield.gauss_ev2, the tensor Gauss-Hermite
+# rule of meanfield's correlation maps for E f(u) f(v), on a
 # chunk's whole arrays of pairs: one call per moment, f = phi and f = phi',
 # whose entries equal the maps' scalar calls bit for bit. For the piecewise-linear kinds that rule stalls near
 # 1e-3 (the integrand kinks along two lines through the origin), so those
@@ -317,7 +317,7 @@ def _pair_kernels(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(Theta_0, q_{L+1}) between the columns of x_a and those of x_b.
 
-    x_b = None gives the grams of x_a, computed on i <= j and mirrored.
+    x_b = None gives the grams of x_a, computed on i <= j and copied to i > j.
     All pairs run through one recursion, whole arrays per layer, in chunks
     of _CHUNK_BYTES; every entry equals nngp_recursion on the same pair,
     bit for bit. Columns are copied to contiguous rows first, because a dot

@@ -274,6 +274,23 @@ class TestExitCodes:
         assert code == 2
         assert "mc-out" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("handler, argv", [
+        ("_run_du_monitor", ["du-monitor", "--n", "100000000000"]),
+        ("_run_spectrum", ["spectrum", "--analytic", "--points", "1000000000000"]),
+    ])
+    def test_memory_error_is_domain_error(self, monkeypatch, capsys, handler, argv):
+        """These calls ask numpy for terabytes and once printed the
+        MemoryError's traceback. The handler raises in their place: a real
+        allocation that size could succeed on a host that overcommits."""
+        message = "Unable to allocate 11.6 TiB for an array with shape (100000000000, 16) and data type float64"
+
+        def allocate(args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, handler, allocate)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 # ---------------------------------------------------------------------------
 # subcommand outputs
@@ -544,6 +561,12 @@ class TestNtkTrain:
         assert main(["ntk-train", "--weights", ntk_net, "--data", str(data)]) == 1
         assert capsys.readouterr().err == "error: dataset must have shape (3, m), got (2, 4)\n"
 
+    @pytest.mark.parametrize("times", [",", ""])
+    def test_empty_time_list_is_domain_error(self, dataset, ntk_net, times, capsys):
+        """An empty --times once exited 0 with a table of the header alone."""
+        assert main(["ntk-train", "--weights", ntk_net, "--data", dataset[0], "--times", times]) == 1
+        assert capsys.readouterr() == ("", f"error: times must list at least one time, got {times!r}\n")
+
 
 class TestDuMonitor:
     def test_synthetic_run_shape(self, tmp_path):
@@ -745,6 +768,8 @@ class TestFuzzFoundHoles:
         _write_dataset(data, np.random.default_rng(13).standard_normal((5, 6)), np.zeros(5))
         argv = ["path", "--weights-a", str(wa), "--weights-b", str(wb), "--data", str(data)]
         self._exits_one(capsys, argv + ["--grid-points", "0"], "grid_points must be at least 2")
+        # 10^8 points ran past a 60 s timeout, one forward pass per point and leg
+        self._exits_one(capsys, argv + ["--grid-points", "100001"], "grid_points must be at most 100000, got 100001")
         self._exits_one(capsys, argv + ["--epsilon", "nan"], "epsilon must be at least 1e-8")
 
     def test_bounds_kl_overflow(self, capsys, signed_dataset, tmp_path):
@@ -843,6 +868,9 @@ class TestDomainHolesExitOne:
         # a given rate once skipped the u0 check: nan was blamed on the rate,
         # and 0 ran every --max-steps step before failing the tolerance
         (["lindyn", "--u0", "nan", "--eta", "0.3"], "u0 must be positive, got nan"),
+        # these once blamed the learning rate, inf after numpy's matmul warning
+        (["lindyn", "--u0", "inf"], "u0 must be finite, got inf"),
+        (["lindyn", "--u0", "1e300"], "u0 = 1e+300 is too large: the loss at step 0 is inf"),
         (["lindyn", "--u0", "0", "--eta", "0.3"], "u0 = 0 sits at the degenerate fixed point"),
         (["phase", "--act", "tanh", "--sigma-w2", "0.5:2:0.5", "--tol", "nan"], "tol must be finite"),
         (["phase", "--act", "relu", "--sigma-w2", "0.5:2:0.5", "--tol", "-1"], "tol must be finite"),

@@ -415,6 +415,8 @@ class TestDeepLinearGD:
         # nan passes a test for negative entries
         with pytest.raises(ValueError, match="nonnegative"):
             lindyn.simulate_deep_linear_gd(2, 2, (1.0,), 0.1, u0=math.nan)
+        with pytest.raises(ValueError, match="^initial mode products must be finite$"):
+            lindyn.simulate_deep_linear_gd(2, 2, (1.0,), 0.1, u0=[0.1, math.inf])
 
     @pytest.mark.parametrize("svals", [(1.0, math.nan), (math.inf,), (1e300,)])
     def test_rejects_nonfinite_targets(self, svals):
@@ -447,6 +449,7 @@ class TestDeepLinearGD:
     def test_nonfinite_loss_aborts_at_once(self):
         """An initial product too large to square gives an inf loss, which
         the 10x test cannot catch; it must abort at step 0, not run out
-        the step budget on inf and nan losses."""
-        with pytest.raises(RuntimeError, match="diverged at step 0"):
+        the step budget on inf and nan losses. No step has been taken, so
+        the error names u0, not the learning rate."""
+        with pytest.raises(ValueError, match=r"^u0 = 1e\+300 is too large: the loss at step 0 is inf$"):
             lindyn.simulate_deep_linear_gd(2, 1, (1.0,), 0.1, u0=1e300, max_steps=50)

@@ -92,6 +92,18 @@ class TestQuadrature:
         want = gauss_ev(lambda z: np.tanh(z) ** 2, 0.9)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
+    @pytest.mark.parametrize("act", [RELU, Activation.parse("leaky_relu:0.2"), LINEAR], ids=str)
+    @pytest.mark.parametrize("deriv", [False, True], ids=["value", "deriv"])
+    @pytest.mark.parametrize("c, q", [(0.5, 1.0), (np.array([0.0, 1.0]), np.ones(2))], ids=["scalar", "array"])
+    def test_gauss_ev2_refuses_the_piecewise_linear_kinds(self, act, deriv, c, q):
+        """Their pair moments have closed forms in corr_map and chi_map. The
+        tensor rule smeared the kink: relu gave 0.16122 at c = 0 where the
+        exact value is 1 / (2 pi) = 0.15915, and relu' gave 0.32483 at c = 0.5
+        where it is 1/3."""
+        with pytest.raises(ValueError) as info:
+            gauss_ev2(act.deriv if deriv else act, c, q, q)
+        assert str(info.value) == f"gauss_ev2 integrates tanh only; {act} has closed forms in corr_map and chi_map"
+
     @pytest.mark.parametrize("f, q", [
         (np.tanh, math.nan),
         (lambda z: np.tanh(z) ** 2, math.inf),

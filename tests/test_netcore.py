@@ -80,9 +80,9 @@ class TestActivation:
         z = np.linspace(-2.0, 2.0, 11)
         for text in ("linear", "relu", "leaky_relu:0.25"):
             act = Activation.parse(text)
-            assert act.homogeneous
+            assert act.slopes is not None
             np.testing.assert_allclose(act(3.5 * z), 3.5 * act(z), atol=1e-14)
-        assert not Activation.parse("tanh").homogeneous
+        assert Activation.parse("tanh").slopes is None
 
 
 class TestNetConfig:
@@ -478,3 +478,14 @@ def test_shared_check_rejects_at_its_boundary(call, first, message, value):
     with pytest.raises(ValueError) as exc:
         call(value)
     assert str(exc.value) == f"{message}, got {value}"
+
+
+def test_grid_points_cap_is_checked_before_allocating():
+    """The cap sits beside the list because nan fails the `>= 2` check
+    first, so it has no nan case of its own. 10^8 points once ran past a
+    60 s timeout."""
+    weights = init_weights(_PATH_NET, seed=1)
+    first = landscape.MAX_GRID_POINTS + 1
+    with pytest.raises(ValueError) as exc:
+        landscape.constant_loss_path(_PATH_NET, weights, weights, np.ones((6, 2)), np.zeros(2), grid_points=first)
+    assert str(exc.value) == f"grid_points must be at most 100000, got {first}"

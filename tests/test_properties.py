@@ -589,8 +589,8 @@ def test_smooth_pair_moments_are_the_correlation_maps(c, q11, q22, sigma_w2):
     assert got == (meanfield.corr_map(c, q11, q22, sigma_w2, act), meanfield.chi_map(c, q11, q22, sigma_w2, act))
 
 
-_TANH, _RELU = Activation("tanh"), Activation("relu")
-_INTEGRANDS = {"tanh": _TANH, "tanh'": _TANH.deriv, "relu": _RELU}
+_TANH = Activation("tanh")
+_INTEGRANDS = {"tanh": _TANH, "tanh'": _TANH.deriv}
 
 
 @settings(max_examples=80, deadline=None)
@@ -653,8 +653,7 @@ interior_correlations = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5]),
 )
 def test_tensor_rule_equals_full_grid(data, nodes, f, block_pairs):
     """Copying the mirror half of the grid for tanh (odd) and tanh' (even)
-    gives gauss_ev2 bit for bit the full-grid rule, signed zeros included;
-    relu takes the full grid."""
+    gives gauss_ev2 bit for bit the full-grid rule, signed zeros included."""
     size = data.draw(st.integers(1, 12))
     c = np.array(data.draw(st.lists(interior_correlations, min_size=size, max_size=size)))
     q11, q22 = (np.array(data.draw(st.lists(st.one_of(st.just(0.0), variances), min_size=size, max_size=size)))

@@ -147,7 +147,8 @@ UNRUN = {
     ),
     ("lindyn", "simulate_deep_linear_gd"): (
         "tests/test_lindyn.py::TestDeepLinearGD::test_max_steps_exhaustion",
-        "error handling: `lindyn --max-steps` runs out before --tol-loss, and the error follows",
+        "error handling: `lindyn --max-steps` runs out before --tol-loss, and the error follows; "
+        "a loss that is not finite at step 0 is blamed on u0, as under `lindyn --u0 1e300`",
     ),
     ("meanfield", "_newton_polish"): (
         "tests/test_meanfield.py::TestFixedPoints::test_tanh_escape_too_slow_to_settle_raises",
